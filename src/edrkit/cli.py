@@ -1,8 +1,9 @@
 """Command-line front end: snf, reduce2x2, complete, check, rings.
 
 Exit codes: 0 success, 1 precondition violation (e.g. a non-unimodular
-reduce2x2 input, a row that does not generate dR), 2 parse error (bad ring
-expression, bad JSON, ragged grid).  JSON output is canonical (sorted keys,
+reduce2x2 input, a row that does not generate dR) or a result holding an
+integer past Python's int/str digit limit, 2 parse error (bad ring
+expression, bad JSON, ragged grid, an integer literal past that limit).  JSON output is canonical (sorted keys,
 fixed separators) so identical requests produce byte-identical documents.
 ``EDR_MAX_SEARCH`` overrides the default search window echoed by bounded
 property checks on infinite rings.
@@ -31,6 +32,7 @@ from .registry import (
     format_element,
     make_ring,
     parse_element,
+    parse_json,
     ring_catalog,
 )
 from .rings import PreconditionError, RingElement, RingError, UnsupportedOperationError
@@ -74,7 +76,7 @@ def read_matrix(path_or_inline: str, ring_spec: str) -> RingMatrix:
         raise CLIParseError("empty matrix input")
     if stripped.startswith("{"):
         try:
-            obj = json.loads(stripped)
+            obj = parse_json(stripped)
         except json.JSONDecodeError as exc:
             raise CLIParseError(f"bad matrix JSON: {exc}") from None
         declared = obj.get("ring")
@@ -163,7 +165,7 @@ def _completion_payload(req: CommandRequest, entry):
     if req.payload is None:
         raise CLIParseError("complete needs --row or a JSON --input payload")
     try:
-        obj = json.loads(req.payload)
+        obj = parse_json(req.payload)
     except json.JSONDecodeError as exc:
         raise CLIParseError(f"bad completion JSON: {exc}") from None
     if not isinstance(obj, dict) or "row" not in obj:
@@ -217,9 +219,10 @@ def dispatch(req: CommandRequest) -> tuple[int, str]:
             else:
                 res = complete_unimodular(row)
             doc = res.to_json(include_trace=(req.output == "json"))
-            det = determinant(res.matrix)
-            ok = (det == res.d) if req.verify else True
+            ok = True
             if req.verify:
+                # Berkowitz here; complete_row never computes a general determinant
+                ok = determinant(res.matrix) == res.d
                 doc["verified"] = ok
             doc["_pretty_matrix"] = _pretty_matrix(res.matrix)
             doc["_pretty_d"] = format_element(res.d)
@@ -239,6 +242,13 @@ def dispatch(req: CommandRequest) -> tuple[int, str]:
         return EXIT_PARSE, f"error: {exc}"
     except (PreconditionError, UnsupportedOperationError, RingError) as exc:
         return EXIT_PRECONDITION, f"error: {exc}"
+    except ValueError as exc:
+        # inputs past Python's int/str digit limit are parse errors by now, so
+        # this is a result too large to encode: an oversized request
+        if "integer string conversion" not in str(exc):
+            raise
+        return EXIT_PRECONDITION, ("error: the result holds an integer past Python's "
+                                   f"{sys.get_int_max_str_digits()}-digit int/str limit")
 
 
 def _build_parser() -> argparse.ArgumentParser:

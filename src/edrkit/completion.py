@@ -4,10 +4,13 @@ Given a row a_1, ..., a_n generating the principal ideal dR,
 :func:`complete_row` builds an n x n matrix whose first row is exactly the
 input and whose determinant is exactly d (no associate slack).  The length-2
 case reads the second row off a Bezout identity; for n >= 3 the bordered
-determinant is assembled from a stable modulus w, chained unit lifts that fold
-the generators one at a time, and the closing Bezout pair (s, t).  All
-intermediate witnesses are kept in the result's trace so the determinant
-identity can be replayed.
+matrix is assembled from a stable modulus w, chained unit lifts that fold
+the generators one at a time, and the closing Bezout pair (s, t).  Below its
+first two rows it is an identity block in columns 3..n plus two columns of
+shears, so its determinant u is the 2x2 Schur complement of that block, O(n)
+ring operations; no general determinant is computed.  All intermediate
+witnesses are kept in the result's trace so the determinant identity can be
+replayed.
 
 :func:`complete_unimodular` is the d = 1 special case: a unimodular row is
 the first row of a matrix with determinant exactly 1.
@@ -17,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import RingMatrix, determinant
+from .matrices import RingMatrix
+from .matrices import determinant  # noqa: F401  not called here; bench/tracing.py wraps this name
 from .rings import (
     PreconditionError,
     Ring,
@@ -167,29 +171,29 @@ def _complete_row_many(ring: Ring, row, d, xs, qs) -> CompletionResult:
     sv = cert.x * scale
     tv = cert.y * scale
 
-    # the bordered matrix after the column operations
+    # the bordered matrix after the column operations has first row
+    # (q_1 - c*s_n, q_2 - c*y_n, q_3, ..., q_n), second row (-tv, sv, 0, ...),
+    # and rows 3..n with first two entries `lower` beside an identity block;
+    # so its determinant u is that of the block's 2x2 Schur complement
     s_n = ss[-1]
     y_n = ys[-1]
-    first = [(qs[0] - c * s_n).value, (qs[1] - c * y_n).value] + [q.value for q in qs[2:]]
-    body = [first, [ring.neg(tv.value), sv.value] + [ring.zero] * (n - 2)]
-    for i in range(2, n - 1):
-        sh_row = [ring.neg(ss[i - 2].value), ring.neg(ys[i - 2].value)]
-        sh_row += [ring.one if j == i else ring.zero for j in range(2, n)]
-        body.append(sh_row)
-    last = [ring.neg((xs[-1] * s_n).value), ring.neg((xs[-1] * y_n).value)]
-    last += [ring.one if j == n - 1 else ring.zero for j in range(2, n)]
-    body.append(last)
-    u_mat = RingMatrix(ring, body)
-    u = determinant(u_mat)
+    lower = [(-s, -y) for s, y in zip(ss[:-1], ys[:-1])]
+    lower.append((-(xs[-1] * s_n), -(xs[-1] * y_n)))
+    e0, e1 = qs[0] - c * s_n, qs[1] - c * y_n
+    for q, (c0, c1) in zip(qs[2:], lower):
+        e0 = e0 - q * c0
+        e1 = e1 - q * c1
+    u = e0 * sv + e1 * tv
     if not is_unit(u):
         raise RingError("internal error: bordered determinant is not a unit")
 
     # row 1 times d is exactly the input row (d*c = 0 kills the c-terms);
     # scaling row 2 by 1/u makes the determinant exactly d
     uin = ring.inverse(u.value)
-    final = [[a.value for a in row]]
-    final.append([ring.mul(uin, v) for v in body[1]])
-    final.extend(body[2:])
+    final = [[a.value for a in row],
+             [ring.mul(uin, ring.neg(tv.value)), ring.mul(uin, sv.value)] + [ring.zero] * (n - 2)]
+    for i, (c0, c1) in enumerate(lower, start=2):
+        final.append([c0.value, c1.value] + [ring.one if j == i else ring.zero for j in range(2, n)])
     matrix = RingMatrix(ring, final)
     trace = {
         "x": xs, "q": qs, "c": c, "w": w, "t": t,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 
 from .rings import (
@@ -134,7 +135,11 @@ class _Cursor:
         tok = self.next()
         if not tok.isdigit():
             raise ExpressionError(f"expected {what}, got {tok!r}")
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:
+            raise ExpressionError(
+                f"{what} of {len(tok)} digits is past Python's int/str digit limit") from None
 
 
 def _parse_spec(cur: _Cursor) -> Ring:
@@ -186,6 +191,20 @@ def make_ring(spec: str) -> RingRegistryEntry:
 _INT_TEXT = re.compile(r"[+-]?\d+\Z")
 
 
+def parse_json(text: str):
+    """json.loads, except that an integer literal past Python's int/str digit
+    limit raises ElementSyntaxError instead of a bare ValueError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # json.loads raises no other ValueError
+        limit = sys.get_int_max_str_digits()
+        literal = re.search(r"\d{%d}" % (limit + 1), text)
+        raise ElementSyntaxError(f"integer literal past Python's {limit}-digit int/str limit",
+                                 literal.start() if literal else 0) from None
+
+
 def parse_element(entry: RingRegistryEntry | Ring, text: str) -> RingElement:
     """Parse the text encoding of one element of the entry's ring."""
     ring = entry.ring if isinstance(entry, RingRegistryEntry) else entry
@@ -197,9 +216,12 @@ def parse_element(entry: RingRegistryEntry | Ring, text: str) -> RingElement:
         if not m:
             bad = next(i for i, ch in enumerate(text) if not (ch.isdigit() or ch in "+-"))
             raise ElementSyntaxError(f"bad integer literal {text!r}", bad)
-        return RingElement(ring, ring.value_from_json(text))
+        try:
+            return RingElement(ring, ring.value_from_json(text))
+        except RingError as exc:  # well-formed, so past Python's int/str digit limit
+            raise ElementSyntaxError(str(exc)) from None
     try:
-        obj = json.loads(text)
+        obj = parse_json(text)
     except json.JSONDecodeError as exc:
         raise ElementSyntaxError(f"bad element text {text!r}: {exc.msg}", exc.pos) from None
     try:

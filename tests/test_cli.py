@@ -1,6 +1,8 @@
 """CLI conformance: dispatch, matrix reading, rendering, exit codes."""
 
 import json
+import math
+import sys
 
 import pytest
 
@@ -88,6 +90,68 @@ def test_exit_code_2_on_parse_errors():
     ]:
         code, _ = dispatch(req)
         assert code == EXIT_PARSE, req
+
+
+def test_no_verify_skips_the_determinant(monkeypatch):
+    req = CommandRequest(command="complete", ring="z", row="6,10,15,7", verify=False)
+    expected = dispatch(req)
+    assert expected[0] == EXIT_OK
+
+    def forbidden(_m):
+        raise AssertionError("determinant computed without --verify")
+
+    monkeypatch.setattr("edrkit.cli.determinant", forbidden)
+    assert dispatch(req) == expected
+    for mode in ("json", "pretty"):
+        req = CommandRequest(command="complete", ring="z", row="4,6", d="2",
+                             verify=False, output=mode)
+        assert dispatch(req)[0] == EXIT_OK
+
+
+def test_complete_verify_long_integer_row(rng):
+    row = [rng.randint(-50, 50) for _ in range(20)]
+    d = 0
+    for v in row:
+        d = math.gcd(d, v)
+    req = CommandRequest(command="complete", ring="z", row=",".join(map(str, row)), d=str(d))
+    code, out = dispatch(req)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["verified"] is True
+    assert doc["matrix"][0] == row
+
+
+def _digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int/str digit limit")
+    return limit
+
+
+def test_result_past_digit_limit_exits_1():
+    # the entries parse, but D holds their product: past the digit limit
+    big = 10 ** (_digit_limit() // 2 + 100)
+    payload = json.dumps({"rows": [[str(big + 1), "0"], ["0", str(big + 3)]]})
+    for mode in ("json", "pretty"):
+        code, out = dispatch(CommandRequest(command="snf", ring="z", payload=payload,
+                                            output=mode))
+        assert code == EXIT_PRECONDITION
+        assert out.startswith("error: ")
+
+
+def test_input_literal_past_digit_limit_exits_2():
+    huge = "9" * (_digit_limit() + 1)
+    for req in [
+        CommandRequest(command="snf", ring="z", payload='{"rows": [[%s, 1]]}' % huge),
+        CommandRequest(command="snf", ring="z", payload=f"{huge} 1"),
+        CommandRequest(command="snf", ring="gfpoly:5", payload=f"[{huge}] [1]"),
+        CommandRequest(command="complete", ring="z", payload='{"row": [%s, 1]}' % huge),
+        CommandRequest(command="complete", ring="z", row=f"{huge},1"),
+        CommandRequest(command="snf", ring=f"zmod:{huge}", payload="1"),
+    ]:
+        code, out = dispatch(req)
+        assert code == EXIT_PARSE, req.payload
+        assert out.startswith("error: ")
 
 
 def test_read_matrix_inline_grid():

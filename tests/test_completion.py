@@ -9,13 +9,18 @@ from edrkit import (
     IntegerRing,
     ModularRing,
     PreconditionError,
+    RingMatrix,
+    bezout,
     complete_row,
     complete_unimodular,
     determinant,
     element,
     is_unit,
+    make_ring,
+    one,
+    zero,
 )
-from conftest import det_oracle
+from conftest import det_oracle, random_value
 
 Z = IntegerRing()
 
@@ -55,34 +60,35 @@ def test_trace_has_named_witnesses():
 
 
 def test_trace_replays_bordered_determinant(rng):
-    from edrkit import RingMatrix
-    for _ in range(25):
-        n = rng.randint(3, 5)
-        row = [rng.randint(-30, 30) for _ in range(n)]
-        d = 0
-        for v in row:
-            d = math.gcd(d, v)
-        if d == 0:
-            continue
-        res = complete_row([zel(v) for v in row], zel(d))
-        tr = res.trace
-        qs, ys, ss = tr["q"], tr["y"], tr["s"]
-        c, xs = tr["c"], tr["x"]
-        first = [(qs[0] - c * ss[-1]).value, (qs[1] - c * ys[-1]).value]
-        first += [q.value for q in qs[2:]]
-        body = [first, [-tr["tv"].value, tr["sv"].value] + [0] * (n - 2)]
-        for i in range(2, n - 1):
-            sh = [-ss[i - 2].value, -ys[i - 2].value]
-            sh += [1 if j == i else 0 for j in range(2, n)]
-            body.append(sh)
-        last = [-(xs[-1] * ss[-1]).value, -(xs[-1] * ys[-1]).value]
-        last += [1 if j == n - 1 else 0 for j in range(2, n)]
-        body.append(last)
-        bordered = RingMatrix(zel(0).ring, body)
-        # the bordered determinant is the recorded unit, and scaling row 1
-        # by d recovers the completed matrix's determinant exactly
-        assert det_oracle(bordered) == tr["u"]
-        assert det_oracle(res.matrix).value == d
+    for spec, n in itertools.product(
+            ["z", "zmod:360", "gfpoly:5", "product:zmod:4,z", "text:z,q"], range(3, 8)):
+        ring = make_ring(spec).ring
+        done = 0
+        while done < 3:
+            row = [element(ring, random_value(ring, rng, span=30)) for _ in range(n)]
+            d = row[0]
+            for a in row[1:]:
+                d = bezout(d, a).d
+            if d.is_zero():
+                continue
+            res = complete_row(row, d)
+            tr = res.trace
+            qs, ys, ss = tr["q"], tr["y"], tr["s"]
+            c, xs = tr["c"], tr["x"]
+            o, z = one(ring), zero(ring)
+            body = [[qs[0] - c * ss[-1], qs[1] - c * ys[-1]] + qs[2:],
+                    [-tr["tv"], tr["sv"]] + [z] * (n - 2)]
+            for i in range(2, n - 1):
+                body.append([-ss[i - 2], -ys[i - 2]] + [o if j == i else z for j in range(2, n)])
+            body.append([-(xs[-1] * ss[-1]), -(xs[-1] * ys[-1])]
+                        + [o if j == n - 1 else z for j in range(2, n)])
+            bordered = RingMatrix(ring, body)
+            # the bordered determinant is the recorded unit, and scaling row 1
+            # by d recovers the completed matrix's determinant exactly
+            assert det_oracle(bordered) == tr["u"]
+            assert is_unit(tr["u"])
+            assert det_oracle(res.matrix) == d
+            done += 1
 
 
 def test_zero_row_completion():

@@ -11,6 +11,7 @@ from edrkit import (
     ModularRing,
     PreconditionError,
     ProductRing,
+    RingError,
     RingMatrix,
     TruncatedSeriesRing,
     UnsupportedOperationError,
@@ -43,6 +44,31 @@ def test_determinant_matches_permutation_oracle(rng):
     for _ in range(20):
         m = RingMatrix(m12, [[rng.randrange(12) for _ in range(3)] for _ in range(3)])
         assert determinant(m) == det_oracle(m)
+
+
+@pytest.mark.parametrize("spec", ["z", "zmod:12", "zmod:360", "gfpoly:5", "product:zmod:6,z",
+                                  "text:zmod:4,self", "text:z,q", "series:4"])
+def test_determinant_matches_permutation_oracle_on_every_ring_kind(spec, rng):
+    ring = make_ring(spec).ring
+    for n in range(1, 7):
+        for trial in range(4):
+            rows = [[random_value(ring, rng) for _ in range(n)] for _ in range(n)]
+            if trial == 0 and n > 1:
+                rows[-1] = list(rows[0])  # singular: the determinant must vanish
+            m = RingMatrix(ring, rows)
+            assert determinant(m) == det_oracle(m)
+
+
+def test_determinant_matches_sympy_on_dense_integer_matrices(rng):
+    sympy = pytest.importorskip("sympy")
+    for n in (7, 12, 18, 24):
+        rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        assert determinant(zmat(rows)).value == int(sympy.Matrix(rows).det())
+
+
+def test_determinant_rejects_non_square():
+    with pytest.raises(RingError):
+        determinant(zmat([[1, 2, 3], [4, 5, 6]]))
 
 
 def test_column_reduce_example():
