@@ -10,9 +10,9 @@ The engine: Hermite column steps come straight from refined Bezout
 certificates (``column_reduce``); the divisibility chain is enforced through
 the explicit 2x2 elementary reduction of a lower-triangular matrix with
 comaximal entries (``reduce_2x2``), whose transformation matrices are
-assembled factor by factor and audited for invertibility.  Matrices over
-Z/n are reduced by lifting to the integers and mapping the certificate
-through the quotient; products reduce componentwise.
+assembled factor by factor and audited for invertibility.  Every Bezout
+ring, Z/n included, runs through this one engine on its own certificates;
+only products are split, each component reduced on its own.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import logging
 from dataclasses import dataclass, field
 
 from .rings import (
-    IntegerRing,
-    ModularRing,
     PreconditionError,
     ProductRing,
     Ring,
@@ -557,23 +555,8 @@ def _reduce_bezout(a: RingMatrix) -> ReductionResult:
     return sweep.result()
 
 
-def _reduce_modular(a: RingMatrix) -> ReductionResult:
-    ring = a.ring
-    zring = IntegerRing()
-    lifted = RingMatrix(zring, [[int(v) for v in row] for row in a.data])
-    res = _reduce_bezout(lifted)
-
-    def drop(m: RingMatrix) -> list[list[int]]:
-        return [[v % ring.n for v in row] for row in m.data]
-
-    sweep = _Sweep(a)
-    sweep.d = drop(res.D)
-    sweep.p = drop(res.P)
-    sweep.pinv = drop(res.Pinv)
-    sweep.q = drop(res.Q)
-    sweep.qinv = drop(res.Qinv)
-    _normalize_diagonal(sweep)
-    return sweep.result()
+# never called: kept only as the name that bench/tracing.py wraps
+_reduce_modular = _reduce_bezout
 
 
 def _reduce_product(a: RingMatrix) -> ReductionResult:
@@ -605,8 +588,6 @@ def diagonal_reduce(a: RingMatrix) -> ReductionResult:
         raise UnsupportedOperationError(
             f"diagonal reduction needs total Bezout certificates; "
             f"{ring.expression()} does not provide them")
-    if isinstance(ring, ModularRing):
-        return _reduce_modular(a)
     if isinstance(ring, ProductRing):
         return _reduce_product(a)
     return _reduce_bezout(a)
@@ -638,6 +619,9 @@ def verify_reduction(a: RingMatrix, result: ReductionResult) -> bool:
     if not r.D.is_diagonal():
         return fail("D is not diagonal")
     diag = r.D.diagonal()
+    for i, e in enumerate(diag):
+        if ring.canonical_associate(e.value) != e.value:
+            return fail(f"diagonal entry at position {i} is not its canonical associate")
     for i in range(len(diag) - 1):
         if not ring.divides(diag[i].value, diag[i + 1].value):
             return fail(f"divisibility chain broken at position {i}")

@@ -206,7 +206,7 @@ class Ring(ABC):
         return (self.kind,)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Ring) and self._key() == other._key()
+        return self is other or (isinstance(other, Ring) and self._key() == other._key())
 
     def __hash__(self) -> int:
         return hash(self._key())
@@ -302,13 +302,13 @@ class Ring(ABC):
     def search_order(self) -> Iterator[Any]:
         """Deterministic small-first stream of elements for bounded searches."""
         if self.finite:
-            return iter(list(self.elements()))
+            return self.elements()
         raise UnsupportedOperationError(f"no search order for {self.expression()}")
 
     def residues_mod(self, c: Any) -> Iterator[Any]:
         """Canonical residues of R modulo cR (finite whenever R/cR is finite)."""
         if self.finite:
-            return iter(list(self.elements()))
+            return self.elements()
         raise UnsupportedOperationError(
             f"no residue enumeration modulo {c!r} in {self.expression()}")
 
@@ -430,7 +430,6 @@ class ModularRing(Ring):
         if not isinstance(n, int) or n < 2:
             raise RingError(f"modulus must be an integer >= 2, got {n!r}")
         self.n = n
-        self._bezout_cache: dict[tuple[int, int], tuple] = {}
 
     def _key(self):
         return (self.kind, self.n)
@@ -491,41 +490,38 @@ class ModularRing(Ring):
         # smallest nonnegative solution of d*q = a (mod n)
         return (a // g) * pow((d // g) % m, -1, m) % m if m > 1 else 0
 
-    def associate_unit(self, a, d):
-        if gcd(a, self.n) != gcd(d, self.n):
-            raise NotAssociatesError(f"{a} and {d} are not associates in {self.expression()}")
-        for u in range(1, self.n):
-            if gcd(u, self.n) == 1 and (d * u) % self.n == a:
+    def _unit_lift(self, u0, m):
+        """The least unit of Z/n congruent to u0 mod m, for m | n and gcd(u0, m) = 1.
+
+        Units of Z/n map onto the units of Z/m, so one lies among the n // m
+        residues u0 + k*m in [0, n); in practice it is a few steps in.
+        """
+        n = self.n
+        for u in range(u0 % m, n, m):
+            if gcd(u, n) == 1:
                 return u
-        if a == d == 0:
-            return self.one
-        raise NotAssociatesError(f"{a} and {d} are not associates in {self.expression()}")
+        raise RingError("internal: unit lift failed in modular ring")  # pragma: no cover
+
+    def associate_unit(self, a, d):
+        n = self.n
+        g = gcd(d, n)
+        if gcd(a, n) != g:
+            raise NotAssociatesError(f"{a} and {d} are not associates in {self.expression()}")
+        # d*u = a (mod n) iff u = (a/g) * (d/g)^-1 (mod n/g)
+        m = n // g
+        return self._unit_lift((a // g) * pow((d // g) % m, -1, m), m)
 
     def bezout_raw(self, a, b):
-        key = (a, b)
-        hit = self._bezout_cache.get(key)
-        if hit is not None:
-            return hit
         n = self.n
         d = gcd(a, b, n)
-        # stable-range style: some y makes gcd(a + b*y, n) exactly d
-        w = y0 = None
-        for y0 in range(n):
+        big_n = n // d
+        # Z/(n/d) has stable range 1, so some y0 < n/d makes gcd(a + b*y0, n) = d
+        for y0 in range(big_n):
             w = (a + b * y0) % n
             if gcd(w, n) == d:
                 break
-        # a unit u with d*u = w (mod n); w//d is coprime to n//d and the
-        # remaining prime defect sits in d, repaired by stepping in n//d.
-        big_n = n // d
-        u = None
-        for t in range(d):
-            cand = (w // d + t * big_n) % n
-            if cand and gcd(cand, n) == 1:
-                u = cand
-                break
-        if u is None:  # pragma: no cover - a unit lift always exists in Z/n
-            raise RingError("internal: unit lift failed in modular bezout")
-        ui = pow(u, -1, n)
+        # a unit u with d*u = w (mod n): w//d is a unit mod n//d, lifted to n
+        ui = pow(self._unit_lift(w // d, big_n), -1, n)
         x = ui
         y = (y0 * ui) % n
         a0_base, b0 = (a // d) % n, (b // d) % n
@@ -534,9 +530,7 @@ class ModularRing(Ring):
         k = ((v - 1) // big_n) % d
         alpha = (-k) * pow(x % d, -1, d) % d if d > 1 else 0
         a0 = (a0_base + big_n * alpha) % n
-        cert = (d % n, x, y, a0, b0)
-        self._bezout_cache[key] = cert
-        return cert
+        return (d % n, x, y, a0, b0)
 
     def value_to_json(self, v):
         return v

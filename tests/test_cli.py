@@ -27,6 +27,23 @@ def test_snf_dispatch_example():
     assert doc["verified"] is True
 
 
+MERSENNE = 2305843009213693951  # 2**61 - 1
+
+
+@pytest.mark.parametrize("rows, diagonal", [
+    ([[2**60 + 3, 5, 7], [11, 2**59 + 13, 17], [19, 23, 2**58 + 29]], [1, 1, 1]),
+    ([[2**60 + 3, 5, 7], [2**61 + 6, 10, 14], [19, 23, 2**58 + 29]], [1, 1, 0]),
+])
+def test_snf_over_a_mersenne_prime_modulus(rows, diagonal):
+    req = CommandRequest(command="snf", ring=f"zmod:{MERSENNE}",
+                         payload=json.dumps({"rows": rows}))
+    code, out = dispatch(req)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["verified"] is True
+    assert [doc["D"][i][i] for i in range(3)] == diagonal
+
+
 def test_check_dispatch_example():
     req = CommandRequest(command="check", ring="zmod:30", property="stable-range-1")
     code, out = dispatch(req)

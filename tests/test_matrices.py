@@ -1,6 +1,7 @@
 """Column reduction, 2x2 elementary reduction, full diagonal reduction."""
 
 import itertools
+import logging
 import math
 
 import pytest
@@ -224,7 +225,7 @@ def test_diagonal_reduce_idempotence():
     assert res.P.is_identity() and res.Q.is_identity()
 
 
-def test_modular_agrees_with_integer_lift_exhaustively():
+def test_modular_agrees_with_integer_lift_exhaustively(rng):
     ring = ModularRing(6)
     for vals in itertools.product(range(6), repeat=4):
         a = RingMatrix(ring, [[vals[0], vals[1]], [vals[2], vals[3]]])
@@ -234,6 +235,15 @@ def test_modular_agrees_with_integer_lift_exhaustively():
         lres = diagonal_reduce(lifted)
         expected = [math.gcd(e.value, 6) % 6 for e in lres.D.diagonal()]
         assert [e.value for e in res.D.diagonal()] == expected
+    ring = ModularRing(360)
+    for size in [3] * 20 + [4] * 20:
+        rows = [[rng.randrange(360) * rng.choice([0, 1, 2, 6]) % 360 for _ in range(size)]
+                for _ in range(size)]
+        a = RingMatrix(ring, rows)
+        res = diagonal_reduce(a)
+        assert verify_reduction(a, res)
+        expected = [math.gcd(e.value, 360) % 360 for e in diagonal_reduce(zmat(rows)).D.diagonal()]
+        assert [e.value for e in res.D.diagonal()] == expected, rows
 
 
 def test_product_ring_reduction(rng):
@@ -274,7 +284,7 @@ def test_series_matrices_rejected():
         diagonal_reduce(a)
 
 
-def test_verify_reduction_detects_tampering():
+def test_verify_reduction_detects_tampering(caplog):
     a = zmat([[2, 4], [6, 8]])
     res = diagonal_reduce(a)
     assert verify_reduction(a, res)
@@ -285,6 +295,17 @@ def test_verify_reduction_detects_tampering():
     bad_pinv = RingMatrix(Z, [[1, 1], [0, 1]])
     tampered = ReductionResult(P=res.P, D=res.D, Q=res.Q, Pinv=bad_pinv, Qinv=res.Qinv)
     assert not verify_reduction(a, tampered)
+    # -P, -D in row 0 and -Pinv in column 0 still give P*A*Q = D and the
+    # chain -2 | 4, but D[0][0] = -2 is not the canonical associate 2
+    def negate(rows, cells):
+        return RingMatrix(Z, [[-v if (i, j) in cells else v for j, v in enumerate(row)]
+                              for i, row in enumerate(rows)])
+    row0, col0 = {(0, 0), (0, 1)}, {(0, 0), (1, 0)}
+    tampered = ReductionResult(P=negate(res.P.data, row0), D=negate(res.D.data, row0),
+                               Q=res.Q, Pinv=negate(res.Pinv.data, col0), Qinv=res.Qinv)
+    with caplog.at_level(logging.DEBUG, logger="edrkit.matrices"):
+        assert not verify_reduction(a, tampered)
+    assert "diagonal entry at position 0 is not its canonical associate" in caplog.text
 
 
 def test_divisibility_chain_everywhere(rng):

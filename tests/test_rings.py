@@ -203,6 +203,34 @@ def test_associate_unit_roundtrip(ring, rng):
         assert a * u == d
 
 
+def _scan_associate_unit(n, a, d):
+    """Reference: the least unit u of Z/n with d*u = a, by scanning residues."""
+    for u in range(1, n):
+        if math.gcd(u, n) == 1 and d * u % n == a:
+            return u
+    return None
+
+
+def test_modular_associate_unit_matches_residue_scan():
+    for n in range(2, 80):
+        ring = ModularRing(n)
+        for a in range(n):
+            for d in range(n):
+                u = _scan_associate_unit(n, a, d)
+                if u is None:
+                    with pytest.raises(NotAssociatesError):
+                        ring.associate_unit(a, d)
+                else:
+                    assert ring.associate_unit(a, d) == u, (n, a, d)
+
+
+def test_modular_associate_unit_on_a_huge_prime_modulus():
+    m = 2305843009213693951  # 2**61 - 1, far beyond any residue scan
+    ring = ModularRing(m)
+    assert ring.associate_unit(m - 2, 1) == m - 2
+    assert ring.associate_unit(1, m - 2) * (m - 2) % m == 1
+
+
 def test_enumerate_elements():
     assert [e.value for e in enumerate_elements(ModularRing(4))] == [0, 1, 2, 3]
     prod = ProductRing([ModularRing(2), ModularRing(3)])

@@ -1,6 +1,7 @@
 """Stable selection, unit lifting, stable-range-2 witnesses, clean quotients."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,18 @@ def test_lift_unit_examples():
     assert lift_unit(zel(5), zel(3), zel(10)).value == 2
     y = lift_unit(element(M12, 4), element(M12, 3), element(M12, 8))
     assert is_coprime(element(M12, (4 + 3 * y.value) % 12), element(M12, 8))
+
+
+def test_lift_unit_streams_residues_of_a_large_modulus():
+    ring = ModularRing(1000003)
+    tracemalloc.start()
+    try:
+        y = lift_unit(element(ring, 0), element(ring, 1), element(ring, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.value == 1
+    assert peak < 1 << 20  # no list of the million residues
 
 
 def test_lift_unit_precondition():
