@@ -143,17 +143,16 @@ def render(result, mode: str) -> str:
     return _json_text(result)
 
 
-def _reduction_doc(a: RingMatrix, res: ReductionResult, verify: bool) -> tuple[dict, bool]:
+def _reduction_doc(a: RingMatrix, res: ReductionResult, verify: bool,
+                   pretty: bool) -> tuple[dict, bool]:
+    """The JSON document; with pretty, also the _pretty_* grids that render reads."""
     ok = verify_reduction(a, res) if verify else True
     doc = res.to_json(verified=ok if verify else None)
-    doc["_pretty_D"] = _pretty_matrix(res.D)
-    doc["_pretty_P"] = _pretty_matrix(res.P)
-    doc["_pretty_Q"] = _pretty_matrix(res.Q)
+    if pretty:
+        doc["_pretty_D"] = _pretty_matrix(res.D)
+        doc["_pretty_P"] = _pretty_matrix(res.P)
+        doc["_pretty_Q"] = _pretty_matrix(res.Q)
     return doc, ok
-
-
-def _strip_private(doc: dict) -> dict:
-    return {k: v for k, v in doc.items() if not k.startswith("_")}
 
 
 def _completion_payload(req: CommandRequest, entry):
@@ -191,27 +190,22 @@ def dispatch(req: CommandRequest) -> tuple[int, str]:
     try:
         if req.command == "rings":
             catalog = ring_catalog()
-            return EXIT_OK, render(catalog if req.output == "pretty" else catalog,
-                                   req.output)
+            return EXIT_OK, render(catalog, req.output)
         entry = make_ring(req.ring)
         if req.command == "snf":
             if req.payload is None:
                 raise CLIParseError("snf needs --input")
             a = read_matrix(req.payload, req.ring)
             res = diagonal_reduce(a)
-            doc, ok = _reduction_doc(a, res, req.verify)
-            text = render(_strip_private(doc) if req.output == "json" else doc,
-                          req.output)
-            return (EXIT_OK if ok else EXIT_PRECONDITION), text
+            doc, ok = _reduction_doc(a, res, req.verify, req.output == "pretty")
+            return (EXIT_OK if ok else EXIT_PRECONDITION), render(doc, req.output)
         if req.command == "reduce2x2":
             if req.payload is None:
                 raise CLIParseError("reduce2x2 needs --input")
             a = read_matrix(req.payload, req.ring)
             res = reduce_2x2(a)
-            doc, ok = _reduction_doc(a, res, req.verify)
-            text = render(_strip_private(doc) if req.output == "json" else doc,
-                          req.output)
-            return (EXIT_OK if ok else EXIT_PRECONDITION), text
+            doc, ok = _reduction_doc(a, res, req.verify, req.output == "pretty")
+            return (EXIT_OK if ok else EXIT_PRECONDITION), render(doc, req.output)
         if req.command == "complete":
             row, d = _completion_payload(req, entry)
             if d is not None:
@@ -224,11 +218,10 @@ def dispatch(req: CommandRequest) -> tuple[int, str]:
                 # Berkowitz here; complete_row never computes a general determinant
                 ok = determinant(res.matrix) == res.d
                 doc["verified"] = ok
-            doc["_pretty_matrix"] = _pretty_matrix(res.matrix)
-            doc["_pretty_d"] = format_element(res.d)
-            text = render(_strip_private(doc) if req.output == "json" else doc,
-                          req.output)
-            return (EXIT_OK if ok else EXIT_PRECONDITION), text
+            if req.output == "pretty":
+                doc["_pretty_matrix"] = _pretty_matrix(res.matrix)
+                doc["_pretty_d"] = format_element(res.d)
+            return (EXIT_OK if ok else EXIT_PRECONDITION), render(doc, req.output)
         if req.command == "check":
             if req.property is None:
                 raise CLIParseError("check needs --property")

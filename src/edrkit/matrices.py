@@ -6,13 +6,30 @@ and zeros last.  Every transform carries an explicitly stored inverse, so a
 :class:`ReductionResult` is a checkable certificate (:func:`verify_reduction`
 recomputes everything from scratch).
 
-The engine: Hermite column steps come straight from refined Bezout
-certificates (``column_reduce``); the divisibility chain is enforced through
-the explicit 2x2 elementary reduction of a lower-triangular matrix with
-comaximal entries (``reduce_2x2``), whose transformation matrices are
-assembled factor by factor and audited for invertibility.  Every Bezout
-ring, Z/n included, runs through this one engine on its own certificates;
-only products are split, each component reduced on its own.
+The engine clears one pivot row and column at a time, in one of two ways:
+
+* Rings with a Euclidean size (``Ring.euclidean``: Z and GF(p)[x]) pivot on
+  a nonzero entry of least size in the trailing submatrix, chosen again on
+  every pass, and shear each entry of its row and column by minus the
+  nearest quotient (|r| <= |pivot|/2 over Z, deg r < deg pivot over
+  GF(p)[x]).  Exact division is the remainder-0 case.  Small pivots and
+  small remainders bound the growth of D and the transforms, as in Kannan
+  and Bachem (SIAM J. Comput. 8, 1979).
+* Every other ring (Z/n, trivial extensions) pivots on the first nonzero
+  entry and takes Hermite steps straight from refined Bezout certificates
+  (``column_reduce``), or an exact-division shear where the pivot divides.
+
+Each step updates D, P, Q and the stored inverses together through one-row
+shears (``_Sweep.add_row``/``add_col``), swaps or 2x2 blocks.  The
+divisibility chain is then enforced through the explicit 2x2 elementary
+reduction of a lower-triangular matrix with comaximal entries
+(``reduce_2x2``), whose transformation matrices are assembled factor by
+factor and audited for invertibility.  Every Bezout ring, Z/n included,
+runs through this one engine on its own certificates; only products are
+split, each component reduced on its own.
+
+``verify_reduction`` checks P*Pinv = I and Q*Qinv = I only: over a
+commutative ring a one-sided inverse of a square matrix is two-sided.
 """
 
 from __future__ import annotations
@@ -273,13 +290,49 @@ class _Sweep:
         for r in range(self.m):
             self.pinv[r][i] = ring.mul(self.pinv[r][i], uinv)
 
+    # -- one-row shears and swaps ---------------------------------------------
+
+    def add_row(self, i: int, k: int, q):
+        """row i += q * row k: E = I + q*e_i*e_k^T, so P <- E P, Pinv <- Pinv E^-1."""
+        ring = self.ring
+        add, mul, zero = ring.add, ring.mul, ring.zero
+        for arr in (self.d, self.p):
+            dst = arr[i]
+            for c, x in enumerate(arr[k]):
+                if x != zero:
+                    dst[c] = add(dst[c], mul(q, x))
+        nq = ring.neg(q)
+        for row in self.pinv:  # column k -= q * column i
+            x = row[i]
+            if x != zero:
+                row[k] = add(row[k], mul(nq, x))
+
+    def add_col(self, j: int, k: int, q):
+        """col j += q * col k: E = I + q*e_k*e_j^T, so Q <- Q E, Qinv <- E^-1 Qinv."""
+        ring = self.ring
+        add, mul, zero = ring.add, ring.mul, ring.zero
+        for arr in (self.d, self.q):
+            for row in arr:
+                x = row[k]
+                if x != zero:
+                    row[j] = add(row[j], mul(q, x))
+        nq = ring.neg(q)
+        dst = self.qinv[k]  # row k -= q * row j
+        for c, x in enumerate(self.qinv[j]):
+            if x != zero:
+                dst[c] = add(dst[c], mul(nq, x))
+
     def swap_rows(self, i, k):
-        flip = ((self.ring.zero, self.ring.one), (self.ring.one, self.ring.zero))
-        self.rows_2x2(i, k, flip, flip)
+        for arr in (self.d, self.p):
+            arr[i], arr[k] = arr[k], arr[i]
+        for row in self.pinv:
+            row[i], row[k] = row[k], row[i]
 
     def swap_cols(self, j, k):
-        flip = ((self.ring.zero, self.ring.one), (self.ring.one, self.ring.zero))
-        self.cols_2x2(j, k, flip, flip)
+        for arr in (self.d, self.q):
+            for row in arr:
+                row[j], row[k] = row[k], row[j]
+        self.qinv[j], self.qinv[k] = self.qinv[k], self.qinv[j]
 
     def result(self) -> ReductionResult:
         ring = self.ring
@@ -452,6 +505,74 @@ def _mul2(ring, s, t):
     )
 
 
+def _clear_pivot(sweep: _Sweep, t: int):
+    """Zero row t and column t of D off the diagonal, leaving the pivot at (t, t)."""
+    if sweep.ring.euclidean:
+        _clear_euclidean(sweep, t)
+    else:
+        _clear_bezout(sweep, t)
+
+
+def _smallest_entry(sweep: _Sweep, t: int):
+    """(size, i, j) of the first nonzero entry of least size in rows and
+    columns t and up, or None if they are all zero."""
+    ring, d = sweep.ring, sweep.d
+    size, zero = ring.size, ring.zero
+    unit = size(ring.one)
+    best = None
+    for i in range(t, sweep.m):
+        row = d[i]
+        for j in range(t, sweep.n):
+            v = row[j]
+            if v != zero:
+                s = size(v)
+                if best is None or s < best[0]:
+                    best = (s, i, j)
+                    if s == unit:  # nothing is smaller than a unit
+                        return best
+    return best
+
+
+def _clear_euclidean(sweep: _Sweep, t: int):
+    """Pivot on the smallest entry and clear its row, then its column, by
+    shears with nearest quotients.  The column is cleared only on a pass that
+    leaves the row zero off the pivot, so each of those row shears adds a
+    multiple of (pivot, 0, ..., 0) and changes one entry of D.
+
+    Every remainder left is smaller than its pivot, so pivot sizes fall
+    strictly from pass to pass and the loop ends.  The number of passes
+    follows the input, not a fixed cap: over Z a remainder is at most half
+    its pivot, so a pivot of b bits takes at most b + 1 passes.
+    """
+    ring = sweep.ring
+    zero, neg, nearest = ring.zero, ring.neg, ring.nearest_quotient
+    d = sweep.d
+    last = None
+    while True:
+        found = _smallest_entry(sweep, t)
+        if found is None:
+            return
+        s, i, j = found
+        if last is not None and not s < last:
+            raise RuntimeError("internal error: pivot size did not fall")
+        last = s
+        if i != t:
+            sweep.swap_rows(t, i)
+        if j != t:
+            sweep.swap_cols(t, j)
+        pivot = d[t][t]
+        for j in range(t + 1, sweep.n):
+            if d[t][j] != zero:
+                sweep.add_col(j, t, neg(nearest(d[t][j], pivot)))
+        if any(d[t][j] != zero for j in range(t + 1, sweep.n)):
+            continue
+        for i in range(t + 1, sweep.m):
+            if d[i][t] != zero:
+                sweep.add_row(i, t, neg(nearest(d[i][t], pivot)))
+        if all(d[i][t] == zero for i in range(t + 1, sweep.m)):
+            return
+
+
 def _find_pivot(sweep: _Sweep, t: int):
     for i in range(t, sweep.m):
         for j in range(t, sweep.n):
@@ -460,7 +581,9 @@ def _find_pivot(sweep: _Sweep, t: int):
     return None
 
 
-def _clear_pivot(sweep: _Sweep, t: int):
+def _clear_bezout(sweep: _Sweep, t: int):
+    """Pivot on the first nonzero entry; divide exactly where the pivot
+    divides, else replace the pivot by a gcd through a Bezout certificate."""
     ring = sweep.ring
     for _ in range(_SWEEP_CAP):
         pos = _find_pivot(sweep, t)
@@ -479,10 +602,7 @@ def _clear_pivot(sweep: _Sweep, t: int):
                 continue
             avv = sweep.d[t][t]
             if ring.divides(avv, bvv):
-                qv = ring.divide_exact(bvv, avv)
-                nq = ring.neg(qv)
-                sweep.cols_2x2(t, j, ((ring.one, nq), (ring.zero, ring.one)),
-                               ((ring.one, qv), (ring.zero, ring.one)))
+                sweep.add_col(j, t, ring.neg(ring.divide_exact(bvv, avv)))
             else:
                 _, tmat, tinv = _cert_col_pair(ring, avv, bvv)
                 sweep.cols_2x2(t, j, tmat, tinv)
@@ -493,10 +613,7 @@ def _clear_pivot(sweep: _Sweep, t: int):
             avv = sweep.d[t][t]
             dirty = True
             if ring.divides(avv, bvv):
-                qv = ring.divide_exact(bvv, avv)
-                nq = ring.neg(qv)
-                sweep.rows_2x2(t, i, ((ring.one, ring.zero), (nq, ring.one)),
-                               ((ring.one, ring.zero), (qv, ring.one)))
+                sweep.add_row(i, t, ring.neg(ring.divide_exact(bvv, avv)))
             else:
                 _, tmat, tinv = _cert_row_pair(ring, avv, bvv)
                 sweep.rows_2x2(t, i, tmat, tinv)
@@ -610,9 +727,12 @@ def verify_reduction(a: RingMatrix, result: ReductionResult) -> bool:
         return fail("D has the wrong shape")
     if any(m.ring != ring for m in (r.P, r.D, r.Q, r.Pinv, r.Qinv)):
         return fail("ring mismatch in certificate")
-    if not (r.P @ r.Pinv).is_identity() or not (r.Pinv @ r.P).is_identity():
+    # One side suffices: over a commutative ring, P*Pinv = I gives
+    # det(P)*det(Pinv) = 1, so det(P) is a unit and P has the two-sided
+    # inverse adj(P)/det(P); then Pinv = P^-1*(P*Pinv) is that inverse.
+    if not (r.P @ r.Pinv).is_identity():
         return fail("Pinv is not an inverse of P")
-    if not (r.Q @ r.Qinv).is_identity() or not (r.Qinv @ r.Q).is_identity():
+    if not (r.Q @ r.Qinv).is_identity():
         return fail("Qinv is not an inverse of Q")
     if (r.P @ a) @ r.Q != r.D:
         return fail("P*A*Q != D")

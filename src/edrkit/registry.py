@@ -182,7 +182,12 @@ def make_ring(spec: str) -> RingRegistryEntry:
     if not isinstance(spec, str) or not spec.strip():
         raise ExpressionError("empty descriptor expression")
     cur = _Cursor(_tokenize(spec.strip()))
-    ring = _parse_spec(cur)
+    try:
+        ring = _parse_spec(cur)
+    except ExpressionError:
+        raise
+    except RingError as exc:  # a ring constructor refused its argument
+        raise ExpressionError(str(exc)) from None
     if cur.peek() is not None:
         raise ExpressionError(f"trailing tokens after descriptor: {cur.tokens[cur.i:]!r}")
     return make_entry(ring)

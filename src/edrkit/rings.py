@@ -171,18 +171,40 @@ def _pegcd(a: tuple[int, ...], b: tuple[int, ...], p: int):
     return (), x0, y0
 
 
+# Miller-Rabin with the prime bases up to 41 decides primality exactly below
+# _MR_LIMIT, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality in O(log n) modular squarings.
+
+    Raises RingError for n >= _MR_LIMIT with no prime factor up to 41,
+    where these bases no longer decide.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        raise RingError(f"primality is decided only below {_MR_LIMIT}, got {n}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -297,6 +319,21 @@ class Ring(ABC):
             return self.zero
         return self.bezout_raw(a, self.zero)[0]
 
+    # -- Euclidean hook -------------------------------------------------------
+
+    # True where ``size`` and ``nearest_quotient`` are defined; the sweep
+    # engine then pivots on entries of least size and clears with remainders
+    # instead of Bezout cofactors.
+    euclidean = False
+
+    def size(self, a: Any) -> int:
+        """Euclidean size of a nonzero a; units have the least size."""
+        raise UnsupportedOperationError(f"{self.expression()} has no Euclidean size")
+
+    def nearest_quotient(self, a: Any, b: Any) -> Any:
+        """For b != 0, a q with a - b*q zero or of size below size(b)."""
+        raise UnsupportedOperationError(f"{self.expression()} has no Euclidean size")
+
     # -- search orders -------------------------------------------------------
 
     def search_order(self) -> Iterator[Any]:
@@ -400,6 +437,17 @@ class IntegerRing(Ring):
     def bezout_raw(self, a, b):
         g, x, y = _egcd(a, b)
         return g, x, y, (a // g), (b // g)
+
+    euclidean = True
+
+    def size(self, a):
+        return abs(a)
+
+    def nearest_quotient(self, a, b):
+        q, r = divmod(a, b)
+        # r has the sign of b; past half of |b| the next multiple is nearer,
+        # so the remainder a - b*q has |r| <= |b|/2
+        return q + 1 if 2 * abs(r) > abs(b) else q
 
     def search_order(self):
         yield 0
@@ -601,6 +649,14 @@ class GFPolynomialRing(Ring):
     def bezout_raw(self, a, b):
         g, x, y = _pegcd(a, b, self.p)
         return g, x, y, self.divide_exact(a, g), self.divide_exact(b, g)
+
+    euclidean = True
+
+    def size(self, a):
+        return len(a)  # degree + 1
+
+    def nearest_quotient(self, a, b):
+        return _pdivmod(a, b, self.p)[0]
 
     def search_order(self):
         # graded: by degree, then coefficients low-to-high

@@ -91,6 +91,69 @@ def test_byte_identical_output_across_runs():
         assert first == second
 
 
+# Documents as the CLI printed them before pretty grids were built only for
+# pretty output.  The zmod:360 and text:z,q reductions and the reduce2x2 and
+# complete requests do not reach the Euclidean sweep, so their documents are
+# pinned whole; for snf over Z only D and the document shape are pinned,
+# since the choice of pivots decides P and Q.
+_PINNED = [
+    (dict(command="snf", ring="zmod:360", payload='{"rows":[[12,30,7],[45,100,8],[0,6,90]]}'),
+     '{"D":[[1,0,0],[0,1,0],[0,0,18]],"P":[[1,0,0],[69,1,0],[96,132,47]],'
+     '"Pinv":[[1,0,0],[291,1,0],[276,204,23]],"Q":[[91,333,260],[91,34,219],[277,312,210]],'
+     '"Qinv":[[12,30,7],[153,10,131],[254,129,151]],"ring":"zmod:360","verified":true}',
+     'D:\n1 0  0\n0 1  0\n0 0 18\nP:\n 1   0  0\n69   1  0\n96 132 47\n'
+     'Q:\n 91 333 260\n 91  34 219\n277 312 210\nverified: true'),
+    (dict(command="snf", ring="text:z,q",
+          payload='{"rows":[[[2,"1/2"],[4,0]],[[6,1],[8,"3/4"]]]}'),
+     '{"D":[[[2,0],[0,0]],[[0,0],[4,0]]],"P":[[[1,"-1/4"],[0,0]],[[3,"17/16"],[-1,"-7/16"]]],'
+     '"Pinv":[[[1,"1/4"],[0,0]],[[3,"1/2"],[-1,"7/16"]]],"Q":[[[1,0],[-2,"1/2"]],[[0,0],[1,0]]],'
+     '"Qinv":[[[1,0],[2,"-1/2"]],[[0,0],[1,0]]],"ring":"text:z,q","verified":true}',
+     'D:\n[2, 0] [0, 0]\n[0, 0] [4, 0]\nP:\n [1, "-1/4"]        [0, 0]\n'
+     '[3, "17/16"] [-1, "-7/16"]\nQ:\n[1, 0] [-2, "1/2"]\n[0, 0]      [1, 0]\nverified: true'),
+    (dict(command="reduce2x2", ring="z", payload='{"rows":[[2,0],[3,5]]}'),
+     '{"D":[[1,0],[0,10]],"P":[[0,1],[-1,4]],"Pinv":[[4,-1],[1,0]],"Q":[[2,-5],[-1,3]],'
+     '"Qinv":[[3,5],[1,2]],"ring":"z","verified":true}',
+     'D:\n1  0\n0 10\nP:\n 0 1\n-1 4\nQ:\n 2 -5\n-1  3\nverified: true'),
+    (dict(command="complete", ring="z", row="4,6,9", d="1"),
+     '{"d":1,"matrix":[[4,6,9],[1,4,0],[0,-1,1]],"ring":"z","trace":{"alpha":4,"beta":15,'
+     '"c":0,"q":[4,6,9],"s":[0],"sv":4,"t":0,"tv":-1,"u":1,"w":4,"x":[4,-4,1],"y":[1]},'
+     '"verified":true}',
+     'matrix:\n4  6 9\n1  4 0\n0 -1 1\ndet: 1'),
+    (dict(command="complete", ring="z", row="4,6", d="2"),
+     '{"d":2,"matrix":[[4,6],[-1,-1]],"ring":"z","trace":{"q":[2,3],"x":[-1,1]},'
+     '"verified":true}',
+     'matrix:\n 4  6\n-1 -1\ndet: 2'),
+]
+
+
+def test_documents_pinned_and_pretty_grids_only_for_pretty_output(monkeypatch):
+    import edrkit.cli as cli
+    pretty_matrix, format_element = cli._pretty_matrix, cli.format_element
+    for kwargs, json_doc, pretty_doc in _PINNED:
+        def forbidden(*_args):
+            raise AssertionError("pretty grid built for JSON output")
+        monkeypatch.setattr(cli, "_pretty_matrix", forbidden)
+        monkeypatch.setattr(cli, "format_element", forbidden)
+        assert dispatch(CommandRequest(**kwargs)) == (EXIT_OK, json_doc)
+        monkeypatch.setattr(cli, "_pretty_matrix", pretty_matrix)
+        monkeypatch.setattr(cli, "format_element", format_element)
+        assert dispatch(CommandRequest(output="pretty", **kwargs)) == (EXIT_OK, pretty_doc)
+
+
+def test_integer_snf_document_shape_and_diagonal():
+    kwargs = dict(command="snf", ring="z", payload='{"rows":[[2,4,4],[-6,6,12],[10,-4,-16]]}')
+    code, out = dispatch(CommandRequest(**kwargs))
+    assert code == EXIT_OK
+    assert out.startswith('{"D":[[2,0,0],[0,6,0],[0,0,12]],"P":[[')
+    assert list(json.loads(out)) == ["D", "P", "Pinv", "Q", "Qinv", "ring", "verified"]
+    assert out.endswith('"ring":"z","verified":true}')
+    code, out = dispatch(CommandRequest(output="pretty", **kwargs))
+    assert code == EXIT_OK
+    lines = out.split("\n")
+    assert lines[:4] == ["D:", "2 0  0", "0 6  0", "0 0 12"]
+    assert [lines[4], lines[8], lines[12:]] == ["P:", "Q:", ["verified: true"]]
+
+
 def test_exit_code_1_on_precondition():
     req = CommandRequest(command="reduce2x2", ring="z", payload='{"rows":[[2,0],[2,2]]}')
     code, out = dispatch(req)
@@ -104,6 +167,8 @@ def test_exit_code_2_on_parse_errors():
         CommandRequest(command="snf", ring="zzz", payload='{"rows":[[1]]}'),
         CommandRequest(command="snf", ring="z", payload="1 2\n3"),
         CommandRequest(command="check", ring="zmod:6", property="sparkly"),
+        CommandRequest(command="snf", ring="zmod:1", payload='{"rows":[[1]]}'),
+        CommandRequest(command="snf", ring="gfpoly:4", payload='{"rows":[[[1]]]}'),
     ]:
         code, _ = dispatch(req)
         assert code == EXIT_PARSE, req

@@ -1,8 +1,10 @@
 """Column reduction, 2x2 elementary reduction, full diagonal reduction."""
 
 import itertools
+import json
 import logging
 import math
+import random
 
 import pytest
 
@@ -26,6 +28,8 @@ from edrkit import (
     reduce_2x2,
     verify_reduction,
 )
+from edrkit.cli import EXIT_OK, CommandRequest, dispatch
+from edrkit.matrices import _Sweep
 from conftest import det_oracle, minor_gcd_oracle, random_value
 
 Z = IntegerRing()
@@ -321,3 +325,89 @@ def test_divisibility_chain_everywhere(rng):
                 assert diag[i + 1] == 0
             else:
                 assert diag[i + 1] % diag[i] == 0
+
+
+def _dense(rng, m, n, bound=50):
+    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+
+
+def _transform_bits(res) -> int:
+    return max(abs(v).bit_length()
+               for m in (res.P, res.Q, res.Pinv, res.Qinv) for row in m.data for v in row)
+
+
+def test_diagonal_reduce_matches_sympy_invariant_factors(rng):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    shapes = [(n, n) for n in (2, 5, 8, 12, 16, 20, 24)] + [(3, 9), (9, 3), (10, 16), (16, 10)]
+    for m, n in shapes:
+        rows = _dense(rng, m, n)
+        if m == n == 12:
+            rows[-1] = [2 * v for v in rows[0]]  # singular: a zero invariant factor
+        a = zmat(rows)
+        res = diagonal_reduce(a)
+        assert verify_reduction(a, res)
+        expected = [abs(int(v)) for v in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
+        assert [e.value for e in res.D.diagonal()] == expected, (m, n)
+
+
+def test_bench_fixed_22x22_reduces_and_verifies():
+    # the fixed inputs of the snf-z-dense benchmark, drawn in the same order
+    fixed = random.Random("snf-z-dense/fixed")
+    for m, n in [(14, 14), (16, 16), (18, 18), (20, 20), (12, 20), (20, 12)]:
+        _dense(fixed, m, n)
+    payload = json.dumps({"rows": _dense(fixed, 22, 22)})
+    code, out = dispatch(CommandRequest(command="snf", ring="z", payload=payload))
+    assert code == EXIT_OK, out[:200]
+    assert json.loads(out)["verified"] is True
+
+
+@pytest.mark.parametrize("n, bound", [(24, 1_250), (32, 2_200)])
+def test_transform_growth_stays_bounded(n, bound):
+    # dense, entries in [-50, 50], seed 1: the smallest-pivot remainder sweep
+    # reads 1,109 and 1,929 bits here; the first-nonzero Bezout sweep reached
+    # 24,487 bits at 24x24 for a 155-bit diagonal
+    a = zmat(_dense(random.Random(1), n, n))
+    res = diagonal_reduce(a)
+    assert verify_reduction(a, res)
+    assert _transform_bits(res) <= bound
+
+
+def test_nearest_remainder_worst_case_past_ten_thousand_passes():
+    # consecutive Pell numbers: every nearest quotient is 2, so the row
+    # (P_k, P_k-1) takes k passes, here about 11,000
+    a, b = 1, 0
+    while a.bit_length() < 14_000:
+        a, b = 2 * a + b, a
+    m = zmat([[a, b]])
+    res = diagonal_reduce(m)
+    assert res.D.data == ((1, 0),)
+    assert verify_reduction(m, res)
+
+
+@pytest.mark.parametrize("spec", ["z", "zmod:360", "gfpoly:5", "text:z,q"])
+def test_sweep_kernels_keep_the_certificate(spec, rng):
+    ring = make_ring(spec).ring
+    m, n = 4, 5
+    a = RingMatrix(ring, [[random_value(ring, rng, 9) for _ in range(n)] for _ in range(m)])
+    sweep = _Sweep(a)
+    for step in range(60):
+        q = random_value(ring, rng, 3)
+        if step % 4 == 0:
+            sweep.add_row(*rng.sample(range(m), 2), q)
+        elif step % 4 == 1:
+            sweep.add_col(*rng.sample(range(n), 2), q)
+        elif step % 4 == 2:
+            sweep.swap_rows(*rng.sample(range(m), 2))
+        else:
+            sweep.swap_cols(*rng.sample(range(n), 2))
+        if step % 10 == 9:
+            res = sweep.result()
+            assert res.P @ a @ res.Q == res.D, step
+            for t, tinv in ((res.P, res.Pinv), (res.Q, res.Qinv)):
+                assert (t @ tinv).is_identity() and (tinv @ t).is_identity(), step
+    # a zero multiplier leaves every matrix as it was
+    before = sweep.result()
+    sweep.add_row(0, 1, ring.zero)
+    sweep.add_col(0, 1, ring.zero)
+    assert sweep.result() == before

@@ -1,6 +1,7 @@
 """Ring arithmetic, units, Bezout certificates, division, enumeration."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from edrkit import (
     NotAssociatesError,
     NotAUnitError,
     ProductRing,
+    RingError,
     RingMismatchError,
     TrivialExtensionRing,
     arithmetic,
@@ -29,6 +31,8 @@ from edrkit import (
     is_unit,
     make_ring,
 )
+from edrkit.cli import EXIT_PARSE, CommandRequest, dispatch
+from edrkit.rings import _MR_LIMIT, _is_prime
 from conftest import egcd_oracle, random_element
 
 Z = IntegerRing()
@@ -267,3 +271,61 @@ def test_modular_divisor_canonical_divides_modulus():
             c = canonical_associate(element(ring, a)).value
             if c:
                 assert n % c == 0
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_10_5():
+    sieve = [_trial_division_is_prime(n) for n in range(10 ** 5)]
+    assert [_is_prime(n) for n in range(10 ** 5)] == sieve
+
+
+def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+                  5394826801, 232250619601, 9746347772161]
+    # strong pseudoprimes to every prime base up to 7, 31 and 37 in turn
+    strong = [3215031751, 3825123056546413051, 318665857834031151167461]
+    for n in carmichael + strong:
+        assert not _is_prime(n), n
+
+
+def test_is_prime_agrees_with_sympy_up_to_the_limit():
+    sympy = pytest.importorskip("sympy")
+    import random
+    rng = random.Random(7)
+    cases = [rng.randrange(10 ** 5, _MR_LIMIT) | 1 for _ in range(300)]
+    cases += [sympy.nextprime(rng.randrange(10 ** k)) for k in range(6, 25) for _ in range(3)]
+    cases = [n for n in cases if n < _MR_LIMIT]
+    assert [_is_prime(n) for n in cases] == [bool(sympy.isprime(n)) for n in cases]
+
+
+def test_is_prime_refuses_at_and_past_the_limit():
+    # the least strong pseudoprime to all thirteen bases, and a prime past it
+    for n in (_MR_LIMIT, 2 ** 89 - 1):
+        with pytest.raises(RingError):
+            _is_prime(n)
+    assert not _is_prime(2 * _MR_LIMIT)  # even: composite whatever its size
+
+
+def test_gfpoly_over_a_huge_prime_is_polylog():
+    t0 = time.perf_counter()
+    assert make_ring("gfpoly:2305843009213693951").ring.p == 2 ** 61 - 1
+    assert time.perf_counter() - t0 < 0.5
+    with pytest.raises(RingError):
+        make_ring("gfpoly:2305843009213693953")  # 3 * 768614336404564651
+    code, out = dispatch(CommandRequest(command="snf", ring=f"gfpoly:{2 ** 89 - 1}",
+                                        payload="[1]"))
+    assert code == EXIT_PARSE and out.startswith("error: primality is decided only below")
+
+
+def test_nearest_quotients_leave_small_remainders():
+    for a in range(-40, 41):
+        for b in [b for b in range(-9, 10) if b]:
+            r = a - b * Z.nearest_quotient(a, b)
+            assert 2 * abs(r) <= abs(b), (a, b)
+    for a in [(), (1,), (3, 0, 2), (1, 4, 0, 0, 1)]:
+        for b in [(2,), (1, 1), (0, 3, 1)]:
+            r = G5.sub(a, G5.mul(b, G5.nearest_quotient(a, b)))
+            assert len(r) < len(b), (a, b)
