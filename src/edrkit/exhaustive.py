@@ -5,6 +5,14 @@ Everything here enumerates: comaximality means some explicit combination hits
 with a concrete witness that re-checks independently.  The checkers operate on
 small "structures" -- a ring or quotient with indexed elements -- so the same
 search code serves Z/n, GF(p)[x]/(f), products and trivial extensions.
+
+Each checker tabulates once per call and then searches the tables.  Stable
+range 1, local stability and neat range 1 see a pair (u, v) only through u
+and the principal ideal vR, so they search one generator per ideal, coset by
+coset, and decide each quotient R/wR once per ideal wR; a structure's
+``ideal(x)`` returns xR.  The adequate-element test is Henriksen's (Michigan
+Math. J. 3, 1955): a nonzero c is adequate when every a admits c = r*t with
+rR + aR = R and t'R + aR != R for every non-unit divisor t' of t.
 """
 
 from __future__ import annotations
@@ -68,6 +76,10 @@ class ModStructure:
     def comaximal(self, x, y):
         return gcd(gcd(x, y), self.m) == 1
 
+    def ideal(self, x) -> range:
+        # xR is the multiples of gcd(x, m); a range is that set in closed form
+        return range(0, self.m, gcd(x, self.m))
+
     def quotient(self, c):
         g = gcd(c, self.m)
         return ModStructure(g if g else self.m)
@@ -114,6 +126,9 @@ class PolyModStructure:
         h, _, _ = _pegcd(g, self.f, self.p)
         return len(h) == 1
 
+    def ideal(self, x) -> frozenset:
+        return frozenset(self.mul(x, t) for t in self.elements())
+
 
 class TableStructure:
     """Dense-table structure for an arbitrary finite ring or quotient."""
@@ -136,6 +151,7 @@ class TableStructure:
         self.units = frozenset(
             i for i in range(n) if any(self.mul_t[i][j] == one_i for j in range(n)))
         self._ideals: dict[int, frozenset[int]] = {}
+        self._distinct_ideals: dict[frozenset[int], frozenset[int]] = {}
         self._one_minus_ideals: dict[int, frozenset[int]] = {}
 
     @classmethod
@@ -162,11 +178,11 @@ class TableStructure:
         return x in self.units
 
     def ideal(self, x) -> frozenset[int]:
+        """xR, one shared frozenset for all generators of the same ideal."""
         cached = self._ideals.get(x)
         if cached is None:
-            row = self.mul_t[x]
-            cached = frozenset(row)
-            self._ideals[x] = cached
+            row = frozenset(self.mul_t[x])
+            cached = self._ideals[x] = self._distinct_ideals.setdefault(row, row)
         return cached
 
     def comaximal(self, x, y):
@@ -213,6 +229,7 @@ class QuotientTable:
         self.units = frozenset(
             i for i in range(n) if any(self.mul_t[i][j] == one_i for j in range(n)))
         self._ideals: dict[int, frozenset[int]] = {}
+        self._distinct_ideals: dict[frozenset[int], frozenset[int]] = {}
         self._one_minus_ideals: dict[int, frozenset[int]] = {}
 
     def elements(self):
@@ -232,41 +249,49 @@ class QuotientTable:
         raise UnsupportedOperationError("nested quotients are not needed here")
 
 
-def _comaximal_pairs(s) -> Iterable[tuple[Any, Any]]:
-    for u in s.elements():
-        for v in s.elements():
-            if s.comaximal(u, v):
-                yield (u, v)
+def _ideal_classes(s) -> dict:
+    """The elements of s grouped by the principal ideal they generate.
+
+    Maps each distinct ideal xR to its generators in element order.  The keys
+    are the only copies kept, so equal ideals share one object.
+    """
+    classes: dict[Any, list] = {}
+    for x in s.elements():
+        classes.setdefault(s.ideal(x), []).append(x)
+    return classes
+
+
+def _missed_coset(s, classes: dict, good) -> tuple | None:
+    """First comaximal (u, v) whose coset u + vR misses the set `good`.
+
+    Both conditions see v only through vR: u + v*t ranges over u + vR, and
+    uR + vR = R holds on all of that coset or on none of it.  So each ideal is
+    searched once, through its first generator, one coset at a time.
+    """
+    for ideal, generators in classes.items():
+        v = generators[0]
+        seen: set = set()
+        for u in s.elements():
+            if u in seen:
+                continue
+            coset = {s.add(u, i) for i in ideal}
+            seen |= coset
+            if good.isdisjoint(coset) and s.comaximal(u, v):
+                return (u, v)
+    return None
 
 
 def stable_range_1(s) -> tuple[bool, tuple | None]:
     """Exhaustive stable range 1: every comaximal (u, v) has u + v*t a unit."""
-    for u, v in _comaximal_pairs(s):
-        if not any(s.is_unit(s.add(u, s.mul(v, t))) for t in s.elements()):
-            return False, (u, v)
-    return True, None
+    units = {x for x in s.elements() if s.is_unit(x)}
+    witness = _missed_coset(s, _ideal_classes(s), units)
+    return witness is None, witness
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def int_quotient_stable_range_1(m: int) -> bool:
-    """Stable range 1 of Z/m by direct search (cached; m <= MAX_QUOTIENT_SIZE)."""
-    if m > MAX_QUOTIENT_SIZE:
-        raise TooLargeError(f"quotient of size {m} exceeds {MAX_QUOTIENT_SIZE}")
-    unit = [gcd(i, m) == 1 for i in range(m)] if m > 1 else [True]
-    if m == 1:
-        return True
-    for u in range(m):
-        for v in range(m):
-            if gcd(gcd(u, v), m) != 1:
-                continue
-            acc = u
-            for _ in range(m):
-                if unit[acc]:
-                    break
-                acc = (acc + v) % m
-            else:
-                return False
-    return True
+    """Stable range 1 of Z/m (m <= MAX_QUOTIENT_SIZE), cached for the last 256 moduli."""
+    return stable_range_1(ModStructure(m))[0]
 
 
 def is_clean(s) -> tuple[bool, tuple | None]:
@@ -278,65 +303,57 @@ def is_clean(s) -> tuple[bool, tuple | None]:
     return True, None
 
 
+def _quotient_search(s, quotient_holds) -> tuple[bool, tuple | None]:
+    """Every comaximal (a, b) has some a + b*y whose quotient R/(a + b*y)R
+    satisfies `quotient_holds`; the quotient, hence the verdict, is decided
+    once per principal ideal."""
+    classes = _ideal_classes(s)
+    good = {w for gens in classes.values() if quotient_holds(s.quotient(gens[0]))
+            for w in gens}
+    witness = _missed_coset(s, classes, good)
+    return witness is None, witness
+
+
 def locally_stable(s) -> tuple[bool, tuple | None]:
     """Every comaximal (a, b) has some a + b*y with stable-range-1 quotient."""
-    stable_memo: dict[Any, bool] = {}
-
-    def stable(w) -> bool:
-        hit = stable_memo.get(w)
-        if hit is None:
-            hit = stable_range_1(s.quotient(w))[0]
-            stable_memo[w] = hit
-        return hit
-
-    for a, b in _comaximal_pairs(s):
-        if not any(stable(s.add(a, s.mul(b, y))) for y in s.elements()):
-            return False, (a, b)
-    return True, None
+    return _quotient_search(s, lambda q: stable_range_1(q)[0])
 
 
 def neat_range_1(s) -> tuple[bool, tuple | None]:
     """Every comaximal (a, b) has some a + b*y with clean quotient."""
-    clean_memo: dict[Any, bool] = {}
-
-    def clean(w) -> bool:
-        hit = clean_memo.get(w)
-        if hit is None:
-            hit = is_clean(s.quotient(w))[0]
-            clean_memo[w] = hit
-        return hit
-
-    for a, b in _comaximal_pairs(s):
-        if not any(clean(s.add(a, s.mul(b, y))) for y in s.elements()):
-            return False, (a, b)
-    return True, None
-
-
-def _divisors(s, x) -> list:
-    return [d for d in s.elements() if any(s.mul(d, k) == x for k in s.elements())]
-
-
-def element_is_adequate(s, c) -> bool:
-    """Adequate element test, straight from the definition, by enumeration."""
-    pairs = [(r, t) for r in s.elements() for t in s.elements() if s.mul(r, t) == c]
-    for a in s.elements():
-        ok = False
-        for r, t in pairs:
-            if not s.comaximal(r, a):
-                continue
-            if all(s.is_unit(sp) or not s.comaximal(sp, c) for sp in _divisors(s, t)):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    return _quotient_search(s, lambda q: is_clean(q)[0])
 
 
 def all_nonzero_adequate(s) -> tuple[bool, tuple | None]:
-    for c in s.elements():
-        if c == s.zero:
-            continue
-        if not element_is_adequate(s, c):
+    """Every nonzero c is adequate (Henriksen): for every a there is c = r*t
+    with rR + aR = R and t'R + aR != R for every non-unit divisor t' of t.
+
+    Works on tables of element positions built once.  Each set of candidate
+    elements a is an int bitmask, bit j standing for the j-th element, so one
+    mask operation tests a factor pair (r, t) of c against every a at once.
+    The witness is the first nonzero element that is not adequate.
+    """
+    els = list(s.elements())
+    pos = {x: i for i, x in enumerate(els)}
+    everything = (1 << len(els)) - 1
+    # product[i][j]: position of els[i] * els[j]
+    product = [[pos[s.mul(r, t)] for t in els] for r in els]
+    # comaximal[i]: the a with els[i]*R + aR = R
+    comaximal = [sum(1 << j for j, a in enumerate(els) if s.comaximal(x, a)) for x in els]
+    # blocked[k]: the a comaximal with some non-unit divisor of els[k]
+    blocked = [0] * len(els)
+    for i, x in enumerate(els):
+        if not s.is_unit(x):
+            for k in set(product[i]):
+                blocked[k] |= comaximal[i]
+    good = [everything & ~b for b in blocked]
+    # served[k]: the a for which some factor pair (r, t) of els[k] qualifies
+    served = [0] * len(els)
+    for i, row in enumerate(product):
+        for j, k in enumerate(row):
+            served[k] |= comaximal[i] & good[j]
+    for c, mask in zip(els, served):
+        if c != s.zero and mask != everything:
             return False, (c,)
     return True, None
 

@@ -14,6 +14,7 @@ infinite rings only bounded verdicts are offered and they say so explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import exhaustive
 from .exhaustive import (
@@ -80,15 +81,10 @@ class PropertyVerdict:
         return doc
 
 
-_structures: dict[Ring, object] = {}
-
-
+@lru_cache(maxsize=64)
 def _structure(ring: Ring):
-    s = _structures.get(ring)
-    if s is None:
-        s = exhaustive.structure_for(ring)
-        _structures[ring] = s
-    return s
+    """The exhaustive structure of a finite ring, kept for the 64 rings used last."""
+    return exhaustive.structure_for(ring)
 
 
 def _locate(s, value):
