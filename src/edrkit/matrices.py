@@ -29,7 +29,10 @@ runs through this one engine on its own certificates; only products are
 split, each component reduced on its own.
 
 ``verify_reduction`` checks P*Pinv = I and Q*Qinv = I only: over a
-commutative ring a one-sided inverse of a square matrix is two-sided.
+commutative ring a one-sided inverse of a square matrix is two-sided.  So
+Qinv*Q = I too, and P*A*Q = D holds exactly when P*A = D*Qinv.  Once D is
+known to be diagonal, D*Qinv is a row scaling of Qinv, so the whole check
+takes three cubic matrix products (P*Pinv, Q*Qinv, P*A) instead of four.
 """
 
 from __future__ import annotations
@@ -87,13 +90,27 @@ class RingMatrix:
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "data", tuple(data))
 
+    @classmethod
+    def _trusted(cls, ring: Ring, rows) -> "RingMatrix":
+        """A matrix of raw values already in normal form, taken without checks.
+
+        Only for values the library computed itself; every matrix built from
+        input goes through ``__init__``, which validates each entry.
+        """
+        data = tuple(map(tuple, rows))
+        m = object.__new__(cls)
+        object.__setattr__(m, "ring", ring)
+        object.__setattr__(m, "rows", len(data))
+        object.__setattr__(m, "cols", len(data[0]))
+        object.__setattr__(m, "data", data)
+        return m
+
     def __setattr__(self, *_):
         raise AttributeError("RingMatrix is immutable")
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "RingMatrix":
-        return cls(ring, [[ring.one if i == j else ring.zero for j in range(n)]
-                          for i in range(n)])
+        return cls(ring, _eye(ring, n))
 
     @classmethod
     def zeros(cls, ring: Ring, rows: int, cols: int) -> "RingMatrix":
@@ -120,17 +137,10 @@ class RingMatrix:
             raise RingMismatchError("matrix product needs matching rings")
         if self.cols != other.rows:
             raise RingError(f"shape mismatch: {self.cols} vs {other.rows}")
-        ring = self.ring
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = ring.zero
-                for k in range(self.cols):
-                    acc = ring.add(acc, ring.mul(self.data[i][k], other.data[k][j]))
-                row.append(acc)
-            out.append(row)
-        return RingMatrix(ring, out)
+        dot = self.ring.dot
+        cols = list(zip(*other.data))
+        return RingMatrix._trusted(self.ring, [[dot(row, col) for col in cols]
+                                               for row in self.data])
 
     def is_identity(self) -> bool:
         if self.rows != self.cols:
@@ -175,30 +185,31 @@ def determinant(m: RingMatrix) -> RingElement:
     if m.rows != m.cols:
         raise RingError("determinant needs a square matrix")
     ring, a, n = m.ring, m.data, m.rows
-    add, mul, neg = ring.add, ring.mul, ring.neg
+    dot, neg = ring.dot, ring.neg
+    # each row's nonzero columns: completed rows are mostly identity, and
+    # skipping their zeros saves most of the products
+    nonzero = [[j for j, v in enumerate(row) if v != ring.zero] for row in a]
 
-    def dot(pairs, ys):
-        """sum of x * ys[j] over the (j, x) in pairs"""
-        acc = ring.zero
-        for j, x in pairs:
-            acc = add(acc, mul(x, ys[j]))
-        return acc
+    def sparse(i, r):
+        """(values, columns) of the nonzero entries of row i left of column r"""
+        cols = [j for j in nonzero[i] if j < r]
+        return [a[i][j] for j in cols], cols
 
-    # each row's nonzero entries as (column, value): completed rows are
-    # mostly identity, and skipping their zeros saves most of the products
-    sparse = [[(j, v) for j, v in enumerate(row) if v != ring.zero] for row in a]
+    def sparse_dot(vals_cols, ys):
+        vals, cols = vals_cols
+        return dot(vals, map(ys.__getitem__, cols))
+
     poly = [ring.one, neg(a[0][0])]  # det(x - a_00), leading coefficient first
     for r in range(1, n):
-        block = [[(j, v) for j, v in sparse[i] if j < r] for i in range(r)]  # A_r
-        row = [(j, v) for j, v in sparse[r] if j < r]                         # R
-        col = [a[i][r] for i in range(r)]                   # S, then A_r^k * S
-        column = [ring.one, neg(a[r][r]), neg(dot(row, col))]
+        block = [sparse(i, r) for i in range(r)]             # A_r
+        row = sparse(r, r)                                   # R
+        col = [a[i][r] for i in range(r)]                    # S, then A_r^k * S
+        column = [ring.one, neg(a[r][r]), neg(sparse_dot(row, col))]
         for _ in range(r - 1):
-            col = [dot(b, col) for b in block]
-            column.append(neg(dot(row, col)))
-        # poly times the Toeplitz matrix: coefficient i is sum_j column[i-j]*poly[j]
-        poly = [dot([(i - j, p) for j, p in enumerate(poly[:i + 1])], column)
-                for i in range(r + 2)]
+            col = [sparse_dot(b, col) for b in block]
+            column.append(neg(sparse_dot(row, col)))
+        # poly times the Toeplitz matrix: coefficient i is sum_j poly[j]*column[i-j]
+        poly = [dot(poly[:i + 1], column[i::-1]) for i in range(r + 2)]
     return _raw(ring, neg(poly[n]) if n % 2 else poly[n])
 
 
@@ -231,21 +242,23 @@ class ReductionResult:
 
 
 class _Sweep:
-    """Mutable worksheet carrying A -> D together with P, Pinv, Q, Qinv."""
+    """Mutable worksheet carrying A -> D together with P, Pinv, Q, Qinv.
+
+    Shears go through the ring's row kernels (``Ring.axpy`` for a row,
+    ``Ring.col_axpy`` for a column).  2x2 blocks and scalings keep plain
+    add/mul loops: each new entry there has only one or two terms, and a
+    kernel call per entry measured slower than the direct calls on Z.
+    """
 
     def __init__(self, a: RingMatrix):
         self.ring = a.ring
         self.m = a.rows
         self.n = a.cols
         self.d = [list(row) for row in a.data]
-        self.p = self._eye(self.m)
-        self.pinv = self._eye(self.m)
-        self.q = self._eye(self.n)
-        self.qinv = self._eye(self.n)
-
-    def _eye(self, k):
-        ring = self.ring
-        return [[ring.one if i == j else ring.zero for j in range(k)] for i in range(k)]
+        self.p = _eye(self.ring, self.m)
+        self.pinv = _eye(self.ring, self.m)
+        self.q = _eye(self.ring, self.n)
+        self.qinv = _eye(self.ring, self.n)
 
     # -- 2x2 blocks ---------------------------------------------------------
 
@@ -295,32 +308,16 @@ class _Sweep:
     def add_row(self, i: int, k: int, q):
         """row i += q * row k: E = I + q*e_i*e_k^T, so P <- E P, Pinv <- Pinv E^-1."""
         ring = self.ring
-        add, mul, zero = ring.add, ring.mul, ring.zero
         for arr in (self.d, self.p):
-            dst = arr[i]
-            for c, x in enumerate(arr[k]):
-                if x != zero:
-                    dst[c] = add(dst[c], mul(q, x))
-        nq = ring.neg(q)
-        for row in self.pinv:  # column k -= q * column i
-            x = row[i]
-            if x != zero:
-                row[k] = add(row[k], mul(nq, x))
+            ring.axpy(arr[i], arr[k], q)
+        ring.col_axpy(self.pinv, k, i, ring.neg(q))  # column k -= q * column i
 
     def add_col(self, j: int, k: int, q):
         """col j += q * col k: E = I + q*e_k*e_j^T, so Q <- Q E, Qinv <- E^-1 Qinv."""
         ring = self.ring
-        add, mul, zero = ring.add, ring.mul, ring.zero
         for arr in (self.d, self.q):
-            for row in arr:
-                x = row[k]
-                if x != zero:
-                    row[j] = add(row[j], mul(q, x))
-        nq = ring.neg(q)
-        dst = self.qinv[k]  # row k -= q * row j
-        for c, x in enumerate(self.qinv[j]):
-            if x != zero:
-                dst[c] = add(dst[c], mul(nq, x))
+            ring.col_axpy(arr, j, k, q)
+        ring.axpy(self.qinv[k], self.qinv[j], ring.neg(q))  # row k -= q * row j
 
     def swap_rows(self, i, k):
         for arr in (self.d, self.p):
@@ -335,11 +332,14 @@ class _Sweep:
         self.qinv[j], self.qinv[k] = self.qinv[k], self.qinv[j]
 
     def result(self) -> ReductionResult:
-        ring = self.ring
+        ring, trusted = self.ring, RingMatrix._trusted
         return ReductionResult(
-            P=RingMatrix(ring, self.p), D=RingMatrix(ring, self.d),
-            Q=RingMatrix(ring, self.q),
-            Pinv=RingMatrix(ring, self.pinv), Qinv=RingMatrix(ring, self.qinv))
+            P=trusted(ring, self.p), D=trusted(ring, self.d), Q=trusted(ring, self.q),
+            Pinv=trusted(ring, self.pinv), Qinv=trusted(ring, self.qinv))
+
+
+def _eye(ring, n):
+    return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
 
 
 def _eye2(ring):
@@ -384,13 +384,6 @@ def column_reduce(a: RingElement, b: RingElement) -> tuple[RingElement, RingMatr
         return (a, RingMatrix.identity(ring, 2))
     d, t, _ = _cert_col_pair(ring, a.value, b.value)
     return (_raw(ring, d), RingMatrix(ring, [[t[0][0], t[0][1]], [t[1][0], t[1][1]]]))
-
-
-def _embed2(ring, n, i, j, t):
-    rows = [[ring.one if r == c else ring.zero for c in range(n)] for r in range(n)]
-    rows[i][i], rows[i][j] = t[0][0], t[0][1]
-    rows[j][i], rows[j][j] = t[1][0], t[1][1]
-    return RingMatrix(ring, rows)
 
 
 def reduce_2x2(a: RingMatrix) -> ReductionResult:
@@ -686,8 +679,8 @@ def _reduce_product(a: RingMatrix) -> ReductionResult:
     def weave(mats: list[RingMatrix]) -> RingMatrix:
         rows = mats[0].rows
         cols = mats[0].cols
-        return RingMatrix(ring, [[tuple(m.data[i][j] for m in mats)
-                                  for j in range(cols)] for i in range(rows)])
+        return RingMatrix._trusted(ring, [[tuple(m.data[i][j] for m in mats)
+                                           for j in range(cols)] for i in range(rows)])
 
     return ReductionResult(
         P=weave([r.P for r in partials]), D=weave([r.D for r in partials]),
@@ -734,11 +727,18 @@ def verify_reduction(a: RingMatrix, result: ReductionResult) -> bool:
         return fail("Pinv is not an inverse of P")
     if not (r.Q @ r.Qinv).is_identity():
         return fail("Qinv is not an inverse of Q")
-    if (r.P @ a) @ r.Q != r.D:
-        return fail("P*A*Q != D")
     if not r.D.is_diagonal():
         return fail("D is not diagonal")
+    # P*A*Q = D iff P*A = D*Qinv: multiply on the right by Qinv, or back by
+    # Q, since Q*Qinv = I holds and so does Qinv*Q = I over a commutative
+    # ring.  With D diagonal, row i of D*Qinv is d_i times row i of Qinv
+    # (zero past the diagonal), so this costs a third cubic product, P*A,
+    # where P*A*Q took two.
     diag = r.D.diagonal()
+    d_qinv = [[ring.mul(diag[i].value, x) for x in r.Qinv.data[i]]
+              if i < len(diag) else [ring.zero] * a.cols for i in range(a.rows)]
+    if r.P @ a != RingMatrix._trusted(ring, d_qinv):
+        return fail("P*A != D*Qinv")
     for i, e in enumerate(diag):
         if ring.canonical_associate(e.value) != e.value:
             return fail(f"diagonal entry at position {i} is not its canonical associate")

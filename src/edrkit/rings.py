@@ -35,7 +35,9 @@ is safe to share across workers.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -282,6 +284,33 @@ class Ring(ABC):
     def sub(self, x: Any, y: Any) -> Any:
         return self.add(x, self.neg(y))
 
+    # -- row kernels -----------------------------------------------------------
+    #
+    # The matrix hot loops call these once per row (or column) instead of
+    # once per entry.  The defaults are plain add/mul loops; a ring with
+    # cheap native arithmetic overrides them and must return exactly the
+    # same normal values.
+
+    def dot(self, xs, ys) -> Any:
+        """The sum of xs[k] * ys[k] over the common length; zero if empty."""
+        products = map(self.mul, xs, ys)
+        return functools.reduce(self.add, products, next(products, self.zero))
+
+    def axpy(self, dst: list, src, q: Any) -> None:
+        """dst[c] += q * src[c] in place, skipping the zero entries of src."""
+        add, mul, zero = self.add, self.mul, self.zero
+        for c, x in enumerate(src):
+            if x != zero:
+                dst[c] = add(dst[c], mul(q, x))
+
+    def col_axpy(self, rows, j: int, k: int, q: Any) -> None:
+        """row[j] += q * row[k] in place for every row, skipping zeros at k."""
+        add, mul, zero = self.add, self.mul, self.zero
+        for row in rows:
+            x = row[k]
+            if x != zero:
+                row[j] = add(row[j], mul(q, x))
+
     @abstractmethod
     def is_unit(self, x: Any) -> bool: ...
 
@@ -411,6 +440,20 @@ class IntegerRing(Ring):
     def mul(self, x, y):
         return x * y
 
+    def dot(self, xs, ys):
+        return sum(map(operator.mul, xs, ys))
+
+    def axpy(self, dst, src, q):
+        for c, x in enumerate(src):
+            if x:
+                dst[c] += q * x
+
+    def col_axpy(self, rows, j, k, q):
+        for row in rows:
+            x = row[k]
+            if x:
+                row[j] += q * x
+
     def is_unit(self, x):
         return x in (1, -1)
 
@@ -516,6 +559,9 @@ class ModularRing(Ring):
 
     def mul(self, x, y):
         return (x * y) % self.n
+
+    def dot(self, xs, ys):
+        return sum(map(operator.mul, xs, ys)) % self.n  # one reduction per dot
 
     def is_unit(self, x):
         return gcd(x, self.n) == 1

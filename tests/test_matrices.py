@@ -1,5 +1,6 @@
 """Column reduction, 2x2 elementary reduction, full diagonal reduction."""
 
+import dataclasses
 import itertools
 import json
 import logging
@@ -15,6 +16,7 @@ from edrkit import (
     PreconditionError,
     ProductRing,
     RingError,
+    RingMismatchError,
     RingMatrix,
     TruncatedSeriesRing,
     UnsupportedOperationError,
@@ -312,6 +314,102 @@ def test_verify_reduction_detects_tampering(caplog):
     assert "diagonal entry at position 0 is not its canonical associate" in caplog.text
 
 
+_A35 = [[2, 4, 6, 8, 10], [3, 1, 4, 1, 5], [9, 2, 6, 5, 3]]
+
+
+def _rect_case(spec, shape):
+    ring = make_ring(spec).ring
+    rows = _A35 if shape == "3x5" else [list(col) for col in zip(*_A35)]
+    a = RingMatrix(ring, rows)
+    res = diagonal_reduce(a)
+    assert verify_reduction(a, res)
+    return ring, a, res
+
+
+def _changed(m, cells):
+    """m with the entry at each (i, j) of cells replaced by f(entry)."""
+    rows = [list(row) for row in m.data]
+    for (i, j), f in cells.items():
+        rows[i][j] = f(rows[i][j])
+    return RingMatrix(m.ring, rows)
+
+
+def _row_shear(res, target, source):
+    """P <- E*P, D <- E*D, Pinv <- Pinv*E^-1 for E = I + e_target*e_source^T.
+
+    The result is still an exact equivalence P*A*Q = D with P*Pinv = I."""
+    ring = res.P.ring
+
+    def add_row(m):
+        rows = [list(row) for row in m.data]
+        rows[target] = [ring.add(x, y) for x, y in zip(rows[target], rows[source])]
+        return RingMatrix(ring, rows)
+
+    pinv = [list(row) for row in res.Pinv.data]
+    for row in pinv:  # column source -= column target
+        row[source] = ring.sub(row[source], row[target])
+    return dict(P=add_row(res.P), D=add_row(res.D), Pinv=RingMatrix(ring, pinv))
+
+
+@pytest.mark.parametrize("spec", ["z", "zmod:360"])
+@pytest.mark.parametrize("shape", ["3x5", "5x3"])
+def test_verify_reduction_rejects_rectangular_tampering(spec, shape):
+    ring, a, res = _rect_case(spec, shape)
+    m, n = a.rows, a.cols
+
+    def bump(v):
+        return ring.add(v, ring.one)
+
+    # a changed entry of A
+    assert not verify_reduction(_changed(a, {(m - 1, n - 1): bump}), res)
+    # a changed last diagonal entry of D, 2 -> 4: canonical, and 1 | 4 keeps the chain
+    last = min(m, n) - 1
+    bad_d = _changed(res.D, {(last, last): lambda v: ring.mul(v, ring.normalize(2))})
+    assert [e.value for e in bad_d.diagonal()] == [1, 1, 4]
+    assert not verify_reduction(a, dataclasses.replace(res, D=bad_d))
+    # a changed entry in the last row of Qinv: past the diagonal's reach when m < n
+    bad_qinv = _changed(res.Qinv, {(n - 1, 0): bump})
+    assert not verify_reduction(a, dataclasses.replace(res, Qinv=bad_qinv))
+    # a changed row of P alone, and the last row of P sheared with its inverse kept
+    # exact, which leaves P*A nonzero in a row where D is zero when m > n
+    bad_p = _changed(res.P, {(m - 1, j): bump for j in range(m)})
+    assert not verify_reduction(a, dataclasses.replace(res, P=bad_p))
+    sheared = _row_shear(res, m - 1, 0)
+    assert not verify_reduction(
+        a, dataclasses.replace(res, P=sheared["P"], Pinv=sheared["Pinv"]))
+
+
+@pytest.mark.parametrize("spec", ["z", "zmod:360"])
+@pytest.mark.parametrize("shape", ["3x5", "5x3"])
+def test_verify_reduction_reports_a_non_diagonal_equivalence(spec, shape, caplog):
+    # row 0 += row 1 in P and D keeps P*A*Q = D exact but puts d_1 off the
+    # diagonal; the D*Qinv shortcut assumes a diagonal D, so D is checked first
+    ring, a, res = _rect_case(spec, shape)
+    sheared = _row_shear(res, 0, 1)
+    assert (sheared["P"] @ a) @ res.Q == sheared["D"]
+    with caplog.at_level(logging.DEBUG, logger="edrkit.matrices"):
+        assert not verify_reduction(a, dataclasses.replace(res, **sheared))
+    assert "D is not diagonal" in caplog.text
+
+
+def test_public_constructor_validates_every_entry():
+    z5 = ModularRing(5)
+    with pytest.raises(RingMismatchError):
+        RingMatrix(Z, [[1, element(z5, 2)]])
+    for bad in (True, False, 1.0, 2.5):
+        with pytest.raises(RingError):
+            RingMatrix(Z, [[1, bad]])
+        with pytest.raises(RingError):
+            RingMatrix.from_json({"rows": [[1, bad]]}, Z)
+    with pytest.raises(RingMismatchError):
+        RingMatrix(Z, [[1]]) @ RingMatrix(z5, [[1]])
+    with pytest.raises(RingMismatchError):
+        RingMatrix(z5, [[1, 2]]) @ RingMatrix(ModularRing(7), [[1], [2]])
+    # the entries a product computes are normal values of its ring
+    prod = RingMatrix(z5, [[4, 3]]) @ RingMatrix(z5, [[4], [4]])
+    assert prod == RingMatrix(z5, [[28]]) and prod.data == ((3,),)
+
+
 def test_divisibility_chain_everywhere(rng):
     for _ in range(40):
         m = rng.randint(2, 5)
@@ -385,22 +483,39 @@ def test_nearest_remainder_worst_case_past_ten_thousand_passes():
     assert verify_reduction(m, res)
 
 
-@pytest.mark.parametrize("spec", ["z", "zmod:360", "gfpoly:5", "text:z,q"])
+def _unimodular_2x2(ring, a, b):
+    """[[1, a], [0, 1]] * [[1, 0], [b, 1]] and its inverse, over any ring."""
+    t = ((ring.add(ring.one, ring.mul(a, b)), a), (b, ring.one))
+    tinv = ((ring.one, ring.neg(a)), (ring.neg(b), t[0][0]))
+    return t, tinv
+
+
+@pytest.mark.parametrize("spec", ["z", "zmod:360", "gfpoly:5", "text:z,q",
+                                  "product:zmod:4,z"])
 def test_sweep_kernels_keep_the_certificate(spec, rng):
     ring = make_ring(spec).ring
     m, n = 4, 5
     a = RingMatrix(ring, [[random_value(ring, rng, 9) for _ in range(n)] for _ in range(m)])
     sweep = _Sweep(a)
-    for step in range(60):
+    minus_one = ring.neg(ring.one)
+    for step in range(70):
         q = random_value(ring, rng, 3)
-        if step % 4 == 0:
+        if step % 7 == 0:
             sweep.add_row(*rng.sample(range(m), 2), q)
-        elif step % 4 == 1:
+        elif step % 7 == 1:
             sweep.add_col(*rng.sample(range(n), 2), q)
-        elif step % 4 == 2:
+        elif step % 7 == 2:
             sweep.swap_rows(*rng.sample(range(m), 2))
-        else:
+        elif step % 7 == 3:
             sweep.swap_cols(*rng.sample(range(n), 2))
+        elif step % 7 == 4:
+            sweep.rows_2x2(*rng.sample(range(m), 2),
+                           *_unimodular_2x2(ring, q, random_value(ring, rng, 3)))
+        elif step % 7 == 5:
+            sweep.cols_2x2(*rng.sample(range(n), 2),
+                           *_unimodular_2x2(ring, q, random_value(ring, rng, 3)))
+        else:
+            sweep.scale_row(rng.randrange(m), minus_one, minus_one)
         if step % 10 == 9:
             res = sweep.result()
             assert res.P @ a @ res.Q == res.D, step
