@@ -129,6 +129,14 @@ def _pmul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
     return _ptrim(out)
 
 
+def _kpack(a: tuple[int, ...], k: int) -> int:
+    """a(2**k): the coefficients of a in k-bit slots, lowest slot first."""
+    v = 0
+    for c in reversed(a):
+        v = (v << k) | c
+    return v
+
+
 def _pdivmod(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -264,13 +272,10 @@ class Ring(ABC):
     def normalize(self, value: Any) -> Any:
         """Validate and normalize a raw payload; raises RingError if malformed."""
 
-    @property
-    @abstractmethod
-    def zero(self) -> Any: ...
-
-    @property
-    @abstractmethod
-    def one(self) -> Any: ...
+    # Every ring provides ``zero`` and ``one``: as class attributes,
+    # properties, or instance attributes built once in ``__init__``.
+    zero: Any
+    one: Any
 
     @abstractmethod
     def add(self, x: Any, y: Any) -> Any: ...
@@ -407,6 +412,23 @@ def _fraction_from_json(obj: Any, what: str) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise RingError(f"bad rational text {obj!r} for {what}") from exc
     raise RingError(f"expected a rational for {what}, got {obj!r}")
+
+
+_QZERO = Fraction(0)
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    """num/den (den > 0) in lowest terms, one Fraction built; zero is shared."""
+    if not num:
+        return _QZERO
+    return Fraction(num) if den == 1 else Fraction(num, den)
+
+
+def _qsum(an: int, ad: int, bn: int, bd: int) -> Fraction:
+    """an/ad + bn/bd (positive denominators) as one Fraction."""
+    if ad == bd:
+        return _fraction(an + bn, ad)
+    return _fraction(an * bd + bn * ad, ad * bd)
 
 
 def _fraction_to_json(q: Fraction) -> Any:
@@ -669,6 +691,28 @@ class GFPolynomialRing(Ring):
     def mul(self, x, y):
         return _pmul(x, y, self.p)
 
+    def dot(self, xs, ys):
+        # Kronecker substitution: each polynomial becomes one integer with a
+        # coefficient per k-bit slot, the products are summed as integers and
+        # unpacked once, with one reduction mod p per coefficient.  A slot of
+        # the sum holds at most pairs * min(len a, len b) products of
+        # coefficients below p, so k bits never carry into the next slot.
+        pairs = [(a, b) for a, b in zip(xs, ys) if a and b]
+        if not pairs:
+            return ()
+        p = self.p
+        k = (len(pairs) * max([min(len(a), len(b)) for a, b in pairs])
+             * (p - 1) ** 2).bit_length()
+        total = 0
+        for a, b in pairs:
+            total += _kpack(a, k) * _kpack(b, k)
+        mask = (1 << k) - 1
+        out = []
+        while total:
+            out.append((total & mask) % p)
+            total >>= k
+        return _ptrim(out)
+
     def is_unit(self, x):
         return len(x) == 1
 
@@ -740,6 +784,8 @@ class ProductRing(Ring):
         if not all(isinstance(f, Ring) for f in factors):
             raise RingError("product factors must be rings")
         self.factors = factors
+        self.zero = tuple(f.zero for f in factors)
+        self.one = tuple(f.one for f in factors)
 
     def _key(self):
         return (self.kind, tuple(f._key() for f in self.factors))
@@ -771,14 +817,6 @@ class ProductRing(Ring):
             raise RingError(f"tuple of {len(self.factors)} components expected, got {value!r}")
         return tuple(f.normalize(v) for f, v in zip(self.factors, value))
 
-    @property
-    def zero(self):
-        return tuple(f.zero for f in self.factors)
-
-    @property
-    def one(self):
-        return tuple(f.one for f in self.factors)
-
     def add(self, x, y):
         return tuple(f.add(a, b) for f, a, b in zip(self.factors, x, y))
 
@@ -787,6 +825,13 @@ class ProductRing(Ring):
 
     def mul(self, x, y):
         return tuple(f.mul(a, b) for f, a, b in zip(self.factors, x, y))
+
+    def dot(self, xs, ys):
+        # each factor's own kernel on its column of components
+        xcols, ycols = list(zip(*xs)), list(zip(*ys))
+        if not xcols or not ycols:
+            return self.zero
+        return tuple([f.dot(cx, cy) for f, cx, cy in zip(self.factors, xcols, ycols)])
 
     def is_unit(self, x):
         return all(f.is_unit(a) for f, a in zip(self.factors, x))
@@ -851,6 +896,9 @@ class TrivialExtensionRing(Ring):
             raise RingError("module-kind rationals requires the integer base ring")
         self.base = base
         self.module = module
+        mzero = _QZERO if module == self.MODULE_RATIONALS else base.zero
+        self.zero = (base.zero, mzero)
+        self.one = (base.one, mzero)
 
     def _key(self):
         return (self.kind, self.base._key(), self.module)
@@ -880,21 +928,6 @@ class TrivialExtensionRing(Ring):
             raise InfiniteRingError(f"{self.expression()} is not enumerable")
         return itertools.product(self.base.elements(), repeat=2)
 
-    # module scalar helpers -------------------------------------------------
-
-    def _madd(self, e, f):
-        if self.module == self.MODULE_RATIONALS:
-            return e + f
-        return self.base.add(e, f)
-
-    def _mscale(self, a, e):
-        if self.module == self.MODULE_RATIONALS:
-            return Fraction(a) * e
-        return self.base.mul(a, e)
-
-    def _mzero(self):
-        return Fraction(0) if self.module == self.MODULE_RATIONALS else self.base.zero
-
     def normalize(self, value):
         if isinstance(value, list):
             value = tuple(value)
@@ -911,16 +944,17 @@ class TrivialExtensionRing(Ring):
             e = self.base.normalize(e)
         return (a, e)
 
-    @property
-    def zero(self):
-        return (self.base.zero, self._mzero())
-
-    @property
-    def one(self):
-        return (self.base.one, self._mzero())
+    # The rational-module kernels work on the numerators and denominators of
+    # the module parts and build one Fraction per result.
 
     def add(self, x, y):
-        return (self.base.add(x[0], y[0]), self._madd(x[1], y[1]))
+        (a, e), (b, f) = x, y
+        if self.module == self.MODULE_SELF:
+            base = self.base
+            return (base.add(a, b), base.add(e, f))
+        en, ed = e.as_integer_ratio()
+        fn, fd = f.as_integer_ratio()
+        return (a + b, _qsum(en, ed, fn, fd))
 
     def neg(self, x):
         if self.module == self.MODULE_RATIONALS:
@@ -929,7 +963,33 @@ class TrivialExtensionRing(Ring):
 
     def mul(self, x, y):
         (a, e), (b, f) = x, y
-        return (self.base.mul(a, b), self._madd(self._mscale(a, f), self._mscale(b, e)))
+        if self.module == self.MODULE_SELF:
+            base = self.base
+            return (base.mul(a, b), base.add(base.mul(a, f), base.mul(b, e)))
+        en, ed = e.as_integer_ratio()
+        fn, fd = f.as_integer_ratio()
+        return (a * b, _qsum(a * fn, fd, b * en, ed))
+
+    def dot(self, xs, ys):
+        if self.module == self.MODULE_SELF:
+            return Ring.dot(self, xs, ys)
+        # the module part sum(a*f + b*e) over the lcm of the denominators
+        s = num = 0
+        den = 1
+        for (a, e), (b, f) in zip(xs, ys):
+            s += a * b
+            en, ed = e.as_integer_ratio()
+            fn, fd = f.as_integer_ratio()
+            for n, d in ((a * fn, fd), (b * en, ed)):
+                if not n:
+                    continue
+                if d == den:
+                    num += n
+                else:
+                    g = gcd(den, d)
+                    num = num * (d // g) + n * (den // g)
+                    den = den // g * d
+        return (s, _fraction(num, den))
 
     def is_unit(self, x):
         return self.base.is_unit(x[0])
@@ -1072,7 +1132,7 @@ class TrivialExtensionRing(Ring):
             yield from self.elements()
             return
         for k in self.base.search_order():
-            yield (k, self._mzero())
+            yield (k, self.zero[1])
 
     def residues_mod(self, c):
         self._require_rationals("residue enumeration")

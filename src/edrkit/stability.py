@@ -182,7 +182,7 @@ def select_stable(a: RingElement, b: RingElement) -> RingElement:
                 "select_stable: both base components vanish, no shift is stable")
         for kv in base.search_order():
             if base.add(a.value[0], base.mul(b.value[0], kv)) != base.zero:
-                return _raw(ring, ring.normalize((kv, ring._mzero())))
+                return _raw(ring, ring.normalize((kv, ring.zero[1])))
     raise UnsupportedOperationError(
         f"no stable-selection strategy for {ring.expression()}")
 

@@ -1,11 +1,26 @@
-"""Row kernels: every ring's dot, axpy and col_axpy against the generic defaults.
+"""Row kernels: every ring's overrides against independent references.
 
-``IntegerRing`` overrides all three kernels and ``ModularRing`` overrides
-``dot`` with native integer arithmetic; the matrix engine relies on each
-override returning exactly the values of the generic ``Ring`` loops.  The generic ``dot`` is itself checked
-against a plain left-to-right sum that starts from zero.
+The overrides, each of which must return exactly the normal values of the
+generic ``Ring`` add/mul loops:
+
+* ``IntegerRing``: ``dot``, ``axpy`` and ``col_axpy`` with builtin operators;
+* ``ModularRing``: ``dot``, one reduction per dot product;
+* ``GFPolynomialRing``: ``dot`` by Kronecker substitution, one reduction
+  mod p per coefficient of the sum;
+* ``ProductRing``: ``dot``, each factor's own ``dot`` on its component column;
+* ``TrivialExtensionRing`` with the rational module: ``add``, ``mul`` and
+  ``dot`` on the numerators and denominators of the module parts, one
+  ``Fraction`` per result.
+
+The generic ``dot`` is checked against a plain left-to-right sum that starts
+from zero.  Both call the ring's own ``mul``, so the rational-module kernels
+are also checked against plain ``Fraction`` arithmetic, and the polynomial
+``dot`` against a fold of ``_pmul``/``_padd``.
 """
 
+import json
+import random
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -13,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edrkit import make_ring
+from edrkit.cli import CommandRequest, dispatch
 from edrkit.rings import (
     GFPolynomialRing,
     IntegerRing,
@@ -21,6 +37,8 @@ from edrkit.rings import (
     Ring,
     TrivialExtensionRing,
     TruncatedSeriesRing,
+    _padd,
+    _pmul,
 )
 
 SPECS = ["z", "zmod:360", "zmod:2305843009213693951", "gfpoly:5", "product:zmod:4,z",
@@ -103,3 +121,168 @@ def test_kernels_on_empty_rows_and_zero_multipliers(spec):
     ring.col_axpy(rows, 0, 1, ring.zero)
     assert rows == [[ring.one, ring.neg(ring.one)], [ring.zero, ring.one]]
 
+
+
+# -- the rational module against plain Fraction arithmetic ----------------------
+
+TEXT_Q = make_ring("text:z,q").ring
+_DENOMINATORS = st.one_of(st.integers(1, 10**20), st.sampled_from([1, 2, 3, 4, 6, 12]))
+
+
+def _pairs(module_parts):
+    return st.tuples(st.integers(-10**20, 10**20), module_parts)
+
+
+def _plain_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _plain_mul(x, y):
+    (a, e), (b, f) = x, y
+    return (a * b, Fraction(a) * f + Fraction(b) * e)
+
+
+def _plain_dot(xs, ys):
+    return (sum(a * b for (a, _), (b, _) in zip(xs, ys)),
+            sum((Fraction(a) * f + Fraction(b) * e for (a, e), (b, f) in zip(xs, ys)),
+                Fraction(0)))
+
+
+def _assert_normal(v):
+    assert type(v) is tuple and type(v[0]) is int and type(v[1]) is Fraction
+
+
+@pytest.mark.parametrize("shape", ["free", "equal-denominators", "zero-module"])
+def test_rational_module_kernels_against_plain_fractions(shape):
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(data=st.data(), width=st.integers(0, 8))
+    def check(data, width):
+        if shape == "free":
+            parts = st.builds(Fraction, st.integers(-10**20, 10**20), _DENOMINATORS)
+        elif shape == "equal-denominators":
+            den = data.draw(_DENOMINATORS)
+            parts = st.integers(-10**20, 10**20).map(lambda n: Fraction(n, den))
+        else:
+            parts = st.just(Fraction(0))
+        values = st.one_of(st.just(TEXT_Q.zero), _pairs(parts))
+        xs = data.draw(st.lists(values, min_size=width, max_size=width))
+        ys = data.draw(st.lists(values, min_size=width, max_size=width))
+        for x, y in zip(xs, ys):
+            for got, want in ((TEXT_Q.add(x, y), _plain_add(x, y)),
+                              (TEXT_Q.mul(x, y), _plain_mul(x, y))):
+                assert got == want
+                _assert_normal(got)
+        got = TEXT_Q.dot(xs, ys)
+        assert got == _plain_dot(xs, ys)
+        _assert_normal(got)
+        assert TEXT_Q.dot(xs, iter(ys)) == got
+
+    check()
+
+
+def test_rational_module_zero_and_one_are_built_once():
+    assert TEXT_Q.zero is TEXT_Q.zero and TEXT_Q.one is TEXT_Q.one
+    assert TEXT_Q.zero == (0, Fraction(0)) and TEXT_Q.one == (1, Fraction(0))
+    for v in (TEXT_Q.zero, TEXT_Q.one, TEXT_Q.dot([], [])):
+        _assert_normal(v)
+
+
+# -- Kronecker substitution over GF(p)[x] ----------------------------------------
+
+@pytest.mark.parametrize("p", [2, 5, 2305843009213693951])
+def test_polynomial_dot_against_a_fold_of_pmul_padd(p):
+    ring = GFPolynomialRing(p)
+
+    def fold(xs, ys):
+        return reduce(lambda acc, xy: _padd(acc, _pmul(xy[0], xy[1], p), p), zip(xs, ys), ())
+
+    coefficients = st.one_of(st.integers(0, p - 1), st.just(p - 1))
+    polys = st.one_of(st.just(()), st.lists(coefficients, max_size=41).map(ring.normalize))
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(data=st.data(), width=st.integers(0, 24))
+    def check(data, width):
+        xs = data.draw(st.lists(polys, min_size=width, max_size=width))
+        ys = data.draw(st.lists(polys, min_size=width, max_size=width))
+        assert ring.dot(xs, ys) == fold(xs, ys)
+
+    check()
+    # the slot bound is reached: 24 pairs of degree-40 polynomials with every
+    # coefficient p - 1 put 24 * 41 * (p-1)**2 into the middle slot
+    top = (p - 1,) * 41
+    for width in (1, 23, 24):
+        xs = [top] * width
+        assert ring.dot(xs, xs) == fold(xs, xs)
+    # zero polynomials and unequal lengths mixed in
+    xs = [(), top, (1,), top[:7], ()]
+    ys = [top, (), top, (p - 1, 1), (1,)]
+    assert ring.dot(xs, ys) == fold(xs, ys)
+
+
+# -- products: each factor's own dot ---------------------------------------------
+
+@pytest.mark.parametrize("spec", ["product:zmod:4,z", "product:zmod:360,gfpoly:5,text:z,q"])
+def test_product_dot_against_per_component_generic_dots(spec):
+    ring = make_ring(spec).ring
+    values = _values(ring)
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(data=st.data(), width=st.integers(0, 8))
+    def check(data, width):
+        xs = data.draw(st.lists(values, min_size=width, max_size=width))
+        ys = data.draw(st.lists(values, min_size=width, max_size=width))
+        per_component = tuple(Ring.dot(f, [x[i] for x in xs], [y[i] for y in ys])
+                              for i, f in enumerate(ring.factors))
+        assert ring.dot(xs, ys) == per_component == Ring.dot(ring, xs, ys)
+        assert ring.dot(iter(xs), iter(ys)) == per_component
+
+    check()
+    assert ring.zero is ring.zero and ring.one is ring.one
+
+
+# -- whole documents: kernels against the generic methods ------------------------
+
+_GENERIC = [(GFPolynomialRing, "dot", Ring.dot), (ProductRing, "dot", Ring.dot),
+            (TrivialExtensionRing, "dot", Ring.dot),
+            (TrivialExtensionRing, "add", staticmethod(_plain_add)),
+            (TrivialExtensionRing, "mul", staticmethod(_plain_mul))]
+
+
+def _kernel_requests():
+    rng = random.Random("kernel-documents")
+
+    def entry(spec):
+        if spec == "gfpoly:5":
+            return [rng.randrange(5) for _ in range(rng.randint(0, 3))]
+        if spec == "product:zmod:4,z":
+            return [rng.randrange(4), rng.randint(-30, 30)]
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return [rng.randint(-20, 20), q.numerator if q.denominator == 1 else str(q)]
+
+    reqs = []
+    for spec in ("text:z,q", "gfpoly:5", "product:zmod:4,z"):
+        for m, n in ((3, 3), (4, 4), (5, 5), (3, 5), (5, 3)):
+            rows = [[entry(spec) for _ in range(n)] for _ in range(m)]
+            reqs.append(("snf", spec, rows))
+        found = 0
+        while found < 3:  # reduce2x2 needs aR + bR + cR = R; the others exit 1
+            a, b, c = entry(spec), entry(spec), entry(spec)
+            zero = [] if spec == "gfpoly:5" else [0, 0]
+            rows = [[a, zero], [b, c]]
+            if dispatch(CommandRequest(command="reduce2x2", ring=spec,
+                                       payload=json.dumps({"rows": rows})))[0] == 0:
+                reqs.append(("reduce2x2", spec, rows))
+                found += 1
+    return reqs
+
+
+def test_kernels_leave_every_document_unchanged(monkeypatch):
+    requests = [CommandRequest(command=command, ring=spec, output=output,
+                               payload=json.dumps({"rows": rows}))
+                for command, spec, rows in _kernel_requests()
+                for output in ("json", "pretty")]
+    with_kernels = [dispatch(req) for req in requests]
+    assert all(code == 0 for code, _ in with_kernels)
+    for cls, name, generic in _GENERIC:
+        monkeypatch.setattr(cls, name, generic)
+    assert [dispatch(req) for req in requests] == with_kernels

@@ -32,6 +32,7 @@ from edrkit import (
 )
 from edrkit.cli import EXIT_OK, CommandRequest, dispatch
 from edrkit.matrices import _Sweep
+from edrkit.rings import _pmonic
 from conftest import det_oracle, minor_gcd_oracle, random_value
 
 Z = IntegerRing()
@@ -281,6 +282,37 @@ def test_gfpoly_reduction(rng):
         diag = [e.value for e in res.D.diagonal()]
         for v in diag:
             assert v == () or v[-1] == 1  # canonical associates are monic
+
+
+@pytest.mark.parametrize("p", [2, 5, 7])
+def test_gfpoly_diagonal_matches_sympy_invariant_factors(p, rng):
+    pytest.importorskip("sympy")
+    from sympy import GF, Symbol
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import invariant_factors
+
+    ring = GFPolynomialRing(p)
+    dom = GF(p)[Symbol("x")]
+
+    def monic(f):  # sympy's factors come out non-monic
+        coeffs = [int(c) % p for c in reversed(f.to_dense())] if f else []
+        return _pmonic(ring.normalize(coeffs), p)
+
+    shapes = [(2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (2, 5), (5, 2), (3, 6), (6, 4)]
+    for m, n in shapes:
+        for variant in ("random", "repeated row", "common factor"):
+            rows = [[ring.normalize([rng.randrange(p) for _ in range(rng.randint(0, 3))])
+                     for _ in range(n)] for _ in range(m)]
+            if variant == "repeated row":  # a zero invariant factor when square
+                rows[-1] = rows[0]
+            elif variant == "common factor":  # every invariant factor a multiple of f
+                f = ring.normalize([rng.randrange(p) for _ in range(2)] + [1])
+                rows = [[ring.mul(f, v) for v in row] for row in rows]
+            res = diagonal_reduce(RingMatrix(ring, rows))
+            m_sympy = DomainMatrix([[dom.ring.from_list(list(reversed(v))) for v in row]
+                                    for row in rows], (m, n), dom)
+            expected = [monic(f) for f in invariant_factors(m_sympy)]
+            assert [e.value for e in res.D.diagonal()] == expected, (p, m, n, variant)
 
 
 def test_series_matrices_rejected():
