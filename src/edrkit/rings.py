@@ -353,6 +353,10 @@ class Ring(ABC):
             return self.zero
         return self.bezout_raw(a, self.zero)[0]
 
+    # True where bezout_raw's d is the canonical generator of aR + bR, so a
+    # fold of Bezout gcds gives the same d in any order.
+    canonical_bezout = False
+
     # -- Euclidean hook -------------------------------------------------------
 
     # True where ``size`` and ``nearest_quotient`` are defined; the sweep
@@ -503,6 +507,8 @@ class IntegerRing(Ring):
         g, x, y = _egcd(a, b)
         return g, x, y, (a // g), (b // g)
 
+    canonical_bezout = True
+
     euclidean = True
 
     def size(self, a):
@@ -648,6 +654,8 @@ class ModularRing(Ring):
         a0 = (a0_base + big_n * alpha) % n
         return (d % n, x, y, a0, b0)
 
+    canonical_bezout = True
+
     def value_to_json(self, v):
         return v
 
@@ -740,6 +748,8 @@ class GFPolynomialRing(Ring):
         g, x, y = _pegcd(a, b, self.p)
         return g, x, y, self.divide_exact(a, g), self.divide_exact(b, g)
 
+    canonical_bezout = True
+
     euclidean = True
 
     def size(self, a):
@@ -800,6 +810,10 @@ class ProductRing(Ring):
     @property
     def bezout_total(self) -> bool:
         return all(f.bezout_total for f in self.factors)
+
+    @property
+    def canonical_bezout(self) -> bool:
+        return all(f.canonical_bezout for f in self.factors)
 
     def cardinality(self):
         total = 1
@@ -916,6 +930,12 @@ class TrivialExtensionRing(Ring):
         # With module "self" two-generated ideals need not be principal
         # (e.g. the pair ((2,0),(0,1)) over a Z/4 base), so only the
         # rational-module instance carries total certificates.
+        return self.module == self.MODULE_RATIONALS
+
+    @property
+    def canonical_bezout(self) -> bool:
+        # d is (gcd of the base parts, 0), or (0, the nonnegative rational
+        # gcd) when both base parts vanish
         return self.module == self.MODULE_RATIONALS
 
     def cardinality(self):

@@ -17,11 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import exhaustive
-from .exhaustive import (
-    ModStructureView,
-    PolyModStructure,
-    int_quotient_stable_range_1,
-)
+from .exhaustive import PolyModStructure, int_quotient_stable_range_1
 from .rings import (
     GFPolynomialRing,
     InfiniteRingError,
@@ -87,12 +83,6 @@ def _structure(ring: Ring):
     return exhaustive.structure_for(ring)
 
 
-def _locate(s, value):
-    if isinstance(s, ModStructureView):
-        return value
-    return s.index[value]
-
-
 def is_coprime(a: RingElement, b: RingElement) -> bool:
     """True iff aR + bR = R (the recurring comaximality hypothesis)."""
     ring = _same_ring(a, b)
@@ -101,7 +91,7 @@ def is_coprime(a: RingElement, b: RingElement) -> bool:
         return not cert.degenerate and is_unit(cert.d)
     if ring.finite:
         s = _structure(ring)
-        return s.comaximal(_locate(s, a.value), _locate(s, b.value))
+        return s.comaximal(s.locate(a.value), s.locate(b.value))
     raise UnsupportedOperationError(
         f"comaximality is not decidable for {ring.expression()}")
 
@@ -125,9 +115,12 @@ def _jointly_comaximal(els: list[RingElement]) -> bool:
         for e in els[1:]:
             acc = bezout(acc, e).d
         return is_unit(acc)
+    if isinstance(ring, ProductRing):
+        return all(_jointly_comaximal([_raw(f, e.value[k]) for e in els])
+                   for k, f in enumerate(ring.factors))
     if ring.finite:
         s = _structure(ring)
-        idxs = [_locate(s, e.value) for e in els]
+        idxs = [s.locate(e.value) for e in els]
         reach = s.ideal(idxs[0])
         for i in idxs[1:]:
             reach = frozenset(s.add(p, q) for p in reach for q in s.ideal(i))
@@ -238,7 +231,7 @@ def is_stable(a: RingElement) -> PropertyVerdict:
         return PropertyVerdict(STABLE_RANGE_1, holds, witness)
     if ring.finite:
         s = _structure(ring)
-        q = s.quotient(_locate(s, a.value))
+        q = s.quotient(s.locate(a.value))
         holds, wit = exhaustive.stable_range_1(q)
         witness = None
         if wit is not None:

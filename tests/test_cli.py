@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from edrkit import exhaustive
 from edrkit.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -16,6 +17,7 @@ from edrkit.cli import (
     main,
     read_matrix,
 )
+from edrkit.stability import _structure
 
 
 def test_snf_dispatch_example():
@@ -321,3 +323,66 @@ def test_rings_listing():
     assert any(e["expression"] == "z" for e in entries)
     code, out = dispatch(CommandRequest(command="rings", output="pretty"))
     assert code == EXIT_OK and "z:" in out
+
+
+class _TableReached(Exception):
+    """A tabulated structure passed the size check (the build itself is skipped)."""
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The sizes of every exhaustive structure constructed, by class name;
+    tables are stopped before their n x n build."""
+    sizes = {"ModStructure": [], "ProductStructure": [], "TableStructure": []}
+
+    def record(cls, size_of):
+        init = cls.__init__
+
+        def wrapper(self, *args, **kwargs):
+            sizes[cls.__name__].append(size_of(*args))
+            if cls is exhaustive.TableStructure:
+                raise _TableReached
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", wrapper)
+
+    record(exhaustive.ModStructure, lambda m: m)
+    record(exhaustive.ProductStructure,
+           lambda factors, ring=None: math.prod(f.size for f in factors))
+    record(exhaustive.TableStructure, lambda elements, *rest: len(list(elements)))
+    return sizes
+
+
+def _check(ring, prop="stable-range-1"):
+    _structure.cache_clear()  # so that every structure is constructed anew
+    return dispatch(CommandRequest(command="check", ring=ring, property=prop))
+
+
+@pytest.mark.parametrize("ring, built_class, cap", [
+    ("zmod:10000", "ModStructure", "MAX_QUOTIENT_SIZE"),
+    ("product:zmod:1000,zmod:1000", "ProductStructure", "MAX_PRODUCT_SIZE"),
+])
+def test_check_at_the_size_limit_runs(built, ring, built_class, cap):
+    code, out = _check(ring)
+    assert code == EXIT_OK and json.loads(out)["holds"] is True
+    assert max(built[built_class]) == getattr(exhaustive, cap)
+    assert max(built["ModStructure"]) <= exhaustive.MAX_QUOTIENT_SIZE
+
+
+def test_check_at_the_table_limit_reaches_the_table(built):
+    with pytest.raises(_TableReached):
+        _check("text:zmod:64,self")
+    assert built["TableStructure"] == [exhaustive.MAX_TABLE_SIZE]
+
+
+@pytest.mark.parametrize("ring", [
+    "zmod:10001",                    # one past MAX_QUOTIENT_SIZE
+    "product:zmod:101,zmod:9901",    # 1,000,001: one past MAX_PRODUCT_SIZE
+    "product:zmod:2,zmod:10001",     # a factor past its own cap
+    "text:zmod:65,self",             # 4,225 > MAX_TABLE_SIZE
+    "product:zmod:2,text:zmod:65,self",
+])
+def test_oversized_check_exits_1_before_building(built, ring):
+    code, out = _check(ring)
+    assert code == EXIT_PRECONDITION
+    assert "past the cap" in out
+    assert built == {"ModStructure": [], "ProductStructure": [], "TableStructure": []}

@@ -20,7 +20,7 @@ from edrkit import (
     one,
     zero,
 )
-from conftest import det_oracle, random_value
+from conftest import det_oracle, random_element, random_value
 
 Z = IntegerRing()
 
@@ -211,3 +211,23 @@ def test_longer_modular_rows(rng):
             d = math.gcd(g, n) % n
             res = complete_row(row, element(ring, d))
             assert determinant(res.matrix).value == d
+
+
+@pytest.mark.parametrize("spec", ["z", "zmod:360", "gfpoly:5", "text:z,q",
+                                  "product:zmod:4,z", "product:zmod:12,gfpoly:3"])
+def test_suffix_fold_trace_equals_forward_fold(monkeypatch, rng, spec):
+    """The chained unit lifts fold each tail's gcd once from the right; where
+    Bezout d is canonical that gives the forward fold's trace exactly."""
+    ring = make_ring(spec).ring
+    assert ring.canonical_bezout
+    cases = []
+    for _ in range(25):
+        row = [random_element(ring, rng, 30) for _ in range(rng.randint(3, 7))]
+        g = row[0]
+        for a in row[1:]:
+            g = bezout(g, a).d
+        if not g.is_zero():
+            cases.append((row, g))
+    suffix = [complete_row(row, g).to_json() for row, g in cases]
+    monkeypatch.setattr(type(ring), "canonical_bezout", False)
+    assert suffix == [complete_row(row, g).to_json() for row, g in cases]

@@ -3,17 +3,24 @@
 Every finite commutative ring has all five properties, so on real rings a
 checker that always says "holds" would pass.  Hand-built structures that are
 not rings make each checker fail, and every witness is re-checked with the
-structure's own operations.
+structure's own operations.  The closed-form structures are also compared
+with dense tables of the same rings, and their witnesses with the
+element-by-element search of the same primitives.
 """
 
 import math
+import time
+import tracemalloc
 
 import pytest
 
-from edrkit import ModularRing, check_property, make_ring
+from edrkit import GFPolynomialRing, ModularRing, check_property, element, make_ring
 from edrkit import exhaustive, stability
 from edrkit.exhaustive import (
+    ModStructure,
     PolyModStructure,
+    ProductStructure,
+    TableStructure,
     all_nonzero_adequate,
     int_quotient_stable_range_1,
     is_clean,
@@ -22,6 +29,7 @@ from edrkit.exhaustive import (
     stable_range_1,
     structure_for,
 )
+from edrkit.rings import _pdivmod, _pmul
 
 # -- the definitions, by plain enumeration ------------------------------------
 
@@ -93,6 +101,31 @@ def adequate_witness(s, against_a=True):
     return None
 
 
+def adequate_bitmask(s):
+    """Henriksen's test element by element with int bitmasks over all a, the
+    form the library used before it searched associate classes."""
+    elements = els(s)
+    pos = {x: i for i, x in enumerate(elements)}
+    everything = (1 << len(elements)) - 1
+    product = [[pos[s.mul(r, t)] for t in elements] for r in elements]
+    comaximal = [sum(1 << j for j, a in enumerate(elements) if s.comaximal(x, a))
+                 for x in elements]
+    blocked = [0] * len(elements)
+    for i, x in enumerate(elements):
+        if not s.is_unit(x):
+            for k in set(product[i]):
+                blocked[k] |= comaximal[i]
+    good = [everything & ~b for b in blocked]
+    served = [0] * len(elements)
+    for i, row in enumerate(product):
+        for j, k in enumerate(row):
+            served[k] |= comaximal[i] & good[j]
+    for c, mask in zip(elements, served):
+        if c != s.zero and mask != everything:
+            return False, (c,)
+    return True, None
+
+
 DEFINITIONS = {
     stable_range_1: sr1_witness,
     is_clean: clean_witness,
@@ -160,6 +193,23 @@ class Synthetic:
         return self._quotient(c)
 
 
+class Flat:
+    """A structure seen only through its primitives, with ideals as element
+    sets, so that the checkers search it element by element."""
+
+    def __init__(self, s):
+        self._s = s
+        self.size, self.zero, self.one = s.size, s.zero, s.one
+        self.elements, self.add, self.neg, self.mul = s.elements, s.add, s.neg, s.mul
+        self.is_unit, self.comaximal = s.is_unit, s.comaximal
+
+    def ideal(self, x):
+        return frozenset(self._s.mul(x, t) for t in self._s.elements())
+
+    def quotient(self, c):
+        return Flat(self._s.quotient(c))
+
+
 def hidden_unit():
     """Z/4 whose unit 3 is not declared a unit, and every quotient is the
     same structure: (3, 0) is comaximal yet 3 + 0*t is never a unit, 0 is
@@ -167,6 +217,15 @@ def hidden_unit():
     pairs = [(x, y) for x in range(4) for y in range(4) if math.gcd(math.gcd(x, y), 4) == 1]
     return Synthetic([[x * y % 4 for y in range(4)] for x in range(4)], {1}, pairs,
                      quotient=lambda c: hidden_unit())
+
+
+def late_miss():
+    """Z/8 that also declares 2 and 4 comaximal, so stable range 1 first fails
+    in the class of 4 (the last one), on the coset 2 + 4R; its quotients are
+    hidden_unit()."""
+    pairs = [(x, y) for x in range(8) for y in range(8) if math.gcd(math.gcd(x, y), 8) == 1]
+    return Synthetic([[x * y % 8 for y in range(8)] for x in range(8)], {1, 3, 5, 7},
+                     pairs + [(2, 4)], quotient=lambda c: hidden_unit())
 
 
 def inadequate():
@@ -194,19 +253,44 @@ def structure(spec):
     return structure_for(make_ring(spec).ring)
 
 
+def in_ideal(s, ideal, y) -> bool:
+    """y lies in `ideal`, as s.ideal() returns it: a set of elements, a monic
+    divisor of f on GF(p)[x]/(f), a tuple of factor ideals on a product."""
+    if isinstance(s, ProductStructure):
+        return all(in_ideal(f, i, c) for f, i, c in zip(s.factors, ideal, s._split(y)))
+    if isinstance(s, PolyModStructure):
+        return not _pdivmod(y, ideal, s.p)[1]
+    return y in ideal
+
+
 def assert_primitives_match_definitions(s):
     ideal = {x: {s.mul(x, t) for t in els(s)} for x in els(s)}
     for x in els(s):
         assert s.is_unit(x) == (s.one in ideal[x])
-        assert set(s.ideal(x)) == ideal[x]
+        assert {y for y in els(s) if in_ideal(s, s.ideal(x), y)} == ideal[x]
         for y in els(s):
             reach = {s.add(p, q) for p in ideal[x] for q in ideal[y]}
             assert s.comaximal(x, y) == (s.one in reach)
+            assert (s.ideal(x) == s.ideal(y)) == (ideal[x] == ideal[y])
+
+
+def assert_equal_ideals_are_associates(s):
+    """In a finite commutative ring xR = yR makes x and y associates, so the
+    classes of s.ideal() are the orbits under the units."""
+    units = [u for u in els(s) if s.is_unit(u)]
+    ideal = {x: s.ideal(x) for x in els(s)}
+    for x in els(s):
+        assert {s.mul(u, x) for u in units} == {y for y in els(s) if ideal[y] == ideal[x]}
 
 
 @pytest.mark.parametrize("spec", RINGS)
 def test_structure_primitives_match_definitions(spec):
     assert_primitives_match_definitions(structure(spec))
+
+
+@pytest.mark.parametrize("spec", RINGS)
+def test_equal_ideals_are_associates(spec):
+    assert_equal_ideals_are_associates(structure(spec))
 
 
 @pytest.mark.parametrize("checker", list(DEFINITIONS), ids=lambda f: f.__name__)
@@ -225,8 +309,15 @@ def test_polynomial_quotients_agree_with_definitions(p, f):
     coefficients from the constant term up."""
     s = PolyModStructure(p, f)
     assert_primitives_match_definitions(s)
-    for checker in (stable_range_1, is_clean, all_nonzero_adequate):
+    assert_equal_ideals_are_associates(s)
+    for checker in DEFINITIONS:
+        assert checker(s) == checker(Flat(s))
         assert checker(s)[0] == (DEFINITIONS[checker](s) is None)
+    assert all_nonzero_adequate(s) == adequate_bitmask(s)
+    for x in els(s):
+        q = s.quotient(x)
+        assert q.size == len(els(s)) // len({s.mul(x, t) for t in els(s)})
+        assert {s.mul(x, t) for t in els(s)} == {w for w in els(s) if not _pdivmod(w, q.f, p)[1]}
 
 
 @pytest.mark.parametrize("make, checker", [
@@ -285,3 +376,142 @@ def test_caches_are_bounded():
         stability._structure(ModularRing(n))
     info = stability._structure.cache_info()
     assert info.currsize == info.maxsize
+
+
+# -- closed forms against tables and the element-by-element search ---------------
+
+
+def factorizations(limit, parts=2):
+    """Every ordered tuple of at least `parts` moduli >= 2 with product <= limit."""
+    def grow(prefix, room):
+        if len(prefix) >= parts:
+            yield prefix
+        for m in range(2, room + 1):
+            yield from grow(prefix + (m,), room // m)
+    return list(grow((), limit))
+
+
+def assert_matches_table(ring):
+    s, t = structure_for(ring), TableStructure.for_ring(ring)
+    assert [s.value(x) for x in els(s)] == [t.value(x) for x in els(t)]
+    quotients = {}
+    for x in els(s):
+        assert s.is_unit(x) == t.is_unit(x)
+        assert [in_ideal(s, s.ideal(x), y) for y in els(s)] == [y in t.ideal(x) for y in els(t)]
+        assert [s.comaximal(x, y) for y in els(s)] == [t.comaximal(x, y) for y in els(t)]
+        if t.ideal(x) not in quotients:
+            quotients[t.ideal(x)] = t.quotient(x).size
+        assert s.quotient(x).size == quotients[t.ideal(x)]
+    assert_equal_ideals_are_associates(s)
+    for checker in (stable_range_1, is_clean, locally_stable, neat_range_1):
+        assert checker(s) == checker(t)
+    assert all_nonzero_adequate(s) == adequate_bitmask(t) == (True, None)
+
+
+@pytest.mark.parametrize("top", range(20, 201, 20))
+def test_modular_structures_match_tables(top):
+    for m in range(top - 19 if top > 20 else 2, top + 1):
+        assert_matches_table(ModularRing(m))
+
+
+PRODUCT_LIMIT = 60
+
+
+@pytest.mark.parametrize("moduli", factorizations(PRODUCT_LIMIT), ids=str)
+def test_product_structures_match_tables(moduli):
+    assert_matches_table(make_ring("product:" + ",".join(f"zmod:{m}" for m in moduli)).ring)
+
+
+@pytest.mark.parametrize("spec", ["product:zmod:2,zmod:100", "product:zmod:100,zmod:2",
+                                  "product:zmod:10,zmod:20", "product:zmod:12,zmod:16",
+                                  "product:zmod:2,zmod:3,zmod:5,zmod:6",
+                                  "product:zmod:4,zmod:49", "product:zmod:8,zmod:25"])
+def test_larger_product_structures_match_tables(spec):
+    assert_matches_table(make_ring(spec).ring)
+
+
+@pytest.mark.parametrize("spec", ["product:zmod:4,zmod:6", "product:zmod:2,zmod:3,zmod:4",
+                                  "product:zmod:6,text:zmod:2,self"])
+def test_product_ideals_are_associate_classes(spec):
+    s = structure(spec)
+    assert isinstance(s, ProductStructure)
+    assert_primitives_match_definitions(s)
+    assert_equal_ideals_are_associates(s)
+
+
+def failing_products():
+    """Products with a hand-built factor, nested products among them."""
+    z2, z3 = ModStructure(2), ModStructure(3)
+    return {
+        "hidden,z3": ProductStructure([hidden_unit(), z3]),
+        "z3,hidden": ProductStructure([z3, hidden_unit()]),
+        "z2,hidden,z3": ProductStructure([z2, hidden_unit(), z3]),
+        "(z2,hidden),z3": ProductStructure([ProductStructure([z2, hidden_unit()]), z3]),
+        "hidden,z2,hidden": ProductStructure([hidden_unit(), z2, hidden_unit()]),
+        "late,hidden": ProductStructure([late_miss(), hidden_unit()]),
+        "hidden,late": ProductStructure([hidden_unit(), late_miss()]),
+        "inadequate,z2": ProductStructure([inadequate(), z2]),
+        "z2,inadequate": ProductStructure([z2, inadequate()]),
+        "z3,inadequate,z2": ProductStructure([z3, inadequate(), z2]),
+        "(z2,inadequate),z3": ProductStructure([ProductStructure([z2, inadequate()]), z3]),
+        "inadequate,inadequate": ProductStructure([inadequate(), inadequate()]),
+    }
+
+
+@pytest.mark.parametrize("name", list(failing_products()))
+def test_product_witnesses_are_the_element_order_ones(name):
+    s = failing_products()[name]
+    checkers = ([all_nonzero_adequate] if "inadequate" in name
+                else [stable_range_1, is_clean, locally_stable, neat_range_1])
+    for checker in checkers:
+        holds, witness = checker(s)
+        assert not holds and rechecks(checker, s, witness)
+        assert (holds, witness) == checker(Flat(s))
+    assert all_nonzero_adequate(s) == adequate_bitmask(s)
+
+
+@pytest.mark.parametrize("make", [hidden_unit, inadequate], ids=lambda f: f.__name__)
+def test_class_based_adequacy_matches_bitmask_oracle(make):
+    s = make()
+    assert all_nonzero_adequate(s) == adequate_bitmask(s)
+
+
+@pytest.mark.parametrize("spec", RINGS + ["zmod:72", "product:zmod:4,zmod:9",
+                                          "product:zmod:2,zmod:2,zmod:2"])
+def test_class_based_adequacy_matches_bitmask_oracle_on_rings(spec):
+    s = structure(spec)
+    assert all_nonzero_adequate(s) == adequate_bitmask(s) == all_nonzero_adequate(Flat(s))
+
+
+# -- scale ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec, peak_mib", [("product:zmod:64,zmod:64", 1), ("zmod:9240", 8)])
+def test_scale_without_tables(monkeypatch, spec, peak_mib):
+    """At the table cap (64 x 64) and on 64 divisors, all five checks run
+    without a table and within a fixed allocation bound."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(TableStructure, "__init__", no_table)
+    ring = make_ring(spec).ring
+    tracemalloc.start()
+    try:
+        for prop in stability.PROPERTIES:
+            assert stability.check_property(ring, prop).holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < peak_mib * 2 ** 20
+
+
+def test_is_stable_on_a_degree_13_quotient():
+    """GF(2)[x]/(x^5 (x+1)^4 (x^2+x+1)^2): 8,192 elements and 90 ideals."""
+    f = (1,)
+    for factor, power in (((0, 1), 5), ((1, 1), 4), ((1, 1, 1), 2)):
+        for _ in range(power):
+            f = _pmul(f, factor, 2)
+    assert len(f) - 1 == 13
+    t0 = time.perf_counter()
+    assert stability.is_stable(element(GFPolynomialRing(2), f)).holds
+    print(f"is_stable, 8,192 elements: {time.perf_counter() - t0:.2f} s")

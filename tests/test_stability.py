@@ -280,3 +280,30 @@ def test_verdict_json_shape():
                    "witness": [3, 5], "searchBound": 50}
     v = check_property(ModularRing(6), "clean")
     assert v.to_json() == {"property": "clean", "holds": True}
+
+
+@pytest.mark.parametrize("spec", ["product:zmod:2,text:zmod:2,self",
+                                  "product:text:zmod:2,self,zmod:3"])
+def test_finite_comaximality_on_products_matches_ideal_sums(spec):
+    """is_coprime and the joint test of sr2_witness on products outside the
+    Bezout rings, against sums of principal ideals of the whole ring."""
+    from itertools import product
+
+    from edrkit.stability import _jointly_comaximal
+
+    ring = make_ring(spec).ring
+    assert not ring.bezout_total
+    els = list(ring.elements())
+    ideal = {x: {ring.mul(x, t) for t in els} for x in els}
+
+    def reaches_one(*xs):
+        reach = {ring.zero}
+        for x in xs:
+            reach = {ring.add(p, q) for p in reach for q in ideal[x]}
+        return ring.one in reach
+
+    for a, b in product(els, repeat=2):
+        assert is_coprime(element(ring, a), element(ring, b)) == reaches_one(a, b)
+    for a, b, c in product(els, repeat=3):
+        triple = [element(ring, v) for v in (a, b, c)]
+        assert _jointly_comaximal(triple) == reaches_one(a, b, c)
