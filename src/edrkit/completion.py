@@ -12,6 +12,15 @@ ring operations; no general determinant is computed.  All intermediate
 witnesses are kept in the result's trace so the determinant identity can be
 replayed.
 
+The work is done on raw ring values; only the trace entries, the result and
+the arguments of the entry points :func:`~edrkit.stability.select_stable` and
+:func:`~edrkit.stability.lift_unit` are boxed as elements.  The row is folded
+once, its Bezout coefficients built in one pass from the right.  The lift
+moduli and every comaximality test (the precondition and the residue search
+of each unit lift) are gcd-only: they fold ``Ring.gcd`` and never build the
+cofactors of a Bezout certificate.  Only the row fold and the closing pair
+(alpha, beta) need cofactors, and only they call ``bezout_raw``.
+
 :func:`complete_unimodular` is the d = 1 special case: a unimodular row is
 the first row of a matrix with determinant exactly 1.
 """
@@ -20,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import Any
 
 from .matrices import RingMatrix
 from .matrices import determinant  # noqa: F401  not called here; bench/tracing.py wraps this name
@@ -30,12 +40,7 @@ from .rings import (
     RingError,
     _raw,
     _same_ring,
-    bezout,
-    divide_exact,
-    divides,
-    is_unit,
     one,
-    zero,
 )
 from .stability import lift_unit, select_stable
 
@@ -68,120 +73,132 @@ def _trace_json(ring: Ring, v):
     return v
 
 
-def _row_gcd_with_coefficients(row: list[RingElement]) -> tuple[RingElement, list[RingElement]]:
-    """Canonical generator g of sum(a_i R) and coefficients with sum a_i x_i = g."""
-    ring = row[0].ring
+def _row_gcd_with_coefficients(ring: Ring, row: list) -> tuple[Any, list]:
+    """Generator g of sum(a_i R) and coefficients with sum a_i x_i = g, raw values.
+
+    The row is folded from the left, g_k being the Bezout d of (g_{k-1}, a_k)
+    with cofactors (u_k, v_k), so x_i = v_i * u_{i+1} * ... * u_n (v_1 = 1):
+    one pass from the right builds them all in O(n) multiplications.
+    """
+    zero, mul = ring.zero, ring.mul
     g = row[0]
-    coeffs = [one(ring)]
+    us, vs = [], [ring.one]
     for a in row[1:]:
-        cert = bezout(g, a)
-        if cert.degenerate:
-            coeffs.append(zero(ring))
-            g = cert.d
+        if g == zero and a == zero:  # the zero ideal so far: a_k takes no weight
+            us.append(ring.one)
+            vs.append(zero)
             continue
-        coeffs = [c * cert.x for c in coeffs]
-        coeffs.append(cert.y)
-        g = cert.d
+        g, u, v, _, _ = ring.bezout_raw(g, a)
+        us.append(u)
+        vs.append(v)
+    coeffs = [vs[-1]]
+    tail = ring.one
+    for u, v in zip(reversed(us), reversed(vs[:-1])):
+        tail = mul(tail, u)
+        coeffs.append(mul(v, tail))
+    coeffs.reverse()
     return g, coeffs
 
 
-def complete_row(row, d: RingElement) -> CompletionResult:
+def complete_row(row, d: RingElement, fold=None) -> CompletionResult:
     """Complete (a_1, ..., a_n) with sum(a_i R) = dR to det exactly d; n >= 2.
 
     Preconditions are checked through certificates: the row gcd must generate
-    the same ideal as d, and d must divide every entry.
+    the same ideal as d, and d must divide every entry.  ``fold`` is the
+    row's ``_row_gcd_with_coefficients`` where the caller already has it.
     """
     row = list(row)
     if len(row) < 2:
         raise PreconditionError("complete_row needs a row of length >= 2")
     ring = _same_ring(*row, d)
-    g, xs = _row_gcd_with_coefficients(row)
-    if not (divides(g, d) and divides(d, g)):
+    values = [a.value for a in row]
+    dv = d.value
+    g, xs = fold if fold is not None else _row_gcd_with_coefficients(ring, values)
+    if not (ring.divides(g, dv) and ring.divides(dv, g)):
         raise PreconditionError(
-            f"the row generates {g!r}R, which differs from {d!r}R")
-    if d.is_zero():
+            f"the row generates {_raw(ring, g)!r}R, which differs from {d!r}R")
+    if dv == ring.zero:
         # zero row, zero determinant: identity rows below keep det 0
         n = len(row)
-        body = [[a.value for a in row]]
+        body = [values]
         for i in range(1, n):
             body.append([ring.one if j == i else ring.zero for j in range(n)])
-        matrix = RingMatrix(ring, body)
+        matrix = RingMatrix._trusted(ring, body)
         return CompletionResult(matrix, d, {"x": [], "q": []})
     # scale the certificate so sum a_i x_i is exactly d rather than an associate
-    u = ring.associate_unit(d.value, g.value)
-    xs = [x * _raw(ring, u) for x in xs]
-    qs = [divide_exact(a, d) for a in row]
+    u = ring.associate_unit(dv, g)
+    if u != ring.one:
+        xs = [ring.mul(x, u) for x in xs]
+    qs = [ring.divide_exact(a, dv) for a in values]
 
     if len(row) == 2:
-        a1, a2 = row
+        a1, a2 = values
         x1, x2 = xs
-        matrix = RingMatrix(ring, [[a1.value, a2.value],
-                                   [ring.neg(x2.value), x1.value]])
-        return CompletionResult(matrix, d, {"x": xs, "q": qs})
+        matrix = RingMatrix._trusted(ring, [[a1, a2], [ring.neg(x2), x1]])
+        return CompletionResult(matrix, d, {"x": _box(ring, xs), "q": _box(ring, qs)})
 
-    return _complete_row_many(ring, row, d, xs, qs)
+    return _complete_row_many(ring, values, d, xs, qs)
 
 
-def _tail_moduli(w: RingElement, rest: list[RingElement]) -> list[RingElement]:
-    """For each i, the Bezout fold of w, rest[i+1], ..., rest[-1] from the left.
+def _box(ring: Ring, values) -> list[RingElement]:
+    return [_raw(ring, v) for v in values]
+
+
+def _tail_moduli(ring: Ring, w, rest: list) -> list:
+    """For each i, the gcd fold of w, rest[i+1], ..., rest[-1] from the left.
 
     Where the ring's Bezout d is canonical the fold order cannot change it,
-    so the suffixes are folded once from the right: n - 1 Bezout calls
-    instead of n^2 / 2.
+    so the suffixes are folded once from the right: n - 1 gcds instead of
+    n^2 / 2.
     """
-    if not w.ring.canonical_bezout:
-        return [reduce(lambda c, h: bezout(c, h).d, rest[i + 1:], w) for i in range(len(rest))]
+    if not ring.canonical_bezout:
+        return [reduce(ring.gcd, rest[i + 1:], w) for i in range(len(rest))]
     moduli = [w]
     for h in reversed(rest[1:]):
-        moduli.append(bezout(moduli[-1], h).d)
+        moduli.append(ring.gcd(moduli[-1], h))
     return moduli[::-1]
 
 
-def _complete_row_many(ring: Ring, row, d, xs, qs) -> CompletionResult:
+def _complete_row_many(ring: Ring, row: list, d: RingElement, xs: list, qs: list
+                       ) -> CompletionResult:
     n = len(row)
+    add, sub, mul, neg, zero = ring.add, ring.sub, ring.mul, ring.neg, ring.zero
     # c measures the defect of the certificate; d*c = 0 always
-    c = zero(ring)
-    for x, q in zip(xs, qs):
-        c = c + x * q
-    c = c - one(ring)
-    if not (d * c).is_zero():
+    c = sub(ring.dot(xs, qs), ring.one)
+    if mul(d.value, c) != zero:
         raise RingError("internal error: d*c != 0 in row completion")
 
     # generators after the leading one: q_2, ..., q_{n-1}, q_n*x_n - c
-    gens = list(qs[1:-1]) + [qs[-1] * xs[-1] - c]
-    combo = zero(ring)
-    for gi, xi in zip(gens[:-1], xs[1:-1]):
-        combo = combo + gi * xi
-    combo = combo + gens[-1]
+    gens = qs[1:-1] + [sub(mul(qs[-1], xs[-1]), c)]
+    combo = add(ring.dot(gens[:-1], xs[1:-1]), gens[-1])
     # q_1 * x_1 + combo = 1, so (q_1, combo) is comaximal; pick the stable shift
-    t = select_stable(qs[0], combo)
-    w = qs[0] + combo * t
+    t = select_stable(_raw(ring, qs[0]), _raw(ring, combo)).value
+    w = add(qs[0], mul(combo, t))
 
     # chained unit lifts: fold q_3, ..., then the last generator, into z
     z = gens[0]  # q_2
-    ys: list[RingElement] = []
+    ys = []
     rest = gens[1:]
-    for gi, ci in zip(rest, _tail_moduli(w, rest)):
-        yi = lift_unit(z, gi, ci)
+    for gi, ci in zip(rest, _tail_moduli(ring, w, rest)):
+        yi = lift_unit(_raw(ring, z), _raw(ring, gi), _raw(ring, ci)).value
         ys.append(yi)
-        z = z + gi * yi
+        z = add(z, mul(gi, yi))
 
     # unfold w along z: w = alpha + z*(x_2*t) with the recorded shears s_i
-    x2t = xs[1] * t
-    ss = [xs[i] * t - ys[i - 2] * x2t for i in range(2, n - 1)]  # for q_3..q_{n-1}
-    ss.append(t - ys[-1] * x2t)                                  # for the last generator
-    alpha = qs[0]
-    for gi, si in zip(rest, ss):
-        alpha = alpha + gi * si
-    if alpha + z * x2t != w:
+    x2t = mul(xs[1], t)
+    ss = [sub(mul(xs[i], t), mul(ys[i - 2], x2t)) for i in range(2, n - 1)]  # for q_3..q_{n-1}
+    ss.append(sub(t, mul(ys[-1], x2t)))                                     # for the last generator
+    alpha = add(qs[0], ring.dot(rest, ss))
+    if add(alpha, mul(z, x2t)) != w:
         raise RingError("internal error: stable modulus decomposition failed")
 
-    cert = bezout(alpha, z)
-    if not is_unit(cert.d):
+    if alpha == zero and z == zero:  # no certificate: bezout_raw takes no zero pair
         raise RingError("internal error: alpha and z are not comaximal")
-    scale = _raw(ring, ring.inverse(cert.d.value))
-    sv = cert.x * scale
-    tv = cert.y * scale
+    g, sv, tv, _, _ = ring.bezout_raw(alpha, z)
+    if not ring.is_unit(g):
+        raise RingError("internal error: alpha and z are not comaximal")
+    scale = ring.inverse(g)
+    sv, tv = mul(sv, scale), mul(tv, scale)
 
     # the bordered matrix after the column operations has first row
     # (q_1 - c*s_n, q_2 - c*y_n, q_3, ..., q_n), second row (-tv, sv, 0, ...),
@@ -189,28 +206,26 @@ def _complete_row_many(ring: Ring, row, d, xs, qs) -> CompletionResult:
     # so its determinant u is that of the block's 2x2 Schur complement
     s_n = ss[-1]
     y_n = ys[-1]
-    lower = [(-s, -y) for s, y in zip(ss[:-1], ys[:-1])]
-    lower.append((-(xs[-1] * s_n), -(xs[-1] * y_n)))
-    e0, e1 = qs[0] - c * s_n, qs[1] - c * y_n
-    for q, (c0, c1) in zip(qs[2:], lower):
-        e0 = e0 - q * c0
-        e1 = e1 - q * c1
-    u = e0 * sv + e1 * tv
-    if not is_unit(u):
+    lower = [(neg(s), neg(y)) for s, y in zip(ss[:-1], ys[:-1])]
+    lower.append((neg(mul(xs[-1], s_n)), neg(mul(xs[-1], y_n))))
+    e0 = sub(sub(qs[0], mul(c, s_n)), ring.dot(qs[2:], [c0 for c0, _ in lower]))
+    e1 = sub(sub(qs[1], mul(c, y_n)), ring.dot(qs[2:], [c1 for _, c1 in lower]))
+    u = add(mul(e0, sv), mul(e1, tv))
+    if not ring.is_unit(u):
         raise RingError("internal error: bordered determinant is not a unit")
 
     # row 1 times d is exactly the input row (d*c = 0 kills the c-terms);
     # scaling row 2 by 1/u makes the determinant exactly d
-    uin = ring.inverse(u.value)
-    final = [[a.value for a in row],
-             [ring.mul(uin, ring.neg(tv.value)), ring.mul(uin, sv.value)] + [ring.zero] * (n - 2)]
+    uin = ring.inverse(u)
+    final = [row, [mul(uin, neg(tv)), mul(uin, sv)] + [zero] * (n - 2)]
     for i, (c0, c1) in enumerate(lower, start=2):
-        final.append([c0.value, c1.value] + [ring.one if j == i else ring.zero for j in range(2, n)])
-    matrix = RingMatrix(ring, final)
+        final.append([c0, c1] + [ring.one if j == i else zero for j in range(2, n)])
+    matrix = RingMatrix._trusted(ring, final)
     trace = {
-        "x": xs, "q": qs, "c": c, "w": w, "t": t,
-        "y": ys, "s": ss, "alpha": alpha, "beta": z,
-        "sv": sv, "tv": tv, "u": u,
+        "x": _box(ring, xs), "q": _box(ring, qs), "c": _raw(ring, c), "w": _raw(ring, w),
+        "t": _raw(ring, t), "y": _box(ring, ys), "s": _box(ring, ss),
+        "alpha": _raw(ring, alpha), "beta": _raw(ring, z),
+        "sv": _raw(ring, sv), "tv": _raw(ring, tv), "u": _raw(ring, u),
     }
     return CompletionResult(matrix, d, trace)
 
@@ -226,7 +241,8 @@ def complete_unimodular(row) -> CompletionResult:
             raise PreconditionError(
                 "a length-1 row completes to det 1 only for the row (1)")
         return CompletionResult(RingMatrix(ring, [[ring.one]]), one(ring), {})
-    g, _ = _row_gcd_with_coefficients(row)
-    if not is_unit(g):
-        raise PreconditionError(f"the row is not unimodular: it generates {g!r}R")
-    return complete_row(row, one(ring))
+    fold = _row_gcd_with_coefficients(ring, [a.value for a in row])
+    if not ring.is_unit(fold[0]):
+        raise PreconditionError(
+            f"the row is not unimodular: it generates {_raw(ring, fold[0])!r}R")
+    return complete_row(row, one(ring), fold)

@@ -55,7 +55,7 @@ from .rings import (
     UnsupportedOperationError,
     _padd,
     _pdivmod,
-    _pmonic,
+    _pgcd,
     _pmul,
     _pneg,
     _ptrim,
@@ -134,13 +134,6 @@ def _polys(p: int, deg: int):
     """The polynomials over GF(p) of degree below deg, in element order."""
     for t in itertools.product(range(p), repeat=deg):
         yield _ptrim(list(t))
-
-
-def _pgcd(a, b, p: int) -> tuple:
-    """Monic gcd over GF(p) (the zero tuple for two zeros)."""
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    return _pmonic(a, p)
 
 
 class PolyModStructure:

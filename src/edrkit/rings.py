@@ -164,6 +164,13 @@ def _pmonic(a: tuple[int, ...], p: int) -> tuple[int, ...]:
     return tuple((c * inv) % p for c in a)
 
 
+def _pgcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Monic gcd over GF(p)[x] (the zero tuple for two zeros)."""
+    while b:
+        a, b = b, _pdivmod(a, b, p)[1]
+    return _pmonic(a, p)
+
+
 def _pegcd(a: tuple[int, ...], b: tuple[int, ...], p: int):
     """Extended gcd over GF(p)[x]: (g, x, y) with a*x + b*y = g, g monic or 0."""
     r0, r1 = a, b
@@ -347,6 +354,17 @@ class Ring(ABC):
     def bezout_raw(self, a: Any, b: Any) -> tuple[Any, Any, Any, Any, Any]:
         """(d, x, y, a0, b0) for a nonzero pair; the (0, 0) pair never reaches here."""
 
+    def gcd(self, a: Any, b: Any) -> Any:
+        """Exactly bezout_raw(a, b)[0], and zero for the (0, 0) pair.
+
+        The generator of aR + bR without the cofactors: comaximality tests
+        and gcd folds need only this.  A ring with a cheaper way to the same
+        value overrides it.
+        """
+        if a == self.zero and b == self.zero:
+            return self.zero
+        return self.bezout_raw(a, b)[0]
+
     def canonical_associate(self, a: Any) -> Any:
         """The canonical generator of aR (nonnegative / monic / divisor of n)."""
         if a == self.zero:
@@ -507,6 +525,9 @@ class IntegerRing(Ring):
         g, x, y = _egcd(a, b)
         return g, x, y, (a // g), (b // g)
 
+    def gcd(self, a, b):
+        return gcd(a, b)
+
     canonical_bezout = True
 
     euclidean = True
@@ -654,6 +675,9 @@ class ModularRing(Ring):
         a0 = (a0_base + big_n * alpha) % n
         return (d % n, x, y, a0, b0)
 
+    def gcd(self, a, b):
+        return gcd(a, b, self.n) % self.n
+
     canonical_bezout = True
 
     def value_to_json(self, v):
@@ -747,6 +771,9 @@ class GFPolynomialRing(Ring):
     def bezout_raw(self, a, b):
         g, x, y = _pegcd(a, b, self.p)
         return g, x, y, self.divide_exact(a, g), self.divide_exact(b, g)
+
+    def gcd(self, a, b):
+        return _pgcd(a, b, self.p)
 
     canonical_bezout = True
 
@@ -878,6 +905,9 @@ class ProductRing(Ring):
             a0s.append(a0i)
             b0s.append(b0i)
         return tuple(ds), tuple(xs), tuple(ys), tuple(a0s), tuple(b0s)
+
+    def gcd(self, a, b):
+        return tuple([f.gcd(ai, bi) for f, ai, bi in zip(self.factors, a, b)])
 
     def value_to_json(self, v):
         return [f.value_to_json(c) for f, c in zip(self.factors, v)]

@@ -14,7 +14,7 @@ infinite rings only bounded verdicts are offered and they say so explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import exhaustive
 from .exhaustive import PolyModStructure, int_quotient_stable_range_1
@@ -83,17 +83,41 @@ def _structure(ring: Ring):
     return exhaustive.structure_for(ring)
 
 
-def is_coprime(a: RingElement, b: RingElement) -> bool:
-    """True iff aR + bR = R (the recurring comaximality hypothesis)."""
-    ring = _same_ring(a, b)
-    if ring.bezout_total or isinstance(ring, TruncatedSeriesRing):
-        cert = bezout(a, b)
-        return not cert.degenerate and is_unit(cert.d)
+def _comaximal(ring: Ring, values: list) -> bool:
+    """True iff the raw values generate R, that is sum(v R) = R.
+
+    Where Bezout is total this folds ``Ring.gcd`` and asks whether the
+    result is a unit: no cofactors are built.  Truncated series lead with a
+    value of nonzero constant term, the only way a combination reaches 1,
+    which keeps every gcd of the fold supported.  Products go factor by
+    factor and the other finite rings ask their exhaustive structure.
+    """
+    if ring.bezout_total:
+        return ring.is_unit(reduce(ring.gcd, values))
+    if isinstance(ring, TruncatedSeriesRing):
+        lead = next((i for i, v in enumerate(values) if v[0] != 0), None)
+        if lead is None:
+            return False
+        values = [values[lead]] + values[:lead] + values[lead + 1:]
+        return ring.is_unit(reduce(ring.gcd, values))
+    if isinstance(ring, ProductRing):
+        return all(_comaximal(f, [v[k] for v in values]) for k, f in enumerate(ring.factors))
     if ring.finite:
         s = _structure(ring)
-        return s.comaximal(s.locate(a.value), s.locate(b.value))
+        idxs = [s.locate(v) for v in values]
+        if len(idxs) == 2:
+            return s.comaximal(*idxs)
+        reach = s.ideal(idxs[0])
+        for i in idxs[1:]:
+            reach = frozenset(s.add(p, q) for p in reach for q in s.ideal(i))
+        return s.one in reach
     raise UnsupportedOperationError(
         f"comaximality is not decidable for {ring.expression()}")
+
+
+def is_coprime(a: RingElement, b: RingElement) -> bool:
+    """True iff aR + bR = R (the recurring comaximality hypothesis)."""
+    return _comaximal(_same_ring(a, b), [a.value, b.value])
 
 
 def unit_mod(a: RingElement, c: RingElement) -> bool:
@@ -102,31 +126,7 @@ def unit_mod(a: RingElement, c: RingElement) -> bool:
 
 
 def _jointly_comaximal(els: list[RingElement]) -> bool:
-    ring = els[0].ring
-    if isinstance(ring, TruncatedSeriesRing):
-        # a combination can only reach 1 through the constant terms, and
-        # leading with a nonzero constant keeps every pairwise gcd supported
-        lead = next((i for i, e in enumerate(els) if e.value[0] != 0), None)
-        if lead is None:
-            return False
-        els = [els[lead]] + els[:lead] + els[lead + 1:]
-    if ring.bezout_total or isinstance(ring, TruncatedSeriesRing):
-        acc = els[0]
-        for e in els[1:]:
-            acc = bezout(acc, e).d
-        return is_unit(acc)
-    if isinstance(ring, ProductRing):
-        return all(_jointly_comaximal([_raw(f, e.value[k]) for e in els])
-                   for k, f in enumerate(ring.factors))
-    if ring.finite:
-        s = _structure(ring)
-        idxs = [s.locate(e.value) for e in els]
-        reach = s.ideal(idxs[0])
-        for i in idxs[1:]:
-            reach = frozenset(s.add(p, q) for p in reach for q in s.ideal(i))
-        return s.one in reach
-    raise UnsupportedOperationError(
-        f"comaximality is not decidable for {ring.expression()}")
+    return _comaximal(els[0].ring, [e.value for e in els])
 
 
 def select_stable(a: RingElement, b: RingElement) -> RingElement:
@@ -191,19 +191,20 @@ def lift_unit(a: RingElement, b: RingElement, c: RingElement) -> RingElement:
         for f, av, bv, cv in zip(ring.factors, a.value, b.value, c.value):
             parts.append(lift_unit(_raw(f, av), _raw(f, bv), _raw(f, cv)).value)
         return _raw(ring, tuple(parts))
-    if not _jointly_comaximal([a, b, c]):
+    av, bv, cv = a.value, b.value, c.value
+    if not _comaximal(ring, [av, bv, cv]):
         raise PreconditionError(
             f"lift_unit requires aR + bR + cR = R, got {a!r}, {b!r}, {c!r}")
     try:
-        residues = ring.residues_mod(c.value)
+        residues = ring.residues_mod(cv)
     except UnsupportedOperationError:
-        if is_coprime(a, c):
+        if _comaximal(ring, [av, cv]):
             return zero(ring)
         raise PreconditionError(
             f"quotient by {c!r} admits no residue enumeration and y = 0 fails")
+    add, mul = ring.add, ring.mul
     for yv in residues:
-        cand = _raw(ring, ring.add(a.value, ring.mul(b.value, yv)))
-        if is_coprime(cand, c):
+        if _comaximal(ring, [add(av, mul(bv, yv)), cv]):
             return _raw(ring, yv)
     raise RuntimeError(
         "internal error: unit lift search exhausted although the precondition held")
@@ -321,7 +322,7 @@ def coprime_factorization(c: RingElement, a: RingElement, b: RingElement
         r = c
         s = one(ring)
         while True:
-            g = bezout(r, a).d
+            g = _raw(ring, ring.gcd(r.value, a.value))
             if is_unit(g):
                 return (r, s)
             r = _raw(ring, ring.divide_exact(r.value, g.value))

@@ -1,0 +1,107 @@
+"""Properties of row completion over every ring kind with total Bezout.
+
+For random rows over Z, Z/n, GF(p)[x], products and ``text:z,q``:
+
+* the row fold's coefficients x_i satisfy sum a_i x_i = g, and g is the
+  fold of Bezout d's from the left (``bezout`` on boxed elements, another
+  code path than the fold's raw ``bezout_raw`` calls);
+* ``complete_row(row, d)``, with d the row's gcd times a unit, keeps the
+  row as its exact first row and has Berkowitz determinant exactly d.
+"""
+
+from fractions import Fraction
+from functools import reduce
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edrkit import bezout, complete_row, determinant, element, make_ring
+from edrkit.completion import _row_gcd_with_coefficients
+from edrkit.rings import (
+    GFPolynomialRing,
+    IntegerRing,
+    ModularRing,
+    ProductRing,
+    Ring,
+    TrivialExtensionRing,
+)
+
+SPECS = ["z", "zmod:360", "zmod:7", "gfpoly:5", "gfpoly:2", "product:zmod:12,z",
+         "product:gfpoly:3,zmod:8", "text:z,q"]
+
+
+def _values(ring: Ring):
+    """Small normal raw values, zero drawn often."""
+    if isinstance(ring, IntegerRing):
+        raw = st.integers(-60, 60)
+    elif isinstance(ring, ModularRing):
+        raw = st.integers(0, ring.n - 1)
+    elif isinstance(ring, GFPolynomialRing):
+        raw = st.lists(st.integers(0, ring.p - 1), max_size=4).map(ring.normalize)
+    elif isinstance(ring, ProductRing):
+        raw = st.tuples(*(_values(f) for f in ring.factors))
+    elif isinstance(ring, TrivialExtensionRing):
+        raw = st.tuples(st.integers(-30, 30),
+                        st.fractions(min_value=-20, max_value=20, max_denominator=12))
+    else:  # pragma: no cover
+        raise AssertionError(f"no strategy for {ring!r}")
+    return st.one_of(st.just(ring.zero), raw)
+
+
+def _rows(ring: Ring, max_size: int):
+    return st.lists(_values(ring), min_size=2, max_size=max_size)
+
+
+def _bezout_fold(ring, row):
+    els = [element(ring, v) for v in row]
+    return reduce(lambda g, a: bezout(g, a).d, els[1:], els[0]).value
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_fold_coefficients_combine_to_the_gcd(spec):
+    ring = make_ring(spec).ring
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(row=_rows(ring, 14))
+    def check(row):
+        g, xs = _row_gcd_with_coefficients(ring, row)
+        assert g == _bezout_fold(ring, row)
+        assert len(xs) == len(row)
+        assert reduce(ring.add, map(ring.mul, row, xs), ring.zero) == g
+
+    check()
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_completion_keeps_the_row_and_has_determinant_d(spec):
+    ring = make_ring(spec).ring
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(row=_rows(ring, 6), unit=_values(ring))
+    def check(row, unit):
+        if not ring.is_unit(unit):
+            unit = ring.one
+        dv = ring.mul(_bezout_fold(ring, row), unit)
+        d = element(ring, dv)
+        res = complete_row([element(ring, v) for v in row], d)
+        n = len(row)
+        assert res.matrix.rows == res.matrix.cols == n
+        assert res.matrix.data[0] == tuple(row)
+        assert res.d == d
+        assert determinant(res.matrix) == d
+
+    check()
+
+
+def test_text_rationals_rows_in_the_square_zero_ideal():
+    """Rows with every base part zero generate (0, q)R: the fold's gcd and
+    cofactors come from the rational gcd branch."""
+    ring = make_ring("text:z,q").ring
+    row = [(0, Fraction(1, 2)), (0, Fraction(-1, 3)), (0, Fraction(5, 4))]
+    g, xs = _row_gcd_with_coefficients(ring, row)
+    assert g == (0, Fraction(1, 12))
+    assert reduce(ring.add, map(ring.mul, row, xs), ring.zero) == g
+    d = element(ring, g)
+    res = complete_row([element(ring, v) for v in row], d)
+    assert determinant(res.matrix) == d

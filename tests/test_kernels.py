@@ -10,7 +10,11 @@ generic ``Ring`` add/mul loops:
 * ``ProductRing``: ``dot``, each factor's own ``dot`` on its component column;
 * ``TrivialExtensionRing`` with the rational module: ``add``, ``mul`` and
   ``dot`` on the numerators and denominators of the module parts, one
-  ``Fraction`` per result.
+  ``Fraction`` per result;
+* ``gcd`` on Z (``math.gcd``), Z/n (``gcd(a, b, n) % n``), GF(p)[x] (monic
+  Euclid) and products (componentwise), each exactly ``bezout_raw(a, b)[0]``
+  and zero on the zero pair; the other rings use the default, which is that
+  by definition.
 
 The generic ``dot`` is checked against a plain left-to-right sum that starts
 from zero.  Both call the ring's own ``mul``, so the rational-module kernels
@@ -27,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edrkit import make_ring
+from edrkit import exhaustive, make_ring, rings
 from edrkit.cli import CommandRequest, dispatch
 from edrkit.rings import (
     GFPolynomialRing,
@@ -37,6 +41,7 @@ from edrkit.rings import (
     Ring,
     TrivialExtensionRing,
     TruncatedSeriesRing,
+    UnsupportedOperationError,
     _padd,
     _pmul,
 )
@@ -121,6 +126,78 @@ def test_kernels_on_empty_rows_and_zero_multipliers(spec):
     ring.col_axpy(rows, 0, 1, ring.zero)
     assert rows == [[ring.one, ring.neg(ring.one)], [ring.zero, ring.one]]
 
+
+# -- gcd: the generator of bezout_raw without the cofactors ----------------------
+
+GCD_SPECS = SPECS + ["zmod:2", "gfpoly:2", "product:zmod:360,gfpoly:5,text:z,q",
+                     "product:z,product:zmod:6,gfpoly:3"]
+
+
+def _assert_gcd_is_bezout_generator(ring, a, b):
+    if a == ring.zero and b == ring.zero:
+        assert ring.gcd(a, b) == Ring.gcd(ring, a, b) == ring.zero
+        return
+    try:
+        want = ring.bezout_raw(a, b)[0]
+    except UnsupportedOperationError:  # series with both constant terms zero
+        with pytest.raises(UnsupportedOperationError):
+            ring.gcd(a, b)
+        return
+    got = ring.gcd(a, b)
+    assert got == want == Ring.gcd(ring, a, b)
+    assert type(got) is type(want)
+
+
+@pytest.mark.parametrize("spec", GCD_SPECS)
+def test_gcd_is_the_generator_of_bezout_raw(spec):
+    ring = make_ring(spec).ring
+    values = _values(ring)
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(a=values, b=values)
+    def check(a, b):
+        _assert_gcd_is_bezout_generator(ring, a, b)
+        _assert_gcd_is_bezout_generator(ring, b, a)
+        _assert_gcd_is_bezout_generator(ring, a, a)
+
+    check()
+
+
+@pytest.mark.parametrize("spec, pairs", [
+    ("z", [(0, 0), (0, 5), (-5, 0), (0, -7), (-12, 18), (12, -18), (-4, -6), (-1, 0),
+           (-(10**30), 6 * 10**20)]),
+    ("zmod:360", [(0, 0), (0, 7), (180, 0), (359, 1), (24, 36), (120, 240)]),
+    ("gfpoly:5", [((), ()), ((), (3,)), ((2, 4), ()), ((0, 0, 3), (0, 2)),
+                  ((4, 0, 1), (2, 1)), ((1, 1), (4, 4))]),
+    ("product:zmod:4,z", [((0, 0), (0, 0)), ((0, 6), (0, -4)), ((2, 0), (0, 0)),
+                          ((0, -3), (2, 0)), ((3, 0), (1, -9))]),
+    ("text:z,q", [((0, Fraction(0)), (0, Fraction(0))),
+                  ((0, Fraction(1, 2)), (0, Fraction(-1, 3))),
+                  ((-4, Fraction(1, 2)), (6, Fraction(0))),
+                  ((0, Fraction(5)), (-3, Fraction(7, 2)))]),
+    ("series:4", [((0, ()), (0, ())), ((2, ()), (0, (Fraction(1),))),
+                  ((0, (Fraction(1),)), (0, (Fraction(0), Fraction(1)))),
+                  ((-6, (Fraction(1, 3),)), (4, ()))]),
+])
+def test_gcd_on_zero_pairs_signs_and_zero_components(spec, pairs):
+    ring = make_ring(spec).ring
+    for a, b in pairs:
+        a, b = ring.normalize(a), ring.normalize(b)
+        _assert_gcd_is_bezout_generator(ring, a, b)
+        _assert_gcd_is_bezout_generator(ring, b, a)
+
+
+def test_gcd_overrides_and_the_one_polynomial_gcd():
+    for cls in (IntegerRing, ModularRing, GFPolynomialRing, ProductRing):
+        assert cls.gcd is not Ring.gcd, cls
+    for cls in (TrivialExtensionRing, TruncatedSeriesRing):
+        assert cls.gcd is Ring.gcd, cls
+    # the exhaustive GF(p)[x]/(f) structures use the ring module's gcd
+    assert exhaustive._pgcd is rings._pgcd
+    # a zero component pair of a product gives that factor's zero
+    ring = make_ring("product:zmod:4,z").ring
+    assert ring.gcd((0, 0), (2, 0)) == (2, 0)
+    assert ring.gcd((3, 0), (0, 0)) == (1, 0)
 
 
 # -- the rational module against plain Fraction arithmetic ----------------------

@@ -53,6 +53,37 @@ def test_unit_mod_examples():
     assert not unit_mod(element(prod, (3, 2)), element(prod, (10, 4)))
 
 
+def test_series_comaximality_without_constant_terms():
+    """Two series with zero constant terms never generate R; the pair test
+    used to ask for a Bezout certificate that does not exist and raise."""
+    from edrkit.stability import _jointly_comaximal
+
+    s = make_ring("series:4").ring
+    x = element(s, (0, (1,)))
+    x2 = x * x
+    assert not is_coprime(x, x2)
+    assert not unit_mod(x, x2)
+    assert not is_coprime(x2, x)
+    assert not _jointly_comaximal([x, x2])
+    assert not _jointly_comaximal([x, x2, x * x2])
+    assert not is_coprime(x, element(s, (0, ())))
+    one_plus_x = element(s, (1, (1,)))
+    assert is_coprime(x, one_plus_x) and is_coprime(one_plus_x, x2)
+    assert unit_mod(one_plus_x, x2)
+    two, three = element(s, (2, (Fraction(1, 2),))), element(s, (3, ()))
+    assert not is_coprime(two, x) and is_coprime(two, three)
+    # pairs agree with the joint test, in both orders
+    els = [x, x2, one_plus_x, two, three, element(s, (-1, ())), element(s, (0, ()))]
+    for a in els:
+        for b in els:
+            assert is_coprime(a, b) == unit_mod(a, b) == _jointly_comaximal([a, b])
+            assert is_coprime(a, b) == (math.gcd(a.value[0], b.value[0]) == 1)
+    # a unit-free lead: the fold must start from a nonzero constant term
+    assert _jointly_comaximal([x, x2, one_plus_x])
+    assert _jointly_comaximal([x2, two, three])
+    assert not _jointly_comaximal([x, x2, two])
+
+
 def test_select_stable_examples():
     assert select_stable(zel(3), zel(5)).value == 0
     assert int_quotient_stable_range_1(3)
