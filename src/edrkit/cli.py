@@ -35,7 +35,7 @@ from .registry import (
     parse_json,
     ring_catalog,
 )
-from .rings import PreconditionError, RingElement, RingError, UnsupportedOperationError
+from .rings import PreconditionError, RingError, UnsupportedOperationError, _raw
 from .stability import PROPERTIES, check_property
 
 EXIT_OK = 0
@@ -102,7 +102,7 @@ def read_matrix(path_or_inline: str, ring_spec: str) -> RingMatrix:
         rows.append(cells)
     if not rows:
         raise CLIParseError("empty matrix input")
-    return RingMatrix(entry.ring, rows)
+    return RingMatrix._trusted(entry.ring, rows)
 
 
 def _pretty_matrix(m: RingMatrix) -> str:
@@ -176,10 +176,10 @@ def _completion_payload(req: CommandRequest, entry):
             f"{entry.expression()!r}")
     ring = entry.ring
     try:
-        row = [RingElement(ring, ring.value_from_json(v)) for v in obj["row"]]
+        row = [_raw(ring, ring.value_from_json(v)) for v in obj["row"]]
         d = None
         if obj.get("d") is not None:
-            d = RingElement(ring, ring.value_from_json(obj["d"]))
+            d = _raw(ring, ring.value_from_json(obj["d"]))
     except RingError as exc:
         raise CLIParseError(str(exc)) from None
     return row, d

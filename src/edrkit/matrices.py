@@ -94,8 +94,9 @@ class RingMatrix:
     def _trusted(cls, ring: Ring, rows) -> "RingMatrix":
         """A matrix of raw values already in normal form, taken without checks.
 
-        Only for values the library computed itself; every matrix built from
-        input goes through ``__init__``, which validates each entry.
+        Only for values the library computed itself or decoded with
+        ``Ring.value_from_json``, which validates and normalizes each entry;
+        every other matrix built from input goes through ``__init__``.
         """
         data = tuple(map(tuple, rows))
         m = object.__new__(cls)
@@ -167,7 +168,13 @@ class RingMatrix:
         rows = obj.get("rows")
         if not isinstance(rows, list) or not rows:
             raise RingError("matrix JSON needs a nonempty 'rows' array")
-        return cls(ring, [[ring.value_from_json(v) for v in row] for row in rows])
+        # value_from_json returns normal forms, so only the shape is checked
+        data = [[ring.value_from_json(v) for v in row] for row in rows]
+        if any(len(row) != len(data[0]) for row in data):
+            raise RingError("ragged rows in matrix")
+        if not data[0]:
+            raise RingError("matrix needs at least one row and one column")
+        return cls._trusted(ring, data)
 
 
 def determinant(m: RingMatrix) -> RingElement:
@@ -181,35 +188,54 @@ def determinant(m: RingMatrix) -> RingElement:
     add, neg and mul are used, so zero divisors do no harm, and the cost is
     O(n^4) ring operations (Berkowitz, Inf. Proc. Letters 18, 1984).  The
     determinant is (-1)^n times the constant coefficient.
+
+    Terms that are provably zero are skipped.  If R or S is zero, every
+    R*A_r^k*S is zero, the Toeplitz column is 1, -a, 0, ..., 0 and the step
+    is the product of the polynomial with x - a: O(r) ring operations instead
+    of r - 1 sparse matrix-vector products and an O(r^2) Toeplitz product.
+    Below its first two rows a completed row's matrix is an identity block
+    beside two columns of shears, which are often zero, so many of its steps
+    take this path; a triangular matrix takes it at every step.  A_r is kept
+    as the nonzero entries of each row, grown by one column and one row per
+    step.
     """
     if m.rows != m.cols:
         raise RingError("determinant needs a square matrix")
     ring, a, n = m.ring, m.data, m.rows
-    dot, neg = ring.dot, ring.neg
-    # each row's nonzero columns: completed rows are mostly identity, and
-    # skipping their zeros saves most of the products
-    nonzero = [[j for j, v in enumerate(row) if v != ring.zero] for row in a]
-
-    def sparse(i, r):
-        """(values, columns) of the nonzero entries of row i left of column r"""
-        cols = [j for j in nonzero[i] if j < r]
-        return [a[i][j] for j in cols], cols
-
-    def sparse_dot(vals_cols, ys):
-        vals, cols = vals_cols
-        return dot(vals, map(ys.__getitem__, cols))
-
-    poly = [ring.one, neg(a[0][0])]  # det(x - a_00), leading coefficient first
-    for r in range(1, n):
-        block = [sparse(i, r) for i in range(r)]             # A_r
-        row = sparse(r, r)                                   # R
+    add, mul, neg, dot, zero = ring.add, ring.mul, ring.neg, ring.dot, ring.zero
+    # A_r as the (values, columns) of each row's nonzero entries: completed
+    # rows are mostly identity, and skipping their zeros saves most products
+    vals, cols = [], []
+    poly = [ring.one]  # det(x*I - A_r), leading coefficient first
+    for r in range(n):
+        rvals, rcols = [], []                                # R
+        for j, v in enumerate(a[r][:r]):
+            if v != zero:
+                rvals.append(v)
+                rcols.append(j)
         col = [a[i][r] for i in range(r)]                    # S, then A_r^k * S
-        column = [ring.one, neg(a[r][r]), neg(sparse_dot(row, col))]
-        for _ in range(r - 1):
-            col = [sparse_dot(b, col) for b in block]
-            column.append(neg(sparse_dot(row, col)))
-        # poly times the Toeplitz matrix: coefficient i is sum_j poly[j]*column[i-j]
-        poly = [dot(poly[:i + 1], column[i::-1]) for i in range(r + 2)]
+        corner = neg(a[r][r])
+        if not rvals or all(v == zero for v in col):
+            # every R * A_r^k * S vanishes: poly times (x - a_rr)
+            poly = ([poly[0]] + [add(poly[i], mul(corner, poly[i - 1])) for i in range(1, r + 1)]
+                    + [mul(corner, poly[r])])
+        else:
+            column = [ring.one, corner, neg(dot(rvals, map(col.__getitem__, rcols)))]
+            for _ in range(r - 1):
+                col = [dot(vs, map(col.__getitem__, cs)) for vs, cs in zip(vals, cols)]
+                column.append(neg(dot(rvals, map(col.__getitem__, rcols))))
+            # poly times the Toeplitz matrix: coefficient i is sum_j poly[j]*column[i-j]
+            poly = [dot(poly[:i + 1], column[i::-1]) for i in range(r + 2)]
+        # A_r -> A_{r+1}: column r onto the old rows, then row r
+        for i in range(r):
+            if a[i][r] != zero:
+                vals[i].append(a[i][r])
+                cols[i].append(r)
+        if a[r][r] != zero:
+            rvals.append(a[r][r])
+            rcols.append(r)
+        vals.append(rvals)
+        cols.append(rcols)
     return _raw(ring, neg(poly[n]) if n % 2 else poly[n])
 
 

@@ -34,6 +34,7 @@ from .rings import (
     RingError,
     TrivialExtensionRing,
     TruncatedSeriesRing,
+    _raw,
 )
 
 
@@ -222,7 +223,7 @@ def parse_element(entry: RingRegistryEntry | Ring, text: str) -> RingElement:
             bad = next(i for i, ch in enumerate(text) if not (ch.isdigit() or ch in "+-"))
             raise ElementSyntaxError(f"bad integer literal {text!r}", bad)
         try:
-            return RingElement(ring, ring.value_from_json(text))
+            return _raw(ring, ring.value_from_json(text))
         except RingError as exc:  # well-formed, so past Python's int/str digit limit
             raise ElementSyntaxError(str(exc)) from None
     try:
@@ -230,7 +231,7 @@ def parse_element(entry: RingRegistryEntry | Ring, text: str) -> RingElement:
     except json.JSONDecodeError as exc:
         raise ElementSyntaxError(f"bad element text {text!r}: {exc.msg}", exc.pos) from None
     try:
-        return RingElement(ring, ring.value_from_json(obj))
+        return _raw(ring, ring.value_from_json(obj))
     except RingError as exc:
         raise ElementSyntaxError(str(exc)) from None
 

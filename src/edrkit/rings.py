@@ -411,7 +411,8 @@ class Ring(ABC):
     def value_to_json(self, v: Any) -> Any: ...
 
     @abstractmethod
-    def value_from_json(self, obj: Any) -> Any: ...
+    def value_from_json(self, obj: Any) -> Any:
+        """The value that obj encodes, validated and already in normal form."""
 
 
 def _int_from_json(obj: Any, what: str) -> int:
@@ -532,8 +533,7 @@ class IntegerRing(Ring):
 
     euclidean = True
 
-    def size(self, a):
-        return abs(a)
+    size = staticmethod(abs)
 
     def nearest_quotient(self, a, b):
         q, r = divmod(a, b)
@@ -779,8 +779,7 @@ class GFPolynomialRing(Ring):
 
     euclidean = True
 
-    def size(self, a):
-        return len(a)  # degree + 1
+    size = staticmethod(len)  # degree + 1
 
     def nearest_quotient(self, a, b):
         return _pdivmod(a, b, self.p)[0]

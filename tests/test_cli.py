@@ -176,6 +176,38 @@ def test_exit_code_2_on_parse_errors():
         assert code == EXIT_PARSE, req
 
 
+def test_decoded_inputs_keep_their_shape_and_entry_checks():
+    # matrices and rows decoded once by value_from_json, without a second
+    # normalization, still refuse bad shapes and bad entries with exit 2
+    for req in [
+        CommandRequest(command="snf", ring="z", payload='{"rows":[[1,2],[3]]}'),
+        CommandRequest(command="snf", ring="z", payload='{"rows":[[1],[]]}'),
+        CommandRequest(command="snf", ring="z", payload='{"rows":[[],[1]]}'),
+        CommandRequest(command="snf", ring="z", payload='{"rows":[[]]}'),
+        CommandRequest(command="snf", ring="z", payload='{"rows":[]}'),
+        CommandRequest(command="snf", ring="z", payload='{"rows":[[1, true]]}'),
+        CommandRequest(command="snf", ring="gfpoly:5", payload='{"rows":[[[1, "x"]]]}'),
+        CommandRequest(command="reduce2x2", ring="zmod:6", payload='{"rows":[[1, 2.5]]}'),
+        CommandRequest(command="complete", ring="z", payload='{"row": [1, "x"]}'),
+        CommandRequest(command="complete", ring="gfpoly:5", payload='{"row": [[1], 2]}'),
+        CommandRequest(command="complete", ring="z", payload='{"row": [4, 6], "d": [2]}'),
+        CommandRequest(command="complete", ring="series:4", payload='{"row": [{"x": 1}]}'),
+    ]:
+        code, out = dispatch(req)
+        assert code == EXIT_PARSE, req.payload
+        assert out.startswith("error: ")
+    # out-of-range encodings are read in normal form
+    code, out = dispatch(CommandRequest(command="snf", ring="zmod:6", verify=True,
+                                        payload='{"rows":[[-1, 8],["13", 0]]}'))
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["D"] == [[1, 0], [0, 2]] and doc["verified"] is True
+    code, out = dispatch(CommandRequest(command="complete", ring="gfpoly:5",
+                                        payload='{"row": [[6, 0, 0], [0, 5, 1]]}'))
+    assert code == EXIT_OK
+    assert json.loads(out)["matrix"][0] == [[1], [0, 0, 1]]
+
+
 def test_no_verify_skips_the_determinant(monkeypatch):
     req = CommandRequest(command="complete", ring="z", row="6,10,15,7", verify=False)
     expected = dispatch(req)

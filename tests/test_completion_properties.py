@@ -1,12 +1,18 @@
-"""Properties of row completion over every ring kind with total Bezout.
+"""Properties of row completion over every ring kind.
 
-For random rows over Z, Z/n, GF(p)[x], products and ``text:z,q``:
+For random rows over Z, Z/n, GF(p)[x], products and ``text:z,q``, the rings
+with total Bezout:
 
 * the row fold's coefficients x_i satisfy sum a_i x_i = g, and g is the
   fold of Bezout d's from the left (``bezout`` on boxed elements, another
   code path than the fold's raw ``bezout_raw`` calls);
 * ``complete_row(row, d)``, with d the row's gcd times a unit, keeps the
   row as its exact first row and has Berkowitz determinant exactly d.
+
+Over ``series:4`` and ``text:zmod:4,self``, whose Bezout certificates are
+partial, the second property holds for the rows whose fold has a
+certificate at every step; every other row is refused with
+``UnsupportedOperationError``.
 """
 
 from fractions import Fraction
@@ -25,10 +31,13 @@ from edrkit.rings import (
     ProductRing,
     Ring,
     TrivialExtensionRing,
+    TruncatedSeriesRing,
+    UnsupportedOperationError,
 )
 
 SPECS = ["z", "zmod:360", "zmod:7", "gfpoly:5", "gfpoly:2", "product:zmod:12,z",
          "product:gfpoly:3,zmod:8", "text:z,q"]
+PARTIAL_SPECS = ["series:4", "text:zmod:4,self"]
 
 
 def _values(ring: Ring):
@@ -41,9 +50,17 @@ def _values(ring: Ring):
         raw = st.lists(st.integers(0, ring.p - 1), max_size=4).map(ring.normalize)
     elif isinstance(ring, ProductRing):
         raw = st.tuples(*(_values(f) for f in ring.factors))
+    elif isinstance(ring, TrivialExtensionRing) and ring.module == ring.MODULE_SELF:
+        raw = st.tuples(_values(ring.base), _values(ring.base))
     elif isinstance(ring, TrivialExtensionRing):
         raw = st.tuples(st.integers(-30, 30),
                         st.fractions(min_value=-20, max_value=20, max_denominator=12))
+    elif isinstance(ring, TruncatedSeriesRing):
+        coeffs = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4),
+                          max_size=ring.order)
+        # a zero constant term half the time: such pairs have no certificate
+        constant = st.one_of(st.just(0), st.integers(-12, 12))
+        raw = st.tuples(constant, coeffs).map(ring.normalize)
     else:  # pragma: no cover
         raise AssertionError(f"no strategy for {ring!r}")
     return st.one_of(st.just(ring.zero), raw)
@@ -80,18 +97,44 @@ def test_completion_keeps_the_row_and_has_determinant_d(spec):
     @settings(derandomize=True, max_examples=30, deadline=None, database=None)
     @given(row=_rows(ring, 6), unit=_values(ring))
     def check(row, unit):
-        if not ring.is_unit(unit):
-            unit = ring.one
-        dv = ring.mul(_bezout_fold(ring, row), unit)
-        d = element(ring, dv)
-        res = complete_row([element(ring, v) for v in row], d)
-        n = len(row)
-        assert res.matrix.rows == res.matrix.cols == n
-        assert res.matrix.data[0] == tuple(row)
-        assert res.d == d
-        assert determinant(res.matrix) == d
+        _check_completion(ring, row, _bezout_fold(ring, row), unit)
 
     check()
+
+
+def _check_completion(ring, row, g, unit):
+    """complete_row(row, g*unit) keeps the row and has determinant exactly g*unit."""
+    if not ring.is_unit(unit):
+        unit = ring.one
+    d = element(ring, ring.mul(g, unit))
+    res = complete_row([element(ring, v) for v in row], d)
+    n = len(row)
+    assert res.matrix.rows == res.matrix.cols == n
+    assert res.matrix.data[0] == tuple(row)
+    assert res.d == d
+    assert determinant(res.matrix) == d
+
+
+@pytest.mark.parametrize("spec", PARTIAL_SPECS)
+def test_completion_where_bezout_is_partial(spec):
+    ring = make_ring(spec).ring
+    outcomes = set()
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(row=_rows(ring, 6), unit=_values(ring))
+    def check(row, unit):
+        try:
+            g = _bezout_fold(ring, row)
+        except UnsupportedOperationError:
+            outcomes.add("refused")
+            with pytest.raises(UnsupportedOperationError):
+                complete_row([element(ring, v) for v in row], element(ring, ring.one))
+            return
+        outcomes.add("completed")
+        _check_completion(ring, row, g, unit)
+
+    check()
+    assert outcomes == {"completed", "refused"}
 
 
 def test_text_rationals_rows_in_the_square_zero_ideal():

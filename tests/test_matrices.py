@@ -74,6 +74,80 @@ def test_determinant_matches_sympy_on_dense_integer_matrices(rng):
         assert determinant(zmat(rows)).value == int(sympy.Matrix(rows).det())
 
 
+def _shaped(ring, rng, n, shape):
+    """An n x n matrix of the given zero pattern with random entries elsewhere.
+
+    upper/lower: triangular; block: block-diagonal on a random split;
+    permutation: one random nonzero entry per row and column; completion: a
+    dense first row, a second row nonzero in its first two columns, and
+    below them two columns of entries beside an identity block, as
+    ``complete_row`` builds.
+    """
+    def value():
+        return random_value(ring, rng, 9)
+
+    split = rng.randint(1, max(1, n - 1))
+    perm = rng.sample(range(n), n)
+    rows = []
+    for i in range(n):
+        if shape == "upper":
+            row = [value() if j >= i else ring.zero for j in range(n)]
+        elif shape == "lower":
+            row = [value() if j <= i else ring.zero for j in range(n)]
+        elif shape == "block":
+            row = [value() if (i < split) == (j < split) else ring.zero for j in range(n)]
+        elif shape == "permutation":
+            row = [value() if j == perm[i] else ring.zero for j in range(n)]
+        else:
+            row = ([value() for _ in range(n)] if i == 0 else
+                   [value(), value()] + [ring.zero] * (n - 2) if i == 1 else
+                   [value(), value()] + [ring.one if j == i else ring.zero
+                                         for j in range(2, n)])
+        rows.append(row)
+    return RingMatrix(ring, rows)
+
+
+SHAPES = ["upper", "lower", "block", "permutation", "completion"]
+
+
+@pytest.mark.parametrize("spec", ["z", "zmod:360", "gfpoly:5", "product:zmod:4,z",
+                                  "text:z,q", "text:zmod:4,self", "series:4"])
+def test_determinant_of_structured_matrices_matches_permutation_oracle(spec, rng):
+    # these take the zero-R / zero-S shortcut at some or all steps, mixed with
+    # Krylov steps on the grown sparse block
+    ring = make_ring(spec).ring
+    for shape in SHAPES:
+        for n in range(1, 6):
+            m = _shaped(ring, rng, n, shape)
+            assert determinant(m) == det_oracle(m), (shape, m.data)
+
+
+def _counting_dot(monkeypatch, ring):
+    calls = []
+    plain = ring.dot
+
+    def dot(xs, ys):
+        calls.append(1)
+        return plain(xs, ys)
+
+    monkeypatch.setattr(ring, "dot", dot, raising=False)
+    return calls
+
+
+def test_triangular_determinant_makes_no_krylov_products(monkeypatch, rng):
+    ring = IntegerRing()
+    calls = _counting_dot(monkeypatch, ring)
+    for shape in ("upper", "lower"):
+        m = _shaped(ring, rng, 16, shape)
+        diagonal = 1
+        for i in range(16):
+            diagonal *= m.data[i][i]
+        assert determinant(m).value == diagonal
+    assert calls == []
+    determinant(RingMatrix(ring, [[rng.randint(1, 9) for _ in range(16)] for _ in range(16)]))
+    assert calls  # the counter sees the Krylov path
+
+
 def test_determinant_rejects_non_square():
     with pytest.raises(RingError):
         determinant(zmat([[1, 2, 3], [4, 5, 6]]))

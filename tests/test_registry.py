@@ -1,5 +1,7 @@
 """Descriptor grammar, element parsing/formatting, trivial-extension structure."""
 
+import json
+
 import pytest
 
 from edrkit import (
@@ -108,3 +110,32 @@ def test_nested_product_inside_text():
     entry = make_ring("product:text:z,q,zmod:6")
     assert entry.ring.factors[0].expression() == "text:z,q"
     assert entry.ring.factors[1].expression() == "zmod:6"
+
+
+# Encodings the parsers accept that are not written in normal form: signs and
+# digits as text, residues out of range, trailing zero coefficients, rationals
+# not in lowest terms, series tails past the truncation order.
+UNNORMAL_JSON = {
+    "z": ["+7", "-0", 12],
+    "zmod:12": [-1, 25, "30"],
+    "gfpoly:5": [[1, 0, 0], [7, 5], [0], []],
+    "product:zmod:2,gfpoly:3": [[3, [4, 3]], ["-1", [0, 0, 2, 0]]],
+    "text:z,q": [[3, 2], [1, "4/6"], ["5", "-0"]],
+    "text:zmod:4,self": [[9, -1], ["4", 6]],
+    "text:gfpoly:3,self": [[[1, 3], [0, 0]], [[], [5]]],
+    "series:3": [{"constant": 2, "coeffs": [1, "2/4", 0, 0, 5]},
+                 {"coeffs": [0, 0]}, {}, {"constant": "-3", "coeffs": ["6/3"]}],
+}
+
+
+@pytest.mark.parametrize("expr", sorted(UNNORMAL_JSON))
+def test_value_from_json_returns_normal_forms(expr, rng):
+    # the parsers box value_from_json output without normalizing it again
+    ring = make_ring(expr).ring
+    encodings = UNNORMAL_JSON[expr] + [
+        ring.value_to_json(random_element(ring, rng, span=40).value) for _ in range(40)]
+    for obj in encodings:
+        value = ring.value_from_json(obj)
+        assert repr(ring.normalize(value)) == repr(value), obj
+        text = obj if isinstance(obj, str) else json.dumps(obj)
+        assert parse_element(make_ring(expr), text).value == value
