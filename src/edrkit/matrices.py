@@ -6,27 +6,23 @@ and zeros last.  Every transform carries an explicitly stored inverse, so a
 :class:`ReductionResult` is a checkable certificate (:func:`verify_reduction`
 recomputes everything from scratch).
 
-The engine clears one pivot row and column at a time, in one of two ways:
-
-* Rings with a Euclidean size (``Ring.euclidean``: Z and GF(p)[x]) pivot on
-  a nonzero entry of least size in the trailing submatrix, chosen again on
-  every pass, and shear each entry of its row and column by minus the
-  nearest quotient (|r| <= |pivot|/2 over Z, deg r < deg pivot over
-  GF(p)[x]).  Exact division is the remainder-0 case.  Small pivots and
-  small remainders bound the growth of D and the transforms, as in Kannan
-  and Bachem (SIAM J. Comput. 8, 1979).
-* Every other ring (Z/n, trivial extensions) pivots on the first nonzero
-  entry and takes Hermite steps straight from refined Bezout certificates
-  (``column_reduce``), or an exact-division shear where the pivot divides.
+The engine clears one pivot row and column at a time with one remainder
+sweep, after Kannan and Bachem (SIAM J. Comput. 8, 1979).  Every ring with
+total Bezout certificates has a Euclidean size (``Ring.size``): |a| over Z,
+degree over GF(p)[x], gcd(a, n) over Z/n, and over the trivial extension
+of Z by Q first the base part, then the module part.  Each pass pivots on
+a nonzero entry of least size in the trailing submatrix and shears each
+entry of its row and column by minus the nearest quotient
+(``Ring.nearest_quotient``), which leaves a remainder of smaller size;
+exact division is the remainder-0 case.  Small pivots and small remainders
+bound the growth of D and the transforms.
 
 Each step updates D, P, Q and the stored inverses together through one-row
-shears (``_Sweep.add_row``/``add_col``), swaps or 2x2 blocks.  The
-divisibility chain is then enforced through the explicit 2x2 elementary
-reduction of a lower-triangular matrix with comaximal entries
-(``reduce_2x2``), whose transformation matrices are assembled factor by
-factor and audited for invertibility.  Every Bezout ring, Z/n included,
-runs through this one engine on its own certificates; only products are
-split, each component reduced on its own.
+shears (``_Sweep.add_row``/``add_col``) and swaps.  The divisibility chain
+is then enforced through the explicit 2x2 elementary reduction of a
+lower-triangular matrix with comaximal entries (``reduce_2x2``), whose
+transformation matrices are assembled factor by factor and audited for
+invertibility.  Only products are split, each component reduced on its own.
 
 ``verify_reduction`` checks P*Pinv = I and Q*Qinv = I only: over a
 commutative ring a one-sided inverse of a square matrix is two-sided.  So
@@ -56,8 +52,6 @@ from .rings import (
 from .stability import _jointly_comaximal, lift_unit, select_stable
 
 logger = logging.getLogger(__name__)
-
-_SWEEP_CAP = 10_000
 
 
 class RingMatrix:
@@ -387,17 +381,6 @@ def _cert_col_pair(ring, a, b):
     return cert.d.value, t, tinv
 
 
-def _cert_row_pair(ring, a, b):
-    """Row transform (t, tinv) sending the column pair (a, b)^T to (d, 0)^T."""
-    if b == ring.zero:
-        return a, _eye2(ring), _eye2(ring)
-    cert = bezout(_raw(ring, a), _raw(ring, b))
-    x, y, a0, b0 = cert.x.value, cert.y.value, cert.a0.value, cert.b0.value
-    t = ((x, y), (ring.neg(b0), a0))
-    tinv = ((a0, ring.neg(y)), (b0, x))
-    return cert.d.value, t, tinv
-
-
 def column_reduce(a: RingElement, b: RingElement) -> tuple[RingElement, RingMatrix]:
     """Hermite step: an invertible 2x2 Q with (a b) Q = (d 0) and det Q = 1.
 
@@ -524,14 +507,6 @@ def _mul2(ring, s, t):
     )
 
 
-def _clear_pivot(sweep: _Sweep, t: int):
-    """Zero row t and column t of D off the diagonal, leaving the pivot at (t, t)."""
-    if sweep.ring.euclidean:
-        _clear_euclidean(sweep, t)
-    else:
-        _clear_bezout(sweep, t)
-
-
 def _smallest_entry(sweep: _Sweep, t: int):
     """(size, i, j) of the first nonzero entry of least size in rows and
     columns t and up, or None if they are all zero."""
@@ -552,16 +527,19 @@ def _smallest_entry(sweep: _Sweep, t: int):
     return best
 
 
-def _clear_euclidean(sweep: _Sweep, t: int):
-    """Pivot on the smallest entry and clear its row, then its column, by
-    shears with nearest quotients.  The column is cleared only on a pass that
-    leaves the row zero off the pivot, so each of those row shears adds a
-    multiple of (pivot, 0, ..., 0) and changes one entry of D.
+def _clear_pivot(sweep: _Sweep, t: int):
+    """Zero row t and column t of D off the diagonal, leaving the pivot at (t, t).
+
+    Each pass pivots on the smallest entry and clears its row, then its
+    column, by shears with nearest quotients.  The column is cleared only on
+    a pass that leaves the row zero off the pivot, so each of those row
+    shears adds a multiple of (pivot, 0, ..., 0) and changes one entry of D.
 
     Every remainder left is smaller than its pivot, so pivot sizes fall
     strictly from pass to pass and the loop ends.  The number of passes
     follows the input, not a fixed cap: over Z a remainder is at most half
-    its pivot, so a pivot of b bits takes at most b + 1 passes.
+    its pivot, so a pivot of b bits takes at most b + 1 passes, and over
+    Z/n each pivot's gcd with n properly divides the last one's.
     """
     ring = sweep.ring
     zero, neg, nearest = ring.zero, ring.neg, ring.nearest_quotient
@@ -590,55 +568,6 @@ def _clear_euclidean(sweep: _Sweep, t: int):
                 sweep.add_row(i, t, neg(nearest(d[i][t], pivot)))
         if all(d[i][t] == zero for i in range(t + 1, sweep.m)):
             return
-
-
-def _find_pivot(sweep: _Sweep, t: int):
-    for i in range(t, sweep.m):
-        for j in range(t, sweep.n):
-            if sweep.d[i][j] != sweep.ring.zero:
-                return i, j
-    return None
-
-
-def _clear_bezout(sweep: _Sweep, t: int):
-    """Pivot on the first nonzero entry; divide exactly where the pivot
-    divides, else replace the pivot by a gcd through a Bezout certificate."""
-    ring = sweep.ring
-    for _ in range(_SWEEP_CAP):
-        pos = _find_pivot(sweep, t)
-        if pos is None:
-            return
-        if sweep.d[t][t] == ring.zero:
-            i, j = pos
-            if i != t:
-                sweep.swap_rows(t, i)
-            if j != t:
-                sweep.swap_cols(t, j)
-        dirty = False
-        for j in range(t + 1, sweep.n):
-            bvv = sweep.d[t][j]
-            if bvv == ring.zero:
-                continue
-            avv = sweep.d[t][t]
-            if ring.divides(avv, bvv):
-                sweep.add_col(j, t, ring.neg(ring.divide_exact(bvv, avv)))
-            else:
-                _, tmat, tinv = _cert_col_pair(ring, avv, bvv)
-                sweep.cols_2x2(t, j, tmat, tinv)
-        for i in range(t + 1, sweep.m):
-            bvv = sweep.d[i][t]
-            if bvv == ring.zero:
-                continue
-            avv = sweep.d[t][t]
-            dirty = True
-            if ring.divides(avv, bvv):
-                sweep.add_row(i, t, ring.neg(ring.divide_exact(bvv, avv)))
-            else:
-                _, tmat, tinv = _cert_row_pair(ring, avv, bvv)
-                sweep.rows_2x2(t, i, tmat, tinv)
-        if not dirty and all(sweep.d[t][j] == ring.zero for j in range(t + 1, sweep.n)):
-            return
-    raise RuntimeError("internal error: pivot sweep did not stabilize")
 
 
 def _enforce_chain(sweep: _Sweep):

@@ -98,6 +98,16 @@ def _rational_gcd(e: Fraction, f: Fraction) -> Fraction:
     return Fraction(num, e.denominator * f.denominator)
 
 
+def _round_quotient(a, b):
+    """The integer q nearest to a/b, for integers or rationals with b != 0.
+
+    divmod leaves r with the sign of b; past half of |b| the next multiple
+    is nearer, so the remainder a - b*q has |a - b*q| <= |b|/2.
+    """
+    q, r = divmod(a, b)
+    return q + 1 if 2 * abs(r) > abs(b) else q
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers over GF(p), coefficients low-to-high, no trailing zeros
 
@@ -375,14 +385,15 @@ class Ring(ABC):
     # fold of Bezout gcds gives the same d in any order.
     canonical_bezout = False
 
-    # -- Euclidean hook -------------------------------------------------------
+    # -- Euclidean size -------------------------------------------------------
+    #
+    # diagonal_reduce pivots on an entry of least size and clears with
+    # remainders, so every ring with total Bezout certificates defines both;
+    # products are reduced factor by factor and need neither.
+    # Units have the least size, a remainder is zero or smaller than its
+    # divisor, and a strictly falling chain of sizes met in one sweep ends.
 
-    # True where ``size`` and ``nearest_quotient`` are defined; the sweep
-    # engine then pivots on entries of least size and clears with remainders
-    # instead of Bezout cofactors.
-    euclidean = False
-
-    def size(self, a: Any) -> int:
+    def size(self, a: Any) -> Any:
         """Euclidean size of a nonzero a; units have the least size."""
         raise UnsupportedOperationError(f"{self.expression()} has no Euclidean size")
 
@@ -531,15 +542,9 @@ class IntegerRing(Ring):
 
     canonical_bezout = True
 
-    euclidean = True
-
     size = staticmethod(abs)
 
-    def nearest_quotient(self, a, b):
-        q, r = divmod(a, b)
-        # r has the sign of b; past half of |b| the next multiple is nearer,
-        # so the remainder a - b*q has |r| <= |b|/2
-        return q + 1 if 2 * abs(r) > abs(b) else q
+    nearest_quotient = staticmethod(_round_quotient)
 
     def search_order(self):
         yield 0
@@ -680,6 +685,23 @@ class ModularRing(Ring):
 
     canonical_bezout = True
 
+    def size(self, a):
+        return gcd(a, self.n)  # a divisor of n; 1 for a unit
+
+    def nearest_quotient(self, a, b):
+        n = self.n
+        g = gcd(b, n)
+        if a % g == 0:
+            return self.divide_exact(a, b)
+        # e = a + g*m0 has gcd(e, n) = h < g: a prime of n/h divides a/h or
+        # m0 but not both, and g/h is coprime to a/h.  Then a - e = -g*m0
+        # lies in bR, and the remainder a - b*q is e.
+        h = gcd(a, g)
+        ah, m0 = a // h, n // h
+        while (t := gcd(m0, ah)) > 1:
+            m0 //= t
+        return self.divide_exact(-g * m0 % n, b)
+
     def value_to_json(self, v):
         return v
 
@@ -776,8 +798,6 @@ class GFPolynomialRing(Ring):
         return _pgcd(a, b, self.p)
 
     canonical_bezout = True
-
-    euclidean = True
 
     size = staticmethod(len)  # degree + 1
 
@@ -1175,6 +1195,27 @@ class TrivialExtensionRing(Ring):
             return (0, abs(e))
         raise UnsupportedOperationError(
             f"no canonical associates in {self.expression()}")
+
+    # Euclidean size over the rational module: (0, |a|) while the base part a
+    # is nonzero, and (1, |e|) in the square-zero ideal, which every nonzero
+    # base part outranks.
+
+    def size(self, a):
+        self._require_rationals("a Euclidean size")
+        m, e = a
+        return (0, abs(m)) if m else (1, abs(e))
+
+    def nearest_quotient(self, a, b):
+        self._require_rationals("a Euclidean size")
+        (m, e), (bm, s) = a, b
+        if bm:
+            c = _round_quotient(m, bm)
+            # the module part clears e only where the base parts cancel;
+            # elsewhere it stays zero and keeps bm out of the denominators
+            return (c, (e - c * s) / bm if m == c * bm else _QZERO)
+        if m:
+            return self.zero
+        return (_round_quotient(e, s), _QZERO)
 
     def search_order(self):
         if self.finite:

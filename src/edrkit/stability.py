@@ -17,11 +17,17 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from . import exhaustive
-from .exhaustive import PolyModStructure, int_quotient_stable_range_1
+from .exhaustive import (
+    MAX_TABLE_SIZE,
+    PolyModStructure,
+    TooLargeError,
+    int_quotient_stable_range_1,
+)
 from .rings import (
     GFPolynomialRing,
     InfiniteRingError,
     IntegerRing,
+    ModularRing,
     PreconditionError,
     ProductRing,
     Ring,
@@ -35,7 +41,6 @@ from .rings import (
     _same_ring,
     bezout,
     is_unit,
-    one,
     zero,
 )
 
@@ -309,8 +314,12 @@ def coprime_factorization(c: RingElement, a: RingElement, b: RingElement
     """Split c = r*s with rR + sR = rR + aR = sR + bR = R (aR + bR = R, c != 0).
 
     Over the integers and GF(p)[x], r collects the part of c coprime to a by
-    iterated gcd extraction (no factorization needed); on finite rings the
-    factor pairs are searched exhaustively and absence is reported.
+    iterated gcd extraction (no factorization needed).  Over Z/n the same
+    loop runs on the integer representatives: c = r*s over Z holds mod n,
+    gcd(r, a) = 1 over Z gives rR + aR = R, and every prime of s divides a,
+    so gcd(a, b, n) = 1 gives sR + bR = R.  On the other finite rings, up to
+    ``MAX_TABLE_SIZE`` elements, the factor pairs are searched exhaustively
+    and absence is reported.
     """
     ring = _same_ring(c, a, b)
     if c.is_zero():
@@ -318,16 +327,17 @@ def coprime_factorization(c: RingElement, a: RingElement, b: RingElement
     if not is_coprime(a, b):
         raise PreconditionError(
             f"coprime_factorization requires aR + bR = R, got {a!r}, {b!r}")
-    if isinstance(ring, (IntegerRing, GFPolynomialRing)):
-        r = c
-        s = one(ring)
-        while True:
-            g = _raw(ring, ring.gcd(r.value, a.value))
-            if is_unit(g):
-                return (r, s)
-            r = _raw(ring, ring.divide_exact(r.value, g.value))
-            s = s * g
+    if isinstance(ring, (IntegerRing, GFPolynomialRing, ModularRing)):
+        base = IntegerRing() if isinstance(ring, ModularRing) else ring
+        r, s = c.value, base.one
+        while not base.is_unit(g := base.gcd(r, a.value)):
+            r, s = base.divide_exact(r, g), base.mul(s, g)
+        return (_raw(ring, r), _raw(ring, s))
     if ring.finite:
+        if ring.cardinality() > MAX_TABLE_SIZE:
+            raise TooLargeError(
+                f"coprime_factorization scans {ring.expression()}, which has "
+                f"{ring.cardinality()} elements, past the cap of {MAX_TABLE_SIZE}")
         for rv in ring.elements():
             for sv in ring.elements():
                 if ring.mul(rv, sv) != c.value:

@@ -94,17 +94,16 @@ def test_byte_identical_output_across_runs():
 
 
 # Documents as the CLI printed them before pretty grids were built only for
-# pretty output.  The zmod:360 and text:z,q reductions and the reduce2x2 and
-# complete requests do not reach the Euclidean sweep, so their documents are
-# pinned whole; for snf over Z only D and the document shape are pinned,
-# since the choice of pivots decides P and Q.
+# pretty output, pinned whole.  The zmod:360 document was re-recorded when
+# the remainder sweep replaced Bezout pivoting there: its P and Q changed,
+# its D did not.  For snf over Z only D and the document shape are pinned.
 _PINNED = [
     (dict(command="snf", ring="zmod:360", payload='{"rows":[[12,30,7],[45,100,8],[0,6,90]]}'),
-     '{"D":[[1,0,0],[0,1,0],[0,0,18]],"P":[[1,0,0],[69,1,0],[96,132,47]],'
-     '"Pinv":[[1,0,0],[291,1,0],[276,204,23]],"Q":[[91,333,260],[91,34,219],[277,312,210]],'
-     '"Qinv":[[12,30,7],[153,10,131],[254,129,151]],"ring":"zmod:360","verified":true}',
-     'D:\n1 0  0\n0 1  0\n0 0 18\nP:\n 1   0  0\n69   1  0\n96 132 47\n'
-     'Q:\n 91 333 260\n 91  34 219\n277 312 210\nverified: true'),
+     '{"D":[[1,0,0],[0,1,0],[0,0,18]],"P":[[103,0,0],[208,223,0],[354,354,277]],'
+     '"Pinv":[[7,0,0],[8,247,0],[90,186,13]],"Q":[[0,351,100],[0,1,69],[1,114,150]],'
+     '"Qinv":[[156,210,1],[291,100,0],[1,9,0]],"ring":"zmod:360","verified":true}',
+     'D:\n1 0  0\n0 1  0\n0 0 18\nP:\n103   0   0\n208 223   0\n354 354 277\n'
+     'Q:\n0 351 100\n0   1  69\n1 114 150\nverified: true'),
     (dict(command="snf", ring="text:z,q",
           payload='{"rows":[[[2,"1/2"],[4,0]],[[6,1],[8,"3/4"]]]}'),
      '{"D":[[[2,0],[0,0]],[[0,0],[4,0]]],"P":[[[1,"-1/4"],[0,0]],[[3,"17/16"],[-1,"-7/16"]]],'

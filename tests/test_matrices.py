@@ -401,23 +401,39 @@ def test_verify_reduction_detects_tampering(caplog):
     res = diagonal_reduce(a)
     assert verify_reduction(a, res)
     from edrkit.matrices import ReductionResult
-    bad_d = RingMatrix(Z, [[2, 0], [0, 5]])
-    tampered = ReductionResult(P=res.P, D=bad_d, Q=res.Q, Pinv=res.Pinv, Qinv=res.Qinv)
-    assert not verify_reduction(a, tampered)
-    bad_pinv = RingMatrix(Z, [[1, 1], [0, 1]])
-    tampered = ReductionResult(P=res.P, D=res.D, Q=res.Q, Pinv=bad_pinv, Qinv=res.Qinv)
-    assert not verify_reduction(a, tampered)
+    eye2, eye3 = RingMatrix.identity(Z, 2), RingMatrix.identity(Z, 3)
+    shear = zmat([[1, 1], [0, 1]])
+    diag23 = zmat([[2, 0], [0, 3]])
+
     # -P, -D in row 0 and -Pinv in column 0 still give P*A*Q = D and the
     # chain -2 | 4, but D[0][0] = -2 is not the canonical associate 2
     def negate(rows, cells):
         return RingMatrix(Z, [[-v if (i, j) in cells else v for j, v in enumerate(row)]
                               for i, row in enumerate(rows)])
     row0, col0 = {(0, 0), (0, 1)}, {(0, 0), (1, 0)}
-    tampered = ReductionResult(P=negate(res.P.data, row0), D=negate(res.D.data, row0),
-                               Q=res.Q, Pinv=negate(res.Pinv.data, col0), Qinv=res.Qinv)
-    with caplog.at_level(logging.DEBUG, logger="edrkit.matrices"):
-        assert not verify_reduction(a, tampered)
-    assert "diagonal entry at position 0 is not its canonical associate" in caplog.text
+    negated = ReductionResult(P=negate(res.P.data, row0), D=negate(res.D.data, row0),
+                              Q=res.Q, Pinv=negate(res.Pinv.data, col0), Qinv=res.Qinv)
+    # each certificate breaks one condition; every condition is broken once
+    cases = [
+        (a, dataclasses.replace(res, P=eye3), "P has the wrong shape"),
+        (a, dataclasses.replace(res, Q=eye3), "Q has the wrong shape"),
+        (a, dataclasses.replace(res, D=zmat([[2, 0, 0], [0, 4, 0]])), "D has the wrong shape"),
+        (a, dataclasses.replace(res, Pinv=RingMatrix.identity(make_ring("zmod:7").ring, 2)),
+         "ring mismatch in certificate"),
+        (a, dataclasses.replace(res, Pinv=shear), "Pinv is not an inverse of P"),
+        (a, dataclasses.replace(res, Qinv=shear), "Qinv is not an inverse of Q"),
+        (a, dataclasses.replace(res, D=zmat([[2, 1], [0, 4]])), "D is not diagonal"),
+        (a, dataclasses.replace(res, D=zmat([[2, 0], [0, 5]])), "P*A != D*Qinv"),
+        (a, negated, "diagonal entry at position 0 is not its canonical associate"),
+        # P*A*Q = D, all canonical, but 2 does not divide 3
+        (diag23, ReductionResult(P=eye2, D=diag23, Q=eye2, Pinv=eye2, Qinv=eye2),
+         "divisibility chain broken at position 0"),
+    ]
+    for m, cert, reason in cases:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="edrkit.matrices"):
+            assert not verify_reduction(m, cert), reason
+        assert caplog.messages == [f"verify_reduction failed: {reason}"]
 
 
 _A35 = [[2, 4, 6, 8, 10], [3, 1, 4, 1, 5], [9, 2, 6, 5, 3]]

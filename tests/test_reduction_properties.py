@@ -1,0 +1,82 @@
+"""Properties of diagonal reduction over every ring kind that it accepts.
+
+For random matrices up to 5x5 over Z, Z/n, GF(5)[x], ``text:z,q`` and a
+product, ``diagonal_reduce`` returns a certificate that ``verify_reduction``
+accepts.  Over Z and Z/n the diagonal is also checked against sympy's
+invariant factors of the integer matrix, an oracle that shares no code with
+the library: over Z/n the Smith form is the image of the integer one, and the
+canonical associate of d modulo n is gcd(d, n).
+"""
+
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edrkit import RingMatrix, diagonal_reduce, make_ring, verify_reduction
+from edrkit.rings import (
+    GFPolynomialRing,
+    IntegerRing,
+    ModularRing,
+    ProductRing,
+    Ring,
+    TrivialExtensionRing,
+)
+
+SPECS = ["z", "zmod:360", "zmod:4096", f"zmod:{2 ** 61 - 1}", "gfpoly:5", "text:z,q",
+         "product:zmod:4,z"]
+
+
+def _values(ring: Ring):
+    """Normal raw values, zero drawn often; residues often share factors with n."""
+    if isinstance(ring, IntegerRing):
+        raw = st.integers(-60, 60)
+    elif isinstance(ring, ModularRing):
+        n = ring.n
+        raw = st.one_of(st.integers(0, n - 1),
+                        st.builds(lambda d, k: d * k % n,
+                                  st.sampled_from([2, 3, 4, 6, 8, 9, 64, 1024]),
+                                  st.integers(1, 60)))
+    elif isinstance(ring, GFPolynomialRing):
+        raw = st.lists(st.integers(0, ring.p - 1), max_size=4).map(ring.normalize)
+    elif isinstance(ring, ProductRing):
+        raw = st.tuples(*(_values(f) for f in ring.factors))
+    elif isinstance(ring, TrivialExtensionRing):
+        raw = st.tuples(st.one_of(st.just(0), st.integers(-30, 30)),
+                        st.fractions(min_value=-20, max_value=20, max_denominator=12))
+    else:  # pragma: no cover
+        raise AssertionError(f"no strategy for {ring!r}")
+    return st.one_of(st.just(ring.zero), raw)
+
+
+def _matrices(ring: Ring):
+    return st.integers(1, 5).flatmap(lambda m: st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(_values(ring), min_size=n, max_size=n),
+                           min_size=m, max_size=m)))
+
+
+def _integer_invariant_factors(rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    return [abs(int(d)) for d in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_diagonal_reduce_verifies_and_matches_the_integer_oracle(spec):
+    ring = make_ring(spec).ring
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(rows=_matrices(ring))
+    def check(rows):
+        a = RingMatrix(ring, rows)
+        res = diagonal_reduce(a)
+        assert verify_reduction(a, res)
+        diag = [e.value for e in res.D.diagonal()]
+        if isinstance(ring, IntegerRing):
+            assert diag == _integer_invariant_factors(rows)
+        elif isinstance(ring, ModularRing):
+            n = ring.n
+            assert diag == [gcd(d, n) % n for d in _integer_invariant_factors(rows)]
+
+    check()

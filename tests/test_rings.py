@@ -1,6 +1,7 @@
 """Ring arithmetic, units, Bezout certificates, division, enumeration."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -320,12 +321,45 @@ def test_gfpoly_over_a_huge_prime_is_polylog():
     assert code == EXIT_PARSE and out.startswith("error: primality is decided only below")
 
 
+# 2**63 - 1 = 7**2 * 73 * 127 * 337 * 92737 * 649657
+_NEAR_2_63 = 2 ** 63 - 1
+
+
+def _quotient_samples(ring):
+    if isinstance(ring, IntegerRing):
+        return range(-40, 41)
+    if isinstance(ring, GFPolynomialRing):
+        return [(), (1,), (2,), (1, 1), (0, 3, 1), (3, 0, 2), (1, 4, 0, 0, 1)]
+    if isinstance(ring, ModularRing):
+        # units, multiples of small divisors of n and random residues
+        n, rng = ring.n, random.Random(ring.n)
+        divisors = [d for d in (2, 3, 4, 5, 6, 8, 9, 12, 49, 64, 73, 127, 337, 1024, 649159)
+                    if n % d == 0]
+        return ([0, 1, n - 1] + [d * k % n for d in divisors for k in (1, 5, 7, 11)]
+                + [rng.randrange(n) for _ in range(12)])
+    # exact base quotients (6 by 2 or -3), inexact ones (7 by 2 or 4) and
+    # (0, s) divisors, against base parts zero and nonzero
+    q = Fraction
+    return [(0, q(0)), (1, q(0)), (-1, q(2, 7)), (2, q(1, 3)), (-3, q(0)), (4, q(-5, 6)),
+            (6, q(1, 2)), (-9, q(0)), (7, q(-2, 3)), (12, q(5, 6)), (0, q(5, 4)),
+            (0, q(-7, 3)), (0, q(1, 6)), (0, q(9))]
+
+
 def test_nearest_quotients_leave_small_remainders():
-    for a in range(-40, 41):
-        for b in [b for b in range(-9, 10) if b]:
-            r = a - b * Z.nearest_quotient(a, b)
-            assert 2 * abs(r) <= abs(b), (a, b)
-    for a in [(), (1,), (3, 0, 2), (1, 4, 0, 0, 1)]:
-        for b in [(2,), (1, 1), (0, 3, 1)]:
-            r = G5.sub(a, G5.mul(b, G5.nearest_quotient(a, b)))
-            assert len(r) < len(b), (a, b)
+    for spec in ("z", "gfpoly:5", "zmod:360", "zmod:4096", "zmod:2305843009213693951",
+                 f"zmod:{_NEAR_2_63}", "text:z,q"):
+        ring = make_ring(spec).ring
+        samples = _quotient_samples(ring)
+        divisors = [b for b in samples if b != ring.zero]
+        least = ring.size(ring.one)
+        assert all(least <= ring.size(b) for b in divisors), spec
+        for a in samples:
+            for b in divisors:
+                q = ring.nearest_quotient(a, b)
+                assert ring.normalize(q) == q, (spec, a, b)
+                r = ring.sub(a, ring.mul(b, q))
+                assert r == ring.zero or ring.size(r) < ring.size(b), (spec, a, b, q)
+                if isinstance(ring, IntegerRing):
+                    assert 2 * abs(r) <= abs(b), (a, b)
+                if ring.divides(b, a):
+                    assert r == ring.zero, (spec, a, b, q)

@@ -1,6 +1,7 @@
 """Stable selection, unit lifting, stable-range-2 witnesses, clean quotients."""
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from edrkit import (
     sr2_witness,
     unit_mod,
 )
-from edrkit.exhaustive import int_quotient_stable_range_1
+from edrkit.exhaustive import TooLargeError, int_quotient_stable_range_1
 
 Z = IntegerRing()
 M12 = ModularRing(12)
@@ -232,6 +233,41 @@ def test_coprime_factorization_preconditions():
         coprime_factorization(zel(0), zel(3), zel(5))
     with pytest.raises(PreconditionError):
         coprime_factorization(zel(12), zel(2), zel(4))
+
+
+def _assert_coprime_split(c, a, b, r, s):
+    assert r * s == c
+    assert is_coprime(r, s) and is_coprime(r, a) and is_coprime(s, b)
+
+
+def test_coprime_factorization_on_residue_rings():
+    for n in range(2, 31):
+        ring = ModularRing(n)
+        for c in range(1, n):
+            for a in range(n):
+                for b in range(0, n, 3):
+                    el = [element(ring, v) for v in (c, a, b)]
+                    if is_coprime(el[1], el[2]):
+                        _assert_coprime_split(*el, *coprime_factorization(*el))
+
+
+def test_coprime_factorization_scans_only_small_finite_rings():
+    small = make_ring("product:zmod:4,zmod:6").ring
+    c, a, b = (element(small, v) for v in ((2, 4), (2, 5), (3, 1)))
+    _assert_coprime_split(c, a, b, *coprime_factorization(c, a, b))
+    big = make_ring("product:zmod:64,zmod:97").ring  # 6,208 elements
+    c, a, b = (element(big, v) for v in ((2, 4), (1, 5), (3, 1)))
+    with pytest.raises(TooLargeError):
+        coprime_factorization(c, a, b)
+
+
+def test_clean_idempotent_over_a_huge_modulus_is_fast():
+    ring = make_ring("zmod:2305843009213693953").ring  # 3 * 768614336404564651
+    c, a, b = (element(ring, v) for v in (3, 1, 3))
+    t0 = time.perf_counter()
+    e = clean_idempotent(c, a, b)
+    assert time.perf_counter() - t0 < 1.0
+    assert ring.divides(c.value, (e * e - e).value)
 
 
 def test_clean_idempotent_example():
