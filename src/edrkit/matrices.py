@@ -20,9 +20,11 @@ bound the growth of D and the transforms.
 Each step updates D, P, Q and the stored inverses together through one-row
 shears (``_Sweep.add_row``/``add_col``) and swaps.  The divisibility chain
 is then enforced through the explicit 2x2 elementary reduction of a
-lower-triangular matrix with comaximal entries (``reduce_2x2``), whose
-transformation matrices are assembled factor by factor and audited for
-invertibility.  Only products are split, each component reduced on its own.
+lower-triangular matrix with comaximal entries (``reduce_2x2``).  It works
+on raw 2x2 values: each factor is a (matrix, inverse) pair of tuples, and
+the factors are composed once into P, Q, their inverses and D; the pairs
+are kept for auditing invertibility.  Only products are split, each
+component reduced on its own.
 
 ``verify_reduction`` checks P*Pinv = I and Q*Qinv = I only: over a
 commutative ring a one-sided inverse of a square matrix is two-sided.  So
@@ -46,10 +48,8 @@ from .rings import (
     UnsupportedOperationError,
     _raw,
     _same_ring,
-    bezout,
-    one,
 )
-from .stability import _jointly_comaximal, lift_unit, select_stable
+from .stability import _comaximal, lift_unit, select_stable
 
 logger = logging.getLogger(__name__)
 
@@ -105,7 +105,7 @@ class RingMatrix:
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "RingMatrix":
-        return cls(ring, _eye(ring, n))
+        return cls._trusted(ring, _eye(ring, n))
 
     @classmethod
     def zeros(cls, ring: Ring, rows: int, cols: int) -> "RingMatrix":
@@ -370,15 +370,14 @@ def _cert_col_pair(ring, a, b):
     """Column transform (t, tinv) sending the row pair (a, b) to (d, 0).
 
     The pair (a, 0) keeps the identity transform; this also covers (0, 0),
-    whose degenerate certificate has no unimodular completion.
+    which has no unimodular completion, so ``bezout_raw`` never sees it.
     """
     if b == ring.zero:
         return a, _eye2(ring), _eye2(ring)
-    cert = bezout(_raw(ring, a), _raw(ring, b))
-    x, y, a0, b0 = cert.x.value, cert.y.value, cert.a0.value, cert.b0.value
+    d, x, y, a0, b0 = ring.bezout_raw(a, b)
     t = ((x, ring.neg(b0)), (y, a0))
     tinv = ((a0, b0), (ring.neg(y), x))
-    return cert.d.value, t, tinv
+    return d, t, tinv
 
 
 def column_reduce(a: RingElement, b: RingElement) -> tuple[RingElement, RingMatrix]:
@@ -389,10 +388,8 @@ def column_reduce(a: RingElement, b: RingElement) -> tuple[RingElement, RingMatr
     pair (a, 0) short-circuits to (a, identity).
     """
     ring = _same_ring(a, b)
-    if b.is_zero():
-        return (a, RingMatrix.identity(ring, 2))
     d, t, _ = _cert_col_pair(ring, a.value, b.value)
-    return (_raw(ring, d), RingMatrix(ring, [[t[0][0], t[0][1]], [t[1][0], t[1][1]]]))
+    return (_raw(ring, d), RingMatrix._trusted(ring, t))
 
 
 def reduce_2x2(a: RingMatrix) -> ReductionResult:
@@ -408,94 +405,85 @@ def reduce_2x2(a: RingMatrix) -> ReductionResult:
     ring = a.ring
     if a.rows != 2 or a.cols != 2:
         raise RingError("reduce_2x2 needs a 2x2 matrix")
-    if a.data[0][1] != ring.zero:
+    zero, one = ring.zero, ring.one
+    (av, e01), (bv, cv) = a.data
+    if e01 != zero:
         raise PreconditionError("reduce_2x2 needs the lower-triangular shape [[a,0],[b,c]]")
-    av, bv, cv = a.entry(0, 0), a.entry(1, 0), a.entry(1, 1)
-    if not _jointly_comaximal([av, bv, cv]):
+    if not _comaximal(ring, [av, bv, cv]):
         raise PreconditionError(
-            f"reduce_2x2 requires aR + bR + cR = R, got {av!r}, {bv!r}, {cv!r}")
-
-    left: list[tuple[RingMatrix, RingMatrix]] = []
-    right: list[tuple[RingMatrix, RingMatrix]] = []
-
-    def push_left(t, tinv):
-        left.append((RingMatrix(ring, t), RingMatrix(ring, tinv)))
-
-    def push_right(t, tinv):
-        right.append((RingMatrix(ring, t), RingMatrix(ring, tinv)))
-
+            f"reduce_2x2 requires aR + bR + cR = R, got "
+            f"{a.entry(0, 0)!r}, {a.entry(1, 0)!r}, {a.entry(1, 1)!r}")
     if a.is_identity():
         ident = RingMatrix.identity(ring, 2)
         return ReductionResult(P=ident, D=a, Q=ident, Pinv=ident, Qinv=ident)
+    add, mul, neg, inv = ring.add, ring.mul, ring.neg, ring.inverse
 
-    # (i) a*x + b*y + c*z = 1 through two certificates
-    cert_bc = bezout(bv, cv)
-    cert = bezout(av, cert_bc.d)
-    uinv = one(ring) if cert.d.is_one() else _raw(ring, ring.inverse(cert.d.value))
-    x = cert.x * uinv
-    y = cert_bc.x * cert.y * uinv
-    z = cert_bc.y * cert.y * uinv
+    # (i) a*x + b*y + c*z = u, a unit, through two certificates; the shift
+    # needs only x and z, for any u, and b = c = 0 (d_bc = 0) gives z = 0
+    d_bc, z_bc = zero, zero
+    if bv != zero or cv != zero:
+        d_bc, _, z_bc, _, _ = ring.bezout_raw(bv, cv)
+    _, x, s, _, _ = ring.bezout_raw(av, d_bc)
+    z = mul(z_bc, s)
 
     # (ii) stable shift: v = b + (a*x + c*z)*t
-    axcz = av * x + cv * z
-    t_el = select_stable(bv, axcz)
-    v = bv + axcz * t_el
-    xt, zt = (x * t_el).value, (z * t_el).value
-    push_left(((ring.one, ring.zero), (xt, ring.one)),
-              ((ring.one, ring.zero), (ring.neg(xt), ring.one)))
-    push_right(((ring.one, ring.zero), (zt, ring.one)),
-               ((ring.one, ring.zero), (ring.neg(zt), ring.one)))
+    axcz = add(mul(av, x), mul(cv, z))
+    t = select_stable(_raw(ring, bv), _raw(ring, axcz)).value
+    v = add(bv, mul(axcz, t))
+    xt, zt = mul(x, t), mul(z, t)
+    swap = ((zero, one), (one, zero))
+    # (matrix, inverse) factors, each list in application order
+    left = [(((one, zero), (xt, one)), ((one, zero), (neg(xt), one)))]
+    right = [(((one, zero), (zt, one)), ((one, zero), (neg(zt), one)))]
 
     # (iii) Hermite: (v, c) -> (0, c'), giving [[a', b'], [0, c']]
-    dvc, tq, tqinv = _cert_col_pair(ring, v.value, cv.value)
-    swap = ((ring.zero, ring.one), (ring.one, ring.zero))
-    tq3 = _mul2(ring, tq, swap)
-    tq3inv = _mul2(ring, swap, tqinv)
-    push_right(tq3, tq3inv)
-    a_p = ring.mul(a.data[0][0], tq3[0][0])
-    b_p = ring.mul(a.data[0][0], tq3[0][1])
-    c_p = dvc
+    c_p, tq, tqinv = _cert_col_pair(ring, v, cv)
+    tq = _mul2(ring, tq, swap)
+    right.append((tq, _mul2(ring, swap, tqinv)))
+    a_p, b_p = mul(av, tq[0][0]), mul(av, tq[0][1])
 
     # (iv) w with b' + a'*w a unit modulo c'
-    w = lift_unit(_raw(ring, b_p), _raw(ring, a_p), _raw(ring, c_p))
-    unit_mod_cp = ring.add(b_p, ring.mul(a_p, w.value))
+    w = lift_unit(_raw(ring, b_p), _raw(ring, a_p), _raw(ring, c_p)).value
+    unit_mod_cp = add(b_p, mul(a_p, w))
 
     # (v) (b' + a'*w)*p + c'*q = 1
-    cert2 = bezout(_raw(ring, unit_mod_cp), _raw(ring, c_p))
-    u2inv = one(ring) if cert2.d.is_one() else _raw(ring, ring.inverse(cert2.d.value))
-    p_el = (cert2.x * u2inv).value
-    q_el = (cert2.y * u2inv).value
+    d, p, q, _, _ = ring.bezout_raw(unit_mod_cp, c_p)  # d is a unit: scale it to 1
+    p, q = mul(p, inv(d)), mul(q, inv(d))
 
     # (vi) the closing factors: swap * M * (...) * W * E * swap
-    push_right(((ring.one, w.value), (ring.zero, ring.one)),
-               ((ring.one, ring.neg(w.value)), (ring.zero, ring.one)))
-    pa = ring.mul(p_el, a_p)
-    push_right(((ring.one, ring.zero), (ring.neg(pa), ring.one)),
-               ((ring.one, ring.zero), (pa, ring.one)))
-    push_right(swap, swap)
-    m_fac = ((c_p, ring.neg(unit_mod_cp)), (p_el, q_el))
-    m_inv = ((q_el, unit_mod_cp), (ring.neg(p_el), c_p))
-    push_left(m_fac, m_inv)
-    push_left(swap, swap)
+    pa = mul(p, a_p)
+    right += [(((one, w), (zero, one)), ((one, neg(w)), (zero, one))),
+              (((one, zero), (neg(pa), one)), ((one, zero), (pa, one))),
+              (swap, swap)]
+    left += [(((c_p, neg(unit_mod_cp)), (p, q)), ((q, unit_mod_cp), (neg(p), c_p))),
+             (swap, swap)]
 
-    # compose, then normalize delta to its canonical associate
-    sweep = _Sweep(a)
-    for t, tinv in left:
-        sweep.rows_2x2(0, 1, (t.data[0], t.data[1]), (tinv.data[0], tinv.data[1]))
-    for t, tinv in right:
-        sweep.cols_2x2(0, 1, (t.data[0], t.data[1]), (tinv.data[0], tinv.data[1]))
-    delta = sweep.d[1][1]
+    # compose once: P = L_k...L_1, Pinv = L_1^-1...L_k^-1, Q = R_1...R_k,
+    # Qinv = R_k^-1...R_1^-1 and D = P*A*Q
+    pm, pinv = left[0]
+    for f, finv in left[1:]:
+        pm, pinv = _mul2(ring, f, pm), _mul2(ring, pinv, finv)
+    qm, qinv = right[0]
+    for f, finv in right[1:]:
+        qm, qinv = _mul2(ring, qm, f), _mul2(ring, finv, qinv)
+    dm = _mul2(ring, _mul2(ring, pm, a.data), qm)
+    # normalize delta to its canonical associate by one more row factor
+    delta = dm[1][1]
     canon = ring.canonical_associate(delta)
     if canon != delta:
         u = ring.associate_unit(delta, canon)
-        ui = ring.inverse(u)
-        sweep.scale_row(1, ui, u)
-        push_left(((ring.one, ring.zero), (ring.zero, ui)),
-                  ((ring.one, ring.zero), (ring.zero, u)))
-    base = sweep.result()
-    return ReductionResult(P=base.P, D=base.D, Q=base.Q, Pinv=base.Pinv,
-                           Qinv=base.Qinv, left_factors=tuple(left),
-                           right_factors=tuple(right))
+        f, finv = ((one, zero), (zero, inv(u))), ((one, zero), (zero, u))
+        left.append((f, finv))
+        pm, pinv, dm = _mul2(ring, f, pm), _mul2(ring, pinv, finv), _mul2(ring, f, dm)
+    trusted = RingMatrix._trusted
+
+    def audit(factors):
+        return tuple((trusted(ring, f), trusted(ring, finv)) for f, finv in factors)
+
+    return ReductionResult(
+        P=trusted(ring, pm), D=trusted(ring, dm), Q=trusted(ring, qm),
+        Pinv=trusted(ring, pinv), Qinv=trusted(ring, qinv),
+        left_factors=audit(left), right_factors=audit(right))
 
 
 def _mul2(ring, s, t):
@@ -587,9 +575,9 @@ def _enforce_chain(sweep: _Sweep):
                            ((ring.one, ring.zero), (ring.neg(ring.one), ring.one)))
             # the refined certificate makes (a0, b0) comaximal, so the
             # content-1 cofactor block meets the reduce_2x2 hypothesis
-            cert = bezout(_raw(ring, a), _raw(ring, c))
-            block = RingMatrix(ring, [[cert.a0.value, ring.zero],
-                                      [cert.a0.value, cert.b0.value]])
+            # (a does not divide c, so the pair is never (0, 0))
+            _, _, _, a0, b0 = ring.bezout_raw(a, c)
+            block = RingMatrix._trusted(ring, ((a0, ring.zero), (a0, b0)))
             sub = reduce_2x2(block)
             sweep.rows_2x2(i, i + 1, (sub.P.data[0], sub.P.data[1]),
                            (sub.Pinv.data[0], sub.Pinv.data[1]))
@@ -628,7 +616,7 @@ def _reduce_product(a: RingMatrix) -> ReductionResult:
     ring = a.ring
     partials = []
     for idx, factor in enumerate(ring.factors):
-        comp = RingMatrix(factor, [[v[idx] for v in row] for row in a.data])
+        comp = RingMatrix._trusted(factor, [[v[idx] for v in row] for row in a.data])
         partials.append(diagonal_reduce(comp))
 
     def weave(mats: list[RingMatrix]) -> RingMatrix:

@@ -130,10 +130,6 @@ def unit_mod(a: RingElement, c: RingElement) -> bool:
     return is_coprime(a, c)
 
 
-def _jointly_comaximal(els: list[RingElement]) -> bool:
-    return _comaximal(els[0].ring, [e.value for e in els])
-
-
 def select_stable(a: RingElement, b: RingElement) -> RingElement:
     """Given aR + bR = R, return y making a + b*y a stable element.
 
@@ -297,7 +293,7 @@ def sr2_witness(a: RingElement, b: RingElement, c: RingElement) -> tuple[RingEle
     ring = _same_ring(a, b, c)
     if is_coprime(a, b):
         return (zero(ring), zero(ring))
-    if not _jointly_comaximal([a, b, c]):
+    if not _comaximal(ring, [a.value, b.value, c.value]):
         raise PreconditionError(
             f"sr2_witness requires aR + bR + cR = R, got {a!r}, {b!r}, {c!r}")
     cert1 = bezout(b, c)  # b*x1 + c*y1 = d1 generates bR + cR
@@ -317,9 +313,11 @@ def coprime_factorization(c: RingElement, a: RingElement, b: RingElement
     iterated gcd extraction (no factorization needed).  Over Z/n the same
     loop runs on the integer representatives: c = r*s over Z holds mod n,
     gcd(r, a) = 1 over Z gives rR + aR = R, and every prime of s divides a,
-    so gcd(a, b, n) = 1 gives sR + bR = R.  On the other finite rings, up to
-    ``MAX_TABLE_SIZE`` elements, the factor pairs are searched exhaustively
-    and absence is reported.
+    so gcd(a, b, n) = 1 gives sR + bR = R.  Products split factor by factor;
+    a zero component over Z/n runs the loop on its representative n, and one
+    over an infinite factor is refused as c = 0 is.  On the other finite
+    rings, up to ``MAX_TABLE_SIZE`` elements, the factor pairs are searched
+    exhaustively and absence is reported.
     """
     ring = _same_ring(c, a, b)
     if c.is_zero():
@@ -327,12 +325,27 @@ def coprime_factorization(c: RingElement, a: RingElement, b: RingElement
     if not is_coprime(a, b):
         raise PreconditionError(
             f"coprime_factorization requires aR + bR = R, got {a!r}, {b!r}")
-    if isinstance(ring, (IntegerRing, GFPolynomialRing, ModularRing)):
-        base = IntegerRing() if isinstance(ring, ModularRing) else ring
-        r, s = c.value, base.one
-        while not base.is_unit(g := base.gcd(r, a.value)):
-            r, s = base.divide_exact(r, g), base.mul(s, g)
-        return (_raw(ring, r), _raw(ring, s))
+    r, s = _coprime_split(ring, c.value, a.value, b.value)
+    return (_raw(ring, r), _raw(ring, s))
+
+
+def _coprime_split(ring: Ring, c, a, b) -> tuple:
+    """coprime_factorization on raw values, with aR + bR = R already checked."""
+    if isinstance(ring, ProductRing):
+        parts = [_coprime_split(*args) for args in zip(ring.factors, c, a, b)]
+        return tuple(r for r, _ in parts), tuple(s for _, s in parts)
+    if isinstance(ring, ModularRing):
+        # the Z loop on representatives, where a zero component stands for n
+        r, s = _coprime_split(IntegerRing(), c or ring.n, a, b)
+        return (r % ring.n, s % ring.n)
+    if isinstance(ring, (IntegerRing, GFPolynomialRing)):
+        if c == ring.zero:
+            raise PreconditionError(
+                f"coprime_factorization needs c != 0 in {ring.expression()}")
+        r, s = c, ring.one
+        while not ring.is_unit(g := ring.gcd(r, a)):
+            r, s = ring.divide_exact(r, g), ring.mul(s, g)
+        return (r, s)
     if ring.finite:
         if ring.cardinality() > MAX_TABLE_SIZE:
             raise TooLargeError(
@@ -340,14 +353,12 @@ def coprime_factorization(c: RingElement, a: RingElement, b: RingElement
                 f"{ring.cardinality()} elements, past the cap of {MAX_TABLE_SIZE}")
         for rv in ring.elements():
             for sv in ring.elements():
-                if ring.mul(rv, sv) != c.value:
-                    continue
-                r = _raw(ring, rv)
-                s = _raw(ring, sv)
-                if is_coprime(r, s) and is_coprime(r, a) and is_coprime(s, b):
-                    return (r, s)
+                if (ring.mul(rv, sv) == c and _comaximal(ring, [rv, sv])
+                        and _comaximal(ring, [rv, a]) and _comaximal(ring, [sv, b])):
+                    return (rv, sv)
         raise FactorizationError(
-            f"no coprime factorization of {c!r} against {a!r}, {b!r}")
+            f"no coprime factorization of {_raw(ring, c)!r} against "
+            f"{_raw(ring, a)!r}, {_raw(ring, b)!r}")
     raise UnsupportedOperationError(
         f"coprime_factorization is not supported on {ring.expression()}")
 

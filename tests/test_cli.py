@@ -124,6 +124,12 @@ _PINNED = [
      '{"d":2,"matrix":[[4,6],[-1,-1]],"ring":"z","trace":{"q":[2,3],"x":[-1,1]},'
      '"verified":true}',
      'matrix:\n 4  6\n-1 -1\ndet: 2'),
+    (dict(command="check", ring="z", property="stable-range-1"),
+     '{"holds":false,"property":"stable-range-1","searchBound":1000,"witness":[3,5]}',
+     'stable-range-1: fails\nwitness: [3,5]\nsearch bound: 1000'),
+    (dict(command="check", ring="zmod:30", property="clean"),
+     '{"holds":true,"property":"clean"}',
+     'clean: holds'),
 ]
 
 

@@ -268,6 +268,109 @@ def test_reduce_2x2_factors_audit(rng):
         assert (res.P @ mat @ res.Q) == res.D
 
 
+def _audit_2x2(mat, res):
+    """The checks of test_reduce_2x2_factors_audit, over any ring."""
+    ring = mat.ring
+    assert verify_reduction(mat, res)
+    assert res.D.data[0][0] == ring.one
+    delta, det_a = res.D.data[1][1], det_oracle(mat).value
+    assert ring.divides(delta, det_a) and ring.divides(det_a, delta)
+    for fac, inv in res.left_factors + res.right_factors:
+        assert (fac @ inv).is_identity() and (inv @ fac).is_identity()
+    p = RingMatrix.identity(ring, 2)
+    for fac, _ in res.left_factors:
+        p = fac @ p
+    q = RingMatrix.identity(ring, 2)
+    for fac, _ in res.right_factors:
+        q = q @ fac
+    assert p == res.P and q == res.Q
+    assert (res.P @ mat @ res.Q) == res.D
+
+
+def _comaximal_triples(ring, rng, count):
+    """Edge triples with b = 0, c = 0 or both, then random comaximal ones."""
+    from edrkit.stability import _comaximal
+
+    one, zero, m1 = ring.one, ring.zero, ring.neg(ring.one)
+    triples = [(one, zero, zero), (m1, zero, zero), (zero, one, zero), (zero, m1, one),
+               (one, one, zero), (m1, zero, one)]
+    while len(triples) < count:
+        abc = [ring.normalize(random_value(ring, rng, 20)) for _ in range(3)]
+        if _comaximal(ring, abc):
+            triples.append(abc)
+    return [RingMatrix(ring, [[a, zero], [b, c]]) for a, b, c in triples]
+
+
+@pytest.mark.parametrize("spec", ["zmod:360", "gfpoly:5", "product:zmod:4,z", "text:z,q"])
+def test_reduce_2x2_factors_audit_on_every_bezout_ring(spec, rng):
+    for mat in _comaximal_triples(make_ring(spec).ring, rng, 40):
+        _audit_2x2(mat, reduce_2x2(mat))
+
+
+class _NegatedBezout(IntegerRing):
+    """Z whose certificates carry the generator -gcd: still a valid refined
+    certificate, but the unit ideal comes back as -1, not 1."""
+
+    def bezout_raw(self, a, b):
+        return tuple(-v for v in super().bezout_raw(a, b))
+
+    def canonical_associate(self, a):
+        return abs(a)
+
+
+def test_reduce_2x2_scales_a_unit_generator_to_one(rng):
+    ring = _NegatedBezout()
+    for mat in _comaximal_triples(ring, rng, 30):
+        _audit_2x2(mat, reduce_2x2(mat))
+
+
+_CHAIN_REPAIRS = {  # diag(a, c) with a not dividing c: diagonal_reduce calls reduce_2x2
+    "z": [[2, 0], [0, 3]],
+    "zmod:360": [[8, 0], [0, 9]],
+    "gfpoly:5": [[(0, 1), ()], [(), (1, 1)]],
+    "product:zmod:4,z": [[(2, 2), (0, 0)], [(0, 0), (3, 3)]],
+    "text:z,q": [[(2, 0), (0, 0)], [(0, 0), (3, 0)]],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_CHAIN_REPAIRS) + ["series:4"])
+def test_reduce_2x2_and_diagonal_reduce_build_no_validated_matrix_or_certificate(
+        spec, monkeypatch, rng):
+    from edrkit import matrices
+    from edrkit.rings import BezoutCertificate
+
+    ring = make_ring(spec).ring
+    lower = _comaximal_triples(ring, rng, 12)
+    full = []
+    if ring.bezout_total:
+        full = [RingMatrix(ring, _CHAIN_REPAIRS[spec])] + [
+            RingMatrix(ring, [[random_value(ring, rng, 20) for _ in range(3)] for _ in range(3)])
+            for _ in range(4)]
+    built = []
+    for cls in (RingMatrix, BezoutCertificate):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            built.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    repairs = []
+    reduce = matrices.reduce_2x2
+
+    def counted_reduce(a):
+        repairs.append(a)
+        return reduce(a)
+
+    monkeypatch.setattr(matrices, "reduce_2x2", counted_reduce)
+    for mat in lower:
+        reduce(mat)
+    for mat in full:
+        diagonal_reduce(mat)
+    assert built == []
+    assert bool(repairs) == bool(full)
+
+
 def test_diagonal_reduce_examples():
     a = zmat([[2, 4], [6, 8]])
     res = diagonal_reduce(a)

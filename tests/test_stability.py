@@ -57,7 +57,7 @@ def test_unit_mod_examples():
 def test_series_comaximality_without_constant_terms():
     """Two series with zero constant terms never generate R; the pair test
     used to ask for a Bezout certificate that does not exist and raise."""
-    from edrkit.stability import _jointly_comaximal
+    from edrkit.stability import _comaximal
 
     s = make_ring("series:4").ring
     x = element(s, (0, (1,)))
@@ -65,8 +65,8 @@ def test_series_comaximality_without_constant_terms():
     assert not is_coprime(x, x2)
     assert not unit_mod(x, x2)
     assert not is_coprime(x2, x)
-    assert not _jointly_comaximal([x, x2])
-    assert not _jointly_comaximal([x, x2, x * x2])
+    assert not _comaximal(s, [x.value, x2.value])
+    assert not _comaximal(s, [x.value, x2.value, (x * x2).value])
     assert not is_coprime(x, element(s, (0, ())))
     one_plus_x = element(s, (1, (1,)))
     assert is_coprime(x, one_plus_x) and is_coprime(one_plus_x, x2)
@@ -77,12 +77,12 @@ def test_series_comaximality_without_constant_terms():
     els = [x, x2, one_plus_x, two, three, element(s, (-1, ())), element(s, (0, ()))]
     for a in els:
         for b in els:
-            assert is_coprime(a, b) == unit_mod(a, b) == _jointly_comaximal([a, b])
+            assert is_coprime(a, b) == unit_mod(a, b) == _comaximal(s, [a.value, b.value])
             assert is_coprime(a, b) == (math.gcd(a.value[0], b.value[0]) == 1)
     # a unit-free lead: the fold must start from a nonzero constant term
-    assert _jointly_comaximal([x, x2, one_plus_x])
-    assert _jointly_comaximal([x2, two, three])
-    assert not _jointly_comaximal([x, x2, two])
+    assert _comaximal(s, [x.value, x2.value, one_plus_x.value])
+    assert _comaximal(s, [x2.value, two.value, three.value])
+    assert not _comaximal(s, [x.value, x2.value, two.value])
 
 
 def test_select_stable_examples():
@@ -99,6 +99,16 @@ def test_select_stable_examples():
 def test_select_stable_rejects_zero_pair():
     with pytest.raises(PreconditionError):
         select_stable(zel(0), zel(0))
+
+
+def test_select_stable_refuses_pairs_without_a_stable_shift():
+    s = make_ring("series:4").ring
+    x = element(s, (0, (Fraction(1),)))
+    with pytest.raises(PreconditionError, match="constant terms"):
+        select_stable(x, x * x)
+    t = make_ring("text:z,q").ring
+    with pytest.raises(PreconditionError, match="base components"):
+        select_stable(element(t, (0, Fraction(1, 2))), element(t, (0, Fraction(3))))
 
 
 def test_select_stable_postcondition_verified(rng):
@@ -131,6 +141,13 @@ def test_lift_unit_streams_residues_of_a_large_modulus():
         tracemalloc.stop()
     assert y.value == 1
     assert peak < 1 << 20  # no list of the million residues
+
+
+def test_lift_unit_at_c_zero_over_the_integers():
+    # Z/0Z = Z has no finite residue system, so only y = 0 is tried
+    assert lift_unit(zel(1), zel(2), zel(0)).value == 0
+    with pytest.raises(PreconditionError, match="y = 0 fails"):
+        lift_unit(zel(2), zel(1), zel(0))
 
 
 def test_lift_unit_precondition():
@@ -255,8 +272,22 @@ def test_coprime_factorization_scans_only_small_finite_rings():
     small = make_ring("product:zmod:4,zmod:6").ring
     c, a, b = (element(small, v) for v in ((2, 4), (2, 5), (3, 1)))
     _assert_coprime_split(c, a, b, *coprime_factorization(c, a, b))
+    # products split factor by factor, past the scan cap too
     big = make_ring("product:zmod:64,zmod:97").ring  # 6,208 elements
     c, a, b = (element(big, v) for v in ((2, 4), (1, 5), (3, 1)))
+    _assert_coprime_split(c, a, b, *coprime_factorization(c, a, b))
+    mixed = make_ring("product:zmod:4,z").ring
+    for v in (((0, 12), (2, 9), (1, 5)), ((2, 12), (3, 9), (0, 5)), ((3, -7), (0, 1), (1, 0))):
+        c, a, b = (element(mixed, x) for x in v)
+        r, s = coprime_factorization(c, a, b)
+        _assert_coprime_split(c, a, b, r, s)
+        assert [mixed.normalize(e.value) for e in (r, s)] == [r.value, s.value]
+    # a zero component over Z is refused as c = 0 is
+    c, a, b = (element(mixed, v) for v in ((2, 0), (1, 3), (1, 5)))
+    with pytest.raises(PreconditionError):
+        coprime_factorization(c, a, b)
+    other = make_ring("text:zmod:65,self").ring  # 4,225 elements
+    c, a, b = (element(other, v) for v in ((5, 1), (1, 0), (0, 0)))
     with pytest.raises(TooLargeError):
         coprime_factorization(c, a, b)
 
@@ -356,7 +387,7 @@ def test_finite_comaximality_on_products_matches_ideal_sums(spec):
     Bezout rings, against sums of principal ideals of the whole ring."""
     from itertools import product
 
-    from edrkit.stability import _jointly_comaximal
+    from edrkit.stability import _comaximal
 
     ring = make_ring(spec).ring
     assert not ring.bezout_total
@@ -372,5 +403,4 @@ def test_finite_comaximality_on_products_matches_ideal_sums(spec):
     for a, b in product(els, repeat=2):
         assert is_coprime(element(ring, a), element(ring, b)) == reaches_one(a, b)
     for a, b, c in product(els, repeat=3):
-        triple = [element(ring, v) for v in (a, b, c)]
-        assert _jointly_comaximal(triple) == reaches_one(a, b, c)
+        assert _comaximal(ring, [a, b, c]) == reaches_one(a, b, c)
