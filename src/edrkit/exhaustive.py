@@ -64,7 +64,7 @@ from .rings import (
 # closed-form Z/m and GF(p)[x]/(f) structures above this size are rejected
 MAX_QUOTIENT_SIZE = 10_000
 # tabulated structures above this size are rejected
-MAX_TABLE_SIZE = 4096
+MAX_TABLE_SIZE = 1024
 # products above this size are rejected; each factor also keeps its own cap
 MAX_PRODUCT_SIZE = 1_000_000
 

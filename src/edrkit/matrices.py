@@ -265,9 +265,12 @@ class _Sweep:
     """Mutable worksheet carrying A -> D together with P, Pinv, Q, Qinv.
 
     Shears go through the ring's row kernels (``Ring.axpy`` for a row,
-    ``Ring.col_axpy`` for a column).  2x2 blocks and scalings keep plain
-    add/mul loops: each new entry there has only one or two terms, and a
-    kernel call per entry measured slower than the direct calls on Z.
+    ``Ring.col_axpy`` for a column): native loops on Z, one ``Ring.fma``
+    (y + q*x) per nonzero entry elsewhere, which Z/n, GF(p)[x] and the
+    trivial extension of Z by Q compute without a separate product and sum.
+    2x2 blocks and scalings keep plain add/mul loops: each new entry there
+    has only one or two terms, and a kernel call per entry measured slower
+    than the direct calls on Z.
     """
 
     def __init__(self, a: RingMatrix):

@@ -119,24 +119,35 @@ def _ptrim(c: list[int]) -> tuple[int, ...]:
 
 
 def _padd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                   for i in range(n)])
+    if len(a) < len(b):
+        a, b = b, a
+    low = [(x + y) % p for x, y in zip(a, b)]
+    if len(a) > len(b):  # the longer top coefficient is nonzero: no trim
+        return tuple(low) + a[len(b):]
+    return _ptrim(low)
 
 
 def _pneg(a: tuple[int, ...], p: int) -> tuple[int, ...]:
     return tuple((-c) % p for c in a)
 
 
-def _pmul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+def _pfma(y: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """y + a*b, accumulated in one list with one reduction mod p per coefficient."""
     if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
+        return y
+    if len(a) > len(b):  # the outer loop over the shorter factor
+        a, b = b, a
+    out = list(y)
+    out += [0] * (len(a) + len(b) - 1 - len(out))
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return _ptrim([c % p for c in out])
+
+
+def _pmul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    return _pfma((), a, b, p)
 
 
 def _kpack(a: tuple[int, ...], k: int) -> int:
@@ -150,21 +161,23 @@ def _kpack(a: tuple[int, ...], k: int) -> int:
 def _pdivmod(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
+    top = len(b) - 1
     inv_lead = pow(b[-1], -1, p)
-    while len(r) >= len(b):
-        if r[-1] == 0:
-            r.pop()
-            continue
-        k = len(r) - len(b)
-        coef = (r[-1] * inv_lead) % p
-        q[k] = coef
-        for i, bi in enumerate(b):
-            r[k + i] = (r[k + i] - coef * bi) % p
-        while r and r[-1] == 0:
-            r.pop()
-    return _ptrim(q), _ptrim(r)
+    # one pass from the top: the quotient coefficient at shift k cancels
+    # r[k + top]; only the entries below it change, and each is reduced
+    # mod p once, when the quotient needs it or at the end.  The top
+    # coefficient of a is nonzero, so q needs no trim; q and the loop are
+    # empty when deg a < deg b.
+    low = b[:top]
+    r = list(a)
+    q = [0] * (len(a) - top)
+    for k in range(len(a) - 1 - top, -1, -1):
+        coef = r[k + top] * inv_lead % p
+        if coef:
+            q[k] = coef
+            for i, bi in enumerate(low, k):
+                r[i] -= coef * bi
+    return tuple(q), _ptrim([c % p for c in r[:top]])
 
 
 def _pmonic(a: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -182,20 +195,24 @@ def _pgcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
 
 
 def _pegcd(a: tuple[int, ...], b: tuple[int, ...], p: int):
-    """Extended gcd over GF(p)[x]: (g, x, y) with a*x + b*y = g, g monic or 0."""
+    """Extended gcd over GF(p)[x]: (g, x, y) with a*x + b*y = g, g monic or 0.
+
+    Only the x cofactors are carried; GF(p)[x] is a domain, so for b != 0
+    the y with a*x + b*y = g is unique and comes from one exact division.
+    """
     r0, r1 = a, b
     x0, x1 = (1,), ()
-    y0, y1 = (), (1,)
     while r1:
         q, r = _pdivmod(r0, r1, p)
         r0, r1 = r1, r
-        x0, x1 = x1, _padd(x0, _pneg(_pmul(q, x1, p), p), p)
-        y0, y1 = y1, _padd(y0, _pneg(_pmul(q, y1, p), p), p)
-    if r0:
-        inv = pow(r0[-1], -1, p)
-        scale = (inv % p,)
-        return _pmonic(r0, p), _pmul(x0, scale, p), _pmul(y0, scale, p)
-    return (), x0, y0
+        x0, x1 = x1, _pfma(x0, _pneg(q, p), x1, p)
+    if not r0:  # a = b = 0
+        return (), x0, ()
+    inv = pow(r0[-1], -1, p)
+    g, x = _pmonic(r0, p), _pmul(x0, (inv,), p)
+    if not b:
+        return g, x, ()
+    return g, x, _pdivmod(_pfma(g, _pneg(a, p), x, p), b, p)[0]
 
 
 # Miller-Rabin with the prime bases up to 41 decides primality exactly below
@@ -311,27 +328,33 @@ class Ring(ABC):
     # The matrix hot loops call these once per row (or column) instead of
     # once per entry.  The defaults are plain add/mul loops; a ring with
     # cheap native arithmetic overrides them and must return exactly the
-    # same normal values.
+    # same normal values.  The shears (axpy, col_axpy) make one fma call per
+    # nonzero entry, so a ring speeds up both by overriding fma alone; Z
+    # overrides the shears themselves with builtin operators.
 
     def dot(self, xs, ys) -> Any:
         """The sum of xs[k] * ys[k] over the common length; zero if empty."""
         products = map(self.mul, xs, ys)
         return functools.reduce(self.add, products, next(products, self.zero))
 
+    def fma(self, y: Any, q: Any, x: Any) -> Any:
+        """y + q * x."""
+        return self.add(y, self.mul(q, x))
+
     def axpy(self, dst: list, src, q: Any) -> None:
         """dst[c] += q * src[c] in place, skipping the zero entries of src."""
-        add, mul, zero = self.add, self.mul, self.zero
+        fma, zero = self.fma, self.zero
         for c, x in enumerate(src):
             if x != zero:
-                dst[c] = add(dst[c], mul(q, x))
+                dst[c] = fma(dst[c], q, x)
 
     def col_axpy(self, rows, j: int, k: int, q: Any) -> None:
         """row[j] += q * row[k] in place for every row, skipping zeros at k."""
-        add, mul, zero = self.add, self.mul, self.zero
+        fma, zero = self.fma, self.zero
         for row in rows:
             x = row[k]
             if x != zero:
-                row[j] = add(row[j], mul(q, x))
+                row[j] = fma(row[j], q, x)
 
     @abstractmethod
     def is_unit(self, x: Any) -> bool: ...
@@ -463,6 +486,22 @@ def _qsum(an: int, ad: int, bn: int, bd: int) -> Fraction:
     if ad == bd:
         return _fraction(an + bn, ad)
     return _fraction(an * bd + bn * ad, ad * bd)
+
+
+def _qlsum(terms) -> Fraction:
+    """The sum of n/d over (n, d) pairs (d > 0) as one Fraction, kept over
+    the lcm of the denominators seen so far."""
+    num, den = 0, 1
+    for n, d in terms:
+        if not n:
+            continue
+        if d == den:
+            num += n
+        else:
+            g = gcd(den, d)
+            num = num * (d // g) + n * (den // g)
+            den = den // g * d
+    return _fraction(num, den)
 
 
 def _fraction_to_json(q: Fraction) -> Any:
@@ -617,6 +656,9 @@ class ModularRing(Ring):
     def dot(self, xs, ys):
         return sum(map(operator.mul, xs, ys)) % self.n  # one reduction per dot
 
+    def fma(self, y, q, x):
+        return (y + q * x) % self.n
+
     def is_unit(self, x):
         return gcd(x, self.n) == 1
 
@@ -766,6 +808,9 @@ class GFPolynomialRing(Ring):
             out.append((total & mask) % p)
             total >>= k
         return _ptrim(out)
+
+    def fma(self, y, q, x):
+        return _pfma(y, q, x, self.p)
 
     def is_unit(self, x):
         return len(x) == 1
@@ -1043,22 +1088,23 @@ class TrivialExtensionRing(Ring):
         if self.module == self.MODULE_SELF:
             return Ring.dot(self, xs, ys)
         # the module part sum(a*f + b*e) over the lcm of the denominators
-        s = num = 0
-        den = 1
+        s = 0
+        terms = []
         for (a, e), (b, f) in zip(xs, ys):
             s += a * b
             en, ed = e.as_integer_ratio()
             fn, fd = f.as_integer_ratio()
-            for n, d in ((a * fn, fd), (b * en, ed)):
-                if not n:
-                    continue
-                if d == den:
-                    num += n
-                else:
-                    g = gcd(den, d)
-                    num = num * (d // g) + n * (den // g)
-                    den = den // g * d
-        return (s, _fraction(num, den))
+            terms += ((a * fn, fd), (b * en, ed))
+        return (s, _qlsum(terms))
+
+    def fma(self, y, q, x):
+        if self.module == self.MODULE_SELF:
+            return Ring.fma(self, y, q, x)
+        # (c, g) + (a, e)(b, f) = (c + ab, g + af + be), one Fraction built
+        (c, g), (a, e), (b, f) = y, q, x
+        en, ed = e.as_integer_ratio()
+        fn, fd = f.as_integer_ratio()
+        return (c + a * b, _qlsum((g.as_integer_ratio(), (a * fn, fd), (b * en, ed))))
 
     def is_unit(self, x):
         return self.base.is_unit(x[0])

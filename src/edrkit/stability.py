@@ -317,7 +317,8 @@ def coprime_factorization(c: RingElement, a: RingElement, b: RingElement
     a zero component over Z/n runs the loop on its representative n, and one
     over an infinite factor is refused as c = 0 is.  On the other finite
     rings, up to ``MAX_TABLE_SIZE`` elements, the factor pairs are searched
-    exhaustively and absence is reported.
+    exhaustively and absence is reported; their comaximality checks run on
+    the ring's table, so the scan shares the table cap.
     """
     ring = _same_ring(c, a, b)
     if c.is_zero():

@@ -407,7 +407,7 @@ def test_check_at_the_size_limit_runs(built, ring, built_class, cap):
 
 def test_check_at_the_table_limit_reaches_the_table(built):
     with pytest.raises(_TableReached):
-        _check("text:zmod:64,self")
+        _check("text:zmod:32,self")
     assert built["TableStructure"] == [exhaustive.MAX_TABLE_SIZE]
 
 
@@ -415,6 +415,8 @@ def test_check_at_the_table_limit_reaches_the_table(built):
     "zmod:10001",                    # one past MAX_QUOTIENT_SIZE
     "product:zmod:101,zmod:9901",    # 1,000,001: one past MAX_PRODUCT_SIZE
     "product:zmod:2,zmod:10001",     # a factor past its own cap
+    "text:zmod:33,self",             # 1,089: the first past MAX_TABLE_SIZE
+    "text:zmod:64,self",             # 4,096: the cap before it was lowered
     "text:zmod:65,self",             # 4,225 > MAX_TABLE_SIZE
     "product:zmod:2,text:zmod:65,self",
 ])

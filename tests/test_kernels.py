@@ -4,22 +4,29 @@ The overrides, each of which must return exactly the normal values of the
 generic ``Ring`` add/mul loops:
 
 * ``IntegerRing``: ``dot``, ``axpy`` and ``col_axpy`` with builtin operators;
-* ``ModularRing``: ``dot``, one reduction per dot product;
+* ``ModularRing``: ``dot``, one reduction per dot product, and ``fma``
+  (y + q*x), one reduction per entry;
 * ``GFPolynomialRing``: ``dot`` by Kronecker substitution, one reduction
-  mod p per coefficient of the sum;
+  mod p per coefficient of the sum, and ``fma`` through ``_pfma``, one
+  reduction per coefficient;
 * ``ProductRing``: ``dot``, each factor's own ``dot`` on its component column;
-* ``TrivialExtensionRing`` with the rational module: ``add``, ``mul`` and
-  ``dot`` on the numerators and denominators of the module parts, one
-  ``Fraction`` per result;
+* ``TrivialExtensionRing`` with the rational module: ``add``, ``mul``,
+  ``dot`` and ``fma`` on the numerators and denominators of the module
+  parts, one ``Fraction`` per result;
 * ``gcd`` on Z (``math.gcd``), Z/n (``gcd(a, b, n) % n``), GF(p)[x] (monic
   Euclid) and products (componentwise), each exactly ``bezout_raw(a, b)[0]``
   and zero on the zero pair; the other rings use the default, which is that
   by definition.
 
+The generic ``axpy`` and ``col_axpy`` call ``fma`` once per nonzero entry,
+so the shears of every ring but Z run through the overrides above.
+
 The generic ``dot`` is checked against a plain left-to-right sum that starts
 from zero.  Both call the ring's own ``mul``, so the rational-module kernels
-are also checked against plain ``Fraction`` arithmetic, and the polynomial
-``dot`` against a fold of ``_pmul``/``_padd``.
+are also checked against plain ``Fraction`` arithmetic, the polynomial
+``dot`` against a fold of ``_pmul``/``_padd``, and the GF(p)[x] primitives
+(``_padd``, ``_pmul``, ``_pfma``, ``_pdivmod``, ``_pegcd``) against sympy's
+``Poly(..., modulus=p)``, which shares no code with edrkit.
 """
 
 import json
@@ -28,6 +35,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +51,9 @@ from edrkit.rings import (
     TruncatedSeriesRing,
     UnsupportedOperationError,
     _padd,
+    _pdivmod,
+    _pegcd,
+    _pfma,
     _pmul,
 )
 
@@ -125,6 +136,51 @@ def test_kernels_on_empty_rows_and_zero_multipliers(spec):
     rows = [[ring.one, ring.neg(ring.one)], [ring.zero, ring.one]]
     ring.col_axpy(rows, 0, 1, ring.zero)
     assert rows == [[ring.one, ring.neg(ring.one)], [ring.zero, ring.one]]
+
+
+# -- fma: the one hook of the generic shears ---------------------------------------
+
+def _assert_fma(ring, y, q, x):
+    got = ring.fma(y, q, x)
+    assert got == Ring.fma(ring, y, q, x) == ring.add(y, ring.mul(q, x))
+    assert repr(got) == repr(ring.normalize(got))  # a normal value
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_fma_is_the_sum_of_the_product(spec):
+    ring = make_ring(spec).ring
+    values = _values(ring)
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(y=values, q=values, x=values)
+    def check(y, q, x):
+        _assert_fma(ring, y, q, x)
+        _assert_fma(ring, x, q, y)
+
+    check()
+    small = (ring.zero, ring.one, ring.neg(ring.one))
+    for y in small:
+        for q in small:
+            for x in small:
+                _assert_fma(ring, y, q, x)
+
+
+@pytest.mark.parametrize("spec", ["z", "zmod:360", "gfpoly:5", "text:z,q"])
+def test_shears_make_no_mul_call(monkeypatch, spec):
+    ring = make_ring(spec).ring
+    one, two = ring.one, ring.add(ring.one, ring.one)
+
+    def refuse(*args):
+        raise AssertionError("mul called by a shear")
+    monkeypatch.setattr(type(ring), "mul", refuse)
+    dst = [one, ring.zero, two]
+    ring.axpy(dst, [two, one, ring.zero], two)
+    rows = [[one, two], [ring.zero, one]]
+    ring.col_axpy(rows, 0, 1, two)
+    monkeypatch.undo()
+    four = ring.mul(two, two)
+    assert dst == [ring.add(one, four), two, two]
+    assert rows == [[ring.add(one, four), two], [two, one]]
 
 
 # -- gcd: the generator of bezout_raw without the cofactors ----------------------
@@ -246,7 +302,8 @@ def test_rational_module_kernels_against_plain_fractions(shape):
         ys = data.draw(st.lists(values, min_size=width, max_size=width))
         for x, y in zip(xs, ys):
             for got, want in ((TEXT_Q.add(x, y), _plain_add(x, y)),
-                              (TEXT_Q.mul(x, y), _plain_mul(x, y))):
+                              (TEXT_Q.mul(x, y), _plain_mul(x, y)),
+                              (TEXT_Q.fma(y, x, y), _plain_add(y, _plain_mul(x, y)))):
                 assert got == want
                 _assert_normal(got)
         got = TEXT_Q.dot(xs, ys)
@@ -296,6 +353,61 @@ def test_polynomial_dot_against_a_fold_of_pmul_padd(p):
     assert ring.dot(xs, ys) == fold(xs, ys)
 
 
+# -- GF(p)[x] primitives against sympy ----------------------------------------------
+
+_X = sympy.Symbol("x")
+
+
+def _to_sympy(c, p):
+    return sympy.Poly(list(reversed(c)) or [0], _X, modulus=p)
+
+
+def _from_sympy(f, p):
+    # sympy prints GF(p) coefficients in the symmetric range; ours are in [0, p)
+    return rings._ptrim([int(c) % p for c in reversed(f.all_coeffs())])
+
+
+def _check_primitives(y, a, b, c, p):
+    sy, sa, sb = (_to_sympy(v, p) for v in (y, a, b))
+    assert _padd(a, b, p) == _from_sympy(sa + sb, p)
+    assert _pmul(a, b, p) == _from_sympy(sa * sb, p)
+    assert _pfma(y, a, b, p) == _from_sympy(sy + sa * sb, p)
+    for num, den in ((a, b), (_pmul(a, b, p), b), (_pfma(c, a, b, p), b)):
+        if den:
+            q, r = _pdivmod(num, den, p)
+            sq, sr = _to_sympy(num, p).div(_to_sympy(den, p))
+            assert (q, r) == (_from_sympy(sq, p), _from_sympy(sr, p))
+    # a shared factor c makes the gcd nontrivial
+    for u, v in ((a, b), (b, a), (_pmul(a, c, p), _pmul(b, c, p)), (a, ())):
+        if not u and not v:
+            assert _pegcd(u, v, p) == ((), (1,), ())
+            continue
+        su, sv = _to_sympy(u, p), _to_sympy(v, p)
+        if v:
+            s, t, h = su.gcdex(sv)
+        else:  # sympy divides by zero in gcdex(u, 0); swap gcdex(0, u)
+            t, s, h = sv.gcdex(su)
+        assert _pegcd(u, v, p) == tuple(_from_sympy(w, p) for w in (h, s, t))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_polynomial_primitives_against_sympy(p):
+    ring = GFPolynomialRing(p)
+    polys = st.one_of(st.just(()), st.lists(st.integers(0, p - 1), max_size=9).map(ring.normalize))
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(y=polys, a=polys, b=polys, c=polys)
+    def check(y, a, b, c):
+        _check_primitives(y, a, b, c, p)
+
+    check()
+    # every coefficient p - 1: each product and sum needs its reduction
+    top = (p - 1,) * 6
+    for y, a, b, c in ((top, top, top, top), (top, top[:3], top, (1, 1)),
+                       ((1,), (0, 1), top[:2], top[:4]), ((), top, (p - 1,), ())):
+        _check_primitives(y, a, b, c, p)
+
+
 # -- products: each factor's own dot ---------------------------------------------
 
 @pytest.mark.parametrize("spec", ["product:zmod:4,z", "product:zmod:360,gfpoly:5,text:z,q"])
@@ -321,6 +433,8 @@ def test_product_dot_against_per_component_generic_dots(spec):
 
 _GENERIC = [(GFPolynomialRing, "dot", Ring.dot), (ProductRing, "dot", Ring.dot),
             (TrivialExtensionRing, "dot", Ring.dot),
+            (ModularRing, "fma", Ring.fma), (GFPolynomialRing, "fma", Ring.fma),
+            (TrivialExtensionRing, "fma", Ring.fma),
             (TrivialExtensionRing, "add", staticmethod(_plain_add)),
             (TrivialExtensionRing, "mul", staticmethod(_plain_mul))]
 
@@ -333,18 +447,20 @@ def _kernel_requests():
             return [rng.randrange(5) for _ in range(rng.randint(0, 3))]
         if spec == "product:zmod:4,z":
             return [rng.randrange(4), rng.randint(-30, 30)]
+        if spec == "zmod:360":
+            return rng.randrange(360)
         q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         return [rng.randint(-20, 20), q.numerator if q.denominator == 1 else str(q)]
 
     reqs = []
-    for spec in ("text:z,q", "gfpoly:5", "product:zmod:4,z"):
+    for spec in ("text:z,q", "gfpoly:5", "product:zmod:4,z", "zmod:360"):
         for m, n in ((3, 3), (4, 4), (5, 5), (3, 5), (5, 3)):
             rows = [[entry(spec) for _ in range(n)] for _ in range(m)]
             reqs.append(("snf", spec, rows))
         found = 0
         while found < 3:  # reduce2x2 needs aR + bR + cR = R; the others exit 1
             a, b, c = entry(spec), entry(spec), entry(spec)
-            zero = [] if spec == "gfpoly:5" else [0, 0]
+            zero = {"gfpoly:5": [], "zmod:360": 0}.get(spec, [0, 0])
             rows = [[a, zero], [b, c]]
             if dispatch(CommandRequest(command="reduce2x2", ring=spec,
                                        payload=json.dumps({"rows": rows})))[0] == 0:

@@ -286,10 +286,16 @@ def test_coprime_factorization_scans_only_small_finite_rings():
     c, a, b = (element(mixed, v) for v in ((2, 0), (1, 3), (1, 5)))
     with pytest.raises(PreconditionError):
         coprime_factorization(c, a, b)
-    other = make_ring("text:zmod:65,self").ring  # 4,225 elements
-    c, a, b = (element(other, v) for v in ((5, 1), (1, 0), (0, 0)))
-    with pytest.raises(TooLargeError):
-        coprime_factorization(c, a, b)
+    # the other finite rings are trivial extensions on tables: the largest
+    # table is scanned, one past it is refused before any table is built
+    table = make_ring("text:zmod:32,self").ring  # 1,024 elements
+    c, a, b = (element(table, v) for v in ((6, 1), (3, 0), (2, 0)))
+    _assert_coprime_split(c, a, b, *coprime_factorization(c, a, b))
+    for spec in ("text:zmod:33,self", "text:zmod:65,self"):  # 1,089 and 4,225
+        other = make_ring(spec).ring
+        c, a, b = (element(other, v) for v in ((5, 1), (1, 0), (0, 0)))
+        with pytest.raises(TooLargeError):
+            coprime_factorization(c, a, b)
 
 
 def test_clean_idempotent_over_a_huge_modulus_is_fast():
