@@ -100,8 +100,6 @@ def read_matrix(path_or_inline: str, ring_spec: str) -> RingMatrix:
         elif len(cells) != width:
             raise CLIParseError(f"ragged grid row {line!r}")
         rows.append(cells)
-    if not rows:
-        raise CLIParseError("empty matrix input")
     return RingMatrix._trusted(entry.ring, rows)
 
 
@@ -192,18 +190,11 @@ def dispatch(req: CommandRequest) -> tuple[int, str]:
             catalog = ring_catalog()
             return EXIT_OK, render(catalog, req.output)
         entry = make_ring(req.ring)
-        if req.command == "snf":
+        if req.command in ("snf", "reduce2x2"):
             if req.payload is None:
-                raise CLIParseError("snf needs --input")
+                raise CLIParseError(f"{req.command} needs --input")
             a = read_matrix(req.payload, req.ring)
-            res = diagonal_reduce(a)
-            doc, ok = _reduction_doc(a, res, req.verify, req.output == "pretty")
-            return (EXIT_OK if ok else EXIT_PRECONDITION), render(doc, req.output)
-        if req.command == "reduce2x2":
-            if req.payload is None:
-                raise CLIParseError("reduce2x2 needs --input")
-            a = read_matrix(req.payload, req.ring)
-            res = reduce_2x2(a)
+            res = (diagonal_reduce if req.command == "snf" else reduce_2x2)(a)
             doc, ok = _reduction_doc(a, res, req.verify, req.output == "pretty")
             return (EXIT_OK if ok else EXIT_PRECONDITION), render(doc, req.output)
         if req.command == "complete":

@@ -28,7 +28,6 @@ the first row of a matrix with determinant exactly 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Any
 
 from .matrices import RingMatrix
@@ -145,14 +144,16 @@ def _box(ring: Ring, values) -> list[RingElement]:
 
 
 def _tail_moduli(ring: Ring, w, rest: list) -> list:
-    """For each i, the gcd fold of w, rest[i+1], ..., rest[-1] from the left.
+    """For each i, the gcd of w, rest[i+1], ..., rest[-1], folded once from
+    the right: n - 1 gcds instead of n^2 / 2.
 
-    Where the ring's Bezout d is canonical the fold order cannot change it,
-    so the suffixes are folded once from the right: n - 1 gcds instead of
-    n^2 / 2.
+    One fold suffices because no fold order changes a gcd here.  Where
+    Bezout is total ``Ring.gcd`` is the canonical generator of the ideal.  In
+    a truncated series ring (alone or as a product factor) ``select_stable``
+    gives w a nonzero constant term, so every gcd of the fold is (gcd of the
+    constant terms, ()).  Rows over ``text:A,self`` never get here: their row
+    fold refuses.
     """
-    if not ring.canonical_bezout:
-        return [reduce(ring.gcd, rest[i + 1:], w) for i in range(len(rest))]
     moduli = [w]
     for h in reversed(rest[1:]):
         moduli.append(ring.gcd(moduli[-1], h))

@@ -25,6 +25,7 @@ Which structure each ring kind gets (``structure_for``):
   about the sum of the factors' checks; no product table is built.
 - everything else (trivial extensions): ``TableStructure``, dense n x n
   tables built through the ring's own operations, searched coset by coset.
+  Its quotients (``QuotientTable``) are tables too, read off the parent's.
 
 The adequate-element test is Henriksen's (Michigan Math. J. 3, 1955): a
 nonzero c is adequate when every a admits c = r*t with rR + aR = R and
@@ -74,9 +75,12 @@ class TooLargeError(UnsupportedOperationError):
 
 
 class ModStructure:
-    """Z/m with arithmetic on plain ints (m >= 1; m == 1 is the zero ring)."""
+    """Z/m with arithmetic on plain ints (m >= 1; m == 1 is the zero ring).
 
-    def __init__(self, m: int):
+    ``describe`` boxes an element of ``ring``, which a quotient shares: its
+    elements are their least representatives there."""
+
+    def __init__(self, m: int, ring: ModularRing | None = None):
         if m < 1:
             raise ValueError("modulus must be >= 1")
         if m > MAX_QUOTIENT_SIZE:
@@ -85,6 +89,7 @@ class ModStructure:
         self.size = m
         self.zero = 0
         self.one = 1 % m
+        self._ring = ring
 
     def elements(self) -> range:
         return range(self.m)
@@ -121,13 +126,16 @@ class ModStructure:
         return next((u for u in range(g) if u not in hit and self.comaximal(u, v)), None)
 
     def quotient(self, c):
-        return ModStructure(gcd(c, self.m))
+        return ModStructure(gcd(c, self.m), self._ring)
 
     def locate(self, value):
         return value
 
     def value(self, i):
         return i
+
+    def describe(self, i: int) -> RingElement:
+        return RingElement(self._ring, i)
 
 
 def _polys(p: int, deg: int):
@@ -196,22 +204,19 @@ class TableStructure:
     """Dense-table structure for an arbitrary finite ring or quotient."""
 
     def __init__(self, elements, add, mul, neg, zero, one, describe):
-        self._elements = list(elements)
-        self.size = len(self._elements)
+        els = self._elements = list(elements)
+        self.size = len(els)
         if self.size > MAX_TABLE_SIZE:
             raise TooLargeError(f"finite structure of size {self.size} exceeds {MAX_TABLE_SIZE}")
-        self.index = {v: i for i, v in enumerate(self._elements)}
-        n = self.size
-        els = self._elements
-        self.add_t = [[self.index[add(els[i], els[j])] for j in range(n)] for i in range(n)]
-        self.mul_t = [[self.index[mul(els[i], els[j])] for j in range(n)] for i in range(n)]
-        self.neg_t = [self.index[neg(els[i])] for i in range(n)]
-        self.zero = self.index[zero]
-        self.one = self.index[one]
+        index = self.index = {v: i for i, v in enumerate(els)}
+        self.add_t = [[index[add(x, y)] for y in els] for x in els]
+        self.mul_t = [[index[mul(x, y)] for y in els] for x in els]
+        self.neg_t = [index[neg(x)] for x in els]
+        self.zero = index[zero]
+        self.one = index[one]
         self._describe = describe
         one_i = self.one
-        self.units = frozenset(
-            i for i in range(n) if any(self.mul_t[i][j] == one_i for j in range(n)))
+        self.units = frozenset(i for i, row in enumerate(self.mul_t) if one_i in row)
         self._ideals: dict[int, frozenset[int]] = {}
         self._distinct_ideals: dict[frozenset[int], frozenset[int]] = {}
         self._one_minus_ideals: dict[int, frozenset[int]] = {}
@@ -265,55 +270,33 @@ class TableStructure:
         return QuotientTable(self, c)
 
 
-class QuotientTable:
-    """Quotient of a TableStructure by the principal ideal of one element."""
+class QuotientTable(TableStructure):
+    """Quotient of a TableStructure by the principal ideal of one element.
+
+    Each coset is the least parent index in it; the tables are the parent's
+    read through that map."""
 
     def __init__(self, parent: TableStructure, c):
+        add_t, mul_t, neg_t = parent.add_t, parent.mul_t, parent.neg_t
         ideal = parent.ideal(c)
         rep_of = {}
         reps = []
         for x in range(parent.size):
-            if x in rep_of:
-                continue
-            coset = sorted(parent.add(x, i) for i in ideal)
-            r = coset[0]
-            reps.append(r)
-            for member in coset:
-                rep_of[member] = r
-        reps = sorted(set(reps))
-        idx = {r: i for i, r in enumerate(reps)}
-        n = len(reps)
-        self.size = n
-        self.add_t = [[idx[rep_of[parent.add(reps[i], reps[j])]] for j in range(n)]
-                      for i in range(n)]
-        self.mul_t = [[idx[rep_of[parent.mul(reps[i], reps[j])]] for j in range(n)]
-                      for i in range(n)]
-        self.neg_t = [idx[rep_of[parent.neg(reps[i])]] for i in range(n)]
-        self.zero = idx[rep_of[parent.zero]]
-        self.one = idx[rep_of[parent.one]]
+            if x not in rep_of:  # the least member of a new coset
+                reps.append(x)
+                row = add_t[x]
+                for i in ideal:
+                    rep_of[row[i]] = x
+        super().__init__(reps, lambda x, y: rep_of[add_t[x][y]],
+                         lambda x, y: rep_of[mul_t[x][y]], lambda x: rep_of[neg_t[x]],
+                         rep_of[parent.zero], rep_of[parent.one], parent.describe)
         self._parent = parent
-        self._reps = reps
-        one_i = self.one
-        self.units = frozenset(
-            i for i in range(n) if any(self.mul_t[i][j] == one_i for j in range(n)))
-        self._ideals: dict[int, frozenset[int]] = {}
-        self._distinct_ideals: dict[frozenset[int], frozenset[int]] = {}
-        self._one_minus_ideals: dict[int, frozenset[int]] = {}
-
-    def elements(self):
-        return range(self.size)
-
-    def describe(self, i: int):
-        return self._parent.describe(self._reps[i])
 
     def value(self, i):
-        return self._parent.value(self._reps[i])
+        return self._parent.value(self._elements[i])
 
-    add = TableStructure.add
-    neg = TableStructure.neg
-    mul = TableStructure.mul
-    is_unit = TableStructure.is_unit
-    ideal = TableStructure.ideal
+    # a binding of its own: bench/tracing.py wraps comaximal class by class,
+    # and would count each quotient call twice through an inherited one
     comaximal = TableStructure.comaximal
 
     def quotient(self, c):
@@ -639,17 +622,6 @@ def all_nonzero_adequate(s) -> tuple[bool, tuple | None]:
     return c is None, None if c is None else (c,)
 
 
-class ModStructureView(ModStructure):
-    """ModStructure that can describe its elements as RingElements."""
-
-    def __init__(self, ring: ModularRing):
-        super().__init__(ring.n)
-        self._ring = ring
-
-    def describe(self, i: int) -> RingElement:
-        return RingElement(self._ring, i)
-
-
 def _check_size(ring: Ring):
     """Reject a finite ring past its structure's cap before anything is built."""
     if isinstance(ring, ModularRing):
@@ -667,7 +639,7 @@ def _check_size(ring: Ring):
 
 def _build(ring: Ring):
     if isinstance(ring, ModularRing):
-        return ModStructureView(ring)
+        return ModStructure(ring.n, ring)
     if isinstance(ring, ProductRing):
         return ProductStructure([_build(f) for f in ring.factors], ring)
     return TableStructure.for_ring(ring)

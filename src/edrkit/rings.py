@@ -404,10 +404,6 @@ class Ring(ABC):
             return self.zero
         return self.bezout_raw(a, self.zero)[0]
 
-    # True where bezout_raw's d is the canonical generator of aR + bR, so a
-    # fold of Bezout gcds gives the same d in any order.
-    canonical_bezout = False
-
     # -- Euclidean size -------------------------------------------------------
     #
     # diagonal_reduce pivots on an entry of least size and clears with
@@ -579,8 +575,6 @@ class IntegerRing(Ring):
     def gcd(self, a, b):
         return gcd(a, b)
 
-    canonical_bezout = True
-
     size = staticmethod(abs)
 
     nearest_quotient = staticmethod(_round_quotient)
@@ -725,8 +719,6 @@ class ModularRing(Ring):
     def gcd(self, a, b):
         return gcd(a, b, self.n) % self.n
 
-    canonical_bezout = True
-
     def size(self, a):
         return gcd(a, self.n)  # a divisor of n; 1 for a unit
 
@@ -842,8 +834,6 @@ class GFPolynomialRing(Ring):
     def gcd(self, a, b):
         return _pgcd(a, b, self.p)
 
-    canonical_bezout = True
-
     size = staticmethod(len)  # degree + 1
 
     def nearest_quotient(self, a, b):
@@ -901,10 +891,6 @@ class ProductRing(Ring):
     @property
     def bezout_total(self) -> bool:
         return all(f.bezout_total for f in self.factors)
-
-    @property
-    def canonical_bezout(self) -> bool:
-        return all(f.canonical_bezout for f in self.factors)
 
     def cardinality(self):
         total = 1
@@ -1024,12 +1010,6 @@ class TrivialExtensionRing(Ring):
         # With module "self" two-generated ideals need not be principal
         # (e.g. the pair ((2,0),(0,1)) over a Z/4 base), so only the
         # rational-module instance carries total certificates.
-        return self.module == self.MODULE_RATIONALS
-
-    @property
-    def canonical_bezout(self) -> bool:
-        # d is (gcd of the base parts, 0), or (0, the nonnegative rational
-        # gcd) when both base parts vanish
         return self.module == self.MODULE_RATIONALS
 
     def cardinality(self):

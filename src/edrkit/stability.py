@@ -82,9 +82,12 @@ class PropertyVerdict:
         return doc
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def _structure(ring: Ring):
-    """The exhaustive structure of a finite ring, kept for the 64 rings used last."""
+    """The exhaustive structure of a finite ring, kept for the 8 rings used last.
+
+    One table can retain 17 MiB (``text:zmod:32,self``), so few rings stay.
+    """
     return exhaustive.structure_for(ring)
 
 
@@ -163,12 +166,9 @@ def select_stable(a: RingElement, b: RingElement) -> RingElement:
         if a.value[0] == 0 and b.value[0] == 0:
             raise PreconditionError(
                 "select_stable: both constant terms vanish, no shift is stable")
-        k = 0
-        while True:
-            for cand in ((k, ()),) if k == 0 else ((k, ()), (-k, ())):
-                if a.value[0] + b.value[0] * cand[0] != 0:
-                    return _raw(ring, cand)
-            k += 1
+        for kv in ring.search_order():
+            if a.value[0] + b.value[0] * kv[0] != 0:
+                return _raw(ring, kv)
     if isinstance(ring, TrivialExtensionRing):
         base = ring.base
         if a.value[0] == base.zero and b.value[0] == base.zero:
@@ -235,10 +235,7 @@ def is_stable(a: RingElement) -> PropertyVerdict:
         s = _structure(ring)
         q = s.quotient(s.locate(a.value))
         holds, wit = exhaustive.stable_range_1(q)
-        witness = None
-        if wit is not None:
-            witness = tuple(q.describe(w) if hasattr(q, "describe") else _raw(ring, w)
-                            for w in wit)
+        witness = tuple(q.describe(w) for w in wit) if wit is not None else None
         return PropertyVerdict(STABLE_RANGE_1, holds, witness)
     raise InfiniteRingError(
         f"stability of {a!r} needs a finite quotient; {ring.expression()} offers none")

@@ -181,6 +181,47 @@ def test_exit_code_2_on_parse_errors():
         assert code == EXIT_PARSE, req
 
 
+# each refusal that no other test reaches, by its exit-2 message
+_REFUSALS = {
+    "empty-input": (dict(command="snf", ring="z", payload="  \n "), "empty matrix input"),
+    "complete-without-row": (dict(command="complete", ring="z"),
+                             "complete needs --row or a JSON --input payload"),
+    "complete-bad-json": (dict(command="complete", ring="z", payload='{"row": [1, 2'),
+                          "bad completion JSON: Expecting ',' delimiter"),
+    "complete-json-without-row": (dict(command="complete", ring="z", payload='{"d": 1}'),
+                                  'completion JSON needs {"row": [...], "d": ...}'),
+    "snf-without-input": (dict(command="snf", ring="z"), "snf needs --input"),
+    "reduce2x2-without-input": (dict(command="reduce2x2", ring="z"), "reduce2x2 needs --input"),
+    "check-without-property": (dict(command="check", ring="zmod:6"), "check needs --property"),
+    "unknown-command": (dict(command="frobnicate", ring="z"), "unknown command 'frobnicate'"),
+    "bad-token": (dict(command="snf", ring="zmod:!3", payload="1"),
+                  "bad descriptor expression 'zmod:!3' near index 5"),
+    "trailing-character": (dict(command="snf", ring="zmod:3!", payload="1"),
+                           "bad descriptor expression 'zmod:3!' near index 6"),
+    "expected-colon": (dict(command="snf", ring="zmod,3", payload="1"), "expected ':', got ','"),
+    "non-integer-argument": (dict(command="snf", ring="zmod:x", payload="1"),
+                             "expected a modulus, got 'x'"),
+    "empty-element": (dict(command="complete", ring="z", row="1,2", d=" "),
+                      "empty element text (at position 0)"),
+    "malformed-element": (dict(command="snf", ring="text:z,q", payload="[1] [1,0]"),
+                          "two-element array expected, got [1] (at position 0)"),
+}
+
+
+@pytest.mark.parametrize("fields, message", _REFUSALS.values(), ids=_REFUSALS)
+def test_refusals_exit_2_with_their_message(fields, message):
+    code, out = dispatch(CommandRequest(**fields))
+    assert code == EXIT_PARSE
+    assert out.startswith(f"error: {message}")
+
+
+def test_bare_series_is_order_8():
+    req = CommandRequest(command="complete", ring="series",
+                         payload='{"row": [{"constant": 1}, {"constant": 0}]}')
+    code, out = dispatch(req)
+    assert code == EXIT_OK and json.loads(out)["ring"] == "series:8"
+
+
 def test_decoded_inputs_keep_their_shape_and_entry_checks():
     # matrices and rows decoded once by value_from_json, without a second
     # normalization, still refuse bad shapes and bad entries with exit 2
@@ -353,6 +394,15 @@ def test_env_search_window(monkeypatch, capsys):
     assert doc["searchBound"] == 77
 
 
+def test_env_search_window_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("EDR_MAX_SEARCH", "lots")
+    code = main(["check", "--ring", "z", "--property", "stable-range-1"])
+    assert code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: EDR_MAX_SEARCH must be an integer\n"
+
+
 def test_rings_listing():
     code, out = dispatch(CommandRequest(command="rings"))
     assert code == EXIT_OK
@@ -382,7 +432,7 @@ def built(monkeypatch):
             init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", wrapper)
 
-    record(exhaustive.ModStructure, lambda m: m)
+    record(exhaustive.ModStructure, lambda m, ring=None: m)
     record(exhaustive.ProductStructure,
            lambda factors, ring=None: math.prod(f.size for f in factors))
     record(exhaustive.TableStructure, lambda elements, *rest: len(list(elements)))

@@ -344,6 +344,27 @@ def test_adequate_element_holds(spec):
     assert check_property(make_ring(spec).ring, "adequate-element").holds
 
 
+@pytest.mark.parametrize("spec", ["text:zmod:4,self", "text:zmod:6,self"])
+def test_table_quotients_are_the_parent_modulo_the_ideal(spec):
+    """Each element of t.quotient(c) is the least member of a coset x + cR,
+    and its tables are the parent's arithmetic on those cosets."""
+    t = TableStructure.for_ring(make_ring(spec).ring)
+    for c in els(t):
+        q = t.quotient(c)
+        ideal = {t.mul(c, r) for r in els(t)}
+        least = {x: min(t.add(x, i) for i in ideal) for x in els(t)}
+        reps = sorted(set(least.values()))
+        back = {x: reps.index(least[x]) for x in els(t)}
+        assert [q.value(i) for i in els(q)] == [t.value(r) for r in reps]
+        assert [q.describe(i) for i in els(q)] == [t.describe(r) for r in reps]
+        assert (q.zero, q.one) == (back[t.zero], back[t.one])
+        for i, x in enumerate(reps):
+            assert q.neg(i) == back[t.neg(x)]
+            assert q.is_unit(i) == any(back[t.mul(x, y)] == q.one for y in els(t))
+            assert [q.add(i, j) for j in els(q)] == [back[t.add(x, y)] for y in reps]
+            assert [q.mul(i, j) for j in els(q)] == [back[t.mul(x, y)] for y in reps]
+
+
 @pytest.mark.parametrize("n, prop, bound", [
     # a table's worth of tests at most: the full pair scans made 40,320 and
     # 409,740 calls on these two requests
