@@ -31,6 +31,8 @@ commutative ring a one-sided inverse of a square matrix is two-sided.  So
 Qinv*Q = I too, and P*A*Q = D holds exactly when P*A = D*Qinv.  Once D is
 known to be diagonal, D*Qinv is a row scaling of Qinv, so the whole check
 takes three cubic matrix products (P*Pinv, Q*Qinv, P*A) instead of four.
+Each product is one ``Ring.matmul`` call, which converts each operand entry
+once per product rather than once per dot.
 """
 
 from __future__ import annotations
@@ -132,10 +134,8 @@ class RingMatrix:
             raise RingMismatchError("matrix product needs matching rings")
         if self.cols != other.rows:
             raise RingError(f"shape mismatch: {self.cols} vs {other.rows}")
-        dot = self.ring.dot
-        cols = list(zip(*other.data))
-        return RingMatrix._trusted(self.ring, [[dot(row, col) for col in cols]
-                                               for row in self.data])
+        return RingMatrix._trusted(self.ring,
+                                   self.ring.matmul(self.data, list(zip(*other.data))))
 
     def is_identity(self) -> bool:
         if self.rows != self.cols:
@@ -268,9 +268,8 @@ class _Sweep:
     ``Ring.col_axpy`` for a column): native loops on Z, one ``Ring.fma``
     (y + q*x) per nonzero entry elsewhere, which Z/n, GF(p)[x] and the
     trivial extension of Z by Q compute without a separate product and sum.
-    2x2 blocks and scalings keep plain add/mul loops: each new entry there
-    has only one or two terms, and a kernel call per entry measured slower
-    than the direct calls on Z.
+    A 2x2 block makes each new entry as ``fma(mul(s, x), t, y)``, one
+    product and one fused product-sum; scalings keep one ``mul`` per entry.
     """
 
     def __init__(self, a: RingMatrix):
@@ -287,35 +286,35 @@ class _Sweep:
 
     def rows_2x2(self, i: int, k: int, t, tinv):
         """rows (i, k) <- t * rows (i, k); P <- E P, Pinv <- Pinv Einv."""
-        ring = self.ring
+        fma, mul = self.ring.fma, self.ring.mul
         (t00, t01), (t10, t11) = t
         for arr in (self.d, self.p):
             for j in range(len(arr[0])):
                 xi, xk = arr[i][j], arr[k][j]
-                arr[i][j] = ring.add(ring.mul(t00, xi), ring.mul(t01, xk))
-                arr[k][j] = ring.add(ring.mul(t10, xi), ring.mul(t11, xk))
+                arr[i][j] = fma(mul(t00, xi), t01, xk)
+                arr[k][j] = fma(mul(t10, xi), t11, xk)
         (s00, s01), (s10, s11) = tinv
         for arr in (self.pinv,):
             for r in range(len(arr)):
                 xi, xk = arr[r][i], arr[r][k]
-                arr[r][i] = ring.add(ring.mul(xi, s00), ring.mul(xk, s10))
-                arr[r][k] = ring.add(ring.mul(xi, s01), ring.mul(xk, s11))
+                arr[r][i] = fma(mul(xi, s00), xk, s10)
+                arr[r][k] = fma(mul(xi, s01), xk, s11)
 
     def cols_2x2(self, j: int, k: int, t, tinv):
         """cols (j, k) <- cols (j, k) * t; Q <- Q E, Qinv <- Einv Qinv."""
-        ring = self.ring
+        fma, mul = self.ring.fma, self.ring.mul
         (t00, t01), (t10, t11) = t
         for arr in (self.d, self.q):
             for r in range(len(arr)):
                 xj, xk = arr[r][j], arr[r][k]
-                arr[r][j] = ring.add(ring.mul(xj, t00), ring.mul(xk, t10))
-                arr[r][k] = ring.add(ring.mul(xj, t01), ring.mul(xk, t11))
+                arr[r][j] = fma(mul(xj, t00), xk, t10)
+                arr[r][k] = fma(mul(xj, t01), xk, t11)
         (s00, s01), (s10, s11) = tinv
         for arr in (self.qinv,):
             for c in range(len(arr[0])):
                 xj, xk = arr[j][c], arr[k][c]
-                arr[j][c] = ring.add(ring.mul(s00, xj), ring.mul(s01, xk))
-                arr[k][c] = ring.add(ring.mul(s10, xj), ring.mul(s11, xk))
+                arr[j][c] = fma(mul(s00, xj), s01, xk)
+                arr[k][c] = fma(mul(s10, xj), s11, xk)
 
     def scale_row(self, i: int, u, uinv):
         ring = self.ring
@@ -490,12 +489,11 @@ def reduce_2x2(a: RingMatrix) -> ReductionResult:
 
 
 def _mul2(ring, s, t):
-    return (
-        (ring.add(ring.mul(s[0][0], t[0][0]), ring.mul(s[0][1], t[1][0])),
-         ring.add(ring.mul(s[0][0], t[0][1]), ring.mul(s[0][1], t[1][1]))),
-        (ring.add(ring.mul(s[1][0], t[0][0]), ring.mul(s[1][1], t[1][0])),
-         ring.add(ring.mul(s[1][0], t[0][1]), ring.mul(s[1][1], t[1][1]))),
-    )
+    fma, mul = ring.fma, ring.mul
+    (s00, s01), (s10, s11) = s
+    (t00, t01), (t10, t11) = t
+    return ((fma(mul(s00, t00), s01, t10), fma(mul(s00, t01), s01, t11)),
+            (fma(mul(s10, t00), s11, t10), fma(mul(s10, t01), s11, t11)))
 
 
 def _smallest_entry(sweep: _Sweep, t: int):

@@ -41,7 +41,7 @@ import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Any, Iterator
 
 
@@ -156,6 +156,16 @@ def _kpack(a: tuple[int, ...], k: int) -> int:
     for c in reversed(a):
         v = (v << k) | c
     return v
+
+
+def _kunpack(v: int, k: int, p: int) -> tuple[int, ...]:
+    """The polynomial whose coefficients mod p are the k-bit slots of v >= 0."""
+    mask = (1 << k) - 1
+    out = []
+    while v:
+        out.append((v & mask) % p)
+        v >>= k
+    return _ptrim(out)
 
 
 def _pdivmod(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -330,12 +340,20 @@ class Ring(ABC):
     # cheap native arithmetic overrides them and must return exactly the
     # same normal values.  The shears (axpy, col_axpy) make one fma call per
     # nonzero entry, so a ring speeds up both by overriding fma alone; Z
-    # overrides the shears themselves with builtin operators.
+    # overrides the shears themselves with builtin operators.  A matrix
+    # product is one matmul call, so a ring can convert each operand entry
+    # once per product instead of once per dot.
 
     def dot(self, xs, ys) -> Any:
         """The sum of xs[k] * ys[k] over the common length; zero if empty."""
         products = map(self.mul, xs, ys)
         return functools.reduce(self.add, products, next(products, self.zero))
+
+    def matmul(self, rows, cols) -> list:
+        """The product of the matrix with these rows and the one with these
+        columns, as a list of result rows."""
+        dot = self.dot
+        return [[dot(r, c) for c in cols] for r in rows]
 
     def fma(self, y: Any, q: Any, x: Any) -> Any:
         """y + q * x."""
@@ -500,6 +518,15 @@ def _qlsum(terms) -> Fraction:
     return _fraction(num, den)
 
 
+def _split_module(vectors):
+    """(bases, numerators, l) for vectors of (integer, Fraction) pairs: l is
+    the lcm of every denominator, and the numerators are the module parts
+    times l, so every integer vector is exact."""
+    l = lcm(*[e.denominator for v in vectors for _, e in v])
+    return ([[a for a, _ in v] for v in vectors],
+            [[e.numerator * (l // e.denominator) for _, e in v] for v in vectors], l)
+
+
 def _fraction_to_json(q: Fraction) -> Any:
     if q.denominator == 1:
         return int(q)
@@ -533,6 +560,13 @@ class IntegerRing(Ring):
 
     def dot(self, xs, ys):
         return sum(map(operator.mul, xs, ys))
+
+    def matmul(self, rows, cols):
+        mul = operator.mul
+        return [[sum(map(mul, r, c)) for c in cols] for r in rows]
+
+    def fma(self, y, q, x):
+        return y + q * x
 
     def axpy(self, dst, src, q):
         for c, x in enumerate(src):
@@ -649,6 +683,10 @@ class ModularRing(Ring):
 
     def dot(self, xs, ys):
         return sum(map(operator.mul, xs, ys)) % self.n  # one reduction per dot
+
+    def matmul(self, rows, cols):
+        mul, n = operator.mul, self.n
+        return [[sum(map(mul, r, c)) % n for c in cols] for r in rows]
 
     def fma(self, y, q, x):
         return (y + q * x) % self.n
@@ -794,12 +832,22 @@ class GFPolynomialRing(Ring):
         total = 0
         for a, b in pairs:
             total += _kpack(a, k) * _kpack(b, k)
-        mask = (1 << k) - 1
-        out = []
-        while total:
-            out.append((total & mask) % p)
-            total >>= k
-        return _ptrim(out)
+        return _kunpack(total, k, p)
+
+    def matmul(self, rows, cols):
+        # dot's substitution with one slot width for the whole product, so
+        # each entry is packed once: a slot of an entry holds at most
+        # inner * min(longest of A, longest of B) coefficient products
+        p = self.p
+        inner = len(rows[0]) if rows else 0
+        longest = min(max([len(a) for r in rows for a in r], default=0),
+                      max([len(b) for c in cols for b in c], default=0))
+        k = (inner * longest * (p - 1) ** 2).bit_length()
+        pack = functools.partial(_kpack, k=k)
+        prows = [list(map(pack, r)) for r in rows]
+        pcols = [list(map(pack, c)) for c in cols]
+        mul = operator.mul
+        return [[_kunpack(sum(map(mul, r, c)), k, p) for c in pcols] for r in prows]
 
     def fma(self, y, q, x):
         return _pfma(y, q, x, self.p)
@@ -923,6 +971,14 @@ class ProductRing(Ring):
         if not xcols or not ycols:
             return self.zero
         return tuple([f.dot(cx, cy) for f, cx, cy in zip(self.factors, xcols, ycols)])
+
+    def matmul(self, rows, cols):
+        # each factor's own matmul on its component matrices; entry (i, j)
+        # of the result is the tuple of entry (i, j) of every factor's product
+        parts = [f.matmul([[v[idx] for v in r] for r in rows],
+                          [[v[idx] for v in c] for c in cols])
+                 for idx, f in enumerate(self.factors)]
+        return [list(zip(*prow)) for prow in zip(*parts)]
 
     def is_unit(self, x):
         return all(f.is_unit(a) for f, a in zip(self.factors, x))
@@ -1076,6 +1132,18 @@ class TrivialExtensionRing(Ring):
             fn, fd = f.as_integer_ratio()
             terms += ((a * fn, fd), (b * en, ed))
         return (s, _qlsum(terms))
+
+    def matmul(self, rows, cols):
+        if self.module == self.MODULE_SELF:
+            return Ring.matmul(self, rows, cols)
+        # Each side's module parts over the lcm of that side's denominators:
+        # with E = En/lE on the left and F = Fn/lF on the right, the module
+        # part of the product is A*F + E*B = (lE*(A*Fn) + lF*(En*B)) / (lE*lF).
+        (a, en, le), (b, fn, lf) = _split_module(rows), _split_module(cols)
+        den, mul = le * lf, operator.mul
+        return [[(sum(map(mul, ar, bc)),
+                  _fraction(le * sum(map(mul, ar, fc)) + lf * sum(map(mul, er, bc)), den))
+                 for bc, fc in zip(b, fn)] for ar, er in zip(a, en)]
 
     def fma(self, y, q, x):
         if self.module == self.MODULE_SELF:

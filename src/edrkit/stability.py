@@ -17,12 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from . import exhaustive
-from .exhaustive import (
-    MAX_TABLE_SIZE,
-    PolyModStructure,
-    TooLargeError,
-    int_quotient_stable_range_1,
-)
+from .exhaustive import PolyModStructure, int_quotient_stable_range_1
 from .rings import (
     GFPolynomialRing,
     InfiniteRingError,
@@ -313,9 +308,10 @@ def coprime_factorization(c: RingElement, a: RingElement, b: RingElement
     so gcd(a, b, n) = 1 gives sR + bR = R.  Products split factor by factor;
     a zero component over Z/n runs the loop on its representative n, and one
     over an infinite factor is refused as c = 0 is.  On the other finite
-    rings, up to ``MAX_TABLE_SIZE`` elements, the factor pairs are searched
-    exhaustively and absence is reported; their comaximality checks run on
-    the ring's table, so the scan shares the table cap.
+    rings the factor pairs are searched exhaustively and absence is
+    reported.  Their comaximality checks, aR + bR = R first among them, run
+    on the ring's table, so a ring past ``exhaustive.MAX_TABLE_SIZE``
+    elements is refused with ``TooLargeError`` before the scan starts.
     """
     ring = _same_ring(c, a, b)
     if c.is_zero():
@@ -345,10 +341,6 @@ def _coprime_split(ring: Ring, c, a, b) -> tuple:
             r, s = ring.divide_exact(r, g), ring.mul(s, g)
         return (r, s)
     if ring.finite:
-        if ring.cardinality() > MAX_TABLE_SIZE:
-            raise TooLargeError(
-                f"coprime_factorization scans {ring.expression()}, which has "
-                f"{ring.cardinality()} elements, past the cap of {MAX_TABLE_SIZE}")
         for rv in ring.elements():
             for sv in ring.elements():
                 if (ring.mul(rv, sv) == c and _comaximal(ring, [rv, sv])

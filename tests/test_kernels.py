@@ -3,16 +3,19 @@
 The overrides, each of which must return exactly the normal values of the
 generic ``Ring`` add/mul loops:
 
-* ``IntegerRing``: ``dot``, ``axpy`` and ``col_axpy`` with builtin operators;
-* ``ModularRing``: ``dot``, one reduction per dot product, and ``fma``
-  (y + q*x), one reduction per entry;
-* ``GFPolynomialRing``: ``dot`` by Kronecker substitution, one reduction
-  mod p per coefficient of the sum, and ``fma`` through ``_pfma``, one
-  reduction per coefficient;
-* ``ProductRing``: ``dot``, each factor's own ``dot`` on its component column;
+* ``IntegerRing``: ``matmul``, ``dot``, ``fma``, ``axpy`` and ``col_axpy``
+  with builtin operators;
+* ``ModularRing``: ``matmul`` and ``dot``, one reduction per entry or dot
+  product, and ``fma`` (y + q*x), one reduction per entry;
+* ``GFPolynomialRing``: ``dot`` and ``matmul`` by Kronecker substitution,
+  one reduction mod p per coefficient of each sum (``matmul`` packs every
+  entry once, with one slot width per product), and ``fma`` through
+  ``_pfma``, one reduction per coefficient;
+* ``ProductRing``: ``dot`` and ``matmul``, each factor's own kernel on its
+  components, woven back into tuples;
 * ``TrivialExtensionRing`` with the rational module: ``add``, ``mul``,
-  ``dot`` and ``fma`` on the numerators and denominators of the module
-  parts, one ``Fraction`` per result;
+  ``dot``, ``fma`` and ``matmul`` on the numerators and denominators of the
+  module parts, one ``Fraction`` per result;
 * ``gcd`` on Z (``math.gcd``), Z/n (``gcd(a, b, n) % n``), GF(p)[x] (monic
   Euclid) and products (componentwise), each exactly ``bezout_raw(a, b)[0]``
   and zero on the zero pair; the other rings use the default, which is that
@@ -22,7 +25,9 @@ The generic ``axpy`` and ``col_axpy`` call ``fma`` once per nonzero entry,
 so the shears of every ring but Z run through the overrides above.
 
 The generic ``dot`` is checked against a plain left-to-right sum that starts
-from zero.  Both call the ring's own ``mul``, so the rational-module kernels
+from zero, and every ``matmul`` against a schoolbook triple loop of ``add``
+and ``mul``, not against ``dot``, whose overrides the generic ``matmul``
+calls.  Both call the ring's own ``mul``, so the rational-module kernels
 are also checked against plain ``Fraction`` arithmetic, the polynomial
 ``dot`` against a fold of ``_pmul``/``_padd``, and the GF(p)[x] primitives
 (``_padd``, ``_pmul``, ``_pfma``, ``_pdivmod``, ``_pegcd``) against sympy's
@@ -41,6 +46,7 @@ from hypothesis import strategies as st
 
 from edrkit import exhaustive, make_ring, rings
 from edrkit.cli import CommandRequest, dispatch
+from edrkit.matrices import RingMatrix, diagonal_reduce, verify_reduction
 from edrkit.rings import (
     GFPolynomialRing,
     IntegerRing,
@@ -74,6 +80,8 @@ def _values(ring: Ring):
         raw = st.lists(st.integers(0, ring.p - 1), max_size=5).map(ring.normalize)
     elif isinstance(ring, ProductRing):
         raw = st.tuples(*(_values(f) for f in ring.factors))
+    elif isinstance(ring, TrivialExtensionRing) and ring.module == ring.MODULE_SELF:
+        raw = st.tuples(_values(ring.base), _values(ring.base))
     elif isinstance(ring, TrivialExtensionRing):
         raw = st.tuples(_INTS, _FRACTIONS)
     elif isinstance(ring, TruncatedSeriesRing):
@@ -429,10 +437,156 @@ def test_product_dot_against_per_component_generic_dots(spec):
     assert ring.zero is ring.zero and ring.one is ring.one
 
 
+# -- matmul: one call per matrix product ----------------------------------------
+
+def _reference_matmul(add, mul, zero, a, b):
+    """A*B by the schoolbook triple loop, from zero, with no ring kernel."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = zero
+            for k, x in enumerate(row):
+                acc = add(acc, mul(x, b[k][j]))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _matmul(ring, a, b):
+    return ring.matmul(a, list(zip(*b)))
+
+
+_SHAPES = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 5))
+
+
+def _draw_operands(data, values, shape):
+    """An m x inner and an inner x n matrix of drawn values."""
+    m, inner, n = shape
+    return (data.draw(st.lists(st.lists(values, min_size=inner, max_size=inner),
+                               min_size=m, max_size=m)),
+            data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                               min_size=inner, max_size=inner)))
+
+
+def _assert_matmul(ring, a, b):
+    got = _matmul(ring, a, b)
+    assert got == _reference_matmul(ring.add, ring.mul, ring.zero, a, b)
+    for row in got:
+        for v in row:
+            assert repr(v) == repr(ring.normalize(v))  # a normal value
+
+
+def test_matmul_overrides():
+    for cls in (IntegerRing, ModularRing, GFPolynomialRing, ProductRing, TrivialExtensionRing):
+        assert cls.matmul is not Ring.matmul, cls
+    assert TruncatedSeriesRing.matmul is Ring.matmul
+
+
+@pytest.mark.parametrize("spec", SPECS + ["text:zmod:4,self", "product:zmod:360,gfpoly:5,text:z,q"])
+def test_matmul_against_an_add_mul_reference(spec):
+    ring = make_ring(spec).ring
+    values = _values(ring)
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(data=st.data(), shape=_SHAPES)
+    def check(data, shape):
+        _assert_matmul(ring, *_draw_operands(data, values, shape))
+
+    check()
+    for m, inner, n in ((1, 1, 1), (6, 1, 5), (1, 6, 1), (2, 3, 4)):
+        zeros = [[ring.zero] * inner for _ in range(m)]
+        ones = [[ring.one] * n for _ in range(inner)]
+        _assert_matmul(ring, zeros, ones)
+        _assert_matmul(ring, [[ring.one] * inner for _ in range(m)], ones)
+    assert ring.matmul([], []) == []
+
+
+@pytest.mark.parametrize("p", [2, 5, 2305843009213693951])
+def test_polynomial_matmul_at_the_slot_bound(p):
+    # every coefficient p - 1 at degree 40 fills the middle slot of each
+    # entry to inner * 41 * (p-1)**2, the bound its slot width is cut to
+    ring = GFPolynomialRing(p)
+    top = (p - 1,) * 41
+    for m, inner, n in ((1, 1, 1), (3, 4, 2), (6, 5, 5)):
+        a = [[top] * inner for _ in range(m)]
+        b = [[top] * n for _ in range(inner)]
+        _assert_matmul(ring, a, b)
+        # one side short: the width follows the shorter side's longest entry
+        _assert_matmul(ring, a, [[top[:3]] * n for _ in range(inner)])
+        mixed = [[(top[:2], (), top)[(i + k) % 3] for k in range(inner)] for i in range(m)]
+        _assert_matmul(ring, mixed, b)
+    # zero polynomials and unequal lengths mixed in
+    a = [[(), top, (1,)], [top[:7], (), top]]
+    b = [[top, ()], [(p - 1, 1), (1,)], [(), top[:5]]]
+    _assert_matmul(ring, a, b)
+
+
+def test_rational_module_matmul_against_plain_fractions():
+    def check_shape(parts):
+        values = st.one_of(st.just(TEXT_Q.zero), _pairs(parts))
+
+        @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+        @given(data=st.data(), shape=_SHAPES)
+        def check(data, shape):
+            a, b = _draw_operands(data, values, shape)
+            got = _matmul(TEXT_Q, a, b)
+            assert got == _reference_matmul(_plain_add, _plain_mul, (0, Fraction(0)), a, b)
+            for row in got:
+                for v in row:
+                    _assert_normal(v)
+
+        check()
+
+    check_shape(st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 10**20)))
+    check_shape(st.builds(Fraction, st.integers(-99, 99), st.sampled_from([1, 2, 3, 5, 7])))
+    check_shape(st.just(Fraction(0)))
+
+
+def test_rational_module_matmul_scales_by_the_lcm():
+    # the common denominator of a side is the lcm, not a larger multiple,
+    # so the integer products stay as small as the values allow
+    bases, nums, l = rings._split_module([[(1, Fraction(1, 4)), (2, Fraction(0))],
+                                          [(3, Fraction(5, 6)), (0, Fraction(-7))]])
+    assert (bases, nums, l) == ([[1, 2], [3, 0]], [[3, 0], [10, -84]], 12)
+    assert rings._split_module([[(1, Fraction(0))]])[2] == 1
+
+
+@pytest.mark.parametrize("spec", ["z", "zmod:360", "gfpoly:5", "text:z,q", "product:zmod:4,z"])
+def test_verify_reduction_makes_no_dot_call(monkeypatch, spec):
+    ring = make_ring(spec).ring
+    rng = random.Random(spec)
+    values = {"z": lambda: rng.randint(-9, 9), "zmod:360": lambda: rng.randrange(360),
+              "gfpoly:5": lambda: [rng.randrange(5) for _ in range(rng.randint(0, 3))],
+              "text:z,q": lambda: [rng.randint(-9, 9), f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"],
+              "product:zmod:4,z": lambda: [rng.randrange(4), rng.randint(-9, 9)]}[spec]
+    a = RingMatrix(ring, [[ring.value_from_json(values()) for _ in range(4)] for _ in range(3)])
+    result = diagonal_reduce(a)
+    products = []
+    matmul = ring.matmul
+
+    def counted(rows, cols):
+        products.append((len(rows), len(cols)))
+        return matmul(rows, cols)
+
+    def refuse(*args):
+        raise AssertionError("dot called by verify_reduction")
+    for cls in (Ring, IntegerRing, ModularRing, GFPolynomialRing, ProductRing,
+                TrivialExtensionRing):
+        monkeypatch.setattr(cls, "dot", refuse)
+    monkeypatch.setattr(ring, "matmul", counted, raising=False)
+    assert verify_reduction(a, result)
+    assert products == [(3, 3), (4, 4), (3, 4)]  # P*Pinv, Q*Qinv, P*A
+
+
 # -- whole documents: kernels against the generic methods ------------------------
 
 _GENERIC = [(GFPolynomialRing, "dot", Ring.dot), (ProductRing, "dot", Ring.dot),
             (TrivialExtensionRing, "dot", Ring.dot),
+            (IntegerRing, "matmul", Ring.matmul), (ModularRing, "matmul", Ring.matmul),
+            (GFPolynomialRing, "matmul", Ring.matmul), (ProductRing, "matmul", Ring.matmul),
+            (TrivialExtensionRing, "matmul", Ring.matmul),
+            (IntegerRing, "fma", Ring.fma),
             (ModularRing, "fma", Ring.fma), (GFPolynomialRing, "fma", Ring.fma),
             (TrivialExtensionRing, "fma", Ring.fma),
             (TrivialExtensionRing, "add", staticmethod(_plain_add)),
