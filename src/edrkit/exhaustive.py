@@ -1,4 +1,14 @@
-"""Exhaustive checkers for finite rings and finite quotients.
+"""Exhaustive checkers for finite rings and finite quotients: the test oracle.
+
+``stability.check_property`` and ``stability.is_stable`` answer on finite
+rings from the structure theorem (every finite commutative ring has all five
+properties) and call nothing here.  These checkers reach the same verdicts by
+search, with code that shares nothing with that argument, so the tests
+compare the two; they also fail on hand-built structures that are not rings,
+which shows that each one can.  They stay in ``src/`` because the
+benchmark's per-layer tracer wraps them and the structures by name, and
+because the structures still serve requests: ``stability._comaximal`` and
+``coprime_factorization`` on trivial extensions ask a ``TableStructure``.
 
 Each negative verdict comes with a concrete witness that re-checks
 independently, and every verdict and witness is the one an element-by-element
@@ -14,9 +24,8 @@ Which structure each ring kind gets (``structure_for``):
 - Z/m: ``ModStructure``, in closed form.  The principal ideals are gR for the
   divisors g of m, the coset u + gR is keyed by u mod g and starts at u < g.
   A check costs about (number of divisors) x m steps.
-- GF(p)[x]/(f), behind ``is_stable`` on GF(p)[x]: ``PolyModStructure``, in
-  closed form.  The principal ideals are gR for the monic divisors g of f and
-  the coset key is x mod g.
+- GF(p)[x]/(f): ``PolyModStructure``, in closed form.  The principal ideals
+  are gR for the monic divisors g of f and the coset key is x mod g.
 - products: ``ProductStructure``, built from the factors' structures and
   decided factor by factor.  Units, unit + idempotent sums and the
   quotient-verdict sets are products of factor sets (R/wR is the product of
@@ -38,13 +47,13 @@ O(d(m)^2) class pairs, and on products it is decided factor by factor.
 Caps, checked by ``structure_for`` before anything is built:
 ``MAX_QUOTIENT_SIZE`` elements for the closed forms, ``MAX_TABLE_SIZE`` for
 tables and ``MAX_PRODUCT_SIZE`` for a product, whose factors also keep their
-own caps.
+own caps.  On a request path only the table cap still applies, through
+``_comaximal`` and ``coprime_factorization`` on trivial extensions.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import gcd, prod
 from typing import Callable
 
@@ -529,12 +538,6 @@ def stable_range_1(s) -> tuple[bool, tuple | None]:
     """Exhaustive stable range 1: every comaximal (u, v) has u + v*t a unit."""
     witness = _missed_coset(s, _units(s))
     return witness is None, witness
-
-
-@lru_cache(maxsize=256)
-def int_quotient_stable_range_1(m: int) -> bool:
-    """Stable range 1 of Z/m (m <= MAX_QUOTIENT_SIZE), cached for the last 256 moduli."""
-    return stable_range_1(ModStructure(m))[0]
 
 
 def is_clean(s) -> tuple[bool, tuple | None]:

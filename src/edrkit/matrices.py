@@ -677,10 +677,11 @@ def verify_reduction(a: RingMatrix, result: ReductionResult) -> bool:
     # Q, since Q*Qinv = I holds and so does Qinv*Q = I over a commutative
     # ring.  With D diagonal, row i of D*Qinv is d_i times row i of Qinv
     # (zero past the diagonal), so this costs a third cubic product, P*A,
-    # where P*A*Q took two.
+    # where P*A*Q took two.  A row with d_i = 1 is the Qinv row itself.
     diag = r.D.diagonal()
-    d_qinv = [[ring.mul(diag[i].value, x) for x in r.Qinv.data[i]]
-              if i < len(diag) else [ring.zero] * a.cols for i in range(a.rows)]
+    d_qinv = [row if e.value == ring.one else [ring.mul(e.value, x) for x in row]
+              for e, row in zip(diag, r.Qinv.data)]
+    d_qinv += [[ring.zero] * a.cols] * (a.rows - len(diag))
     if r.P @ a != RingMatrix._trusted(ring, d_qinv):
         return fail("P*A != D*Qinv")
     for i, e in enumerate(diag):

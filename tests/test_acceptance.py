@@ -33,8 +33,8 @@ from edrkit import (
     sr2_witness,
     verify_reduction,
 )
+from edrkit import exhaustive
 from edrkit.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, CommandRequest, dispatch
-from edrkit.exhaustive import int_quotient_stable_range_1
 from conftest import det_oracle, minor_gcd_oracle
 
 Z = IntegerRing()
@@ -157,7 +157,7 @@ def test_criterion_4_stability_suite():
         y = select_stable(zel(a), zel(b))
         w = a + b * y.value
         assert w != 0 and abs(w) <= 10_000
-        assert int_quotient_stable_range_1(abs(w))
+        assert exhaustive.stable_range_1(exhaustive.ModStructure(abs(w)))[0]
     done = 0
     while done < 1000:
         a, b, c = (rng.randint(-50, 50) for _ in range(3))
@@ -208,19 +208,24 @@ def test_criterion_6_stable_range_2_witnesses():
     _report(6, "500 stable-range-2 witnesses verified through certificates", t0)
 
 
+def _exhaustively_locally_stable(ring) -> bool:
+    """The exhaustive search's verdict; check_property answers from the theorem."""
+    return exhaustive.locally_stable(exhaustive.structure_for(ring))[0]
+
+
 def test_criterion_7_structure_theorems_finite_scale():
     t0 = time.perf_counter()
     for m1 in range(2, 9):
         for m2 in range(2, 9):
             prod = make_ring(f"product:zmod:{m1},zmod:{m2}").ring
-            v = check_property(prod, "locally-stable")
-            c1 = check_property(ModularRing(m1), "locally-stable")
-            c2 = check_property(ModularRing(m2), "locally-stable")
-            assert v.holds == (c1.holds and c2.holds)
+            v = _exhaustively_locally_stable(prod)
+            c1 = _exhaustively_locally_stable(ModularRing(m1))
+            c2 = _exhaustively_locally_stable(ModularRing(m2))
+            assert v == (c1 and c2)
     for n in range(2, 13):
         te = make_ring(f"text:zmod:{n},self").ring
-        assert (check_property(te, "locally-stable").holds
-                == check_property(ModularRing(n), "locally-stable").holds)
+        assert (_exhaustively_locally_stable(te)
+                == _exhaustively_locally_stable(ModularRing(n)))
     _report(7, "product agreement (sizes <= 8) and trivial-extension agreement "
                "(n <= 12)", t0)
 

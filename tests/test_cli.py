@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from edrkit import exhaustive
+from edrkit import element, exhaustive, is_coprime, make_ring
 from edrkit.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -449,15 +449,28 @@ def _check(ring, prop="stable-range-1"):
     ("product:zmod:1000,zmod:1000", "ProductStructure", "MAX_PRODUCT_SIZE"),
 ])
 def test_check_at_the_size_limit_runs(built, ring, built_class, cap):
+    """check answers from the theorem and builds nothing; the exhaustive
+    structure at the cap is still built, and its search agrees."""
     code, out = _check(ring)
     assert code == EXIT_OK and json.loads(out)["holds"] is True
+    assert built == {"ModStructure": [], "ProductStructure": [], "TableStructure": []}
+    s = exhaustive.structure_for(make_ring(ring).ring)
     assert max(built[built_class]) == getattr(exhaustive, cap)
     assert max(built["ModStructure"]) <= exhaustive.MAX_QUOTIENT_SIZE
+    assert exhaustive.stable_range_1(s) == (True, None)
 
 
 def test_check_at_the_table_limit_reaches_the_table(built):
+    """The table cap still binds comaximality on trivial extensions: the
+    largest table is built, one past it is refused before any is."""
+    _structure.cache_clear()
+    ring = make_ring("text:zmod:32,self").ring  # 1,024 elements
     with pytest.raises(_TableReached):
-        _check("text:zmod:32,self")
+        is_coprime(element(ring, (3, 0)), element(ring, (2, 0)))
+    assert built["TableStructure"] == [exhaustive.MAX_TABLE_SIZE]
+    ring = make_ring("text:zmod:33,self").ring  # 1,089 elements
+    with pytest.raises(exhaustive.TooLargeError, match="past the cap"):
+        is_coprime(element(ring, (3, 0)), element(ring, (2, 0)))
     assert built["TableStructure"] == [exhaustive.MAX_TABLE_SIZE]
 
 
@@ -466,12 +479,14 @@ def test_check_at_the_table_limit_reaches_the_table(built):
     "product:zmod:101,zmod:9901",    # 1,000,001: one past MAX_PRODUCT_SIZE
     "product:zmod:2,zmod:10001",     # a factor past its own cap
     "text:zmod:33,self",             # 1,089: the first past MAX_TABLE_SIZE
-    "text:zmod:64,self",             # 4,096: the cap before it was lowered
+    "text:zmod:64,self",             # 4,096
     "text:zmod:65,self",             # 4,225 > MAX_TABLE_SIZE
     "product:zmod:2,text:zmod:65,self",
 ])
 def test_oversized_check_exits_1_before_building(built, ring):
+    """Past every exhaustive cap, check still answers from the theorem, with
+    exit 0, and builds nothing."""
     code, out = _check(ring)
-    assert code == EXIT_PRECONDITION
-    assert "past the cap" in out
+    assert code == EXIT_OK
+    assert json.loads(out) == {"property": "stable-range-1", "holds": True}
     assert built == {"ModStructure": [], "ProductStructure": [], "TableStructure": []}

@@ -1,28 +1,40 @@
-"""The exhaustive checkers against enumerations straight from the definitions.
+"""The exhaustive checkers against enumerations straight from the definitions,
+and check_property and is_stable against the exhaustive checkers.
 
 Every finite commutative ring has all five properties, so on real rings a
 checker that always says "holds" would pass.  Hand-built structures that are
 not rings make each checker fail, and every witness is re-checked with the
 structure's own operations.  The closed-form structures are also compared
 with dense tables of the same rings, and their witnesses with the
-element-by-element search of the same primitives.
+element-by-element search of the same primitives.  Checked that way, the
+checkers are the oracle for the library's verdicts, which come from the
+structure theorem and search nothing.
 """
 
+import json
 import math
 import time
 import tracemalloc
 
 import pytest
 
-from edrkit import GFPolynomialRing, ModularRing, check_property, element, make_ring
+from edrkit import (
+    GFPolynomialRing,
+    IntegerRing,
+    ModularRing,
+    check_property,
+    element,
+    is_stable,
+    make_ring,
+)
 from edrkit import exhaustive, stability
+from edrkit.cli import EXIT_OK, CommandRequest, dispatch
 from edrkit.exhaustive import (
     ModStructure,
     PolyModStructure,
     ProductStructure,
     TableStructure,
     all_nonzero_adequate,
-    int_quotient_stable_range_1,
     is_clean,
     locally_stable,
     neat_range_1,
@@ -132,6 +144,14 @@ DEFINITIONS = {
     locally_stable: lambda s: quotient_witness(s, lambda q: sr1_witness(q) is None),
     neat_range_1: lambda s: quotient_witness(s, lambda q: clean_witness(q) is None),
     all_nonzero_adequate: adequate_witness,
+}
+
+CHECKERS = {
+    "stable-range-1": stable_range_1,
+    "clean": is_clean,
+    "adequate-element": all_nonzero_adequate,
+    "locally-stable": locally_stable,
+    "neat-range-1": neat_range_1,
 }
 
 
@@ -341,7 +361,7 @@ def test_adequate_element_is_tested_against_a_not_c():
 @pytest.mark.parametrize("spec", ["zmod:60", "product:zmod:2,zmod:3,zmod:5",
                                   "product:zmod:8,zmod:9"])
 def test_adequate_element_holds(spec):
-    assert check_property(make_ring(spec).ring, "adequate-element").holds
+    assert all_nonzero_adequate(structure(spec)) == (True, None)
 
 
 @pytest.mark.parametrize("spec", ["text:zmod:4,self", "text:zmod:6,self"])
@@ -379,20 +399,23 @@ def test_comaximal_calls_stay_within_a_table(monkeypatch, n, prop, bound):
         return comaximal(self, x, y)
 
     monkeypatch.setattr(exhaustive.ModStructure, "comaximal", counted)
-    assert check_property(ModularRing(n), prop).holds
+    assert CHECKERS[prop](structure_for(ModularRing(n))) == (True, None)
     assert 0 < len(calls) <= bound
 
 
-def test_int_quotient_stable_range_1_matches_definition():
-    for m in range(1, 40):
-        assert int_quotient_stable_range_1(m) == (sr1_witness(exhaustive.ModStructure(m)) is None)
+def test_integer_is_stable_matches_the_oracle():
+    """Z/m has stable range 1 for every m != 0, by the definition's search."""
+    for m in range(-40, 41):
+        if m:
+            s = ModStructure(abs(m))
+            assert is_stable(element(IntegerRing(), m)).holds
+            assert stable_range_1(s) == (True, None) and sr1_witness(s) is None
     with pytest.raises(exhaustive.TooLargeError):
-        int_quotient_stable_range_1(exhaustive.MAX_QUOTIENT_SIZE + 1)
+        ModStructure(exhaustive.MAX_QUOTIENT_SIZE + 1)
 
 
 def test_caches_are_bounded():
-    for cached in (stability._structure, int_quotient_stable_range_1):
-        assert cached.cache_info().maxsize is not None
+    assert stability._structure.cache_info().maxsize is not None
     for n in range(2, 2 + stability._structure.cache_info().maxsize + 8):
         stability._structure(ModularRing(n))
     info = stability._structure.cache_info()
@@ -443,16 +466,22 @@ def test_product_structures_match_tables(moduli):
     assert_matches_table(make_ring("product:" + ",".join(f"zmod:{m}" for m in moduli)).ring)
 
 
-@pytest.mark.parametrize("spec", ["product:zmod:2,zmod:100", "product:zmod:100,zmod:2",
-                                  "product:zmod:10,zmod:20", "product:zmod:12,zmod:16",
-                                  "product:zmod:2,zmod:3,zmod:5,zmod:6",
-                                  "product:zmod:4,zmod:49", "product:zmod:8,zmod:25"])
+LARGER_PRODUCTS = ["product:zmod:2,zmod:100", "product:zmod:100,zmod:2",
+                   "product:zmod:10,zmod:20", "product:zmod:12,zmod:16",
+                   "product:zmod:2,zmod:3,zmod:5,zmod:6",
+                   "product:zmod:4,zmod:49", "product:zmod:8,zmod:25"]
+
+
+@pytest.mark.parametrize("spec", LARGER_PRODUCTS)
 def test_larger_product_structures_match_tables(spec):
     assert_matches_table(make_ring(spec).ring)
 
 
-@pytest.mark.parametrize("spec", ["product:zmod:4,zmod:6", "product:zmod:2,zmod:3,zmod:4",
-                                  "product:zmod:6,text:zmod:2,self"])
+MIXED_PRODUCTS = ["product:zmod:4,zmod:6", "product:zmod:2,zmod:3,zmod:4",
+                  "product:zmod:6,text:zmod:2,self"]
+
+
+@pytest.mark.parametrize("spec", MIXED_PRODUCTS)
 def test_product_ideals_are_associate_classes(spec):
     s = structure(spec)
     assert isinstance(s, ProductStructure)
@@ -504,12 +533,74 @@ def test_class_based_adequacy_matches_bitmask_oracle_on_rings(spec):
     assert all_nonzero_adequate(s) == adequate_bitmask(s) == all_nonzero_adequate(Flat(s))
 
 
+# -- the library's verdicts against the oracle -------------------------------------
+
+ORACLE_RINGS = list(dict.fromkeys(
+    [f"zmod:{m}" for m in range(2, 61)]
+    + ["product:" + ",".join(f"zmod:{m}" for m in moduli)
+       for moduli in factorizations(PRODUCT_LIMIT)]
+    + LARGER_PRODUCTS + MIXED_PRODUCTS
+    + ["product:zmod:8,zmod:9", "product:text:zmod:2,self,zmod:3"]
+    + [f"text:zmod:{n},self" for n in range(2, 9)]))
+
+
+@pytest.mark.parametrize("spec", ORACLE_RINGS)
+def test_verdicts_match_the_oracle(spec):
+    """check_property answers every finite ring from the theorem; the
+    exhaustive search of the same ring must agree, property by property,
+    and the search of each quotient R/xR must agree with is_stable(x)."""
+    ring = make_ring(spec).ring
+    s = structure_for(ring)
+    for prop, checker in CHECKERS.items():
+        verdict = check_property(ring, prop)
+        assert (verdict.property, verdict.holds, verdict.witness) == (prop, *checker(s))
+    quotient_verdicts = {}
+    for x in els(s):
+        ideal = s.ideal(x)
+        if ideal not in quotient_verdicts:
+            quotient_verdicts[ideal] = stable_range_1(s.quotient(x))[0]
+        assert is_stable(s.describe(x)).holds == quotient_verdicts[ideal]
+
+
+@pytest.mark.parametrize("p, degree", [(2, 4), (3, 3), (5, 2)])
+def test_polynomial_is_stable_matches_the_oracle(p, degree):
+    """is_stable(f) on GF(p)[x] against the search of GF(p)[x]/(f), for every
+    nonzero f of degree at most `degree`."""
+    ring = GFPolynomialRing(p)
+    for f in exhaustive._polys(p, degree + 1):
+        if f:
+            assert is_stable(element(ring, f)).holds == stable_range_1(PolyModStructure(p, f))[0]
+
+
+@pytest.mark.parametrize("spec, value", [
+    ("zmod:10007", 5),
+    ("zmod:2305843009213693951", 3),
+    ("text:zmod:64,self", (2, 3)),
+    ("product:zmod:101,zmod:9901", (3, 0)),
+])
+def test_verdicts_past_every_cap_build_nothing(monkeypatch, spec, value):
+    """Rings past the exhaustive caps, and the Mersenne modulus 2^61 - 1,
+    get every verdict with no structure built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exhaustive structure was built")
+
+    monkeypatch.setattr(exhaustive, "structure_for", refuse)
+    for cls in (ModStructure, PolyModStructure, ProductStructure, TableStructure):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    stability._structure.cache_clear()
+    for prop in stability.PROPERTIES:
+        code, out = dispatch(CommandRequest(command="check", ring=spec, property=prop))
+        assert code == EXIT_OK
+        assert json.loads(out) == {"property": prop, "holds": True}
+    assert is_stable(element(make_ring(spec).ring, value)).holds
+
+
 # -- scale ------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("spec, peak_mib", [("product:zmod:64,zmod:64", 1), ("zmod:9240", 8)])
 def test_scale_without_tables(monkeypatch, spec, peak_mib):
-    """At the table cap (64 x 64) and on 64 divisors, all five checks run
+    """At the table cap (64 x 64) and on 64 divisors, all five checkers run
     without a table and within a fixed allocation bound."""
     def no_table(*args, **kwargs):
         raise AssertionError("a table was built")
@@ -518,8 +609,9 @@ def test_scale_without_tables(monkeypatch, spec, peak_mib):
     ring = make_ring(spec).ring
     tracemalloc.start()
     try:
-        for prop in stability.PROPERTIES:
-            assert stability.check_property(ring, prop).holds
+        s = structure_for(ring)
+        for checker in CHECKERS.values():
+            assert checker(s) == (True, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -534,5 +626,6 @@ def test_is_stable_on_a_degree_13_quotient():
             f = _pmul(f, factor, 2)
     assert len(f) - 1 == 13
     t0 = time.perf_counter()
-    assert stability.is_stable(element(GFPolynomialRing(2), f)).holds
-    print(f"is_stable, 8,192 elements: {time.perf_counter() - t0:.2f} s")
+    assert stable_range_1(PolyModStructure(2, f)) == (True, None)
+    print(f"stable_range_1, 8,192 elements: {time.perf_counter() - t0:.2f} s")
+    assert is_stable(element(GFPolynomialRing(2), f)).holds

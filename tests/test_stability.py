@@ -29,7 +29,8 @@ from edrkit import (
     sr2_witness,
     unit_mod,
 )
-from edrkit.exhaustive import TooLargeError, int_quotient_stable_range_1
+from edrkit import exhaustive
+from edrkit.exhaustive import TooLargeError
 
 Z = IntegerRing()
 M12 = ModularRing(12)
@@ -87,9 +88,9 @@ def test_series_comaximality_without_constant_terms():
 
 def test_select_stable_examples():
     assert select_stable(zel(3), zel(5)).value == 0
-    assert int_quotient_stable_range_1(3)
+    assert exhaustive.stable_range_1(exhaustive.ModStructure(3))[0]
     assert select_stable(zel(0), zel(7)).value == 1
-    assert int_quotient_stable_range_1(7)
+    assert exhaustive.stable_range_1(exhaustive.ModStructure(7))[0]
     s = make_ring("series:8").ring
     f = element(s, (0, (Fraction(1),)))
     g = element(s, (1, ()))
@@ -331,17 +332,24 @@ def test_clean_idempotent_matches_enumerated_idempotents(rng):
         assert check_property(ModularRing(c), "clean").holds
 
 
+def _exhaustively(ring, checker) -> bool:
+    """The exhaustive checker's verdict: the oracle, not check_property."""
+    return checker(exhaustive.structure_for(ring))[0]
+
+
 def test_theorem_style_implication_on_finite_rings():
     # if a or 1 - a is stable for every a, the ring is locally stable;
     # both sides are exhaustively computed, never assumed
     for expr in ["zmod:6", "zmod:8", "zmod:9", "product:zmod:2,zmod:4",
                  "text:zmod:3,self"]:
         ring = make_ring(expr).ring
-        hyp = all(
-            is_stable(element(ring, a)).holds
-            or is_stable(element(ring, ring.sub(ring.one, a))).holds
-            for a in ring.elements())
-        concl = check_property(ring, "locally-stable").holds
+        s = exhaustive.structure_for(ring)
+
+        def stable(v):
+            return exhaustive.stable_range_1(s.quotient(s.locate(v)))[0]
+
+        hyp = all(stable(a) or stable(ring.sub(ring.one, a)) for a in ring.elements())
+        concl = _exhaustively(ring, exhaustive.locally_stable)
         assert not hyp or concl
 
 
@@ -349,17 +357,17 @@ def test_product_locally_stable_matches_components():
     for m1 in (2, 3, 4):
         for m2 in (2, 5):
             prod = make_ring(f"product:zmod:{m1},zmod:{m2}").ring
-            v = check_property(prod, "locally-stable")
-            c1 = check_property(ModularRing(m1), "locally-stable")
-            c2 = check_property(ModularRing(m2), "locally-stable")
-            assert v.holds == (c1.holds and c2.holds)
+            v = _exhaustively(prod, exhaustive.locally_stable)
+            c1 = _exhaustively(ModularRing(m1), exhaustive.locally_stable)
+            c2 = _exhaustively(ModularRing(m2), exhaustive.locally_stable)
+            assert v == (c1 and c2)
 
 
 def test_trivial_extension_locally_stable_matches_base():
     for n in (2, 3, 4, 6):
         te = make_ring(f"text:zmod:{n},self").ring
-        assert (check_property(te, "locally-stable").holds
-                == check_property(ModularRing(n), "locally-stable").holds)
+        assert (_exhaustively(te, exhaustive.locally_stable)
+                == _exhaustively(ModularRing(n), exhaustive.locally_stable))
 
 
 def test_locally_stable_and_neat_range_agree_with_reduction(rng):
