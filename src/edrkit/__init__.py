@@ -58,7 +58,6 @@ from .stability import (
     NEAT_RANGE_1,
     PROPERTIES,
     STABLE_RANGE_1,
-    FactorizationError,
     PropertyVerdict,
     check_property,
     clean_idempotent,

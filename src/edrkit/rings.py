@@ -382,9 +382,13 @@ class Ring(ABC):
 
     # -- divisibility and certificates ---------------------------------------
 
-    @abstractmethod
     def divides(self, d: Any, a: Any) -> bool:
-        """True iff a is in dR."""
+        """True iff a is in dR, that is iff divide_exact(a, d) succeeds."""
+        try:
+            self.divide_exact(a, d)
+            return True
+        except NonDivisibleError:
+            return False
 
     @abstractmethod
     def divide_exact(self, a: Any, d: Any) -> Any:
@@ -447,7 +451,8 @@ class Ring(ABC):
         raise UnsupportedOperationError(f"no search order for {self.expression()}")
 
     def residues_mod(self, c: Any) -> Iterator[Any]:
-        """Canonical residues of R modulo cR (finite whenever R/cR is finite)."""
+        """Canonical residues of R modulo cR, or modulo cR + N for a square-zero
+        ideal N, which decides comaximality with c alike; finite with R/cR."""
         if self.finite:
             return self.elements()
         raise UnsupportedOperationError(
@@ -911,6 +916,14 @@ class GFPolynomialRing(Ring):
         return self.normalize(tuple(_int_from_json(c, "coefficient") for c in obj))
 
 
+def _product_elements(rings):
+    """``itertools.product`` of the rings' elements, in its order, without first
+    copying each ring's elements: a ring's stream restarts for each prefix."""
+    if not rings:
+        return iter([()])
+    return ((x, *rest) for x in rings[0].elements() for rest in _product_elements(rings[1:]))
+
+
 class ProductRing(Ring):
     """A finite direct product of rings; all operations are componentwise."""
 
@@ -947,7 +960,7 @@ class ProductRing(Ring):
         return total
 
     def elements(self):
-        return itertools.product(*(f.elements() for f in self.factors))
+        return _product_elements(self.factors)
 
     def normalize(self, value):
         if isinstance(value, list):
@@ -1076,7 +1089,7 @@ class TrivialExtensionRing(Ring):
     def elements(self):
         if not self.finite:
             raise InfiniteRingError(f"{self.expression()} is not enumerable")
-        return itertools.product(self.base.elements(), repeat=2)
+        return _product_elements((self.base, self.base))
 
     def normalize(self, value):
         if isinstance(value, list):
@@ -1166,22 +1179,37 @@ class TrivialExtensionRing(Ring):
             return (v, -Fraction(vv) * x[1])
         return (v, self.base.neg(self.base.mul(vv, x[1])))
 
-    # divisibility (rational module over Z) ---------------------------------
+    # divisibility -------------------------------------------------------------
 
     def _require_rationals(self, op: str):
         if self.module != self.MODULE_RATIONALS:
             raise UnsupportedOperationError(
                 f"{op} is not supported in {self.expression()}")
 
+    def _self_quotients(self, a, d):
+        """The q with d*q = a over A ⋉ A, least first on a finite base.
+
+        d*q = (d0*q0, d0*q1 + d1*q0): q0 solves d0*q0 = a0, and q1 is the
+        base's quotient of a1 - d1*q0 by d0, its least on a finite base.
+        There q0 runs up the base's ascending elements, or is the one
+        solution for a unit d0; an infinite base takes a0/d0, or a1/d1 when
+        d0 = a0 = 0.
+        """
+        base = self.base
+        (a0, a1), (d0, d1) = a, d
+        if self.finite and not base.is_unit(d0):
+            q0s = (q0 for q0 in base.elements() if base.mul(d0, q0) == a0)
+        else:
+            x, y = (a1, d1) if d0 == base.zero == a0 and d1 != base.zero else (a0, d0)
+            q0s = [base.divide_exact(x, y)] if base.divides(y, x) else []
+        for q0 in q0s:
+            r = base.sub(a1, base.mul(d1, q0))
+            if base.divides(d0, r):
+                yield (q0, base.divide_exact(r, d0))
+
     def divides(self, d, a):
         if self.module == self.MODULE_SELF:
-            if self.finite:
-                return any(self.mul(d, q) == a for q in self.elements())
-            try:
-                self.divide_exact(a, d)
-                return True
-            except NonDivisibleError:
-                return False
+            return Ring.divides(self, d, a)
         (md, qd), (ma, qa) = d, a
         if md != 0:
             return ma % md == 0
@@ -1193,26 +1221,10 @@ class TrivialExtensionRing(Ring):
 
     def divide_exact(self, a, d):
         if self.module == self.MODULE_SELF:
-            if self.finite:
-                for q in self.elements():  # enumeration order = deterministic choice
-                    if self.mul(d, q) == a:
-                        return q
-                raise NonDivisibleError(
-                    f"{d!r} does not divide {a!r} in {self.expression()}")
-            # infinite base: the base quotient determines the pair
-            base = self.base
-            (ma, ea), (md, ed) = a, d
-            if md != base.zero:
-                k = base.divide_exact(ma, md)
-                r = base.divide_exact(base.sub(ea, base.mul(ed, k)), md)
-                return (k, r)
-            if ma != base.zero or (ed == base.zero and ea != base.zero):
-                raise NonDivisibleError(
-                    f"{d!r} does not divide {a!r} in {self.expression()}")
-            if ed == base.zero:
-                return self.zero
-            return (base.divide_exact(ea, ed), base.zero)
-        self._require_rationals("exact division")
+            q = next(self._self_quotients(a, d), None)
+            if q is None:
+                raise NonDivisibleError(f"{d!r} does not divide {a!r} in {self.expression()}")
+            return q
         (ma, qa), (md, qd) = a, d
         if md != 0:
             if ma % md != 0:
@@ -1258,15 +1270,12 @@ class TrivialExtensionRing(Ring):
         return d, x, y, a0, b0
 
     def associate_unit(self, a, d):
-        if self.module == self.MODULE_SELF and self.finite:
-            if a == d:
-                return self.one
-            for u in self.elements():
-                if self.is_unit(u) and self.mul(d, u) == a:
-                    return u
-            raise NotAssociatesError(
-                f"{a!r} and {d!r} are not associates in {self.expression()}")
-        return super().associate_unit(a, d)
+        if self.module == self.MODULE_RATIONALS or a == d:
+            return super().associate_unit(a, d)
+        for u in self._self_quotients(a, d):
+            if self.base.is_unit(u[0]):
+                return u
+        raise NotAssociatesError(f"{a!r} and {d!r} are not associates in {self.expression()}")
 
     def canonical_associate(self, a):
         if self.module == self.MODULE_RATIONALS:
@@ -1277,10 +1286,17 @@ class TrivialExtensionRing(Ring):
         if a == self.zero:
             return self.zero
         if self.finite:
-            for b in self.elements():
-                if any(self.is_unit(u) and self.mul(a, u) == b for u in self.elements()):
-                    return b
-            raise RingError("internal: element has no associates")  # pragma: no cover
+            # the least a*u = (a0*u0, a1*u0 + a0*u1) over units u: the least
+            # b0 = a0*u0, then the least a1*u0 + a0*A over the u0 reaching b0,
+            # a coset of Ann(a0), so |Ann(a0)| * |a0*A| = |A| steps
+            if self.is_unit(a):
+                return self.one
+            base, (a0, a1) = self.base, a
+            units = [u0 for u0 in base.elements() if base.is_unit(u0)]
+            b0 = min(base.mul(a0, u0) for u0 in units)
+            ideal = {base.mul(a0, t) for t in base.elements()}
+            return (b0, min(base.add(base.mul(a1, u0), i)
+                            for u0 in units if base.mul(a0, u0) == b0 for i in ideal))
         if isinstance(self.base, IntegerRing):
             m, e = a
             if m != 0:
@@ -1319,12 +1335,9 @@ class TrivialExtensionRing(Ring):
             yield (k, self.zero[1])
 
     def residues_mod(self, c):
-        self._require_rationals("residue enumeration")
-        m = c[0]
-        if m == 0:
-            raise UnsupportedOperationError(
-                f"no finite residue system modulo {c!r} in {self.expression()}")
-        return iter([(k, Fraction(0)) for k in range(abs(m))])
+        # the base's residues modulo c0: all of R/cR over Z ⋉ Q; over A ⋉ A
+        # they decide comaximality with c, since 0 ⋉ A squares to zero
+        return ((k, self.zero[1]) for k in self.base.residues_mod(c[0]))
 
     def value_to_json(self, v):
         if self.module == self.MODULE_RATIONALS:
@@ -1436,13 +1449,6 @@ class TruncatedSeriesRing(Ring):
             if q != 0:
                 return i + 1
         return None
-
-    def divides(self, d, a):
-        try:
-            self.divide_exact(a, d)
-            return True
-        except NonDivisibleError:
-            return False
 
     def divide_exact(self, a, d):
         ld = self._lowest(d)

@@ -10,17 +10,19 @@ stable.  This module provides the constructive selections (``select_stable``,
 On finite rings the verdicts come from the structure theorem, in O(1): every
 finite commutative ring has all five properties (see ``check_property``), so
 nothing is searched.  The exhaustive checkers of :mod:`edrkit.exhaustive`
-compute the same verdicts by search and serve the tests as the oracle.
-Negative verdicts always carry a witness that re-checks independently; on
-infinite rings only bounded verdicts are offered and they say so explicitly.
+compute the same verdicts by search and serve the tests as the oracle; this
+module never builds their tables.  On a trivial extension A ⋉ A the ideal
+0 ⋉ A squares to zero, so comaximality, unit combinations and coprime
+factorizations are read off the base parts.  Negative verdicts always carry
+a witness that re-checks independently; on infinite rings only bounded
+verdicts are offered and they say so explicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 
-from . import exhaustive
 from .rings import (
     GFPolynomialRing,
     InfiniteRingError,
@@ -38,7 +40,6 @@ from .rings import (
     _raw,
     _same_ring,
     bezout,
-    is_unit,
     zero,
 )
 
@@ -51,10 +52,6 @@ PROPERTIES = (STABLE_RANGE_1, CLEAN, ADEQUATE_ELEMENT, LOCALLY_STABLE, NEAT_RANG
 
 # default y-window echoed by bounded verdicts on infinite rings
 DEFAULT_SEARCH_WINDOW = 1000
-
-
-class FactorizationError(RingError):
-    """No coprime factorization exists for the given (c, a, b)."""
 
 
 @dataclass(frozen=True)
@@ -80,15 +77,6 @@ class PropertyVerdict:
         return doc
 
 
-@lru_cache(maxsize=8)
-def _structure(ring: Ring):
-    """The exhaustive structure of a finite ring, kept for the 8 rings used last.
-
-    One table can retain 17 MiB (``text:zmod:32,self``), so few rings stay.
-    """
-    return exhaustive.structure_for(ring)
-
-
 def _comaximal(ring: Ring, values: list) -> bool:
     """True iff the raw values generate R, that is sum(v R) = R.
 
@@ -96,7 +84,9 @@ def _comaximal(ring: Ring, values: list) -> bool:
     result is a unit: no cofactors are built.  Truncated series lead with a
     value of nonzero constant term, the only way a combination reaches 1,
     which keeps every gcd of the fold supported.  Products go factor by
-    factor and the other finite rings ask their exhaustive structure.
+    factor.  On A ⋉ A the ideal 0 ⋉ A squares to zero, so the values
+    generate R exactly when their base parts generate A: if the base parts
+    combine to 1, the same combination of the values is (1, e), a unit.
     """
     if ring.bezout_total:
         return ring.is_unit(reduce(ring.gcd, values))
@@ -108,15 +98,8 @@ def _comaximal(ring: Ring, values: list) -> bool:
         return ring.is_unit(reduce(ring.gcd, values))
     if isinstance(ring, ProductRing):
         return all(_comaximal(f, [v[k] for v in values]) for k, f in enumerate(ring.factors))
-    if ring.finite:
-        s = _structure(ring)
-        idxs = [s.locate(v) for v in values]
-        if len(idxs) == 2:
-            return s.comaximal(*idxs)
-        reach = s.ideal(idxs[0])
-        for i in idxs[1:]:
-            reach = frozenset(s.add(p, q) for p in reach for q in s.ideal(i))
-        return s.one in reach
+    if isinstance(ring, TrivialExtensionRing):
+        return _comaximal(ring.base, [v[0] for v in values])
     raise UnsupportedOperationError(
         f"comaximality is not decidable for {ring.expression()}")
 
@@ -312,11 +295,11 @@ def coprime_factorization(c: RingElement, a: RingElement, b: RingElement
     gcd(r, a) = 1 over Z gives rR + aR = R, and every prime of s divides a,
     so gcd(a, b, n) = 1 gives sR + bR = R.  Products split factor by factor;
     a zero component over Z/n runs the loop on its representative n, and one
-    over an infinite factor is refused as c = 0 is.  On the other finite
-    rings the factor pairs are searched exhaustively and absence is
-    reported.  Their comaximality checks, aR + bR = R first among them, run
-    on the ring's table, so a ring past ``exhaustive.MAX_TABLE_SIZE``
-    elements is refused with ``TooLargeError`` before the scan starts.
+    over an infinite factor is refused as c = 0 is.  On A ⋉ A the base parts
+    split as r0*s0 = c0; with r0*u + s0*v = 1, r = (r0, v*c1) and
+    s = (s0, u*c1) multiply to c, and comaximality reads the base parts only.
+    So every finite ring of the registry has a factorization, found with no
+    search.
     """
     ring = _same_ring(c, a, b)
     if c.is_zero():
@@ -345,17 +328,33 @@ def _coprime_split(ring: Ring, c, a, b) -> tuple:
         while not ring.is_unit(g := ring.gcd(r, a)):
             r, s = ring.divide_exact(r, g), ring.mul(s, g)
         return (r, s)
-    if ring.finite:
-        for rv in ring.elements():
-            for sv in ring.elements():
-                if (ring.mul(rv, sv) == c and _comaximal(ring, [rv, sv])
-                        and _comaximal(ring, [rv, a]) and _comaximal(ring, [sv, b])):
-                    return (rv, sv)
-        raise FactorizationError(
-            f"no coprime factorization of {_raw(ring, c)!r} against "
-            f"{_raw(ring, a)!r}, {_raw(ring, b)!r}")
+    if isinstance(ring, TrivialExtensionRing) and ring.module == ring.MODULE_SELF:
+        base = ring.base
+        r0, s0 = _coprime_split(base, c[0], a[0], b[0])
+        u, v = _unit_combination(base, r0, s0)
+        return (r0, base.mul(v, c[1])), (s0, base.mul(u, c[1]))
     raise UnsupportedOperationError(
         f"coprime_factorization is not supported on {ring.expression()}")
+
+
+def _unit_combination(ring: Ring, r, s) -> tuple:
+    """(u, v) with r*u + s*v = 1, for raw values with rR + sR = R.
+
+    Where Bezout is total the certificate r*x + s*y = d is scaled by the
+    unit d^-1, and products go factor by factor.  On A ⋉ A the base's
+    combination gives r*u0 + s*v0 = (1, e), whose inverse is (1, -e).
+    """
+    if isinstance(ring, ProductRing):
+        parts = [_unit_combination(*args) for args in zip(ring.factors, r, s)]
+        return tuple(u for u, _ in parts), tuple(v for _, v in parts)
+    if isinstance(ring, TrivialExtensionRing) and ring.module == ring.MODULE_SELF:
+        base = ring.base
+        u0, v0 = _unit_combination(base, r[0], s[0])
+        ne = base.neg(base.add(base.mul(r[1], u0), base.mul(s[1], v0)))
+        return (u0, base.mul(ne, u0)), (v0, base.mul(ne, v0))
+    d, x, y, _, _ = ring.bezout_raw(r, s)
+    dinv = ring.inverse(d)
+    return ring.mul(x, dinv), ring.mul(y, dinv)
 
 
 def _reduce_mod(e: RingElement, c: RingElement) -> RingElement:
@@ -372,10 +371,5 @@ def clean_idempotent(c: RingElement, a: RingElement, b: RingElement) -> RingElem
     e = s*v satisfies e^2 = e (mod c), e in a*(R/cR) and 1 - e in b*(R/cR).
     """
     r, s = coprime_factorization(c, a, b)
-    cert = bezout(r, s)
-    if not is_unit(cert.d):
-        raise FactorizationError(f"factors {r!r}, {s!r} of {c!r} are not comaximal")
-    # scale the certificate so r*u + s*v is exactly 1
-    uinv = _raw(c.ring, c.ring.inverse(cert.d.value))
-    v = cert.y * uinv
-    return _reduce_mod(s * v, c)
+    v = _unit_combination(c.ring, r.value, s.value)[1]
+    return _reduce_mod(s * _raw(c.ring, v), c)

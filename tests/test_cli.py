@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import time
 
 import pytest
 
@@ -17,7 +18,6 @@ from edrkit.cli import (
     main,
     read_matrix,
 )
-from edrkit.stability import _structure
 
 
 def test_snf_dispatch_example():
@@ -440,7 +440,6 @@ def built(monkeypatch):
 
 
 def _check(ring, prop="stable-range-1"):
-    _structure.cache_clear()  # so that every structure is constructed anew
     return dispatch(CommandRequest(command="check", ring=ring, property=prop))
 
 
@@ -461,17 +460,26 @@ def test_check_at_the_size_limit_runs(built, ring, built_class, cap):
 
 
 def test_check_at_the_table_limit_reaches_the_table(built):
-    """The table cap still binds comaximality on trivial extensions: the
-    largest table is built, one past it is refused before any is."""
-    _structure.cache_clear()
-    ring = make_ring("text:zmod:32,self").ring  # 1,024 elements
-    with pytest.raises(_TableReached):
-        is_coprime(element(ring, (3, 0)), element(ring, (2, 0)))
-    assert built["TableStructure"] == [exhaustive.MAX_TABLE_SIZE]
-    ring = make_ring("text:zmod:33,self").ring  # 1,089 elements
-    with pytest.raises(exhaustive.TooLargeError, match="past the cap"):
-        is_coprime(element(ring, (3, 0)), element(ring, (2, 0)))
-    assert built["TableStructure"] == [exhaustive.MAX_TABLE_SIZE]
+    """Comaximality on trivial extensions reads the base parts: past the
+    table cap (1,024 elements) it answers and no table is built."""
+    for spec, p in (("text:zmod:33,self", 3), ("text:zmod:65,self", 5)):  # 1,089 and 4,225
+        ring = make_ring(spec).ring
+        assert is_coprime(element(ring, (3, 0)), element(ring, (2, 0)))
+        assert not is_coprime(element(ring, (p, 1)), element(ring, (2 * p, 0)))
+        code, out = dispatch(CommandRequest(command="reduce2x2", ring=spec,
+                                            payload='{"rows":[[[1,0],[0,0]],[[0,0],[1,0]]]}'))
+        assert code == EXIT_OK and json.loads(out)["verified"] is True
+    assert built == {"ModStructure": [], "ProductStructure": [], "TableStructure": []}
+
+
+@pytest.mark.parametrize("spec", ["text:zmod:33,self", "text:z,self",
+                                  f"text:zmod:{MERSENNE},self"])
+def test_reduce2x2_identity_over_self_extensions_reads_the_base(spec):
+    t0 = time.perf_counter()
+    code, out = dispatch(CommandRequest(command="reduce2x2", ring=spec,
+                                        payload='{"rows":[[[1,0],[0,0]],[[0,0],[1,0]]]}'))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_OK and json.loads(out)["verified"] is True
 
 
 @pytest.mark.parametrize("ring", [

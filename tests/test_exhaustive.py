@@ -11,8 +11,13 @@ checkers are the oracle for the library's verdicts, which come from the
 structure theorem and search nothing.
 """
 
+import importlib
 import json
 import math
+import os
+import pkgutil
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -415,11 +420,21 @@ def test_integer_is_stable_matches_the_oracle():
 
 
 def test_caches_are_bounded():
-    assert stability._structure.cache_info().maxsize is not None
-    for n in range(2, 2 + stability._structure.cache_info().maxsize + 8):
-        stability._structure(ModularRing(n))
-    info = stability._structure.cache_info()
-    assert info.currsize == info.maxsize
+    """Every functools cache of the library is bounded, and the request paths
+    keep no table: they never load the exhaustive layer."""
+    import edrkit
+
+    for info in pkgutil.iter_modules(edrkit.__path__):
+        for obj in vars(importlib.import_module(f"edrkit.{info.name}")).values():
+            if hasattr(obj, "cache_info"):
+                assert obj.cache_info().maxsize is not None
+    script = ("import sys; from edrkit import *; r = make_ring('text:zmod:33,self').ring\n"
+              "e = [element(r, v) for v in ((6, 1), (3, 0), (2, 0))]\n"
+              "is_coprime(e[1], e[2]); lift_unit(*e); clean_idempotent(*e)\n"
+              "check_property(r, 'clean'); print('edrkit.exhaustive' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
 
 
 # -- closed forms against tables and the element-by-element search ---------------
@@ -587,7 +602,6 @@ def test_verdicts_past_every_cap_build_nothing(monkeypatch, spec, value):
     monkeypatch.setattr(exhaustive, "structure_for", refuse)
     for cls in (ModStructure, PolyModStructure, ProductStructure, TableStructure):
         monkeypatch.setattr(cls, "__init__", refuse)
-    stability._structure.cache_clear()
     for prop in stability.PROPERTIES:
         code, out = dispatch(CommandRequest(command="check", ring=spec, property=prop))
         assert code == EXIT_OK

@@ -1,5 +1,7 @@
 """Ring arithmetic, units, Bezout certificates, division, enumeration."""
 
+import itertools
+import json
 import math
 import random
 import time
@@ -19,6 +21,7 @@ from edrkit import (
     RingError,
     RingMismatchError,
     TrivialExtensionRing,
+    UnsupportedOperationError,
     arithmetic,
     associate_unit,
     bezout,
@@ -254,6 +257,103 @@ def test_enumerate_counts_match_formula():
         ring = make_ring(expr).ring
         els = list(enumerate_elements(ring))
         assert len(els) == len(set(els)) == count
+
+
+# -- A ⋉ A against the scans it replaced -----------------------------------------
+
+_MERSENNE = 2305843009213693951  # 2**61 - 1
+
+
+def _self_ext(base):
+    return TrivialExtensionRing(base, "self")
+
+
+# the product bases are built with constructors, because ``product`` parses
+# greedily and would take ``self`` for a factor
+SELF_EXTENSIONS = [make_ring(f"text:zmod:{n},self").ring for n in range(2, 9)] + [
+    _self_ext(ProductRing([ModularRing(2), ModularRing(3)])),
+    _self_ext(ProductRing([ModularRing(4), ModularRing(2)])),
+    make_ring("text:text:zmod:2,self,self").ring,
+]
+
+
+@pytest.mark.parametrize("ring", SELF_EXTENSIONS, ids=lambda r: r.expression())
+def test_finite_enumeration_ascends(ring):
+    els = list(ring.elements())
+    assert els == sorted(ring.elements())
+    assert len(els) == len(set(els)) == ring.cardinality()
+
+
+@pytest.mark.parametrize("spec", [f"text:zmod:{_MERSENNE},self",
+                                  f"text:text:zmod:{_MERSENNE},self,self"])
+def test_enumeration_over_a_huge_base_is_lazy(spec):
+    """Division by zero scans the base's elements and stops at the first, so
+    it reads only that prefix, on a nested base too."""
+    ring = make_ring(spec).ring
+    zero = json.dumps(ring.value_to_json(ring.zero))
+    code, out = dispatch(CommandRequest(command="complete", ring=spec,
+                                        payload=f'{{"row":[{zero},{zero}],"d":{zero}}}'))
+    assert code == 0 and json.loads(out)["verified"] is True
+
+
+def _assert_matches_scan(ring, els, window):
+    """divides, divide_exact, associate_unit and canonical_associate on every
+    pair of els against a scan of the quotient window in its order, which
+    holds every quotient that exists."""
+    units = [u for u in window if ring.is_unit(u)]
+    for d in els:
+        quotients = {}
+        for q in window:
+            quotients.setdefault(ring.mul(d, q), []).append(q)
+        for a in els:
+            qs = quotients.get(a, [])
+            assert ring.divides(d, a) == bool(qs)
+            unit_qs = [q for q in qs if ring.is_unit(q)]
+            if qs:
+                assert ring.divide_exact(a, d) == qs[0]
+            else:
+                with pytest.raises(NonDivisibleError):
+                    ring.divide_exact(a, d)
+            if unit_qs:
+                assert ring.associate_unit(a, d) == unit_qs[0]
+            else:
+                with pytest.raises(NotAssociatesError):
+                    ring.associate_unit(a, d)
+        if ring.finite:
+            assert ring.canonical_associate(d) == min(ring.mul(d, u) for u in units)
+
+
+@pytest.mark.parametrize("ring", SELF_EXTENSIONS, ids=lambda r: r.expression())
+def test_self_extension_division_matches_the_scan(ring):
+    els = sorted(ring.elements())
+    _assert_matches_scan(ring, els, els)
+
+
+def _window(base, n0, n1):
+    """Pairs of the base's first n0 and first n1 elements in its search order."""
+    firsts = list(itertools.islice(base.search_order(), max(n0, n1)))
+    return [(x, y) for x in firsts[:n0] for y in firsts[:n1]]
+
+
+def test_self_extension_division_over_infinite_bases_matches_a_window():
+    """On a domain base q0 = a0/d0, or a1/d1 when d0 = a0 = 0, and any q1
+    serves when d0 = 0, so the window holds every quotient; the search
+    order puts zero first, where the library takes it."""
+    ring = make_ring("text:z,self").ring
+    els = _window(Z, 5, 5)  # entries in [-2, 2]
+    window = _window(Z, 5, 13)  # q1 in [-6, 6]
+    _assert_matches_scan(ring, els, window)
+    for a in els:  # (|m|, e mod |m|): one value on each class of associates
+        canon = ring.canonical_associate(a)
+        assert ring.associate_unit(canon, a)
+        assert all(ring.canonical_associate(ring.mul(a, u)) == canon
+                   for u in window if ring.is_unit(u))
+    ring = make_ring("text:gfpoly:3,self").ring
+    gf3 = GFPolynomialRing(3)
+    # base parts of degree <= 1 and constant module parts; quotients of degree <= 1
+    _assert_matches_scan(ring, _window(gf3, 9, 3), _window(gf3, 9, 9))
+    with pytest.raises(UnsupportedOperationError):
+        ring.canonical_associate(((1, 1), ()))
 
 
 def test_canonical_associates():

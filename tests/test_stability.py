@@ -1,5 +1,7 @@
 """Stable selection, unit lifting, stable-range-2 witnesses, clean quotients."""
 
+import functools
+import itertools
 import math
 import time
 import tracemalloc
@@ -30,7 +32,6 @@ from edrkit import (
     unit_mod,
 )
 from edrkit import exhaustive
-from edrkit.exhaustive import TooLargeError
 
 Z = IntegerRing()
 M12 = ModularRing(12)
@@ -269,7 +270,7 @@ def test_coprime_factorization_on_residue_rings():
                         _assert_coprime_split(*el, *coprime_factorization(*el))
 
 
-def test_coprime_factorization_scans_only_small_finite_rings():
+def test_coprime_factorization_scans_only_small_finite_rings(monkeypatch):
     small = make_ring("product:zmod:4,zmod:6").ring
     c, a, b = (element(small, v) for v in ((2, 4), (2, 5), (3, 1)))
     _assert_coprime_split(c, a, b, *coprime_factorization(c, a, b))
@@ -287,16 +288,60 @@ def test_coprime_factorization_scans_only_small_finite_rings():
     c, a, b = (element(mixed, v) for v in ((2, 0), (1, 3), (1, 5)))
     with pytest.raises(PreconditionError):
         coprime_factorization(c, a, b)
-    # the other finite rings are trivial extensions on tables: the largest
-    # table is scanned, one past it is refused before any table is built
-    table = make_ring("text:zmod:32,self").ring  # 1,024 elements
-    c, a, b = (element(table, v) for v in ((6, 1), (3, 0), (2, 0)))
-    _assert_coprime_split(c, a, b, *coprime_factorization(c, a, b))
-    for spec in ("text:zmod:33,self", "text:zmod:65,self"):  # 1,089 and 4,225
-        other = make_ring(spec).ring
-        c, a, b = (element(other, v) for v in ((5, 1), (1, 0), (0, 0)))
-        with pytest.raises(TooLargeError):
-            coprime_factorization(c, a, b)
+    # trivial extensions split their base parts, past the table cap too,
+    # and build no table
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(exhaustive.TableStructure, "__init__", no_table)
+    for spec in ("text:zmod:32,self", "text:zmod:33,self", "text:zmod:65,self"):
+        ring = make_ring(spec).ring  # 1,024, 1,089 and 4,225 elements
+        for v in (((6, 1), (3, 0), (2, 0)), ((5, 1), (1, 0), (0, 0)), ((0, 7), (2, 1), (3, 5))):
+            c, a, b = (element(ring, x) for x in v)
+            _assert_coprime_split(c, a, b, *coprime_factorization(c, a, b))
+
+
+def test_trivial_extension_refusals_answered_from_the_base():
+    """Over A ⋉ A, which has no Bezout certificates, lift_unit tries the
+    base's residues and clean_idempotent scales the base's certificate."""
+    ring = make_ring("text:zmod:4,self").ring
+    a, b, c = (element(ring, v) for v in ((2, 0), (1, 0), (2, 0)))
+    y = lift_unit(a, b, c)
+    assert y.value == (1, 0) and is_unit(a + b * y)  # (3, 0)
+    c, a, b = (element(ring, v) for v in ((2, 1), (3, 0), (2, 0)))
+    r, s = coprime_factorization(c, a, b)
+    _assert_coprime_split(c, a, b, r, s)
+    e = clean_idempotent(c, a, b)
+    assert ring.divides(c.value, (e * e - e).value)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_trivial_extension_lifts_and_idempotents_meet_their_definitions(n):
+    """lift_unit and clean_idempotent on every triple of text:zmod:n,self,
+    against sums of principal ideals of the whole ring."""
+    ring = make_ring(f"text:zmod:{n},self").ring
+    els = list(ring.elements())
+    principal = {x: frozenset(ring.mul(x, t) for t in els) for x in els}
+
+    @functools.cache
+    def ideal_sum(i, j):
+        return frozenset(ring.add(p, q) for p in i for q in j)
+
+    def span(*xs):
+        return functools.reduce(ideal_sum, (principal[x] for x in xs))
+
+    for a, b, c in itertools.product(els, repeat=3):
+        ea, eb, ec = (element(ring, v) for v in (a, b, c))
+        if ring.one in span(a, b, c):
+            y = lift_unit(ea, eb, ec).value
+            assert ring.one in span(ring.add(a, ring.mul(b, y)), c)
+        else:
+            with pytest.raises(PreconditionError):
+                lift_unit(ea, eb, ec)
+        if c != ring.zero and ring.one in span(a, b):
+            e = clean_idempotent(ec, ea, eb).value
+            assert ring.sub(ring.mul(e, e), e) in principal[c]
+            assert e in span(a, c) and ring.sub(ring.one, e) in span(b, c)
 
 
 def test_clean_idempotent_over_a_huge_modulus_is_fast():
