@@ -34,6 +34,7 @@ from .rings import (
     RingElement,
     RingError,
     RingMismatchError,
+    SelfExtensionRing,
     TrivialExtensionRing,
     TruncatedSeriesRing,
     UnsupportedOperationError,

@@ -37,6 +37,7 @@ from .rings import (
     Ring,
     RingElement,
     RingError,
+    TruncatedSeriesRing,
     _raw,
     _same_ring,
     one,
@@ -77,8 +78,16 @@ def _row_gcd_with_coefficients(ring: Ring, row: list) -> tuple[Any, list]:
 
     The row is folded from the left, g_k being the Bezout d of (g_{k-1}, a_k)
     with cofactors (u_k, v_k), so x_i = v_i * u_{i+1} * ... * u_n (v_1 = 1):
-    one pass from the right builds them all in O(n) multiplications.
+    one pass from the right builds them all in O(n) multiplications.  A
+    series row leads with its first entry of nonzero constant term: then every
+    gcd of the fold has one, so each later pair has a certificate.
     """
+    if isinstance(ring, TruncatedSeriesRing):
+        lead = next((i for i, a in enumerate(row) if a[0] != 0), 0)
+        if lead:
+            g, xs = _row_gcd_with_coefficients(
+                ring, [row[lead], *row[:lead], *row[lead + 1:]])
+            return g, [*xs[1:lead + 1], xs[0], *xs[lead + 1:]]
     zero, mul = ring.zero, ring.mul
     g = row[0]
     us, vs = [], [ring.one]

@@ -5,10 +5,9 @@ rings from the structure theorem (every finite commutative ring has all five
 properties) and call nothing here.  These checkers reach the same verdicts by
 search, with code that shares nothing with that argument, so the tests
 compare the two; they also fail on hand-built structures that are not rings,
-which shows that each one can.  They stay in ``src/`` because the
-benchmark's per-layer tracer wraps them and the structures by name, and
-because the structures still serve requests: ``stability._comaximal`` and
-``coprime_factorization`` on trivial extensions ask a ``TableStructure``.
+which shows that each one can.  No request path imports this module; it
+stays in ``src/`` because the benchmark's per-layer tracer wraps the
+checkers and the structures by name.
 
 Each negative verdict comes with a concrete witness that re-checks
 independently, and every verdict and witness is the one an element-by-element
@@ -47,8 +46,8 @@ O(d(m)^2) class pairs, and on products it is decided factor by factor.
 Caps, checked by ``structure_for`` before anything is built:
 ``MAX_QUOTIENT_SIZE`` elements for the closed forms, ``MAX_TABLE_SIZE`` for
 tables and ``MAX_PRODUCT_SIZE`` for a product, whose factors also keep their
-own caps.  On a request path only the table cap still applies, through
-``_comaximal`` and ``coprime_factorization`` on trivial extensions.
+own caps.  They bound what a test or a direct call may build; no request
+path reaches them.
 """
 
 from __future__ import annotations

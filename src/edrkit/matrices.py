@@ -116,9 +116,6 @@ class RingMatrix:
     def entry(self, i: int, j: int) -> RingElement:
         return _raw(self.ring, self.data[i][j])
 
-    def to_lists(self) -> list[list[RingElement]]:
-        return [[_raw(self.ring, v) for v in row] for row in self.data]
-
     def __eq__(self, other):
         return (isinstance(other, RingMatrix) and self.ring == other.ring
                 and self.data == other.data)

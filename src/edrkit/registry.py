@@ -32,6 +32,7 @@ from .rings import (
     Ring,
     RingElement,
     RingError,
+    SelfExtensionRing,
     TrivialExtensionRing,
     TruncatedSeriesRing,
     _raw,
@@ -71,7 +72,7 @@ def _stable_strategy(ring: Ring) -> str:
         return "smallest-nonzero-shift"
     if isinstance(ring, TruncatedSeriesRing):
         return "constant-term-shift"
-    if isinstance(ring, TrivialExtensionRing):
+    if isinstance(ring, (TrivialExtensionRing, SelfExtensionRing)):
         return "base-component-shift"
     if isinstance(ring, ProductRing):
         return "componentwise"
@@ -171,9 +172,11 @@ def _parse_spec(cur: _Cursor) -> Ring:
         cur.expect(",")
         tag = cur.next()
         if tag == "q":
-            return TrivialExtensionRing(base, TrivialExtensionRing.MODULE_RATIONALS)
+            if not isinstance(base, IntegerRing):
+                raise RingError("module-kind rationals requires the integer base ring")
+            return TrivialExtensionRing()
         if tag == "self":
-            return TrivialExtensionRing(base, TrivialExtensionRing.MODULE_SELF)
+            return SelfExtensionRing(base)
         raise ExpressionError(f"trivial-extension module must be self or q, got {tag!r}")
     raise ExpressionError(f"unknown ring kind {head!r}")
 

@@ -12,10 +12,9 @@ Shipped ring kinds and their raw value representations:
   ``GF(p)``, stored as coefficient tuples low-to-high with no trailing
   zeros; the zero polynomial is the empty tuple.
 * ``ProductRing(factors)`` -- tuples of component values, componentwise ops.
-* ``TrivialExtensionRing(base, module)`` -- pairs ``(a, e)`` with the
-  square-zero multiplication ``(a, e)(b, f) = (ab, af + be)``; the module is
-  either the base ring itself (``"self"``) or the rationals over an integer
-  base (``"rationals"``, elements ``Fraction``).
+* ``TrivialExtensionRing()`` -- Z ⋉ Q: pairs ``(a, e)``, ``e`` a ``Fraction``,
+  with the square-zero multiplication ``(a, e)(b, f) = (ab, af + be)``.
+* ``SelfExtensionRing(base)`` -- A ⋉ A: pairs of base values, multiplied alike.
 * ``TruncatedSeriesRing(order)`` -- elements ``a0 + a1*x + ... + ak*x^k``
   with integer constant term and rational higher coefficients, truncated at
   exponent ``order`` (an honest quotient, so the ring axioms hold exactly).
@@ -316,8 +315,8 @@ class Ring(ABC):
     def normalize(self, value: Any) -> Any:
         """Validate and normalize a raw payload; raises RingError if malformed."""
 
-    # Every ring provides ``zero`` and ``one``: as class attributes,
-    # properties, or instance attributes built once in ``__init__``.
+    # Every ring provides ``zero`` and ``one``: as class attributes, or as
+    # instance attributes built once in ``__init__``.
     zero: Any
     one: Any
 
@@ -669,13 +668,8 @@ class ModularRing(Ring):
             raise RingError(f"residue payload expected, got {value!r}")
         return value % self.n
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1 % self.n
+    zero = 0
+    one = 1  # n >= 2
 
     def add(self, x, y):
         return (x + y) % self.n
@@ -1038,104 +1032,49 @@ class ProductRing(Ring):
 
 
 class TrivialExtensionRing(Ring):
-    """Trivial extension of a base ring by a module of square-zero elements.
-
-    Values are pairs ``(a, e)`` multiplying as ``(a, e)(b, f) = (ab, af + be)``,
-    so the pairs ``(0, e)`` form an ideal that squares to zero.  The module is
-    either the base ring acting on itself (``module="self"``) or the rationals
-    over the integer base (``module="rationals"``); the latter is the one
-    instance with total Bezout certificates.
-    """
+    """Z ⋉ Q: pairs ``(a, e)`` of an integer and a rational multiplying as
+    ``(a, e)(b, f) = (ab, af + be)``.  The pairs ``(0, e)`` form an ideal that
+    squares to zero; Bezout certificates are total."""
 
     kind = "trivial-extension"
-
-    MODULE_SELF = "self"
-    MODULE_RATIONALS = "rationals"
-
-    def __init__(self, base: Ring, module: str):
-        if module not in (self.MODULE_SELF, self.MODULE_RATIONALS):
-            raise RingError(f"unknown module kind {module!r}")
-        if module == self.MODULE_RATIONALS and not isinstance(base, IntegerRing):
-            raise RingError("module-kind rationals requires the integer base ring")
-        self.base = base
-        self.module = module
-        mzero = _QZERO if module == self.MODULE_RATIONALS else base.zero
-        self.zero = (base.zero, mzero)
-        self.one = (base.one, mzero)
-
-    def _key(self):
-        return (self.kind, self.base._key(), self.module)
+    base = IntegerRing()
+    zero = (0, _QZERO)
+    one = (1, _QZERO)
 
     def expression(self) -> str:
-        tag = "q" if self.module == self.MODULE_RATIONALS else "self"
-        return f"text:{self.base.expression()},{tag}"
-
-    @property
-    def finite(self) -> bool:
-        return self.module == self.MODULE_SELF and self.base.finite
-
-    @property
-    def bezout_total(self) -> bool:
-        # With module "self" two-generated ideals need not be principal
-        # (e.g. the pair ((2,0),(0,1)) over a Z/4 base), so only the
-        # rational-module instance carries total certificates.
-        return self.module == self.MODULE_RATIONALS
-
-    def cardinality(self):
-        if not self.finite:
-            raise InfiniteRingError(f"{self.expression()} is not a finite ring")
-        return self.base.cardinality() ** 2
-
-    def elements(self):
-        if not self.finite:
-            raise InfiniteRingError(f"{self.expression()} is not enumerable")
-        return _product_elements((self.base, self.base))
+        return "text:z,q"
 
     def normalize(self, value):
         if isinstance(value, list):
             value = tuple(value)
         if not isinstance(value, tuple) or len(value) != 2:
             raise RingError(f"pair (a, e) expected, got {value!r}")
-        a, e = value
-        a = self.base.normalize(a)
-        if self.module == self.MODULE_RATIONALS:
-            if isinstance(e, int) and not isinstance(e, bool):
-                e = Fraction(e)
-            if not isinstance(e, Fraction):
-                raise RingError(f"rational module component expected, got {e!r}")
-        else:
-            e = self.base.normalize(e)
+        a, e = self.base.normalize(value[0]), value[1]
+        if isinstance(e, int) and not isinstance(e, bool):
+            e = Fraction(e)
+        if not isinstance(e, Fraction):
+            raise RingError(f"rational module component expected, got {e!r}")
         return (a, e)
 
-    # The rational-module kernels work on the numerators and denominators of
-    # the module parts and build one Fraction per result.
+    # The kernels work on the numerators and denominators of the module
+    # parts and build one Fraction per result.
 
     def add(self, x, y):
         (a, e), (b, f) = x, y
-        if self.module == self.MODULE_SELF:
-            base = self.base
-            return (base.add(a, b), base.add(e, f))
         en, ed = e.as_integer_ratio()
         fn, fd = f.as_integer_ratio()
         return (a + b, _qsum(en, ed, fn, fd))
 
     def neg(self, x):
-        if self.module == self.MODULE_RATIONALS:
-            return (self.base.neg(x[0]), -x[1])
-        return (self.base.neg(x[0]), self.base.neg(x[1]))
+        return (-x[0], -x[1])
 
     def mul(self, x, y):
         (a, e), (b, f) = x, y
-        if self.module == self.MODULE_SELF:
-            base = self.base
-            return (base.mul(a, b), base.add(base.mul(a, f), base.mul(b, e)))
         en, ed = e.as_integer_ratio()
         fn, fd = f.as_integer_ratio()
         return (a * b, _qsum(a * fn, fd, b * en, ed))
 
     def dot(self, xs, ys):
-        if self.module == self.MODULE_SELF:
-            return Ring.dot(self, xs, ys)
         # the module part sum(a*f + b*e) over the lcm of the denominators
         s = 0
         terms = []
@@ -1147,8 +1086,6 @@ class TrivialExtensionRing(Ring):
         return (s, _qlsum(terms))
 
     def matmul(self, rows, cols):
-        if self.module == self.MODULE_SELF:
-            return Ring.matmul(self, rows, cols)
         # Each side's module parts over the lcm of that side's denominators:
         # with E = En/lE on the left and F = Fn/lF on the right, the module
         # part of the product is A*F + E*B = (lE*(A*Fn) + lF*(En*B)) / (lE*lF).
@@ -1159,8 +1096,6 @@ class TrivialExtensionRing(Ring):
                  for bc, fc in zip(b, fn)] for ar, er in zip(a, en)]
 
     def fma(self, y, q, x):
-        if self.module == self.MODULE_SELF:
-            return Ring.fma(self, y, q, x)
         # (c, g) + (a, e)(b, f) = (c + ab, g + af + be), one Fraction built
         (c, g), (a, e), (b, f) = y, q, x
         en, ed = e.as_integer_ratio()
@@ -1168,48 +1103,15 @@ class TrivialExtensionRing(Ring):
         return (c + a * b, _qlsum((g.as_integer_ratio(), (a * fn, fd), (b * en, ed))))
 
     def is_unit(self, x):
-        return self.base.is_unit(x[0])
+        return x[0] in (1, -1)
 
     def inverse(self, x):
+        # (a, e)(a, -e) = (1, 0) for a = +-1
         if not self.is_unit(x):
             raise NotAUnitError(f"{x!r} is not a unit of {self.expression()}")
-        v = self.base.inverse(x[0])
-        vv = self.base.mul(v, v)
-        if self.module == self.MODULE_RATIONALS:
-            return (v, -Fraction(vv) * x[1])
-        return (v, self.base.neg(self.base.mul(vv, x[1])))
-
-    # divisibility -------------------------------------------------------------
-
-    def _require_rationals(self, op: str):
-        if self.module != self.MODULE_RATIONALS:
-            raise UnsupportedOperationError(
-                f"{op} is not supported in {self.expression()}")
-
-    def _self_quotients(self, a, d):
-        """The q with d*q = a over A ⋉ A, least first on a finite base.
-
-        d*q = (d0*q0, d0*q1 + d1*q0): q0 solves d0*q0 = a0, and q1 is the
-        base's quotient of a1 - d1*q0 by d0, its least on a finite base.
-        There q0 runs up the base's ascending elements, or is the one
-        solution for a unit d0; an infinite base takes a0/d0, or a1/d1 when
-        d0 = a0 = 0.
-        """
-        base = self.base
-        (a0, a1), (d0, d1) = a, d
-        if self.finite and not base.is_unit(d0):
-            q0s = (q0 for q0 in base.elements() if base.mul(d0, q0) == a0)
-        else:
-            x, y = (a1, d1) if d0 == base.zero == a0 and d1 != base.zero else (a0, d0)
-            q0s = [base.divide_exact(x, y)] if base.divides(y, x) else []
-        for q0 in q0s:
-            r = base.sub(a1, base.mul(d1, q0))
-            if base.divides(d0, r):
-                yield (q0, base.divide_exact(r, d0))
+        return (x[0], -x[1])
 
     def divides(self, d, a):
-        if self.module == self.MODULE_SELF:
-            return Ring.divides(self, d, a)
         (md, qd), (ma, qa) = d, a
         if md != 0:
             return ma % md == 0
@@ -1220,11 +1122,6 @@ class TrivialExtensionRing(Ring):
         return (qa / qd).denominator == 1
 
     def divide_exact(self, a, d):
-        if self.module == self.MODULE_SELF:
-            q = next(self._self_quotients(a, d), None)
-            if q is None:
-                raise NonDivisibleError(f"{d!r} does not divide {a!r} in {self.expression()}")
-            return q
         (ma, qa), (md, qd) = a, d
         if md != 0:
             if ma % md != 0:
@@ -1241,7 +1138,6 @@ class TrivialExtensionRing(Ring):
         return (int(k), Fraction(0))
 
     def bezout_raw(self, a, b):
-        self._require_rationals("bezout certificates")
         (ma, qa), (mb, qb) = a, b
         g, alpha, beta = _egcd(ma, mb)
         if g != 0:
@@ -1269,20 +1165,146 @@ class TrivialExtensionRing(Ring):
         b0 = (int(eb), Fraction(0))
         return d, x, y, a0, b0
 
+    def canonical_associate(self, a):
+        m, q = a
+        if m != 0:
+            return (abs(m), Fraction(0))
+        return (0, abs(q))
+
+    # Euclidean size: (0, |a|) while the base part a is nonzero, and (1, |e|)
+    # in the square-zero ideal, which every nonzero base part outranks.
+
+    def size(self, a):
+        m, e = a
+        return (0, abs(m)) if m else (1, abs(e))
+
+    def nearest_quotient(self, a, b):
+        (m, e), (bm, s) = a, b
+        if bm:
+            c = _round_quotient(m, bm)
+            # the module part clears e only where the base parts cancel;
+            # elsewhere it stays zero and keeps bm out of the denominators
+            return (c, (e - c * s) / bm if m == c * bm else _QZERO)
+        if m:
+            return self.zero
+        return (_round_quotient(e, s), _QZERO)
+
+    def search_order(self):
+        return ((k, _QZERO) for k in self.base.search_order())
+
+    def residues_mod(self, c):
+        # the base's residues modulo c0: all of R/cR
+        return ((k, _QZERO) for k in self.base.residues_mod(c[0]))
+
+    def value_to_json(self, v):
+        return [v[0], _fraction_to_json(v[1])]
+
+    def value_from_json(self, obj):
+        if not isinstance(obj, list) or len(obj) != 2:
+            raise RingError(f"two-element array expected, got {obj!r}")
+        return (_int_from_json(obj[0], "base component"),
+                _fraction_from_json(obj[1], "module component"))
+
+
+class SelfExtensionRing(Ring):
+    """A ⋉ A: pairs of base values, multiplied as in ``TrivialExtensionRing``.
+
+    Two-generated ideals need not be principal (e.g. the pair ((2,0),(0,1))
+    over a Z/4 base), so there are no Bezout certificates.
+    """
+
+    kind = "trivial-extension"
+    bezout_total = False
+
+    def __init__(self, base: Ring):
+        self.base = base
+        self.zero = (base.zero, base.zero)
+        self.one = (base.one, base.zero)
+
+    def _key(self):
+        return (self.kind, self.base._key())
+
+    def expression(self) -> str:
+        return f"text:{self.base.expression()},self"
+
+    @property
+    def finite(self) -> bool:
+        return self.base.finite
+
+    def cardinality(self):
+        return self.base.cardinality() ** 2 if self.finite else super().cardinality()
+
+    def elements(self):
+        return _product_elements((self.base, self.base)) if self.finite else super().elements()
+
+    def normalize(self, value):
+        if isinstance(value, list):
+            value = tuple(value)
+        if not isinstance(value, tuple) or len(value) != 2:
+            raise RingError(f"pair (a, e) expected, got {value!r}")
+        return (self.base.normalize(value[0]), self.base.normalize(value[1]))
+
+    def add(self, x, y):
+        return (self.base.add(x[0], y[0]), self.base.add(x[1], y[1]))
+
+    def neg(self, x):
+        return (self.base.neg(x[0]), self.base.neg(x[1]))
+
+    def mul(self, x, y):
+        (a, e), (b, f) = x, y
+        base = self.base
+        return (base.mul(a, b), base.add(base.mul(a, f), base.mul(b, e)))
+
+    def is_unit(self, x):
+        return self.base.is_unit(x[0])
+
+    def inverse(self, x):
+        if not self.is_unit(x):
+            raise NotAUnitError(f"{x!r} is not a unit of {self.expression()}")
+        base = self.base
+        v = base.inverse(x[0])
+        return (v, base.neg(base.mul(base.mul(v, v), x[1])))
+
+    def _self_quotients(self, a, d):
+        """The q with d*q = a, least first on a finite base.
+
+        d*q = (d0*q0, d0*q1 + d1*q0): q0 solves d0*q0 = a0, and q1 is the
+        base's quotient of a1 - d1*q0 by d0, its least on a finite base.
+        There q0 runs up the base's ascending elements, or is the one
+        solution for a unit d0; an infinite base takes a0/d0, or a1/d1 when
+        d0 = a0 = 0.
+        """
+        base = self.base
+        (a0, a1), (d0, d1) = a, d
+        if self.finite and not base.is_unit(d0):
+            q0s = (q0 for q0 in base.elements() if base.mul(d0, q0) == a0)
+        else:
+            x, y = (a1, d1) if d0 == base.zero == a0 and d1 != base.zero else (a0, d0)
+            q0s = [base.divide_exact(x, y)] if base.divides(y, x) else []
+        for q0 in q0s:
+            r = base.sub(a1, base.mul(d1, q0))
+            if base.divides(d0, r):
+                yield (q0, base.divide_exact(r, d0))
+
+    def divide_exact(self, a, d):
+        q = next(self._self_quotients(a, d), None)
+        if q is None:
+            raise NonDivisibleError(f"{d!r} does not divide {a!r} in {self.expression()}")
+        return q
+
+    def bezout_raw(self, a, b):
+        raise UnsupportedOperationError(
+            f"bezout certificates is not supported in {self.expression()}")
+
     def associate_unit(self, a, d):
-        if self.module == self.MODULE_RATIONALS or a == d:
-            return super().associate_unit(a, d)
+        if a == d:
+            return self.one
         for u in self._self_quotients(a, d):
             if self.base.is_unit(u[0]):
                 return u
         raise NotAssociatesError(f"{a!r} and {d!r} are not associates in {self.expression()}")
 
     def canonical_associate(self, a):
-        if self.module == self.MODULE_RATIONALS:
-            m, q = a
-            if m != 0:
-                return (abs(m), Fraction(0))
-            return (0, abs(q))
         if a == self.zero:
             return self.zero
         if self.finite:
@@ -1306,50 +1328,22 @@ class TrivialExtensionRing(Ring):
         raise UnsupportedOperationError(
             f"no canonical associates in {self.expression()}")
 
-    # Euclidean size over the rational module: (0, |a|) while the base part a
-    # is nonzero, and (1, |e|) in the square-zero ideal, which every nonzero
-    # base part outranks.
-
-    def size(self, a):
-        self._require_rationals("a Euclidean size")
-        m, e = a
-        return (0, abs(m)) if m else (1, abs(e))
-
-    def nearest_quotient(self, a, b):
-        self._require_rationals("a Euclidean size")
-        (m, e), (bm, s) = a, b
-        if bm:
-            c = _round_quotient(m, bm)
-            # the module part clears e only where the base parts cancel;
-            # elsewhere it stays zero and keeps bm out of the denominators
-            return (c, (e - c * s) / bm if m == c * bm else _QZERO)
-        if m:
-            return self.zero
-        return (_round_quotient(e, s), _QZERO)
+    def residues_mod(self, c):
+        # the base's residues modulo c0, which decide comaximality with c,
+        # since 0 ⋉ A squares to zero
+        return ((k, self.base.zero) for k in self.base.residues_mod(c[0]))
 
     def search_order(self):
         if self.finite:
-            yield from self.elements()
-            return
-        for k in self.base.search_order():
-            yield (k, self.zero[1])
-
-    def residues_mod(self, c):
-        # the base's residues modulo c0: all of R/cR over Z ⋉ Q; over A ⋉ A
-        # they decide comaximality with c, since 0 ⋉ A squares to zero
-        return ((k, self.zero[1]) for k in self.base.residues_mod(c[0]))
+            return self.elements()
+        return ((k, self.base.zero) for k in self.base.search_order())
 
     def value_to_json(self, v):
-        if self.module == self.MODULE_RATIONALS:
-            return [v[0], _fraction_to_json(v[1])]
         return [self.base.value_to_json(v[0]), self.base.value_to_json(v[1])]
 
     def value_from_json(self, obj):
         if not isinstance(obj, list) or len(obj) != 2:
             raise RingError(f"two-element array expected, got {obj!r}")
-        if self.module == self.MODULE_RATIONALS:
-            return (_int_from_json(obj[0], "base component"),
-                    _fraction_from_json(obj[1], "module component"))
         return (self.base.value_from_json(obj[0]), self.base.value_from_json(obj[1]))
 
 
@@ -1401,13 +1395,8 @@ class TruncatedSeriesRing(Ring):
             out.pop()
         return (c, tuple(out))
 
-    @property
-    def zero(self):
-        return (0, ())
-
-    @property
-    def one(self):
-        return (1, ())
+    zero = (0, ())
+    one = (1, ())
 
     def _coeff(self, v, k: int) -> Fraction:
         if k == 0:

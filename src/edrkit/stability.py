@@ -33,6 +33,7 @@ from .rings import (
     Ring,
     RingElement,
     RingError,
+    SelfExtensionRing,
     TrivialExtensionRing,
     TruncatedSeriesRing,
     UnsupportedOperationError,
@@ -98,7 +99,7 @@ def _comaximal(ring: Ring, values: list) -> bool:
         return ring.is_unit(reduce(ring.gcd, values))
     if isinstance(ring, ProductRing):
         return all(_comaximal(f, [v[k] for v in values]) for k, f in enumerate(ring.factors))
-    if isinstance(ring, TrivialExtensionRing):
+    if isinstance(ring, SelfExtensionRing):
         return _comaximal(ring.base, [v[0] for v in values])
     raise UnsupportedOperationError(
         f"comaximality is not decidable for {ring.expression()}")
@@ -150,7 +151,7 @@ def select_stable(a: RingElement, b: RingElement) -> RingElement:
         for kv in ring.search_order():
             if a.value[0] + b.value[0] * kv[0] != 0:
                 return _raw(ring, kv)
-    if isinstance(ring, TrivialExtensionRing):
+    if isinstance(ring, (TrivialExtensionRing, SelfExtensionRing)):
         base = ring.base
         if a.value[0] == base.zero and b.value[0] == base.zero:
             raise PreconditionError(
@@ -328,7 +329,7 @@ def _coprime_split(ring: Ring, c, a, b) -> tuple:
         while not ring.is_unit(g := ring.gcd(r, a)):
             r, s = ring.divide_exact(r, g), ring.mul(s, g)
         return (r, s)
-    if isinstance(ring, TrivialExtensionRing) and ring.module == ring.MODULE_SELF:
+    if isinstance(ring, SelfExtensionRing):
         base = ring.base
         r0, s0 = _coprime_split(base, c[0], a[0], b[0])
         u, v = _unit_combination(base, r0, s0)
@@ -347,7 +348,7 @@ def _unit_combination(ring: Ring, r, s) -> tuple:
     if isinstance(ring, ProductRing):
         parts = [_unit_combination(*args) for args in zip(ring.factors, r, s)]
         return tuple(u for u, _ in parts), tuple(v for _, v in parts)
-    if isinstance(ring, TrivialExtensionRing) and ring.module == ring.MODULE_SELF:
+    if isinstance(ring, SelfExtensionRing):
         base = ring.base
         u0, v0 = _unit_combination(base, r[0], s[0])
         ne = base.neg(base.add(base.mul(r[1], u0), base.mul(s[1], v0)))

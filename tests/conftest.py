@@ -19,6 +19,7 @@ from edrkit.rings import (
     ModularRing,
     ProductRing,
     Ring,
+    SelfExtensionRing,
     TrivialExtensionRing,
     TruncatedSeriesRing,
 )
@@ -90,9 +91,9 @@ def random_value(ring: Ring, rng: random.Random, span: int = 50):
     if isinstance(ring, ProductRing):
         return tuple(random_value(f, rng, span) for f in ring.factors)
     if isinstance(ring, TrivialExtensionRing):
-        if ring.module == TrivialExtensionRing.MODULE_RATIONALS:
-            return (rng.randint(-span, span),
-                    Fraction(rng.randint(-span, span), rng.randint(1, 20)))
+        return (rng.randint(-span, span),
+                Fraction(rng.randint(-span, span), rng.randint(1, 20)))
+    if isinstance(ring, SelfExtensionRing):
         return (random_value(ring.base, rng, span), random_value(ring.base, rng, span))
     if isinstance(ring, TruncatedSeriesRing):
         coeffs = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))

@@ -53,6 +53,7 @@ from edrkit.rings import (
     ModularRing,
     ProductRing,
     Ring,
+    SelfExtensionRing,
     TrivialExtensionRing,
     TruncatedSeriesRing,
     UnsupportedOperationError,
@@ -80,7 +81,7 @@ def _values(ring: Ring):
         raw = st.lists(st.integers(0, ring.p - 1), max_size=5).map(ring.normalize)
     elif isinstance(ring, ProductRing):
         raw = st.tuples(*(_values(f) for f in ring.factors))
-    elif isinstance(ring, TrivialExtensionRing) and ring.module == ring.MODULE_SELF:
+    elif isinstance(ring, SelfExtensionRing):
         raw = st.tuples(_values(ring.base), _values(ring.base))
     elif isinstance(ring, TrivialExtensionRing):
         raw = st.tuples(_INTS, _FRACTIONS)
@@ -254,7 +255,7 @@ def test_gcd_on_zero_pairs_signs_and_zero_components(spec, pairs):
 def test_gcd_overrides_and_the_one_polynomial_gcd():
     for cls in (IntegerRing, ModularRing, GFPolynomialRing, ProductRing):
         assert cls.gcd is not Ring.gcd, cls
-    for cls in (TrivialExtensionRing, TruncatedSeriesRing):
+    for cls in (TrivialExtensionRing, SelfExtensionRing, TruncatedSeriesRing):
         assert cls.gcd is Ring.gcd, cls
     # the exhaustive GF(p)[x]/(f) structures use the ring module's gcd
     assert exhaustive._pgcd is rings._pgcd
@@ -480,7 +481,8 @@ def _assert_matmul(ring, a, b):
 def test_matmul_overrides():
     for cls in (IntegerRing, ModularRing, GFPolynomialRing, ProductRing, TrivialExtensionRing):
         assert cls.matmul is not Ring.matmul, cls
-    assert TruncatedSeriesRing.matmul is Ring.matmul
+    for cls in (SelfExtensionRing, TruncatedSeriesRing):
+        assert cls.matmul is Ring.matmul, cls
 
 
 @pytest.mark.parametrize("spec", SPECS + ["text:zmod:4,self", "product:zmod:360,gfpoly:5,text:z,q"])

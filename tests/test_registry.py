@@ -15,6 +15,8 @@ from edrkit import (
     parse_element,
     ring_catalog,
 )
+from edrkit.cli import EXIT_OK, EXIT_PARSE, CommandRequest, dispatch
+from edrkit.rings import IntegerRing, ModularRing, SelfExtensionRing, TrivialExtensionRing
 from conftest import random_element
 
 
@@ -98,6 +100,36 @@ def test_trivial_extension_units_exhaustive(n):
     base = ring.base
     for el in enumerate_elements(ring):
         assert is_unit(el) == base.is_unit(el.value[0])
+
+
+def test_one_class_per_trivial_extension():
+    """Z ⋉ Q and A ⋉ A are two classes of one kind, and never equal."""
+    zq = make_ring("text:z,q").ring
+    self4 = make_ring("text:zmod:4,self").ring
+    assert zq == TrivialExtensionRing() and type(zq) is TrivialExtensionRing
+    assert self4 == SelfExtensionRing(ModularRing(4)) and type(self4) is SelfExtensionRing
+    assert zq != SelfExtensionRing(IntegerRing()) and self4 != zq
+    assert zq.kind == self4.kind == "trivial-extension"
+    assert make_ring("text:z,self").ring != make_ring("text:zmod:4,self").ring
+    code, out = dispatch(CommandRequest(command="snf", ring="text:zmod:4,q",
+                                        payload='{"rows":[[[1,0]]]}'))
+    assert (code, out) == (EXIT_PARSE, "error: module-kind rationals requires the integer base ring")
+
+
+def test_trivial_extension_catalog_entries():
+    entries = {e["expression"]: e for e in ring_catalog()}
+    assert entries["text:z,q"] == {
+        "expression": "text:z,q", "kind": "trivial-extension", "finite": False,
+        "bezoutTotal": True, "stableStrategy": "base-component-shift",
+        "unitLiftStrategy": "residue-scan"}
+    assert entries["text:zmod:4,self"] == {
+        "expression": "text:zmod:4,self", "kind": "trivial-extension", "finite": True,
+        "bezoutTotal": False, "stableStrategy": "identity-shift",
+        "unitLiftStrategy": "exhaustive"}
+    code, out = dispatch(CommandRequest(command="rings", output="pretty"))
+    assert code == EXIT_OK
+    assert "text:z,q: finite=false bezout=true" in out.splitlines()
+    assert "text:zmod:4,self: finite=true bezout=false" in out.splitlines()
 
 
 def test_ring_catalog_is_deterministic():

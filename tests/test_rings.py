@@ -20,6 +20,7 @@ from edrkit import (
     ProductRing,
     RingError,
     RingMismatchError,
+    SelfExtensionRing,
     TrivialExtensionRing,
     UnsupportedOperationError,
     arithmetic,
@@ -50,16 +51,16 @@ ALL_RINGS = [
     M12,
     G5,
     ProductRing([ModularRing(2), ModularRing(3)]),
-    TrivialExtensionRing(Z, "self"),
-    TrivialExtensionRing(Z, "rationals"),
-    TrivialExtensionRing(ModularRing(4), "self"),
+    SelfExtensionRing(Z),
+    TrivialExtensionRing(),
+    SelfExtensionRing(ModularRing(4)),
     make_ring("series:6").ring,
 ]
 
 
 def test_arithmetic_examples():
     assert arithmetic(element(Z, 12), element(Z, 18), "add").value == 30
-    te = TrivialExtensionRing(Z, "self")
+    te = SelfExtensionRing(Z)
     prod = arithmetic(element(te, (2, 3)), element(te, (4, 5)), "mul")
     assert prod.value == (8, 22)
     assert arithmetic(element(M6, 4), element(M6, 5), "mul").value == 2
@@ -91,7 +92,7 @@ def test_units_and_inverses():
     assert is_unit(element(M6, 5))
     assert inverse(element(M6, 5)).value == 5
     assert not is_unit(element(Z, 2))
-    te = TrivialExtensionRing(Z, "rationals")
+    te = TrivialExtensionRing()
     u = element(te, (1, Fraction(7, 2)))
     assert is_unit(u)
     assert (u * inverse(u)).value == te.one
@@ -138,7 +139,7 @@ def test_bezout_with_zero():
 
 BEZOUT_RINGS = [Z, M6, M12, ModularRing(16), ModularRing(30), G5,
                 ProductRing([ModularRing(4), Z]),
-                TrivialExtensionRing(Z, "rationals")]
+                TrivialExtensionRing()]
 
 
 @pytest.mark.parametrize("ring", BEZOUT_RINGS, ids=lambda r: r.expression())
@@ -244,7 +245,7 @@ def test_enumerate_elements():
     prod = ProductRing([ModularRing(2), ModularRing(3)])
     els = list(enumerate_elements(prod))
     assert len(els) == len(set(els)) == 6 == cardinality(prod)
-    te = TrivialExtensionRing(ModularRing(2), "self")
+    te = SelfExtensionRing(ModularRing(2))
     els = list(enumerate_elements(te))
     assert len(els) == len(set(els)) == 4 == cardinality(te)
     with pytest.raises(InfiniteRingError):
@@ -265,7 +266,7 @@ _MERSENNE = 2305843009213693951  # 2**61 - 1
 
 
 def _self_ext(base):
-    return TrivialExtensionRing(base, "self")
+    return SelfExtensionRing(base)
 
 
 # the product bases are built with constructors, because ``product`` parses
@@ -360,7 +361,7 @@ def test_canonical_associates():
     assert canonical_associate(element(Z, -9)).value == 9
     assert canonical_associate(element(M12, 8)).value == 4
     assert canonical_associate(element(G5, (2, 4))).value == (3, 1)
-    te = TrivialExtensionRing(Z, "rationals")
+    te = TrivialExtensionRing()
     assert canonical_associate(element(te, (-3, Fraction(1, 2)))).value == (3, Fraction(0))
     assert canonical_associate(element(te, (0, Fraction(-2, 3)))).value == (0, Fraction(2, 3))
 
