@@ -19,6 +19,7 @@ objects.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import sys
@@ -181,11 +182,27 @@ def _parse_spec(cur: _Cursor) -> Ring:
     raise ExpressionError(f"unknown ring kind {head!r}")
 
 
+MAKE_RING_CACHE_SIZE = 128
+# interpreters before 3.10.7 have no int/str digit limit
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def make_ring(spec: str) -> RingRegistryEntry:
-    """Build a registry entry from a descriptor expression."""
+    """Build a registry entry from a descriptor expression.
+
+    The MAKE_RING_CACHE_SIZE most recently used entries are kept: entries
+    are frozen and rings immutable, so callers share them.  The int/str
+    digit limit is part of the key, so lowering it refuses a long modulus
+    parsed before.
+    """
     if not isinstance(spec, str) or not spec.strip():
         raise ExpressionError("empty descriptor expression")
-    cur = _Cursor(_tokenize(spec.strip()))
+    return _make_ring(spec.strip(), _int_max_str_digits())
+
+
+@functools.lru_cache(maxsize=MAKE_RING_CACHE_SIZE)
+def _make_ring(spec: str, digit_limit: int) -> RingRegistryEntry:
+    cur = _Cursor(_tokenize(spec))
     try:
         ring = _parse_spec(cur)
     except ExpressionError:

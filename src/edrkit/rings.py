@@ -1206,6 +1206,30 @@ class TrivialExtensionRing(Ring):
                 _fraction_from_json(obj[1], "module component"))
 
 
+def _modular_self_q0s(base, a, d):
+    """The q0 of the quotients q of a by d in (Z/n) ⋉ (Z/n), ascending.
+
+    With g = gcd(d0, n), d0*q0 = a0 has the solutions q0 = q0* + (n/g)*k,
+    k < g, where q0* is the least.  The base quotient q1 exists iff g divides
+    a1 - d1*q0, that is iff c*k = t (mod g) for c = d1*n/g and
+    t = a1 - d1*q0*; with h = gcd(c, g) the k run from the least solution
+    k0 in steps of g/h.
+    """
+    (a0, a1), (d0, d1) = a, d
+    n = base.n
+    g = gcd(d0, n)
+    if a0 % g:
+        return ()
+    step, q0 = n // g, base.divide_exact(a0, d0)
+    c, t = d1 * step % g, (a1 - d1 * q0) % g
+    h = gcd(c, g)
+    if t % h:
+        return ()
+    m = g // h
+    k0 = t // h * pow(c // h, -1, m) % m
+    return range(q0 + step * k0, n, step * m)
+
+
 class SelfExtensionRing(Ring):
     """A ⋉ A: pairs of base values, multiplied as in ``TrivialExtensionRing``.
 
@@ -1270,13 +1294,15 @@ class SelfExtensionRing(Ring):
 
         d*q = (d0*q0, d0*q1 + d1*q0): q0 solves d0*q0 = a0, and q1 is the
         base's quotient of a1 - d1*q0 by d0, its least on a finite base.
-        There q0 runs up the base's ascending elements, or is the one
-        solution for a unit d0; an infinite base takes a0/d0, or a1/d1 when
-        d0 = a0 = 0.
+        There q0 runs up the base's ascending elements (in closed form over
+        Z/n), or is the one solution for a unit d0; an infinite base takes
+        a0/d0, or a1/d1 when d0 = a0 = 0.
         """
         base = self.base
         (a0, a1), (d0, d1) = a, d
-        if self.finite and not base.is_unit(d0):
+        if isinstance(base, ModularRing):
+            q0s = _modular_self_q0s(base, a, d)
+        elif self.finite and not base.is_unit(d0):
             q0s = (q0 for q0 in base.elements() if base.mul(d0, q0) == a0)
         else:
             x, y = (a1, d1) if d0 == base.zero == a0 and d1 != base.zero else (a0, d0)

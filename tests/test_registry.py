@@ -1,11 +1,15 @@
 """Descriptor grammar, element parsing/formatting, trivial-extension structure."""
 
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edrkit import (
     ElementSyntaxError,
+    ExpressionError,
     RingError,
     element,
     enumerate_elements,
@@ -15,6 +19,7 @@ from edrkit import (
     parse_element,
     ring_catalog,
 )
+from edrkit import registry
 from edrkit.cli import EXIT_OK, EXIT_PARSE, CommandRequest, dispatch
 from edrkit.rings import IntegerRing, ModularRing, SelfExtensionRing, TrivialExtensionRing
 from conftest import random_element
@@ -39,6 +44,81 @@ def test_make_ring_rejects_malformed():
                 "zmod:6,extra"]:
         with pytest.raises(RingError):
             make_ring(bad)
+
+
+# -- the make_ring memo -----------------------------------------------------------
+
+def test_make_ring_shares_one_entry_per_descriptor():
+    assert make_ring("zmod:6") is make_ring(" zmod:6 ")
+
+
+def test_make_ring_raises_on_every_call():
+    """Refusals are not cached: each call raises the same message."""
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ExpressionError) as err:
+            make_ring("zmod:6,extra")
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] != ""
+
+
+@pytest.mark.parametrize("spec", [None, [], 6])
+def test_make_ring_refuses_non_text_before_the_memo(spec):
+    with pytest.raises(ExpressionError, match="empty descriptor expression"):
+        make_ring(spec)
+
+
+def test_make_ring_memo_is_bounded():
+    for n in range(2, 132):
+        make_ring(f"zmod:{n}")
+    assert registry._make_ring.cache_info().currsize <= registry.MAKE_RING_CACHE_SIZE == 128
+
+
+def test_make_ring_memo_keys_on_the_digit_limit():
+    """A modulus parsed under one int/str digit limit is refused under a lower one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    spec = "zmod:1" + "0" * 699
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)  # CPython's default
+        assert make_ring(spec).ring.n == 10 ** 699
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(ExpressionError, match="700 digits is past"):
+            make_ring(spec)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+_INTEGER_TOKENS = st.integers(0, 999_999).map(str)
+# well-formed descriptors, which may still name a refused ring (zmod:1, gfpoly:4)
+_DESCRIPTORS = st.recursive(
+    st.one_of(st.sampled_from(["z", "series"]),
+              st.tuples(st.sampled_from(["zmod:", "gfpoly:", "series:"]), _INTEGER_TOKENS)
+              .map("".join)),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=1, max_size=3).map(lambda fs: "product:" + ",".join(fs)),
+        st.tuples(inner, st.sampled_from(["self", "q"])).map(lambda t: f"text:{t[0]},{t[1]}")),
+    max_leaves=4)
+# words, punctuation, integers and whole descriptors of the grammar, in any order
+_DESCRIPTOR_TEXT = st.one_of(_DESCRIPTORS, st.lists(st.one_of(
+    _DESCRIPTORS,
+    st.sampled_from(["z", "zmod", "gfpoly", "product", "text", "series", "q", "self",
+                     ":", ",", " "]),
+    _INTEGER_TOKENS,
+    st.text(alphabet="zmodgfpolyproducttextseriesq self:,", max_size=3),
+), max_size=8).map("".join))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_DESCRIPTOR_TEXT)
+def test_fuzzed_descriptors_exit_with_a_documented_code(spec):
+    """Any descriptor text exits 0, 1 or 2, and a second request (a memo hit
+    for a descriptor that parsed) gives the same document."""
+    req = CommandRequest("check", ring=spec, property="clean")
+    code, out = dispatch(req)
+    assert code in (0, 1, 2), out
+    assert dispatch(req) == (code, out)
 
 
 def test_structural_equality_of_descriptors():

@@ -330,6 +330,39 @@ def test_self_extension_division_matches_the_scan(ring):
     _assert_matches_scan(ring, els, els)
 
 
+def _scanned_quotients(ring, a, d):
+    """The q0 scan that the Z/n closed form replaced: q0 up the base's
+    elements, each with the base's least quotient q1."""
+    base = ring.base
+    (a0, a1), (d0, d1) = a, d
+    for q0 in base.elements():
+        if base.mul(d0, q0) == a0:
+            r = base.sub(a1, base.mul(d1, q0))
+            if base.divides(d0, r):
+                yield (q0, base.divide_exact(r, d0))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_modular_self_quotients_match_the_scan(n):
+    ring = make_ring(f"text:zmod:{n},self").ring
+    els = list(ring.elements())
+    for a in els:
+        for d in els:
+            assert list(ring._self_quotients(a, d)) == list(_scanned_quotients(ring, a, d))
+
+
+def test_division_over_a_mersenne_base_reads_no_elements(monkeypatch):
+    base = ModularRing(_MERSENNE)
+    monkeypatch.setattr(base, "elements", None)  # a scan would call it
+    ring = SelfExtensionRing(base)
+    assert not ring.divides((0, 1), (1, 0))
+    assert ring.divide_exact((0, 5), (0, 1)) == (5, 0)
+    assert ring.associate_unit((0, 5), (0, 1)) == (5, 0)
+    # every q divides zero by zero: the q0 run up the base, lazily
+    assert list(itertools.islice(ring._self_quotients(ring.zero, ring.zero), 3)) == [
+        (0, 0), (1, 0), (2, 0)]
+
+
 def _window(base, n0, n1):
     """Pairs of the base's first n0 and first n1 elements in its search order."""
     firsts = list(itertools.islice(base.search_order(), max(n0, n1)))
