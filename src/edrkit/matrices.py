@@ -15,7 +15,9 @@ a nonzero entry of least size in the trailing submatrix and shears each
 entry of its row and column by minus the nearest quotient
 (``Ring.nearest_quotient``), which leaves a remainder of smaller size;
 exact division is the remainder-0 case.  Small pivots and small remainders
-bound the growth of D and the transforms.
+bound the growth of D and the transforms.  This clearing phase runs on the
+work ring that ``Ring.to_work`` picks, with the five matrices converted once
+each way: over Z ⋉ Q, integer pairs over one common denominator.
 
 Each step updates D, P, Q and the stored inverses together through one-row
 shears (``_Sweep.add_row``/``add_col``) and swaps.  The divisibility chain
@@ -521,6 +523,9 @@ def _clear_pivot(sweep: _Sweep, t: int):
     a pass that leaves the row zero off the pivot, so each of those row
     shears adds a multiple of (pivot, 0, ..., 0) and changes one entry of D.
 
+    Each quotient reads the pivot afresh, since a work ring may rescale
+    every matrix to find one; a rescale keeps sizes, their order and ties.
+
     Every remainder left is smaller than its pivot, so pivot sizes fall
     strictly from pass to pass and the loop ends.  The number of passes
     follows the input, not a fixed cap: over Z a remainder is at most half
@@ -543,15 +548,14 @@ def _clear_pivot(sweep: _Sweep, t: int):
             sweep.swap_rows(t, i)
         if j != t:
             sweep.swap_cols(t, j)
-        pivot = d[t][t]
         for j in range(t + 1, sweep.n):
             if d[t][j] != zero:
-                sweep.add_col(j, t, neg(nearest(d[t][j], pivot)))
+                sweep.add_col(j, t, neg(nearest(d[t][j], d[t][t])))
         if any(d[t][j] != zero for j in range(t + 1, sweep.n)):
             continue
         for i in range(t + 1, sweep.m):
             if d[i][t] != zero:
-                sweep.add_row(i, t, neg(nearest(d[i][t], pivot)))
+                sweep.add_row(i, t, neg(nearest(d[i][t], d[t][t])))
         if all(d[i][t] == zero for i in range(t + 1, sweep.m)):
             return
 
@@ -599,8 +603,11 @@ def _normalize_diagonal(sweep: _Sweep):
 
 def _reduce_bezout(a: RingMatrix) -> ReductionResult:
     sweep = _Sweep(a)
+    mats = (sweep.d, sweep.p, sweep.pinv, sweep.q, sweep.qinv)
+    sweep.ring = sweep.ring.to_work(mats)
     for t in range(min(a.rows, a.cols)):
         _clear_pivot(sweep, t)
+    sweep.ring = sweep.ring.from_work(mats)
     _enforce_chain(sweep)
     _normalize_diagonal(sweep)
     return sweep.result()

@@ -341,7 +341,9 @@ class Ring(ABC):
     # nonzero entry, so a ring speeds up both by overriding fma alone; Z
     # overrides the shears themselves with builtin operators.  A matrix
     # product is one matmul call, so a ring can convert each operand entry
-    # once per product instead of once per dot.
+    # once per product instead of once per dot.  diagonal_reduce clears its
+    # pivots (size, nearest_quotient, neg, the shears) on the work ring that
+    # ``to_work`` returns, and converts its matrices once each way.
 
     def dot(self, xs, ys) -> Any:
         """The sum of xs[k] * ys[k] over the common length; zero if empty."""
@@ -372,6 +374,14 @@ class Ring(ABC):
             x = row[k]
             if x != zero:
                 row[j] = fma(row[j], q, x)
+
+    def to_work(self, mats) -> Any:
+        """A work ring, with mats (lists of rows) converted to it in place."""
+        return self
+
+    def from_work(self, mats) -> "Ring":
+        """The ring of mats, with mats converted back to it in place."""
+        return self
 
     @abstractmethod
     def is_unit(self, x: Any) -> bool: ...
@@ -1102,6 +1112,14 @@ class TrivialExtensionRing(Ring):
         fn, fd = f.as_integer_ratio()
         return (c + a * b, _qlsum((g.as_integer_ratio(), (a * fn, fd), (b * en, ed))))
 
+    def to_work(self, mats):
+        # every module part as its numerator over one common denominator
+        rows = [row for m in mats for row in m]
+        bases, nums, l = _split_module(rows)
+        for row, b, n in zip(rows, bases, nums):
+            row[:] = zip(b, n)
+        return _RationalWork(self, mats, l)
+
     def is_unit(self, x):
         return x[0] in (1, -1)
 
@@ -1204,6 +1222,65 @@ class TrivialExtensionRing(Ring):
             raise RingError(f"two-element array expected, got {obj!r}")
         return (_int_from_json(obj[0], "base component"),
                 _fraction_from_json(obj[1], "module component"))
+
+
+class _RationalWork:
+    """Z ⋉ Q's work ring for clearing pivots: integer pairs (a, N) meaning
+    (a, N/L), with one L > 0 for all the matrices held.  Module parts never
+    multiply each other, so shears keep every entry over L; a quotient with
+    a new denominator first multiplies L and every module part by one k.
+    Sizes, their order and their ties are those of the Fraction pairs."""
+
+    zero = (0, 0)
+    one = (1, 0)
+    neg = TrivialExtensionRing.neg
+    size = TrivialExtensionRing.size
+
+    def __init__(self, ring, mats, l):
+        self.ring, self.mats, self.l = ring, mats, l
+
+    def from_work(self, mats):
+        for m in mats:
+            for row in m:
+                row[:] = [(a, _fraction(n, self.l)) for a, n in row]
+        return self.ring
+
+    def fma(self, y, q, x):
+        (c, g), (a, e), (b, f) = y, q, x
+        return (c + a * b, g + a * f + b * e)
+
+    def axpy(self, dst, src, q):
+        a, e = q
+        for c, (b, f) in enumerate(src):
+            if b or f:
+                y, g = dst[c]
+                dst[c] = (y + a * b, g + a * f + b * e)
+
+    def col_axpy(self, rows, j, k, q):
+        a, e = q
+        for row in rows:
+            b, f = row[k]
+            if b or f:
+                y, g = row[j]
+                row[j] = (y + a * b, g + a * f + b * e)
+
+    def nearest_quotient(self, x, p):
+        # TrivialExtensionRing.nearest_quotient, the module part over L
+        (m, n), (b, s) = x, p
+        if not b:
+            return self.zero if m else (_round_quotient(n, s), 0)
+        c = _round_quotient(m, b)
+        if m != c * b:
+            return (c, 0)
+        r = n - c * s
+        if r % b:
+            k = abs(b) // gcd(r, b)
+            self.l *= k
+            for mat in self.mats:
+                for row in mat:
+                    row[:] = [(y, g * k) for y, g in row]
+            r *= k
+        return (c, r // b)
 
 
 def _modular_self_q0s(base, a, d):
@@ -1340,6 +1417,20 @@ class SelfExtensionRing(Ring):
             if self.is_unit(a):
                 return self.one
             base, (a0, a1) = self.base, a
+            if isinstance(base, ModularRing):
+                # over Z/n, a0 = 0 leaves the least a1*u0; else b0 = g =
+                # gcd(a0, n) at the units u0 = (a0/g)^-1 mod n/g, and the
+                # least of a1*u0 + gA is a1*u0 mod g, at best gcd(a1, g) mod g
+                if a0 == 0:
+                    return (0, base.canonical_associate(a1))
+                n, g = base.n, gcd(a0, base.n)
+                best = g
+                for u0 in range(pow(a0 // g, -1, n // g), n, n // g):
+                    if gcd(u0, n) == 1 and a1 * u0 % g < best:
+                        best = a1 * u0 % g
+                        if best == gcd(a1, g) % g:
+                            break
+                return (g, best)
             units = [u0 for u0 in base.elements() if base.is_unit(u0)]
             b0 = min(base.mul(a0, u0) for u0 in units)
             ideal = {base.mul(a0, t) for t in base.elements()}

@@ -6,8 +6,11 @@ import json
 import logging
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edrkit import (
     GFPolynomialRing,
@@ -751,3 +754,140 @@ def test_sweep_kernels_keep_the_certificate(spec, rng):
     sweep.add_row(0, 1, ring.zero)
     sweep.add_col(0, 1, ring.zero)
     assert sweep.result() == before
+
+
+# -- the Z ⋉ Q work form: the pivots cleared on integer pairs over one L --------
+
+def _fraction_sweep(monkeypatch):
+    """Send Z ⋉ Q through the Ring defaults: the sweep on Fraction pairs."""
+    from edrkit.rings import Ring, TrivialExtensionRing
+    monkeypatch.setattr(TrivialExtensionRing, "to_work", Ring.to_work)
+    monkeypatch.setattr(TrivialExtensionRing, "from_work", Ring.from_work, raising=False)
+
+
+@st.composite
+def _text_zq_matrices(draw):
+    """Matrices up to 5x5 over Z ⋉ Q with denominators 1-12, many module-only
+    entries and zero rows."""
+    rational = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+    value = st.one_of(st.just((0, Fraction(0))), st.tuples(st.just(0), rational),
+                      st.tuples(st.integers(-30, 30), rational),
+                      st.tuples(st.integers(-30, 30), st.just(Fraction(0))))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=m, max_size=m))
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=m - 1)):
+        rows[i] = [(0, Fraction(0))] * n
+    return rows
+
+
+def test_work_form_sweep_equals_the_fraction_sweep():
+    te = make_ring("text:z,q").ring
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(rows=_text_zq_matrices())
+    def check(rows):
+        a = RingMatrix(te, rows)
+        res = diagonal_reduce(a)
+        with pytest.MonkeyPatch.context() as mp:
+            _fraction_sweep(mp)
+            expected = diagonal_reduce(a)
+        assert res == expected
+        assert verify_reduction(a, res)
+
+    check()
+
+
+def test_work_ring_kernels_match_the_ring_kernels():
+    from test_rings import _quotient_samples
+    te = make_ring("text:z,q").ring
+    samples = _quotient_samples(te)
+
+    def work_of(*values):
+        mats = [[list(values)]]
+        return te.to_work(mats), mats[0][0]
+
+    def back(work, v):
+        return (v[0], Fraction(v[1], work.l))
+
+    for a in samples:
+        work, (wa,) = work_of(a)
+        size = work.size(wa)
+        assert (size[0], Fraction(size[1], work.l) if size[0] else size[1]) == te.size(a), a
+        for b in samples:
+            if b == te.zero:
+                continue
+            work, (wa, wb) = work_of(a, b)
+            q = work.nearest_quotient(wa, wb)
+            assert back(work, q) == te.nearest_quotient(a, b), (a, b)
+            for c in samples[::3]:
+                work, (wa, wb, wc) = work_of(a, b, c)
+                assert back(work, work.fma(wa, wb, wc)) == te.fma(a, b, c), (a, b, c)
+
+
+# Inputs whose nearest quotients rescale the work form: k = 2 in a row,
+# k = 5 under a module-only entry, and a rescale in the middle of a pass
+# (its second quotient), under which a pivot held for the whole pass is stale.
+_RESCALES = {
+    '{"rows":[[[2,0],[2,1]]]}':
+        '{"D":[[[2,0],[0,0]]],"P":[[[1,0]]],"Pinv":[[[1,0]]],"Q":[[[1,0],[-1,"-1/2"]],'
+        '[[0,0],[1,0]]],"Qinv":[[[1,0],[1,"1/2"]],[[0,0],[1,0]]],"ring":"text:z,q",'
+        '"verified":true}',
+    '{"rows":[[[0,"1/3"],[0,"1/2"]],[[0,1],[5,0]]]}':
+        '{"D":[[[5,0],[0,0]],[[0,0],[0,"1/3"]]],"P":[[[0,0],[1,0]],[[1,0],[0,"-1/10"]]],'
+        '"Pinv":[[[0,"1/10"],[1,0]],[[1,0],[0,0]]],"Q":[[[0,0],[1,0]],[[1,0],[0,"-1/5"]]],'
+        '"Qinv":[[[0,"1/5"],[1,0]],[[1,0],[0,0]]],"ring":"text:z,q","verified":true}',
+    '{"rows":[[[3,"1/3"],[3,"-1/2"],[6,0]]]}':
+        '{"D":[[[3,0],[0,0],[0,0]]],"P":[[[1,"-1/9"]]],"Pinv":[[[1,"1/9"]]],'
+        '"Q":[[[1,0],[-1,"5/18"],[-2,"2/9"]],[[0,0],[1,0],[0,0]],[[0,0],[0,0],[1,0]]],'
+        '"Qinv":[[[1,0],[1,"-5/18"],[2,"-2/9"]],[[0,0],[1,0],[0,0]],[[0,0],[0,0],[1,0]]],'
+        '"ring":"text:z,q","verified":true}',
+}
+
+
+@pytest.mark.parametrize("payload", sorted(_RESCALES))
+def test_rescaling_inputs_keep_their_documents(payload, monkeypatch):
+    rescales = []
+    work_class = type(make_ring("text:z,q").ring.to_work([]))
+    nearest = work_class.nearest_quotient
+
+    def counted(self, x, p):
+        l = self.l
+        q = nearest(self, x, p)
+        rescales.append(self.l // l)
+        return q
+
+    monkeypatch.setattr(work_class, "nearest_quotient", counted)
+    code, out = dispatch(CommandRequest(command="snf", ring="text:z,q", payload=payload))
+    assert (code, out) == (EXIT_OK, _RESCALES[payload])
+    assert any(k > 1 for k in rescales), rescales
+
+
+def test_no_fraction_is_built_while_clearing_pivots(monkeypatch):
+    import fractions
+    import sys
+    from edrkit import matrices
+    te = make_ring("text:z,q").ring
+    rows = [[(3, Fraction(1, 3)), (3, Fraction(-1, 2)), (6, Fraction(0))],
+            [(0, Fraction(5, 7)), (4, Fraction(2, 9)), (-2, Fraction(1, 4))],
+            [(0, Fraction(1, 2)), (0, Fraction(1, 3)), (7, Fraction(-3, 11))]]
+    seen = []
+    clear = matrices._clear_pivot
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            seen.append(frame.f_code.co_name)
+
+    def watched(sweep, t):
+        sys.setprofile(profile)
+        try:
+            clear(sweep, t)
+        finally:
+            sys.setprofile(None)
+
+    monkeypatch.setattr(matrices, "_clear_pivot", watched)
+    diagonal_reduce(RingMatrix(te, rows))
+    assert seen == []
+    # the watch can fail: the Fraction sweep builds Fractions in the same phase
+    _fraction_sweep(monkeypatch)
+    diagonal_reduce(RingMatrix(te, rows))
+    assert "__new__" in seen

@@ -5,7 +5,9 @@ product, ``diagonal_reduce`` returns a certificate that ``verify_reduction``
 accepts.  Over Z and Z/n the diagonal is also checked against sympy's
 invariant factors of the integer matrix, an oracle that shares no code with
 the library: over Z/n the Smith form is the image of the integer one, and the
-canonical associate of d modulo n is gcd(d, n).
+canonical associate of d modulo n is gcd(d, n).  Over ``text:z,q`` and
+products with a ``text:z,q`` factor, the diagonal is checked through the
+projection onto Z (``test_text_zq_diagonal_matches_the_projected_oracle``).
 """
 
 from math import gcd
@@ -50,8 +52,8 @@ def _values(ring: Ring):
     return st.one_of(st.just(ring.zero), raw)
 
 
-def _matrices(ring: Ring):
-    return st.integers(1, 5).flatmap(lambda m: st.integers(1, 5).flatmap(
+def _matrices(ring: Ring, most: int = 5):
+    return st.integers(1, most).flatmap(lambda m: st.integers(1, most).flatmap(
         lambda n: st.lists(st.lists(_values(ring), min_size=n, max_size=n),
                            min_size=m, max_size=m)))
 
@@ -80,3 +82,60 @@ def test_diagonal_reduce_verifies_and_matches_the_integer_oracle(spec):
             assert diag == [gcd(d, n) % n for d in _integer_invariant_factors(rows)]
 
     check()
+
+
+def _oracle_mismatch(ring: Ring, rows, diag):
+    """Why diag is not the Smith form of rows by an oracle sharing no code
+    with the library, or None; over Z, Z/n, Z ⋉ Q and their products."""
+    if isinstance(ring, ProductRing):
+        for idx, factor in enumerate(ring.factors):
+            why = _oracle_mismatch(factor, [[v[idx] for v in row] for row in rows],
+                                   [d[idx] for d in diag])
+            if why is not None:
+                return f"factor {idx}: {why}"
+        return None
+    if isinstance(ring, TrivialExtensionRing):
+        base = _integer_invariant_factors([[a for a, _ in row] for row in rows])
+        if [a for a, _ in diag] != base:
+            return f"base parts {[a for a, _ in diag]} != {base}"
+        if any(a and e for a, e in diag):
+            return "a nonzero base part with a nonzero module part"
+        return None
+    factors = _integer_invariant_factors(rows)
+    if isinstance(ring, ModularRing):
+        factors = [gcd(d, ring.n) % ring.n for d in factors]
+    return None if diag == factors else f"{diag} != {factors}"
+
+
+@pytest.mark.parametrize("spec, examples", [("text:z,q", 200), ("product:text:z,q,z", 40),
+                                            ("product:zmod:4,text:z,q", 40)])
+def test_text_zq_diagonal_matches_the_projected_oracle(spec, examples):
+    """The projection (a, q) -> a is a ring map from Z ⋉ Q onto Z that sends
+    units to units, so it sends P*A*Q = D to a Smith form of the base
+    matrix: the base parts of D are the nonnegative integer invariant
+    factors of the base matrix (sympy), and an entry with a nonzero base
+    part, being its canonical associate, has module part 0.  A product is
+    checked factor by factor.  The module parts of the diagonal entries
+    whose base part is zero stay unchecked: no known invariant fixes them.
+    """
+    ring = make_ring(spec).ring
+
+    @settings(derandomize=True, max_examples=examples, deadline=None, database=None)
+    @given(rows=_matrices(ring, most=4))
+    def check(rows):
+        res = diagonal_reduce(RingMatrix(ring, rows))
+        diag = [e.value for e in res.D.diagonal()]
+        assert _oracle_mismatch(ring, rows, diag) is None
+
+    check()
+
+
+def test_the_projected_oracle_can_fail():
+    ring = make_ring("product:zmod:4,text:z,q").ring
+    rows = [[(2, (2, 0)), (0, (0, 0))], [(0, (0, 0)), (0, (6, 0))]]
+    diag = [e.value for e in diagonal_reduce(RingMatrix(ring, rows)).D.diagonal()]
+    assert _oracle_mismatch(ring, rows, diag) is None
+    te = ring.factors[1]
+    assert "base parts" in _oracle_mismatch(te, [[(2, 0)]], [(4, 0)])
+    assert "module part" in _oracle_mismatch(te, [[(2, 0)]], [(2, 1)])
+    assert "factor 0" in _oracle_mismatch(ring, rows, [(0, d[1]) for d in diag])

@@ -351,6 +351,35 @@ def test_modular_self_quotients_match_the_scan(n):
             assert list(ring._self_quotients(a, d)) == list(_scanned_quotients(ring, a, d))
 
 
+def _scanned_canonical_associate(ring, a):
+    """The unit scan that the Z/n closed form replaced: the least a0*u0 over
+    the base's units, then the least a1*u0 + a0*t over the u0 reaching it."""
+    if a == ring.zero:
+        return a
+    base, (a0, a1) = ring.base, a
+    units = [u0 for u0 in base.elements() if base.is_unit(u0)]
+    b0 = min(base.mul(a0, u0) for u0 in units)
+    ideal = {base.mul(a0, t) for t in base.elements()}
+    return (b0, min(base.add(base.mul(a1, u0), i)
+                    for u0 in units if base.mul(a0, u0) == b0 for i in ideal))
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_modular_self_canonical_associates_match_the_scan(n):
+    ring = make_ring(f"text:zmod:{n},self").ring
+    for a in ring.elements():
+        assert ring.canonical_associate(a) == _scanned_canonical_associate(ring, a), a
+
+
+def test_canonical_associates_over_a_mersenne_base_read_no_elements(monkeypatch):
+    base = ModularRing(_MERSENNE)
+    monkeypatch.setattr(base, "elements", None)  # a scan would call it
+    ring = SelfExtensionRing(base)
+    assert ring.canonical_associate((0, 1)) == (0, 1)
+    assert ring.canonical_associate((0, _MERSENNE - 6)) == (0, 1)
+    assert ring.canonical_associate((5, 7)) == ring.one
+
+
 def test_division_over_a_mersenne_base_reads_no_elements(monkeypatch):
     base = ModularRing(_MERSENNE)
     monkeypatch.setattr(base, "elements", None)  # a scan would call it
