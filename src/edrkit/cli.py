@@ -5,8 +5,6 @@ reduce2x2 input, a row that does not generate dR) or a result holding an
 integer past Python's int/str digit limit, 2 parse error (bad ring
 expression, bad JSON, ragged grid, an integer literal past that limit).  JSON output is canonical (sorted keys,
 fixed separators) so identical requests produce byte-identical documents.
-``EDR_MAX_SEARCH`` overrides the default search window echoed by bounded
-property checks on infinite rings.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ class CommandRequest:
     row: str | None = None
     d: str | None = None
     property: str | None = None
-    bound: int | None = None
     verify: bool = True
     output: str = "json"
 
@@ -219,7 +216,7 @@ def dispatch(req: CommandRequest) -> tuple[int, str]:
             if req.property not in PROPERTIES:
                 raise CLIParseError(
                     f"unknown property {req.property!r}; choose from {', '.join(PROPERTIES)}")
-            verdict = check_property(entry.ring, req.property, bound=req.bound)
+            verdict = check_property(entry.ring, req.property)
             return EXIT_OK, render(verdict.to_json(), req.output)
         raise CLIParseError(f"unknown command {req.command!r}")
     except (CLIParseError, ExpressionError, ElementSyntaxError) as exc:
@@ -265,7 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="property verdict for a ring")
     common(p_check)
     p_check.add_argument("--property", required=True)
-    p_check.add_argument("--bound", type=int)
 
     p_rings = sub.add_parser("rings", help="list shipped ring kinds")
     common(p_rings, ring=False)
@@ -274,13 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    bound = getattr(args, "bound", None)
-    if bound is None and os.environ.get("EDR_MAX_SEARCH"):
-        try:
-            bound = int(os.environ["EDR_MAX_SEARCH"])
-        except ValueError:
-            print("error: EDR_MAX_SEARCH must be an integer", file=sys.stderr)
-            return EXIT_PARSE
     req = CommandRequest(
         command=args.command,
         ring=getattr(args, "ring", ""),
@@ -288,7 +277,6 @@ def main(argv: list[str] | None = None) -> int:
         row=getattr(args, "row", None),
         d=getattr(args, "d", None),
         property=getattr(args, "property", None),
-        bound=bound,
         verify=args.verify,
         output=args.output,
     )

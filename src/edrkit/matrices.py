@@ -241,7 +241,6 @@ class ReductionResult:
     Q: RingMatrix
     Pinv: RingMatrix
     Qinv: RingMatrix
-    normalized: bool = True
     # (matrix, inverse) factor pairs in application order, for audits
     left_factors: tuple = field(default=(), compare=False)
     right_factors: tuple = field(default=(), compare=False)

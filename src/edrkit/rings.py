@@ -1625,7 +1625,7 @@ class TruncatedSeriesRing(Ring):
         if c[0] == 0:
             raise UnsupportedOperationError(
                 f"no finite residue system modulo {c!r} in {self.expression()}")
-        return iter([(k, ()) for k in range(abs(c[0]))])
+        return ((k, ()) for k in range(abs(c[0])))
 
     def value_to_json(self, v):
         return {"constant": v[0], "coeffs": [_fraction_to_json(q) for q in v[1]]}

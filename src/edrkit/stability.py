@@ -9,13 +9,15 @@ stable.  This module provides the constructive selections (``select_stable``,
 
 On finite rings the verdicts come from the structure theorem, in O(1): every
 finite commutative ring has all five properties (see ``check_property``), so
-nothing is searched.  The exhaustive checkers of :mod:`edrkit.exhaustive`
-compute the same verdicts by search and serve the tests as the oracle; this
-module never builds their tables.  On a trivial extension A ⋉ A the ideal
-0 ⋉ A squares to zero, so comaximality, unit combinations and coprime
-factorizations are read off the base parts.  Negative verdicts always carry
-a witness that re-checks independently; on infinite rings only bounded
-verdicts are offered and they say so explicitly.
+nothing is searched.  The same theorem gives the one stability rule: an
+element a is stable whenever R/aR is finite, which ``select_stable`` and
+``is_stable`` read off ``Ring.residues_mod``.  The exhaustive checkers of
+:mod:`edrkit.exhaustive` compute the same verdicts by search and serve the
+tests as the oracle; this module never builds their tables.  On a trivial
+extension A ⋉ A the ideal 0 ⋉ A squares to zero, so comaximality, unit
+combinations and coprime factorizations are read off the base parts.
+Negative verdicts always carry a witness that re-checks independently; on
+infinite rings only bounded verdicts are offered and they say so explicitly.
 """
 
 from __future__ import annotations
@@ -34,13 +36,13 @@ from .rings import (
     RingElement,
     RingError,
     SelfExtensionRing,
-    TrivialExtensionRing,
     TruncatedSeriesRing,
     UnsupportedOperationError,
     _pdivmod,
     _raw,
     _same_ring,
     bezout,
+    one,
     zero,
 )
 
@@ -51,8 +53,8 @@ LOCALLY_STABLE = "locally-stable"
 NEAT_RANGE_1 = "neat-range-1"
 PROPERTIES = (STABLE_RANGE_1, CLEAN, ADEQUATE_ELEMENT, LOCALLY_STABLE, NEAT_RANGE_1)
 
-# default y-window echoed by bounded verdicts on infinite rings
-DEFAULT_SEARCH_WINDOW = 1000
+# the y-window echoed as ``searchBound`` by verdicts on infinite rings
+SEARCH_BOUND = 1000
 
 
 @dataclass(frozen=True)
@@ -115,52 +117,45 @@ def unit_mod(a: RingElement, c: RingElement) -> bool:
     return is_coprime(a, c)
 
 
+def _finite_quotient(ring: Ring, c) -> bool:
+    """True iff ``Ring.residues_mod`` lists R/cR: every ring lists its finite
+    quotients and refuses its infinite ones, but an infinite product refuses
+    all of them."""
+    try:
+        ring.residues_mod(c)
+    except UnsupportedOperationError:
+        return False
+    return True
+
+
 def select_stable(a: RingElement, b: RingElement) -> RingElement:
     """Given aR + bR = R, return y making a + b*y a stable element.
 
-    Strategy per ring kind: finite rings take y = 0 (every element of a
-    finite ring is stable); integers and GF(p)[x] take the first y in the
-    order 0, 1, -1, 2, -2, ... with a + b*y nonzero (nonzero means finite,
-    hence stable-range-1, quotient); truncated series shift the constant
-    term the same way; trivial extensions shift the base component; products
-    work componentwise.
+    One rule: y = 0 if R/aR is finite, else y = 1 if R/(a + b)R is finite,
+    since a finite commutative ring has stable range 1 (the argument is in
+    ``check_property``).  Products work componentwise.  No other y is needed:
+    every infinite ring of the library that lists residues maps onto Z or
+    GF(p)[x], and R/cR is finite exactly when the image of c is nonzero; if
+    a maps to zero, some a + b*y has a finite quotient exactly when b does
+    not, and then a + b has one.
 
     The ambient comaximality hypothesis of the callers is not re-checked
     here: the selection itself only needs a shift that lands on a stable
     element, and pairs like (0, 7) over the integers legitimately select
-    y = 1.  Pairs admitting no stable shift (e.g. (0, 0)) are rejected.
+    y = 1.  Pairs admitting no such shift (e.g. (0, 0) over Z) are rejected.
     """
     ring = _same_ring(a, b)
-    if a.is_zero() and b.is_zero():
-        raise PreconditionError("select_stable: no shift of (0, 0) is stable")
-    if ring.finite:
+    if ring.finite:  # every quotient is finite: the rule's y = 0, at once
         return zero(ring)
     if isinstance(ring, ProductRing):
-        parts = []
-        for f, av, bv in zip(ring.factors, a.value, b.value):
-            parts.append(select_stable(_raw(f, av), _raw(f, bv)).value)
-        return _raw(ring, tuple(parts))
-    if isinstance(ring, (IntegerRing, GFPolynomialRing)):
-        for yv in ring.search_order():
-            if ring.add(a.value, ring.mul(b.value, yv)) != ring.zero:
-                return _raw(ring, yv)
-    if isinstance(ring, TruncatedSeriesRing):
-        if a.value[0] == 0 and b.value[0] == 0:
-            raise PreconditionError(
-                "select_stable: both constant terms vanish, no shift is stable")
-        for kv in ring.search_order():
-            if a.value[0] + b.value[0] * kv[0] != 0:
-                return _raw(ring, kv)
-    if isinstance(ring, (TrivialExtensionRing, SelfExtensionRing)):
-        base = ring.base
-        if a.value[0] == base.zero and b.value[0] == base.zero:
-            raise PreconditionError(
-                "select_stable: both base components vanish, no shift is stable")
-        for kv in base.search_order():
-            if base.add(a.value[0], base.mul(b.value[0], kv)) != base.zero:
-                return _raw(ring, ring.normalize((kv, ring.zero[1])))
-    raise UnsupportedOperationError(
-        f"no stable-selection strategy for {ring.expression()}")
+        return _raw(ring, tuple(select_stable(_raw(f, av), _raw(f, bv)).value
+                                for f, av, bv in zip(ring.factors, a.value, b.value)))
+    if _finite_quotient(ring, a.value):
+        return zero(ring)
+    if _finite_quotient(ring, ring.add(a.value, b.value)):
+        return one(ring)
+    raise PreconditionError(
+        f"select_stable: no shift of ({a!r}, {b!r}) has a finite quotient")
 
 
 def lift_unit(a: RingElement, b: RingElement, c: RingElement) -> RingElement:
@@ -194,24 +189,16 @@ def lift_unit(a: RingElement, b: RingElement, c: RingElement) -> RingElement:
 
 
 def is_stable(a: RingElement) -> PropertyVerdict:
-    """Verdict on whether R/aR has stable range 1, in O(1).
-
-    R/aR is finite for any element of a finite ring and for a nonzero
-    integer or nonzero GF(p)[x] polynomial, and every finite commutative
-    ring has stable range 1 (the argument is in ``check_property``), so the
-    verdict holds and no quotient is built.  The quotient by zero in Z or
-    GF(p)[x] is the whole ring, and the other infinite rings offer no
-    finite quotient: both raise ``InfiniteRingError``.
+    """Verdict on whether R/aR has stable range 1: it holds whenever R/aR is
+    finite, since every finite commutative ring has stable range 1 (the
+    argument is in ``check_property``), so no quotient is built.  Elsewhere
+    ``InfiniteRingError`` is raised.
     """
-    ring = a.ring
-    if isinstance(ring, IntegerRing) and a.value == 0:
-        raise InfiniteRingError("the quotient by 0 is the whole ring of integers")
-    if isinstance(ring, GFPolynomialRing) and a.value == ():
-        raise InfiniteRingError("the quotient by 0 is the whole polynomial ring")
-    if ring.finite or isinstance(ring, (IntegerRing, GFPolynomialRing)):
-        return PropertyVerdict(STABLE_RANGE_1, True)
-    raise InfiniteRingError(
-        f"stability of {a!r} needs a finite quotient; {ring.expression()} offers none")
+    if not _finite_quotient(a.ring, a.value):
+        raise InfiniteRingError(
+            f"stability of {a!r} needs a finite quotient; "
+            f"{a.ring.expression()} offers none")
+    return PropertyVerdict(STABLE_RANGE_1, True)
 
 
 def _certified_integer_sr1_counterexample(ring: Ring) -> tuple[RingElement, RingElement]:
@@ -221,7 +208,7 @@ def _certified_integer_sr1_counterexample(ring: Ring) -> tuple[RingElement, Ring
     return (_raw(ring, 3), _raw(ring, 5))
 
 
-def check_property(ring: Ring, property_name: str, bound: int | None = None) -> PropertyVerdict:
+def check_property(ring: Ring, property_name: str) -> PropertyVerdict:
     """Verdict on a ring property: the structure theorem on finite rings, a
     certified counterexample on the integers.
 
@@ -255,9 +242,8 @@ def check_property(ring: Ring, property_name: str, bound: int | None = None) -> 
     if ring.finite:
         return PropertyVerdict(property_name, True)
     if isinstance(ring, IntegerRing) and property_name == STABLE_RANGE_1:
-        window = bound if bound is not None else DEFAULT_SEARCH_WINDOW
         witness = _certified_integer_sr1_counterexample(ring)
-        return PropertyVerdict(STABLE_RANGE_1, False, witness, search_bound=window)
+        return PropertyVerdict(STABLE_RANGE_1, False, witness, search_bound=SEARCH_BOUND)
     raise UnsupportedOperationError(
         f"property {property_name!r} is not checkable on {ring.expression()}")
 

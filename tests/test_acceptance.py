@@ -143,8 +143,8 @@ def test_criterion_4_stability_suite():
     t0 = time.perf_counter()
     for m in range(2, 31):
         assert check_property(ModularRing(m), "stable-range-1").holds
-    v = check_property(Z, "stable-range-1", bound=100)
-    assert not v.holds
+    v = check_property(Z, "stable-range-1")
+    assert not v.holds and v.search_bound == 1000
     assert [w.value for w in v.witness] == [3, 5]
     assert (1 - 3) % 5 != 0 and (-1 - 3) % 5 != 0  # witness re-check
     rng = random.Random(404)

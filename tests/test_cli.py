@@ -222,6 +222,18 @@ def test_bare_series_is_order_8():
     assert code == EXIT_OK and json.loads(out)["ring"] == "series:8"
 
 
+def test_series_row_with_huge_constant_terms_streams_its_residues():
+    # the unit lift scans residues modulo a constant of 10^9; a list of them
+    # would take about 100 GB, the stream stops at its first hit
+    n = 10 ** 9
+    row = [{"constant": n}, {"constant": n + 1}, {"constant": n}]
+    t0 = time.perf_counter()
+    code, out = dispatch(CommandRequest(command="complete", ring="series:4",
+                                        payload=json.dumps({"row": row})))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_OK and json.loads(out)["verified"] is True
+
+
 def test_decoded_inputs_keep_their_shape_and_entry_checks():
     # matrices and rows decoded once by value_from_json, without a second
     # normalization, still refuse bad shapes and bad entries with exit 2
@@ -354,12 +366,11 @@ def test_render_pretty_grid():
 
 
 def test_verdict_json_roundtrips():
-    req = CommandRequest(command="check", ring="z", property="stable-range-1",
-                         bound=100)
+    req = CommandRequest(command="check", ring="z", property="stable-range-1")
     code, out = dispatch(req)
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["witness"] == [3, 5] and doc["searchBound"] == 100
+    assert doc["witness"] == [3, 5] and doc["searchBound"] == 1000
     assert json.loads(json.dumps(doc)) == doc
 
 
@@ -384,23 +395,6 @@ def test_main_entry_point(capsys):
     assert code == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["matrix"] == [[3, 5], [1, 2]]
-
-
-def test_env_search_window(monkeypatch, capsys):
-    monkeypatch.setenv("EDR_MAX_SEARCH", "77")
-    code = main(["check", "--ring", "z", "--property", "stable-range-1"])
-    assert code == EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["searchBound"] == 77
-
-
-def test_env_search_window_must_be_an_integer(monkeypatch, capsys):
-    monkeypatch.setenv("EDR_MAX_SEARCH", "lots")
-    code = main(["check", "--ring", "z", "--property", "stable-range-1"])
-    assert code == EXIT_PARSE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: EDR_MAX_SEARCH must be an integer\n"
 
 
 def test_rings_listing():

@@ -106,10 +106,10 @@ def test_select_stable_rejects_zero_pair():
 def test_select_stable_refuses_pairs_without_a_stable_shift():
     s = make_ring("series:4").ring
     x = element(s, (0, (Fraction(1),)))
-    with pytest.raises(PreconditionError, match="constant terms"):
+    with pytest.raises(PreconditionError, match="finite quotient"):
         select_stable(x, x * x)
     t = make_ring("text:z,q").ring
-    with pytest.raises(PreconditionError, match="base components"):
+    with pytest.raises(PreconditionError, match="finite quotient"):
         select_stable(element(t, (0, Fraction(1, 2))), element(t, (0, Fraction(3))))
 
 
@@ -181,12 +181,103 @@ def test_is_stable_examples():
         is_stable(element(G5, ()))
 
 
+def test_select_stable_shifts_a_nested_extension_to_a_finite_quotient():
+    """Over (Z ⋉ Z) ⋉ (Z ⋉ Z), a = ((0,1),(0,0)) is nonzero but maps to 0 in
+    Z, so R/aR is infinite and y = 0 is no stable shift; y = ((1,0),(0,0))
+    makes a + b*y = ((1,1),(0,0)), a unit."""
+    ring = make_ring("text:text:z,self,self").ring
+    a, b = element(ring, ((0, 1), (0, 0))), element(ring, ((1, 0), (0, 0)))
+    assert is_coprime(a, b)
+    with pytest.raises(InfiniteRingError):
+        is_stable(a)
+    y = select_stable(a, b)
+    assert y.value == ((1, 0), (0, 0))
+    assert (a + b * y).value == ((1, 1), (0, 0)) and is_unit(a + b * y)
+
+
+def _extension_ops(add, mul, neg, divmod_):
+    """Arithmetic of A ⋉ A from that of A, with division by a c whose base
+    part c0 is not a zero divisor: x - c*q = r with r0, r1 reduced mod c0."""
+    def edivmod(x, c):
+        q0, r0 = divmod_(x[0], c[0])
+        q1, r1 = divmod_(add(x[1], neg(mul(c[1], q0))), c[0])
+        return (q0, q1), (r0, r1)
+    return ((lambda x, y: (add(x[0], y[0]), add(x[1], y[1]))),
+            (lambda x, y: (mul(x[0], y[0]), add(mul(x[0], y[1]), mul(x[1], y[0])))),
+            (lambda x: (neg(x[0]), neg(x[1]))),
+            edivmod)
+
+
+def _quotient_table(ops, residues, zero_, one_, c):
+    """R/cR as an exhaustive table, its elements the remainders modulo c."""
+    add, mul, neg, divmod_ = ops
+    canon = lambda x: divmod_(x, c)[1]  # noqa: E731
+    return exhaustive.TableStructure(
+        residues, lambda x, y: canon(add(x, y)), lambda x, y: canon(mul(x, y)),
+        lambda x: canon(neg(x)), canon(zero_), canon(one_), lambda v: v)
+
+
+_Z_OPS = (lambda x, y: x + y, lambda x, y: x * y, lambda x: -x, divmod)
+
+
+def _gf_ops(p):
+    from edrkit.rings import _padd, _pdivmod, _pmul, _pneg
+    return (lambda x, y: _padd(x, y, p), lambda x, y: _pmul(x, y, p),
+            lambda x: _pneg(x, p), lambda x, y: _pdivmod(x, y, p))
+
+
+def test_is_stable_holds_where_the_quotient_is_finite():
+    """Over Z ⋉ Q and the truncated series, R/cR = Z/|c0| for a nonzero
+    integer part c0: (c0, e)R holds 0 ⋉ Q, and c = c0 * (a unit) in a series
+    ring.  The oracle is the search of Z/|c0|.  A zero integer part leaves an
+    infinite quotient, which is refused."""
+    zq, series = make_ring("text:z,q").ring, make_ring("series:4").ring
+    for m in (-12, -5, -2, 2, 3, 4, 6, 9, 12):
+        oracle = exhaustive.stable_range_1(exhaustive.ModStructure(abs(m)))[0]
+        for e in (Fraction(0), Fraction(1, 3), Fraction(-7, 2)):
+            assert is_stable(element(zq, (m, e))).holds == oracle
+            assert is_stable(element(series, (m, (e, Fraction(2))))).holds == oracle
+    for v in ((zq, (0, Fraction(1, 2))), (series, (0, (Fraction(1),))), (series, (0, ()))):
+        with pytest.raises(InfiniteRingError):
+            is_stable(element(*v))
+    # an infinite product offers no residue system, even where R/cR is finite
+    with pytest.raises(InfiniteRingError):
+        is_stable(element(make_ring("product:z,z").ring, (2, 3)))
+
+
+@pytest.mark.parametrize("spec, ops, residues, zero_, one_, elements", [
+    ("text:z,self", _extension_ops(*_Z_OPS), lambda c0: range(c0), 0, 1,
+     [(m, e) for m in (2, 3, 4, 5) for e in (-3, 0, 1, 7)]),
+    ("text:gfpoly:3,self", _extension_ops(*_gf_ops(3)),
+     lambda c0: exhaustive._polys(3, len(c0) - 1), (), (1,),
+     [(c0, c1) for c0 in ((0, 1), (1, 1), (2, 0, 1), (1, 2, 2)) for c1 in ((), (2,), (1, 1))]),
+    ("text:text:z,self,self", _extension_ops(*_extension_ops(*_Z_OPS)),
+     lambda c0: [(r0, r1) for r0 in range(c0[0]) for r1 in range(c0[0])], (0, 0), (1, 0),
+     [((2, 1), (0, 0)), ((2, 0), (1, 1)), ((3, -1), (2, 5))]),
+], ids=["text:z,self", "text:gfpoly:3,self", "text:text:z,self,self"])
+def test_is_stable_on_self_extensions_against_their_quotient_tables(
+        spec, ops, residues, zero_, one_, elements):
+    """Over A ⋉ A with A infinite, R/cR has |A/c0A|^2 elements: the pairs of
+    remainders modulo c0.  Each quotient is tabulated from those remainders,
+    with no call into the ring, and searched for stable range 1."""
+    ring = make_ring(spec).ring
+    for c in elements:
+        base_residues = list(residues(c[0]))
+        table = _quotient_table(ops, [(r0, r1) for r0 in base_residues for r1 in base_residues],
+                                (zero_, zero_), (one_, zero_), c)
+        assert table.size == len(base_residues) ** 2
+        assert exhaustive.stable_range_1(table) == (True, None)
+        assert is_stable(element(ring, c)).holds
+    with pytest.raises(InfiniteRingError):
+        is_stable(element(ring, (zero_, one_)))
+
+
 def test_check_property_examples():
     assert check_property(ModularRing(30), "stable-range-1").holds
-    v = check_property(Z, "stable-range-1", bound=100)
+    v = check_property(Z, "stable-range-1")
     assert not v.holds
     assert [w.value for w in v.witness] == [3, 5]
-    assert v.search_bound == 100
+    assert v.search_bound == 1000
     # the witness re-checks: 3 + 5y = +-1 has no integer solution
     assert (1 - 3) % 5 != 0 and (-1 - 3) % 5 != 0
     v4 = check_property(ModularRing(4), "clean")
@@ -377,6 +468,40 @@ def test_clean_idempotent_matches_enumerated_idempotents(rng):
         assert check_property(ModularRing(c), "clean").holds
 
 
+def _clean_by_definition(ring, c, a, b, e) -> bool:
+    """e^2 = e in R/cR, e in aR + cR and 1 - e in bR + cR, for raw values,
+    decided factor by factor with integer gcds and sympy's GF(p)[x]."""
+    if isinstance(ring, ProductRing):
+        return all(_clean_by_definition(f, *vs) for f, *vs in zip(ring.factors, c, a, b, e))
+    if isinstance(ring, GFPolynomialRing):
+        import sympy
+        x = sympy.Symbol("x")
+        c, a, b, e = (sympy.Poly(list(reversed(v)) or [0], x, modulus=ring.p)
+                      for v in (c, a, b, e))
+        return ((e * e - e).rem(c).is_zero and e.rem(sympy.gcd(a, c)).is_zero
+                and (1 - e).rem(sympy.gcd(b, c)).is_zero)
+    n = ring.n if isinstance(ring, ModularRing) else 0
+    return ((e * e - e) % math.gcd(c, n) == 0 and e % math.gcd(a, c, n) == 0
+            and (1 - e) % math.gcd(b, c, n) == 0)
+
+
+@pytest.mark.parametrize("spec", ["gfpoly:3", "gfpoly:5", "product:z,gfpoly:5",
+                                  "product:zmod:12,gfpoly:3,z"])
+def test_clean_idempotent_meets_its_definition(spec, rng):
+    from conftest import random_value
+
+    ring = make_ring(spec).ring
+    checked = 0
+    while checked < 40:
+        c, a, b = (element(ring, random_value(ring, rng, 30)) for _ in range(3))
+        parts = c.value if isinstance(ring, ProductRing) else (c.value,)
+        if not all(parts) or not is_coprime(a, b):
+            continue
+        checked += 1
+        e = clean_idempotent(c, a, b)
+        assert _clean_by_definition(ring, c.value, a.value, b.value, e.value)
+
+
 def _exhaustively(ring, checker) -> bool:
     """The exhaustive checker's verdict: the oracle, not check_property."""
     return checker(exhaustive.structure_for(ring))[0]
@@ -431,10 +556,10 @@ def test_locally_stable_and_neat_range_agree_with_reduction(rng):
 
 
 def test_verdict_json_shape():
-    v = check_property(Z, "stable-range-1", bound=50)
+    v = check_property(Z, "stable-range-1")
     doc = v.to_json()
     assert doc == {"property": "stable-range-1", "holds": False,
-                   "witness": [3, 5], "searchBound": 50}
+                   "witness": [3, 5], "searchBound": 1000}
     v = check_property(ModularRing(6), "clean")
     assert v.to_json() == {"property": "clean", "holds": True}
 
