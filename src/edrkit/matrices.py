@@ -17,7 +17,8 @@ entry of its row and column by minus the nearest quotient
 exact division is the remainder-0 case.  Small pivots and small remainders
 bound the growth of D and the transforms.  This clearing phase runs on the
 work ring that ``Ring.to_work`` picks, with the five matrices converted once
-each way: over Z ⋉ Q, integer pairs over one common denominator.
+each way: over Z ⋉ Q, integer pairs over one common denominator, and over
+GF(p)[x], integers holding one coefficient per k-bit slot (Kronecker).
 
 Each step updates D, P, Q and the stored inverses together through one-row
 shears (``_Sweep.add_row``/``add_col``) and swaps.  The divisibility chain

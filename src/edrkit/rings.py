@@ -376,7 +376,8 @@ class Ring(ABC):
                 row[j] = fma(row[j], q, x)
 
     def to_work(self, mats) -> Any:
-        """A work ring, with mats (lists of rows) converted to it in place."""
+        """A work ring, with mats (lists of rows) converted to it in place:
+        D, then transforms that start as identities."""
         return self
 
     def from_work(self, mats) -> "Ring":
@@ -616,12 +617,22 @@ class IntegerRing(Ring):
             raise NonDivisibleError(f"{d} does not divide {a} in z")
         return q
 
+    def associate_unit(self, a, d):
+        if a == d:
+            return 1
+        if a == -d:
+            return -1
+        raise NotAssociatesError(f"{a!r} and {d!r} are not associates in z")
+
     def bezout_raw(self, a, b):
         g, x, y = _egcd(a, b)
         return g, x, y, (a // g), (b // g)
 
     def gcd(self, a, b):
         return gcd(a, b)
+
+    def canonical_associate(self, a):
+        return abs(a)
 
     size = staticmethod(abs)
 
@@ -766,6 +777,9 @@ class ModularRing(Ring):
     def gcd(self, a, b):
         return gcd(a, b, self.n) % self.n
 
+    def canonical_associate(self, a):
+        return gcd(a, self.n) % self.n
+
     def size(self, a):
         return gcd(a, self.n)  # a divisor of n; 1 for a unit
 
@@ -861,6 +875,13 @@ class GFPolynomialRing(Ring):
     def fma(self, y, q, x):
         return _pfma(y, q, x, self.p)
 
+    def to_work(self, mats):
+        # slots first sized for quotients min(m, n) times as long as D's
+        # longest entry: a sweep grows its entries, and quotients, about so far
+        d = mats[0]
+        longest = max([len(v) for row in d for v in row])
+        return _PolyWork(self, mats, min(len(d), len(d[0])) * longest)
+
     def is_unit(self, x):
         return len(x) == 1
 
@@ -884,12 +905,26 @@ class GFPolynomialRing(Ring):
             raise NonDivisibleError(f"{d!r} does not divide {a!r} in {self.expression()}")
         return q
 
+    def associate_unit(self, a, d):
+        # the only candidate is lead(a) / lead(d)
+        if a == d:
+            return self.one
+        if a and d:
+            p = self.p
+            u = a[-1] * pow(d[-1], -1, p) % p
+            if tuple([c * u % p for c in d]) == a:
+                return (u,)
+        raise NotAssociatesError(f"{a!r} and {d!r} are not associates in {self.expression()}")
+
     def bezout_raw(self, a, b):
         g, x, y = _pegcd(a, b, self.p)
         return g, x, y, self.divide_exact(a, g), self.divide_exact(b, g)
 
     def gcd(self, a, b):
         return _pgcd(a, b, self.p)
+
+    def canonical_associate(self, a):
+        return _pmonic(a, self.p)
 
     size = staticmethod(len)  # degree + 1
 
@@ -920,12 +955,13 @@ class GFPolynomialRing(Ring):
         return self.normalize(tuple(_int_from_json(c, "coefficient") for c in obj))
 
 
-def _product_elements(rings):
-    """``itertools.product`` of the rings' elements, in its order, without first
-    copying each ring's elements: a ring's stream restarts for each prefix."""
-    if not rings:
+def _product_streams(streams):
+    """``itertools.product`` of the iterators that the callables in streams
+    return, in its order, without copying any: a stream restarts for each
+    prefix."""
+    if not streams:
         return iter([()])
-    return ((x, *rest) for x in rings[0].elements() for rest in _product_elements(rings[1:]))
+    return ((x, *rest) for x in streams[0]() for rest in _product_streams(streams[1:]))
 
 
 class ProductRing(Ring):
@@ -964,7 +1000,7 @@ class ProductRing(Ring):
         return total
 
     def elements(self):
-        return _product_elements(self.factors)
+        return _product_streams([f.elements for f in self.factors])
 
     def normalize(self, value):
         if isinstance(value, list):
@@ -1031,6 +1067,14 @@ class ProductRing(Ring):
 
     def gcd(self, a, b):
         return tuple([f.gcd(ai, bi) for f, ai, bi in zip(self.factors, a, b)])
+
+    def residues_mod(self, c):
+        # R/cR is the product of the factors' quotients; each factor is asked
+        # once first, so one that has no finite residue system raises now
+        streams = [functools.partial(f.residues_mod, ci) for f, ci in zip(self.factors, c)]
+        for stream in streams:
+            stream()
+        return _product_streams(streams)
 
     def value_to_json(self, v):
         return [f.value_to_json(c) for f, c in zip(self.factors, v)]
@@ -1113,11 +1157,15 @@ class TrivialExtensionRing(Ring):
         return (c + a * b, _qlsum((g.as_integer_ratio(), (a * fn, fd), (b * en, ed))))
 
     def to_work(self, mats):
-        # every module part as its numerator over one common denominator
-        rows = [row for m in mats for row in m]
+        # D's module parts as numerators over one common denominator; the
+        # transforms are identities, whose module parts are all 0
+        rows = [row for m in mats[:1] for row in m]
         bases, nums, l = _split_module(rows)
         for row, b, n in zip(rows, bases, nums):
             row[:] = zip(b, n)
+        for m in mats[1:]:
+            for row in m:
+                row[:] = [(a, 0) for a, _ in row]
         return _RationalWork(self, mats, l)
 
     def is_unit(self, x):
@@ -1283,6 +1331,84 @@ class _RationalWork:
         return (c, r // b)
 
 
+class _PolyWork:
+    """GF(p)[x]'s work ring for clearing pivots: each polynomial packed into
+    one integer >= 0, coefficient i in k-bit slot i (Kronecker substitution),
+    every slot below p.  A shear y + q*x is one integer product-sum whose
+    slots stay at most (p-1) + min(len q, len x)*(p-1)**2 until one pass
+    reduces them mod p.  k covers that bound for every quotient of up to
+    ``cap`` coefficients; a longer quotient first widens k and repacks every
+    matrix.  Sizes are slot counts, the lengths of the tuples."""
+
+    zero = 0
+    one = 1
+
+    def __init__(self, ring, mats, need):
+        self.ring, self.p, self.mats = ring, ring.p, mats
+        self._set_width(need)
+        k = self.k
+        for m in mats:
+            for row in m:
+                row[:] = [_kpack(v, k) if len(v) > 1 else v[0] if v else 0 for v in row]
+
+    def _set_width(self, need):
+        p = self.p
+        self.k = k = (p - 1 + need * (p - 1) ** 2).bit_length()
+        self.mask = (1 << k) - 1
+        self.cap = ((1 << k) - p) // (p - 1) ** 2
+
+    def from_work(self, mats):
+        k, p = self.k, self.p
+        for m in mats:
+            for row in m:
+                row[:] = [_kunpack(v, k, p) if v >= p else (v,) if v else () for v in row]
+        return self.ring
+
+    def size(self, v):
+        return -(-v.bit_length() // self.k)
+
+    def neg(self, v):
+        # -c = (p-1)*c mod p; a slot holds (p-1)**2, since a nonzero quotient
+        # makes cap >= 1
+        return self._reduce((self.p - 1) * v)
+
+    def _reduce(self, t):
+        """The packed polynomial whose slots are those of t >= 0, each mod p."""
+        k, mask, p = self.k, self.mask, self.p
+        out = shift = 0
+        while t:
+            out |= (t & mask) % p << shift
+            t >>= k
+            shift += k
+        return out
+
+    def fma(self, y, q, x):
+        return self._reduce(y + q * x)
+
+    def axpy(self, dst, src, q):
+        reduce = self._reduce
+        for c, x in enumerate(src):
+            if x:
+                dst[c] = reduce(dst[c] + q * x)
+
+    def col_axpy(self, rows, j, k, q):
+        reduce = self._reduce
+        for row in rows:
+            x = row[k]
+            if x:
+                row[j] = reduce(row[j] + q * x)
+
+    def nearest_quotient(self, x, b):
+        k, p = self.k, self.p
+        q = _pdivmod(_kunpack(x, k, p), _kunpack(b, k, p), p)[0]
+        if len(q) > self.cap:  # widen k, twice what q needs, and repack
+            self._set_width(2 * len(q))
+            for m in self.mats:
+                for row in m:
+                    row[:] = [_kpack(_kunpack(v, k, p), self.k) for v in row]
+        return _kpack(q, self.k)
+
+
 def _modular_self_q0s(base, a, d):
     """The q0 of the quotients q of a by d in (Z/n) ⋉ (Z/n), ascending.
 
@@ -1336,7 +1462,7 @@ class SelfExtensionRing(Ring):
         return self.base.cardinality() ** 2 if self.finite else super().cardinality()
 
     def elements(self):
-        return _product_elements((self.base, self.base)) if self.finite else super().elements()
+        return _product_streams([self.base.elements] * 2) if self.finite else super().elements()
 
     def normalize(self, value):
         if isinstance(value, list):

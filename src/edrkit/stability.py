@@ -119,8 +119,7 @@ def unit_mod(a: RingElement, c: RingElement) -> bool:
 
 def _finite_quotient(ring: Ring, c) -> bool:
     """True iff ``Ring.residues_mod`` lists R/cR: every ring lists its finite
-    quotients and refuses its infinite ones, but an infinite product refuses
-    all of them."""
+    quotients and refuses its infinite ones."""
     try:
         ring.residues_mod(c)
     except UnsupportedOperationError:

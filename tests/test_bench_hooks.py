@@ -6,6 +6,7 @@ pins them.
 """
 
 import importlib
+import inspect
 
 import pytest
 
@@ -49,6 +50,19 @@ def test_wrapped_methods_exist(module):
         cls = getattr(mod, cls_name)
         for attr in attrs:
             assert callable(getattr(cls, attr, None)), f"{module}.{cls_name}.{attr}"
+
+
+@pytest.mark.parametrize("module", sorted(WRAPPED_METHODS))
+def test_wrapped_methods_are_plain_functions(module):
+    """The tracer sets a plain function in place of each method, which then
+    receives the instance as its first argument; a staticmethod there (say
+    ``staticmethod(abs)``) would be called with one argument too many."""
+    mod = importlib.import_module(module)
+    for cls_name, attrs in WRAPPED_METHODS[module].items():
+        cls = getattr(mod, cls_name)
+        for attr in attrs:
+            raw = next(vars(k)[attr] for k in cls.__mro__ if attr in vars(k))
+            assert inspect.isfunction(raw), f"{module}.{cls_name}.{attr}"
 
 
 def test_engine_phases_are_called_through_their_module_names(monkeypatch):

@@ -19,7 +19,11 @@ generic ``Ring`` add/mul loops:
 * ``gcd`` on Z (``math.gcd``), Z/n (``gcd(a, b, n) % n``), GF(p)[x] (monic
   Euclid) and products (componentwise), each exactly ``bezout_raw(a, b)[0]``
   and zero on the zero pair; the other rings use the default, which is that
-  by definition.
+  by definition;
+* ``canonical_associate`` in closed form on Z (|a|), Z/n (gcd(a, n) mod n)
+  and GF(p)[x] (the monic associate), and ``associate_unit`` on Z (+-1) and
+  GF(p)[x] (lead(a)/lead(d), checked by one scalar multiple), each equal to
+  the generic value and raising exactly where the generic one raises.
 
 The generic ``axpy`` and ``col_axpy`` call ``fma`` once per nonzero entry,
 so the shears of every ring but Z run through the overrides above.
@@ -263,6 +267,68 @@ def test_gcd_overrides_and_the_one_polynomial_gcd():
     ring = make_ring("product:zmod:4,z").ring
     assert ring.gcd((0, 0), (2, 0)) == (2, 0)
     assert ring.gcd((3, 0), (0, 0)) == (1, 0)
+
+
+# -- canonical associates in closed form ------------------------------------------
+
+def _generic_unit(ring, a, d):
+    """Ring.associate_unit(a, d), or the NotAssociatesError it raises."""
+    try:
+        return Ring.associate_unit(ring, a, d)
+    except rings.NotAssociatesError as exc:
+        return type(exc)
+
+
+def _assert_associates(ring, a, d):
+    assert ring.canonical_associate(a) == Ring.canonical_associate(ring, a), a
+    try:
+        got = ring.associate_unit(a, d)
+    except rings.NotAssociatesError as exc:
+        got = type(exc)
+    assert got == _generic_unit(ring, a, d), (a, d)
+
+
+def test_modular_canonical_associate_on_every_residue():
+    for n in range(2, 65):
+        ring = ModularRing(n)
+        for a in range(n):
+            assert ring.canonical_associate(a) == Ring.canonical_associate(ring, a), (n, a)
+
+
+def test_integer_associates_in_closed_form():
+    ring = IntegerRing()
+    rng = random.Random("integer associates")
+    values = [0, 1, -1, 2, -2] + [rng.randint(-10**30, 10**30) for _ in range(40)]
+    for a in values:
+        for d in (a, -a, 2 * a, a + 1, 0, 1, -1):
+            _assert_associates(ring, a, d)
+            _assert_associates(ring, d, a)
+
+
+@pytest.mark.parametrize("p", [2, 5, 7])
+def test_polynomial_associates_in_closed_form(p):
+    ring = GFPolynomialRing(p)
+    rng = random.Random(f"polynomial associates {p}")
+    polys = [(), (1,)] + [ring.normalize([rng.randrange(p) for _ in range(rng.randint(1, 7))])
+                          for _ in range(40)]
+    for a in polys:
+        others = [ring.mul((u,), a) for u in range(1, p)] + polys[::7]
+        # a unit multiple with one coefficient off: the scalar check refuses it
+        if len(a) > 1:
+            others.append(ring.add(ring.mul((p - 1,), a), (1,)))
+        for d in others:
+            _assert_associates(ring, a, d)
+            _assert_associates(ring, d, a)
+
+
+def test_associate_overrides():
+    for cls in (IntegerRing, ModularRing, GFPolynomialRing):
+        assert cls.canonical_associate is not Ring.canonical_associate, cls
+        assert cls.associate_unit is not Ring.associate_unit, cls
+    with pytest.raises(rings.NotAssociatesError):
+        GFPolynomialRing(5).associate_unit((1, 2), (1, 3))
+    with pytest.raises(rings.NotAssociatesError):
+        IntegerRing().associate_unit(4, 6)
 
 
 # -- the rational module against plain Fraction arithmetic ----------------------
@@ -594,6 +660,15 @@ _GENERIC = [(GFPolynomialRing, "dot", Ring.dot), (ProductRing, "dot", Ring.dot),
             (TrivialExtensionRing, "add", staticmethod(_plain_add)),
             (TrivialExtensionRing, "mul", staticmethod(_plain_mul))]
 
+# the work rings of the sweep and the closed-form associates
+_GENERIC_WORK = [(GFPolynomialRing, "to_work", Ring.to_work),
+                 (TrivialExtensionRing, "to_work", Ring.to_work),
+                 (IntegerRing, "canonical_associate", Ring.canonical_associate),
+                 (ModularRing, "canonical_associate", Ring.canonical_associate),
+                 (GFPolynomialRing, "canonical_associate", Ring.canonical_associate),
+                 (IntegerRing, "associate_unit", Ring.associate_unit),
+                 (GFPolynomialRing, "associate_unit", Ring.associate_unit)]
+
 
 def _kernel_requests():
     rng = random.Random("kernel-documents")
@@ -635,3 +710,17 @@ def test_kernels_leave_every_document_unchanged(monkeypatch):
     for cls, name, generic in _GENERIC:
         monkeypatch.setattr(cls, name, generic)
     assert [dispatch(req) for req in requests] == with_kernels
+
+
+def test_work_rings_and_closed_forms_leave_every_document_unchanged(monkeypatch):
+    requests = [CommandRequest(command=command, ring=spec, output=output,
+                               payload=json.dumps({"rows": rows}))
+                for command, spec, rows in _kernel_requests() + [
+                    ("snf", "z", [[4, -6, 9], [0, 15, -3], [-8, 2, 7]]),
+                    ("reduce2x2", "z", [[-3, 0], [4, 5]])]
+                for output in ("json", "pretty")]
+    with_overrides = [dispatch(req) for req in requests]
+    assert all(code == 0 for code, _ in with_overrides)
+    for cls, name, generic in _GENERIC_WORK:
+        monkeypatch.setattr(cls, name, generic)
+    assert [dispatch(req) for req in requests] == with_overrides

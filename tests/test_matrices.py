@@ -891,3 +891,162 @@ def test_no_fraction_is_built_while_clearing_pivots(monkeypatch):
     _fraction_sweep(monkeypatch)
     diagonal_reduce(RingMatrix(te, rows))
     assert "__new__" in seen
+
+
+# -- the GF(p)[x] work form: the pivots cleared on Kronecker-packed integers -----
+
+def _tuple_sweep(monkeypatch):
+    """Send GF(p)[x] through the Ring default: the sweep on coefficient tuples."""
+    from edrkit.rings import Ring
+    monkeypatch.setattr(GFPolynomialRing, "to_work", Ring.to_work)
+
+
+def _swept(a):
+    """diagonal_reduce(a), with copies of the five matrices as the clearing
+    phase leaves them."""
+    from edrkit import matrices
+    seen = []
+    enforce = matrices._enforce_chain
+
+    def record(sweep):
+        seen.append([[list(row) for row in m]
+                     for m in (sweep.d, sweep.p, sweep.pinv, sweep.q, sweep.qinv)])
+        enforce(sweep)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrices, "_enforce_chain", record)
+        res = diagonal_reduce(a)
+    return res, seen
+
+
+@st.composite
+def _gfpoly_matrices(draw):
+    """A prime, and a matrix up to 6x6 over GF(p)[x] with degrees 0-8, many
+    zero entries and zero rows."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 1000003]))
+    coeffs = st.lists(st.integers(0, p - 1), max_size=9)
+    value = st.one_of(st.just([]), coeffs)
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=m, max_size=m))
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=m - 1)):
+        rows[i] = [[]] * n
+    return p, rows
+
+
+def test_packed_sweep_equals_the_tuple_sweep():
+    @settings(derandomize=True, max_examples=120, deadline=None, database=None)
+    @given(drawn=_gfpoly_matrices())
+    def check(drawn):
+        p, rows = drawn
+        a = RingMatrix(GFPolynomialRing(p), rows)
+        res, swept = _swept(a)
+        with pytest.MonkeyPatch.context() as mp:
+            _tuple_sweep(mp)
+            expected, expected_swept = _swept(a)
+        assert swept == expected_swept
+        assert res == expected
+        assert verify_reduction(a, res)
+
+    check()
+
+
+def test_packed_kernels_match_the_ring_kernels():
+    from edrkit.rings import _kpack
+    rng = random.Random("packed kernels")
+    for p in (2, 3, 5, 7, 1000003):
+        ring = GFPolynomialRing(p)
+        polys = [ring.normalize([rng.randrange(p) for _ in range(rng.randint(0, 9))])
+                 for _ in range(40)] + [(), (1,), (p - 1,) * 9]
+        mats = [[list(polys)]]
+        work = ring.to_work(mats)
+        packed = dict(zip(polys, mats[0][0]))
+        for a in polys:
+            wa = packed[a]
+            assert wa == _kpack(a, work.k)
+            assert work.neg(wa) == _kpack(ring.neg(a), work.k)
+            if a:
+                assert work.size(wa) == ring.size(a) == len(a)
+            for b in polys[::4]:
+                if b and len(ring.nearest_quotient(a, b)) <= work.cap:
+                    assert work.nearest_quotient(wa, packed[b]) == \
+                        _kpack(ring.nearest_quotient(a, b), work.k)
+                for x in polys[::5]:  # cap covers every length drawn
+                    assert work.fma(wa, packed[b], packed[x]) == \
+                        _kpack(ring.fma(a, b, x), work.k), (p, a, b, x)
+        back = [list(mats[0][0])]
+        assert work.from_work([back]) is ring and back == [polys]
+
+
+def test_packed_slots_at_the_bound():
+    """Every coefficient p - 1 and quotients of exactly cap coefficients: each
+    slot of y + q*x reaches (p-1) + cap*(p-1)**2, the most k bits hold."""
+    from edrkit.rings import _kpack
+    for p in (2, 5, 1000003):
+        ring = GFPolynomialRing(p)
+        full = (p - 1,) * 6
+        work = ring.to_work([[[full]]])
+        q, x = (p - 1,) * work.cap, (p - 1,) * (work.cap + 3)
+        top = (p - 1) + work.cap * (p - 1) ** 2
+        assert top < 1 << work.k <= top + (p - 1) ** 2
+        assert work.fma(_kpack(full, work.k), _kpack(q, work.k), _kpack(x, work.k)) == \
+            _kpack(ring.fma(full, q, x), work.k)
+
+
+def test_widened_slots_keep_the_documents(monkeypatch):
+    """Slots first sized for one-coefficient quotients widen on the first
+    longer one, repacking every matrix; the documents do not change."""
+    from edrkit.rings import _PolyWork
+    rng = random.Random("widening")
+    requests = []
+    for p in (2, 5, 7):
+        for m, n in ((2, 2), (3, 4), (4, 3), (5, 5), (6, 6)):
+            rows = [[[rng.randrange(p) for _ in range(rng.randint(0, 4))] for _ in range(n)]
+                    for _ in range(m)]
+            requests.append(CommandRequest(command="snf", ring=f"gfpoly:{p}",
+                                           payload=json.dumps({"rows": rows})))
+    expected = [dispatch(req) for req in requests]
+    widths = []
+    init, nearest = _PolyWork.__init__, _PolyWork.nearest_quotient
+
+    def narrow(self, ring, mats, need):
+        init(self, ring, mats, 1)
+
+    def watched(self, x, b):
+        k = self.k
+        q = nearest(self, x, b)
+        widths.append((k, self.k))
+        return q
+
+    monkeypatch.setattr(_PolyWork, "__init__", narrow)
+    monkeypatch.setattr(_PolyWork, "nearest_quotient", watched)
+    assert [dispatch(req) for req in requests] == expected
+    assert sum(k < wider for k, wider in widths) >= len(requests) // 2, widths
+
+
+def test_no_tuple_fma_runs_while_clearing_pivots(monkeypatch):
+    import sys
+    from edrkit import matrices, rings
+    ring = GFPolynomialRing(5)
+    rows = [[(1, 2, 3), (4, 0, 1), (2,)], [(0, 1), (3, 3, 3, 1), (1, 1)],
+            [(2, 0, 0, 4), (1,), (0, 0, 2)]]
+    seen = []
+    clear = matrices._clear_pivot
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code is rings._pfma.__code__:
+            seen.append(frame.f_code.co_name)
+
+    def watched(sweep, t):
+        sys.setprofile(profile)
+        try:
+            clear(sweep, t)
+        finally:
+            sys.setprofile(None)
+
+    monkeypatch.setattr(matrices, "_clear_pivot", watched)
+    diagonal_reduce(RingMatrix(ring, rows))
+    assert seen == []
+    # the watch can fail: the tuple sweep runs _pfma in the same phase
+    _tuple_sweep(monkeypatch)
+    diagonal_reduce(RingMatrix(ring, rows))
+    assert "_pfma" in seen

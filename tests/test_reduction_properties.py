@@ -8,6 +8,10 @@ the library: over Z/n the Smith form is the image of the integer one, and the
 canonical associate of d modulo n is gcd(d, n).  Over ``text:z,q`` and
 products with a ``text:z,q`` factor, the diagonal is checked through the
 projection onto Z (``test_text_zq_diagonal_matches_the_projected_oracle``).
+Products with a GF(p)[x] factor are checked component by component against
+sympy's invariant factors over GF(p)[x], made monic, and the delta of
+``reduce2x2`` over GF(5)[x] against the monic associate of sympy's
+determinant.
 """
 
 from math import gcd
@@ -16,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edrkit import RingMatrix, diagonal_reduce, make_ring, verify_reduction
+from edrkit import RingMatrix, diagonal_reduce, make_ring, reduce_2x2, verify_reduction
 from edrkit.rings import (
     GFPolynomialRing,
     IntegerRing,
@@ -84,9 +88,36 @@ def test_diagonal_reduce_verifies_and_matches_the_integer_oracle(spec):
     check()
 
 
+def _sympy_polys(p):
+    """GF(p)[x] in sympy, a map from coefficient tuples (low to high) into
+    it, and one back out to the monic tuple of a nonzero value."""
+    sympy = pytest.importorskip("sympy")
+    dom = sympy.GF(p)[sympy.Symbol("x")]
+
+    def monic(f):
+        coeffs = [int(c) % p for c in reversed(f.to_dense())] if f else []
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        inv = pow(coeffs[-1], -1, p) if coeffs else 0
+        return tuple(c * inv % p for c in coeffs)
+
+    return dom, (lambda v: dom.ring.from_list(list(reversed(v)))), monic
+
+
+def _polynomial_invariant_factors(rows, p):
+    """sympy's invariant factors over GF(p)[x], each made monic."""
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import invariant_factors
+    dom, to_sympy, monic = _sympy_polys(p)
+    m = DomainMatrix([[to_sympy(v) for v in row] for row in rows],
+                     (len(rows), len(rows[0])), dom)
+    return [monic(f) for f in invariant_factors(m)]
+
+
 def _oracle_mismatch(ring: Ring, rows, diag):
     """Why diag is not the Smith form of rows by an oracle sharing no code
-    with the library, or None; over Z, Z/n, Z ⋉ Q and their products."""
+    with the library, or None; over Z, Z/n, GF(p)[x], Z ⋉ Q and their
+    products."""
     if isinstance(ring, ProductRing):
         for idx, factor in enumerate(ring.factors):
             why = _oracle_mismatch(factor, [[v[idx] for v in row] for row in rows],
@@ -101,6 +132,9 @@ def _oracle_mismatch(ring: Ring, rows, diag):
         if any(a and e for a, e in diag):
             return "a nonzero base part with a nonzero module part"
         return None
+    if isinstance(ring, GFPolynomialRing):
+        factors = _polynomial_invariant_factors(rows, ring.p)
+        return None if diag == factors else f"{diag} != {factors}"
     factors = _integer_invariant_factors(rows)
     if isinstance(ring, ModularRing):
         factors = [gcd(d, ring.n) % ring.n for d in factors]
@@ -139,3 +173,49 @@ def test_the_projected_oracle_can_fail():
     assert "base parts" in _oracle_mismatch(te, [[(2, 0)]], [(4, 0)])
     assert "module part" in _oracle_mismatch(te, [[(2, 0)]], [(2, 1)])
     assert "factor 0" in _oracle_mismatch(ring, rows, [(0, d[1]) for d in diag])
+
+
+def test_the_polynomial_oracle_can_fail():
+    ring = make_ring("product:zmod:4,gfpoly:3").ring
+    assert _oracle_mismatch(ring, [[(2, (2,))]], [(2, (1,))]) is None
+    assert "factor 1" in _oracle_mismatch(ring, [[(2, (2,))]], [(2, (2,))])
+    assert "factor 1" in _oracle_mismatch(ring, [[(2, (0, 2))]], [(2, (0, 2))])
+
+
+@pytest.mark.parametrize("spec", ["product:gfpoly:5,z", "product:zmod:4,gfpoly:3"])
+def test_gfpoly_products_match_the_factor_oracles(spec):
+    """Component by component: sympy's monic invariant factors over GF(p)[x],
+    the integer invariant factors over Z, and their images over Z/n."""
+    ring = make_ring(spec).ring
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(rows=_matrices(ring, most=4))
+    def check(rows):
+        res = diagonal_reduce(RingMatrix(ring, rows))
+        diag = [e.value for e in res.D.diagonal()]
+        assert _oracle_mismatch(ring, rows, diag) is None
+
+    check()
+
+
+def test_gfpoly_reduce2x2_delta_is_the_monic_determinant():
+    """reduce2x2 over GF(5)[x] ends at diag(1, delta), where delta generates
+    det(A)R: it is the monic associate of sympy's determinant, or zero."""
+    from sympy.polys.matrices import DomainMatrix
+    ring = make_ring("gfpoly:5").ring
+    dom, to_sympy, monic = _sympy_polys(5)
+    nonzero = st.lists(st.integers(0, 4), min_size=1, max_size=4).map(ring.normalize).filter(bool)
+
+    @settings(derandomize=True, max_examples=120, deadline=None, database=None)
+    @given(a=st.one_of(st.just(()), nonzero), b=_values(ring), c=nonzero)
+    def check(a, b, c):
+        if dom.gcd(dom.gcd(to_sympy(a), to_sympy(b)), to_sympy(c)) != dom.one:
+            return  # not comaximal: reduce2x2 refuses it
+        m = RingMatrix(ring, [[a, ()], [b, c]])
+        res = reduce_2x2(m)
+        assert verify_reduction(m, res)
+        det = DomainMatrix([[to_sympy(a), dom.zero], [to_sympy(b), to_sympy(c)]],
+                           (2, 2), dom).det()
+        assert [e.value for e in res.D.diagonal()] == [(1,), monic(det)]
+
+    check()

@@ -230,7 +230,8 @@ def test_is_stable_holds_where_the_quotient_is_finite():
     """Over Z ⋉ Q and the truncated series, R/cR = Z/|c0| for a nonzero
     integer part c0: (c0, e)R holds 0 ⋉ Q, and c = c0 * (a unit) in a series
     ring.  The oracle is the search of Z/|c0|.  A zero integer part leaves an
-    infinite quotient, which is refused."""
+    infinite quotient, which is refused.  Over a product R/cR is the product
+    of the factors' quotients, finite exactly when each one is."""
     zq, series = make_ring("text:z,q").ring, make_ring("series:4").ring
     for m in (-12, -5, -2, 2, 3, 4, 6, 9, 12):
         oracle = exhaustive.stable_range_1(exhaustive.ModStructure(abs(m)))[0]
@@ -240,9 +241,22 @@ def test_is_stable_holds_where_the_quotient_is_finite():
     for v in ((zq, (0, Fraction(1, 2))), (series, (0, (Fraction(1),))), (series, (0, ()))):
         with pytest.raises(InfiniteRingError):
             is_stable(element(*v))
-    # an infinite product offers no residue system, even where R/cR is finite
+    zz = make_ring("product:z,z").ring
+    assert is_stable(element(zz, (2, 3))).holds  # R/cR = Z/2 x Z/3
     with pytest.raises(InfiniteRingError):
-        is_stable(element(make_ring("product:z,z").ring, (2, 3)))
+        is_stable(element(zz, (0, 3)))  # R/cR = Z x Z/3
+
+
+def test_product_residues_are_the_product_of_the_factor_residues():
+    ring = make_ring("product:z,gfpoly:3,zmod:4").ring
+    f = (1, 0, 1)
+    expected = list(itertools.product(range(3), ring.factors[1].residues_mod(f), range(4)))
+    assert list(ring.residues_mod((3, f, 2))) == expected
+    # a factor with an infinite quotient refuses before anything is listed
+    with pytest.raises(UnsupportedOperationError):
+        ring.residues_mod((0, f, 2))
+    with pytest.raises(UnsupportedOperationError):
+        ring.residues_mod((3, (), 2))
 
 
 @pytest.mark.parametrize("spec, ops, residues, zero_, one_, elements", [
