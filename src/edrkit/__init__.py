@@ -13,7 +13,6 @@ from .matrices import (
 from .registry import (
     ElementSyntaxError,
     ExpressionError,
-    RingRegistryEntry,
     format_element,
     make_ring,
     parse_element,

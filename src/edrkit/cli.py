@@ -63,7 +63,7 @@ def _json_text(doc) -> str:
 
 def read_matrix(path_or_inline: str, ring_spec: str) -> RingMatrix:
     """Matrix from inline JSON, a file path, or a whitespace grid of elements."""
-    entry = make_ring(ring_spec)
+    ring = make_ring(ring_spec)
     text = path_or_inline
     if not text.lstrip().startswith("{") and os.path.exists(text):
         with open(text, "r", encoding="utf-8") as fh:
@@ -77,12 +77,12 @@ def read_matrix(path_or_inline: str, ring_spec: str) -> RingMatrix:
         except json.JSONDecodeError as exc:
             raise CLIParseError(f"bad matrix JSON: {exc}") from None
         declared = obj.get("ring")
-        if declared is not None and declared != entry.expression():
+        if declared is not None and declared != ring.expression():
             raise CLIParseError(
                 f"matrix JSON declares ring {declared!r} but --ring gave "
-                f"{entry.expression()!r}")
+                f"{ring.expression()!r}")
         try:
-            return RingMatrix.from_json(obj, entry.ring)
+            return RingMatrix.from_json(obj, ring)
         except RingError as exc:
             raise CLIParseError(str(exc)) from None
     rows = []
@@ -91,13 +91,13 @@ def read_matrix(path_or_inline: str, ring_spec: str) -> RingMatrix:
         line = line.strip()
         if not line:
             continue
-        cells = [parse_element(entry, tok).value for tok in line.split()]
+        cells = [parse_element(ring, tok).value for tok in line.split()]
         if width is None:
             width = len(cells)
         elif len(cells) != width:
             raise CLIParseError(f"ragged grid row {line!r}")
         rows.append(cells)
-    return RingMatrix._trusted(entry.ring, rows)
+    return RingMatrix._trusted(ring, rows)
 
 
 def _pretty_matrix(m: RingMatrix) -> str:
@@ -150,11 +150,11 @@ def _reduction_doc(a: RingMatrix, res: ReductionResult, verify: bool,
     return doc, ok
 
 
-def _completion_payload(req: CommandRequest, entry):
+def _completion_payload(req: CommandRequest, ring):
     """Row and target determinant from --row/--d or a JSON --input payload."""
     if req.row is not None:
-        row = [parse_element(entry, tok) for tok in req.row.split(",") if tok.strip()]
-        d = parse_element(entry, req.d) if req.d is not None else None
+        row = [parse_element(ring, tok) for tok in req.row.split(",") if tok.strip()]
+        d = parse_element(ring, req.d) if req.d is not None else None
         return row, d
     if req.payload is None:
         raise CLIParseError("complete needs --row or a JSON --input payload")
@@ -165,11 +165,10 @@ def _completion_payload(req: CommandRequest, entry):
     if not isinstance(obj, dict) or "row" not in obj:
         raise CLIParseError('completion JSON needs {"row": [...], "d": ...}')
     declared = obj.get("ring")
-    if declared is not None and declared != entry.expression():
+    if declared is not None and declared != ring.expression():
         raise CLIParseError(
             f"completion JSON declares ring {declared!r} but --ring gave "
-            f"{entry.expression()!r}")
-    ring = entry.ring
+            f"{ring.expression()!r}")
     try:
         row = [_raw(ring, ring.value_from_json(v)) for v in obj["row"]]
         d = None
@@ -186,7 +185,7 @@ def dispatch(req: CommandRequest) -> tuple[int, str]:
         if req.command == "rings":
             catalog = ring_catalog()
             return EXIT_OK, render(catalog, req.output)
-        entry = make_ring(req.ring)
+        ring = make_ring(req.ring)
         if req.command in ("snf", "reduce2x2"):
             if req.payload is None:
                 raise CLIParseError(f"{req.command} needs --input")
@@ -195,7 +194,7 @@ def dispatch(req: CommandRequest) -> tuple[int, str]:
             doc, ok = _reduction_doc(a, res, req.verify, req.output == "pretty")
             return (EXIT_OK if ok else EXIT_PRECONDITION), render(doc, req.output)
         if req.command == "complete":
-            row, d = _completion_payload(req, entry)
+            row, d = _completion_payload(req, ring)
             if d is not None:
                 res = complete_row(row, d)
             else:
@@ -216,7 +215,7 @@ def dispatch(req: CommandRequest) -> tuple[int, str]:
             if req.property not in PROPERTIES:
                 raise CLIParseError(
                     f"unknown property {req.property!r}; choose from {', '.join(PROPERTIES)}")
-            verdict = check_property(entry.ring, req.property)
+            verdict = check_property(ring, req.property)
             return EXIT_OK, render(verdict.to_json(), req.output)
         raise CLIParseError(f"unknown command {req.command!r}")
     except (CLIParseError, ExpressionError, ElementSyntaxError) as exc:

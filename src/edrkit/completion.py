@@ -34,6 +34,7 @@ from .matrices import RingMatrix
 from .matrices import determinant  # noqa: F401  not called here; bench/tracing.py wraps this name
 from .rings import (
     PreconditionError,
+    ProductRing,
     Ring,
     RingElement,
     RingError,
@@ -80,8 +81,14 @@ def _row_gcd_with_coefficients(ring: Ring, row: list) -> tuple[Any, list]:
     with cofactors (u_k, v_k), so x_i = v_i * u_{i+1} * ... * u_n (v_1 = 1):
     one pass from the right builds them all in O(n) multiplications.  A
     series row leads with its first entry of nonzero constant term: then every
-    gcd of the fold has one, so each later pair has a certificate.
+    gcd of the fold has one, so each later pair has a certificate.  A product
+    row is folded factor by factor, so a series factor leads on its own.
     """
+    if isinstance(ring, ProductRing):
+        folds = [_row_gcd_with_coefficients(f, [a[k] for a in row])
+                 for k, f in enumerate(ring.factors)]
+        gs, xss = zip(*folds)
+        return gs, list(zip(*xss))
     if isinstance(ring, TruncatedSeriesRing):
         lead = next((i for i, a in enumerate(row) if a[0] != 0), 0)
         if lead:

@@ -8,6 +8,7 @@ The descriptor grammar understood by :func:`make_ring` (and the CLI) is
 ``product`` is variadic and parsed greedily, so a nested product cannot be
 followed by further arguments of an enclosing expression; the shipped rings
 never need that.  ``series`` without an argument defaults to order 8.
+:func:`make_ring` returns the :class:`Ring` itself.
 
 Element text encodings round-trip bit-exactly through
 :func:`parse_element` / :func:`format_element`: integers and residues are
@@ -23,7 +24,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .rings import (
     GFPolynomialRing,
@@ -50,52 +50,6 @@ class ElementSyntaxError(RingError):
     def __init__(self, message: str, position: int = 0):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-@dataclass(frozen=True)
-class RingRegistryEntry:
-    """A constructed ring plus its capability flags and strategy ids."""
-
-    ring: Ring
-    finite: bool
-    bezout_total: bool
-    stable_strategy: str
-    unit_lift_strategy: str
-
-    def expression(self) -> str:
-        return self.ring.expression()
-
-
-def _stable_strategy(ring: Ring) -> str:
-    if ring.finite:
-        return "identity-shift"  # y = 0: every element of a finite ring is stable
-    if isinstance(ring, (IntegerRing, GFPolynomialRing)):
-        return "smallest-nonzero-shift"
-    if isinstance(ring, TruncatedSeriesRing):
-        return "constant-term-shift"
-    if isinstance(ring, (TrivialExtensionRing, SelfExtensionRing)):
-        return "base-component-shift"
-    if isinstance(ring, ProductRing):
-        return "componentwise"
-    return "unsupported"
-
-
-def _unit_lift_strategy(ring: Ring) -> str:
-    if ring.finite:
-        return "exhaustive"
-    if isinstance(ring, ProductRing):
-        return "componentwise"
-    return "residue-scan"
-
-
-def make_entry(ring: Ring) -> RingRegistryEntry:
-    return RingRegistryEntry(
-        ring=ring,
-        finite=ring.finite,
-        bezout_total=ring.bezout_total,
-        stable_strategy=_stable_strategy(ring),
-        unit_lift_strategy=_unit_lift_strategy(ring),
-    )
 
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+|[:,]")
@@ -187,13 +141,12 @@ MAKE_RING_CACHE_SIZE = 128
 _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def make_ring(spec: str) -> RingRegistryEntry:
-    """Build a registry entry from a descriptor expression.
+def make_ring(spec: str) -> Ring:
+    """Build the ring a descriptor expression names.
 
-    The MAKE_RING_CACHE_SIZE most recently used entries are kept: entries
-    are frozen and rings immutable, so callers share them.  The int/str
-    digit limit is part of the key, so lowering it refuses a long modulus
-    parsed before.
+    The MAKE_RING_CACHE_SIZE most recently used rings are kept: rings are
+    immutable, so callers share them.  The int/str digit limit is part of
+    the key, so lowering it refuses a long modulus parsed before.
     """
     if not isinstance(spec, str) or not spec.strip():
         raise ExpressionError("empty descriptor expression")
@@ -201,7 +154,7 @@ def make_ring(spec: str) -> RingRegistryEntry:
 
 
 @functools.lru_cache(maxsize=MAKE_RING_CACHE_SIZE)
-def _make_ring(spec: str, digit_limit: int) -> RingRegistryEntry:
+def _make_ring(spec: str, digit_limit: int) -> Ring:
     cur = _Cursor(_tokenize(spec))
     try:
         ring = _parse_spec(cur)
@@ -211,7 +164,7 @@ def _make_ring(spec: str, digit_limit: int) -> RingRegistryEntry:
         raise ExpressionError(str(exc)) from None
     if cur.peek() is not None:
         raise ExpressionError(f"trailing tokens after descriptor: {cur.tokens[cur.i:]!r}")
-    return make_entry(ring)
+    return ring
 
 
 _INT_TEXT = re.compile(r"[+-]?\d+\Z")
@@ -231,9 +184,8 @@ def parse_json(text: str):
                                  literal.start() if literal else 0) from None
 
 
-def parse_element(entry: RingRegistryEntry | Ring, text: str) -> RingElement:
-    """Parse the text encoding of one element of the entry's ring."""
-    ring = entry.ring if isinstance(entry, RingRegistryEntry) else entry
+def parse_element(ring: Ring, text: str) -> RingElement:
+    """Parse the text encoding of one element of the ring."""
     text = text.strip()
     if not text:
         raise ElementSyntaxError("empty element text")
@@ -257,7 +209,7 @@ def parse_element(entry: RingRegistryEntry | Ring, text: str) -> RingElement:
 
 
 def format_element(e: RingElement) -> str:
-    """Canonical text encoding; parse_element(entry, format_element(e)) == e."""
+    """Canonical text encoding; parse_element(e.ring, format_element(e)) == e."""
     obj = e.ring.value_to_json(e.value)
     if isinstance(obj, int):
         return str(obj)
@@ -265,25 +217,27 @@ def format_element(e: RingElement) -> str:
 
 
 def ring_catalog() -> list[dict]:
-    """Shipped ring kinds with a sample expression and capability flags."""
+    """Shipped ring kinds with a sample expression, capability flags and the
+    strategies select_stable and lift_unit take on the sample."""
     samples = [
-        ("integers", "z"),
-        ("modular", "zmod:6"),
-        ("prime-field-poly", "gfpoly:5"),
-        ("product", "product:zmod:2,zmod:3"),
-        ("trivial-extension", "text:z,q"),
-        ("trivial-extension", "text:zmod:4,self"),
-        ("truncated-series", "series:8"),
+        # expression, stable-element strategy, unit-lift strategy
+        ("z", "smallest-nonzero-shift", "residue-scan"),
+        ("zmod:6", "identity-shift", "exhaustive"),
+        ("gfpoly:5", "smallest-nonzero-shift", "residue-scan"),
+        ("product:zmod:2,zmod:3", "identity-shift", "exhaustive"),
+        ("text:z,q", "base-component-shift", "residue-scan"),
+        ("text:zmod:4,self", "identity-shift", "exhaustive"),
+        ("series:8", "constant-term-shift", "residue-scan"),
     ]
     out = []
-    for kind, expr in samples:
-        entry = make_ring(expr)
+    for expr, stable, unit_lift in samples:
+        ring = make_ring(expr)
         out.append({
-            "kind": kind,
+            "kind": ring.kind,
             "expression": expr,
-            "finite": entry.finite,
-            "bezoutTotal": entry.bezout_total,
-            "stableStrategy": entry.stable_strategy,
-            "unitLiftStrategy": entry.unit_lift_strategy,
+            "finite": ring.finite,
+            "bezoutTotal": ring.bezout_total,
+            "stableStrategy": stable,
+            "unitLiftStrategy": unit_lift,
         })
     return out

@@ -452,13 +452,7 @@ class Ring(ABC):
         """For b != 0, a q with a - b*q zero or of size below size(b)."""
         raise UnsupportedOperationError(f"{self.expression()} has no Euclidean size")
 
-    # -- search orders -------------------------------------------------------
-
-    def search_order(self) -> Iterator[Any]:
-        """Deterministic small-first stream of elements for bounded searches."""
-        if self.finite:
-            return self.elements()
-        raise UnsupportedOperationError(f"no search order for {self.expression()}")
+    # -- residues ------------------------------------------------------------
 
     def residues_mod(self, c: Any) -> Iterator[Any]:
         """Canonical residues of R modulo cR, or modulo cR + N for a square-zero
@@ -637,14 +631,6 @@ class IntegerRing(Ring):
     size = staticmethod(abs)
 
     nearest_quotient = staticmethod(_round_quotient)
-
-    def search_order(self):
-        yield 0
-        k = 1
-        while True:
-            yield k
-            yield -k
-            k += 1
 
     def residues_mod(self, c):
         if c == 0:
@@ -930,14 +916,6 @@ class GFPolynomialRing(Ring):
 
     def nearest_quotient(self, a, b):
         return _pdivmod(a, b, self.p)[0]
-
-    def search_order(self):
-        # graded: by degree, then coefficients low-to-high
-        yield ()
-        for deg in itertools.count(0):
-            for lead in range(1, self.p):
-                for rest in itertools.product(range(self.p), repeat=deg):
-                    yield rest + (lead,)
 
     def residues_mod(self, c):
         if not c:
@@ -1254,9 +1232,6 @@ class TrivialExtensionRing(Ring):
         if m:
             return self.zero
         return (_round_quotient(e, s), _QZERO)
-
-    def search_order(self):
-        return ((k, _QZERO) for k in self.base.search_order())
 
     def residues_mod(self, c):
         # the base's residues modulo c0: all of R/cR
@@ -1576,11 +1551,6 @@ class SelfExtensionRing(Ring):
         # since 0 ⋉ A squares to zero
         return ((k, self.base.zero) for k in self.base.residues_mod(c[0]))
 
-    def search_order(self):
-        if self.finite:
-            return self.elements()
-        return ((k, self.base.zero) for k in self.base.search_order())
-
     def value_to_json(self, v):
         return [self.base.value_to_json(v[0]), self.base.value_to_json(v[1])]
 
@@ -1655,12 +1625,14 @@ class TruncatedSeriesRing(Ring):
         return (-x[0], tuple(-q for q in x[1]))
 
     def mul(self, x, y):
-        const = x[0] * y[0]
-        coeffs = []
-        for k in range(1, self.order + 1):
-            coeffs.append(sum((self._coeff(x, i) * self._coeff(y, k - i)
-                               for i in range(k + 1)), Fraction(0)))
-        return self.normalize((const, tuple(coeffs)))
+        # convolve the coefficients present, x^0 to x^order
+        a, b = (x[0], *x[1]), (y[0], *y[1])
+        coeffs = [0] * min(len(a) + len(b) - 2, self.order)
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(max(1 - i, 0), min(len(b), self.order + 1 - i)):
+                    coeffs[i + j - 1] += ai * b[j]
+        return self.normalize((x[0] * y[0], coeffs))
 
     def is_unit(self, x):
         return x[0] in (1, -1)
@@ -1742,10 +1714,6 @@ class TruncatedSeriesRing(Ring):
             return (abs(a[0]), ())
         coeffs = [Fraction(0)] * (low - 1) + [abs(self._coeff(a, low))]
         return self.normalize((0, tuple(coeffs)))
-
-    def search_order(self):
-        for k in IntegerRing().search_order():
-            yield (k, ())
 
     def residues_mod(self, c):
         if c[0] == 0:

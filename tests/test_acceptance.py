@@ -217,13 +217,13 @@ def test_criterion_7_structure_theorems_finite_scale():
     t0 = time.perf_counter()
     for m1 in range(2, 9):
         for m2 in range(2, 9):
-            prod = make_ring(f"product:zmod:{m1},zmod:{m2}").ring
+            prod = make_ring(f"product:zmod:{m1},zmod:{m2}")
             v = _exhaustively_locally_stable(prod)
             c1 = _exhaustively_locally_stable(ModularRing(m1))
             c2 = _exhaustively_locally_stable(ModularRing(m2))
             assert v == (c1 and c2)
     for n in range(2, 13):
-        te = make_ring(f"text:zmod:{n},self").ring
+        te = make_ring(f"text:zmod:{n},self")
         assert (_exhaustively_locally_stable(te)
                 == _exhaustively_locally_stable(ModularRing(n)))
     _report(7, "product agreement (sizes <= 8) and trivial-extension agreement "
@@ -233,7 +233,7 @@ def test_criterion_7_structure_theorems_finite_scale():
 def test_criterion_8_trivial_extension_smoke():
     t0 = time.perf_counter()
     rng = random.Random(808)
-    te = make_ring("text:z,q").ring
+    te = make_ring("text:z,q")
 
     def rel():
         return (rng.randint(-20, 20), Fraction(rng.randint(-20, 20), rng.randint(1, 20)))

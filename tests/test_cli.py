@@ -447,7 +447,7 @@ def test_check_at_the_size_limit_runs(built, ring, built_class, cap):
     code, out = _check(ring)
     assert code == EXIT_OK and json.loads(out)["holds"] is True
     assert built == {"ModStructure": [], "ProductStructure": [], "TableStructure": []}
-    s = exhaustive.structure_for(make_ring(ring).ring)
+    s = exhaustive.structure_for(make_ring(ring))
     assert max(built[built_class]) == getattr(exhaustive, cap)
     assert max(built["ModStructure"]) <= exhaustive.MAX_QUOTIENT_SIZE
     assert exhaustive.stable_range_1(s) == (True, None)
@@ -457,7 +457,7 @@ def test_check_at_the_table_limit_reaches_the_table(built):
     """Comaximality on trivial extensions reads the base parts: past the
     table cap (1,024 elements) it answers and no table is built."""
     for spec, p in (("text:zmod:33,self", 3), ("text:zmod:65,self", 5)):  # 1,089 and 4,225
-        ring = make_ring(spec).ring
+        ring = make_ring(spec)
         assert is_coprime(element(ring, (3, 0)), element(ring, (2, 0)))
         assert not is_coprime(element(ring, (p, 1)), element(ring, (2 * p, 0)))
         code, out = dispatch(CommandRequest(command="reduce2x2", ring=spec,

@@ -48,7 +48,7 @@ def test_complete_unimodular_folds_the_row_once(monkeypatch, spec, row):
         return fold(ring, values)
 
     monkeypatch.setattr(completion, "_row_gcd_with_coefficients", counted)
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     els = [element(ring, v) for v in row]
     res = complete_unimodular(els)
     assert calls == [[e.value for e in els]]

@@ -14,8 +14,10 @@ partial, the second property holds for the rows whose fold has a
 certificate at every step; every other row is refused with
 ``UnsupportedOperationError``.  A series row is folded from its first entry
 of nonzero constant term, so every series row with such an entry completes.
+A product row is folded factor by factor, so a series factor leads alike.
 """
 
+import json
 from fractions import Fraction
 from functools import reduce
 
@@ -24,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edrkit import bezout, complete_row, determinant, element, make_ring
+from edrkit.cli import EXIT_OK, CommandRequest, dispatch
 from edrkit.completion import _row_gcd_with_coefficients
 from edrkit.rings import (
     GFPolynomialRing,
@@ -82,7 +85,7 @@ def _bezout_fold(ring, row):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_fold_coefficients_combine_to_the_gcd(spec):
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
 
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
     @given(row=_rows(ring, 14))
@@ -97,7 +100,7 @@ def test_fold_coefficients_combine_to_the_gcd(spec):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_completion_keeps_the_row_and_has_determinant_d(spec):
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
 
     @settings(derandomize=True, max_examples=30, deadline=None, database=None)
     @given(row=_rows(ring, 6), unit=_values(ring))
@@ -122,7 +125,7 @@ def _check_completion(ring, row, g, unit):
 
 @pytest.mark.parametrize("spec", PARTIAL_SPECS)
 def test_completion_where_bezout_is_partial(spec):
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     outcomes = set()
 
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -146,7 +149,7 @@ def test_completion_where_bezout_is_partial(spec):
 def test_text_rationals_rows_in_the_square_zero_ideal():
     """Rows with every base part zero generate (0, q)R: the fold's gcd and
     cofactors come from the rational gcd branch."""
-    ring = make_ring("text:z,q").ring
+    ring = make_ring("text:z,q")
     row = [(0, Fraction(1, 2)), (0, Fraction(-1, 3)), (0, Fraction(5, 4))]
     g, xs = _row_gcd_with_coefficients(ring, row)
     assert g == (0, Fraction(1, 12))
@@ -154,3 +157,23 @@ def test_text_rationals_rows_in_the_square_zero_ideal():
     d = element(ring, g)
     res = complete_row([element(ring, v) for v in row], d)
     assert determinant(res.matrix) == d
+
+
+
+@pytest.mark.parametrize("spec", ["product:series:4,z", "product:z,series:4"])
+def test_product_rows_fold_a_series_factor_on_its_own(spec):
+    """(x, x^2, 1) next to (2, 3, 5) over Z: the series component leads with
+    its third entry, which a fold over the whole product cannot do."""
+    series = [{"constant": 0, "coeffs": [1]}, {"constant": 0, "coeffs": [0, 1]},
+              {"constant": 1}]
+    pairs = [list(p) for p in (zip(series, [2, 3, 5]) if spec.startswith("product:series")
+                               else zip([2, 3, 5], series))]
+    code, out = dispatch(CommandRequest(command="complete", ring=spec,
+                                        payload=json.dumps({"row": pairs})))
+    assert code == EXIT_OK and json.loads(out)["verified"] is True
+    ring = make_ring(spec)
+    row = [ring.value_from_json(p) for p in pairs]
+    g, xs = _row_gcd_with_coefficients(ring, row)
+    for k, factor in enumerate(ring.factors):
+        gk, xk = _row_gcd_with_coefficients(factor, [a[k] for a in row])
+        assert g[k] == gk and [x[k] for x in xs] == xk

@@ -275,7 +275,7 @@ RINGS = [f"zmod:{n}" for n in range(2, 31)] + [
 
 
 def structure(spec):
-    return structure_for(make_ring(spec).ring)
+    return structure_for(make_ring(spec))
 
 
 def in_ideal(s, ideal, y) -> bool:
@@ -373,7 +373,7 @@ def test_adequate_element_holds(spec):
 def test_table_quotients_are_the_parent_modulo_the_ideal(spec):
     """Each element of t.quotient(c) is the least member of a coset x + cR,
     and its tables are the parent's arithmetic on those cosets."""
-    t = TableStructure.for_ring(make_ring(spec).ring)
+    t = TableStructure.for_ring(make_ring(spec))
     for c in els(t):
         q = t.quotient(c)
         ideal = {t.mul(c, r) for r in els(t)}
@@ -428,7 +428,7 @@ def test_caches_are_bounded():
         for obj in vars(importlib.import_module(f"edrkit.{info.name}")).values():
             if hasattr(obj, "cache_info"):
                 assert obj.cache_info().maxsize is not None
-    script = ("import sys; from edrkit import *; r = make_ring('text:zmod:33,self').ring\n"
+    script = ("import sys; from edrkit import *; r = make_ring('text:zmod:33,self')\n"
               "e = [element(r, v) for v in ((6, 1), (3, 0), (2, 0))]\n"
               "is_coprime(e[1], e[2]); lift_unit(*e); clean_idempotent(*e)\n"
               "check_property(r, 'clean'); print('edrkit.exhaustive' in sys.modules)")
@@ -478,7 +478,7 @@ PRODUCT_LIMIT = 60
 
 @pytest.mark.parametrize("moduli", factorizations(PRODUCT_LIMIT), ids=str)
 def test_product_structures_match_tables(moduli):
-    assert_matches_table(make_ring("product:" + ",".join(f"zmod:{m}" for m in moduli)).ring)
+    assert_matches_table(make_ring("product:" + ",".join(f"zmod:{m}" for m in moduli)))
 
 
 LARGER_PRODUCTS = ["product:zmod:2,zmod:100", "product:zmod:100,zmod:2",
@@ -489,7 +489,7 @@ LARGER_PRODUCTS = ["product:zmod:2,zmod:100", "product:zmod:100,zmod:2",
 
 @pytest.mark.parametrize("spec", LARGER_PRODUCTS)
 def test_larger_product_structures_match_tables(spec):
-    assert_matches_table(make_ring(spec).ring)
+    assert_matches_table(make_ring(spec))
 
 
 MIXED_PRODUCTS = ["product:zmod:4,zmod:6", "product:zmod:2,zmod:3,zmod:4",
@@ -564,7 +564,7 @@ def test_verdicts_match_the_oracle(spec):
     """check_property answers every finite ring from the theorem; the
     exhaustive search of the same ring must agree, property by property,
     and the search of each quotient R/xR must agree with is_stable(x)."""
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     s = structure_for(ring)
     for prop, checker in CHECKERS.items():
         verdict = check_property(ring, prop)
@@ -606,7 +606,7 @@ def test_verdicts_past_every_cap_build_nothing(monkeypatch, spec, value):
         code, out = dispatch(CommandRequest(command="check", ring=spec, property=prop))
         assert code == EXIT_OK
         assert json.loads(out) == {"property": prop, "holds": True}
-    assert is_stable(element(make_ring(spec).ring, value)).holds
+    assert is_stable(element(make_ring(spec), value)).holds
 
 
 # -- scale ------------------------------------------------------------------------
@@ -620,7 +620,7 @@ def test_scale_without_tables(monkeypatch, spec, peak_mib):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(TableStructure, "__init__", no_table)
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     tracemalloc.start()
     try:
         s = structure_for(ring)

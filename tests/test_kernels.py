@@ -103,7 +103,7 @@ def _naive_dot(ring, xs, ys):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_kernels_agree_with_the_generic_defaults(spec):
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     values = _values(ring)
 
     @settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -136,7 +136,7 @@ def test_kernels_agree_with_the_generic_defaults(spec):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_kernels_on_empty_rows_and_zero_multipliers(spec):
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     assert ring.dot([], []) == Ring.dot(ring, [], []) == ring.zero
     empty = []
     ring.axpy(empty, [], ring.one)
@@ -161,7 +161,7 @@ def _assert_fma(ring, y, q, x):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_fma_is_the_sum_of_the_product(spec):
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     values = _values(ring)
 
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -180,7 +180,7 @@ def test_fma_is_the_sum_of_the_product(spec):
 
 @pytest.mark.parametrize("spec", ["z", "zmod:360", "gfpoly:5", "text:z,q"])
 def test_shears_make_no_mul_call(monkeypatch, spec):
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     one, two = ring.one, ring.add(ring.one, ring.one)
 
     def refuse(*args):
@@ -219,7 +219,7 @@ def _assert_gcd_is_bezout_generator(ring, a, b):
 
 @pytest.mark.parametrize("spec", GCD_SPECS)
 def test_gcd_is_the_generator_of_bezout_raw(spec):
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     values = _values(ring)
 
     @settings(derandomize=True, max_examples=80, deadline=None, database=None)
@@ -249,7 +249,7 @@ def test_gcd_is_the_generator_of_bezout_raw(spec):
                   ((-6, (Fraction(1, 3),)), (4, ()))]),
 ])
 def test_gcd_on_zero_pairs_signs_and_zero_components(spec, pairs):
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     for a, b in pairs:
         a, b = ring.normalize(a), ring.normalize(b)
         _assert_gcd_is_bezout_generator(ring, a, b)
@@ -264,7 +264,7 @@ def test_gcd_overrides_and_the_one_polynomial_gcd():
     # the exhaustive GF(p)[x]/(f) structures use the ring module's gcd
     assert exhaustive._pgcd is rings._pgcd
     # a zero component pair of a product gives that factor's zero
-    ring = make_ring("product:zmod:4,z").ring
+    ring = make_ring("product:zmod:4,z")
     assert ring.gcd((0, 0), (2, 0)) == (2, 0)
     assert ring.gcd((3, 0), (0, 0)) == (1, 0)
 
@@ -333,7 +333,7 @@ def test_associate_overrides():
 
 # -- the rational module against plain Fraction arithmetic ----------------------
 
-TEXT_Q = make_ring("text:z,q").ring
+TEXT_Q = make_ring("text:z,q")
 _DENOMINATORS = st.one_of(st.integers(1, 10**20), st.sampled_from([1, 2, 3, 4, 6, 12]))
 
 
@@ -487,7 +487,7 @@ def test_polynomial_primitives_against_sympy(p):
 
 @pytest.mark.parametrize("spec", ["product:zmod:4,z", "product:zmod:360,gfpoly:5,text:z,q"])
 def test_product_dot_against_per_component_generic_dots(spec):
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     values = _values(ring)
 
     @settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -553,7 +553,7 @@ def test_matmul_overrides():
 
 @pytest.mark.parametrize("spec", SPECS + ["text:zmod:4,self", "product:zmod:360,gfpoly:5,text:z,q"])
 def test_matmul_against_an_add_mul_reference(spec):
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     values = _values(ring)
 
     @settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -622,7 +622,7 @@ def test_rational_module_matmul_scales_by_the_lcm():
 
 @pytest.mark.parametrize("spec", ["z", "zmod:360", "gfpoly:5", "text:z,q", "product:zmod:4,z"])
 def test_verify_reduction_makes_no_dot_call(monkeypatch, spec):
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     rng = random.Random(spec)
     values = {"z": lambda: rng.randint(-9, 9), "zmod:360": lambda: rng.randrange(360),
               "gfpoly:5": lambda: [rng.randrange(5) for _ in range(rng.randint(0, 3))],

@@ -60,7 +60,7 @@ def test_determinant_matches_permutation_oracle(rng):
 @pytest.mark.parametrize("spec", ["z", "zmod:12", "zmod:360", "gfpoly:5", "product:zmod:6,z",
                                   "text:zmod:4,self", "text:z,q", "series:4"])
 def test_determinant_matches_permutation_oracle_on_every_ring_kind(spec, rng):
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     for n in range(1, 7):
         for trial in range(4):
             rows = [[random_value(ring, rng) for _ in range(n)] for _ in range(n)]
@@ -118,7 +118,7 @@ SHAPES = ["upper", "lower", "block", "permutation", "completion"]
 def test_determinant_of_structured_matrices_matches_permutation_oracle(spec, rng):
     # these take the zero-R / zero-S shortcut at some or all steps, mixed with
     # Krylov steps on the grown sparse block
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     for shape in SHAPES:
         for n in range(1, 6):
             m = _shaped(ring, rng, n, shape)
@@ -306,7 +306,7 @@ def _comaximal_triples(ring, rng, count):
 
 @pytest.mark.parametrize("spec", ["zmod:360", "gfpoly:5", "product:zmod:4,z", "text:z,q"])
 def test_reduce_2x2_factors_audit_on_every_bezout_ring(spec, rng):
-    for mat in _comaximal_triples(make_ring(spec).ring, rng, 40):
+    for mat in _comaximal_triples(make_ring(spec), rng, 40):
         _audit_2x2(mat, reduce_2x2(mat))
 
 
@@ -342,7 +342,7 @@ def test_reduce_2x2_and_diagonal_reduce_build_no_validated_matrix_or_certificate
     from edrkit import matrices
     from edrkit.rings import BezoutCertificate
 
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     lower = _comaximal_triples(ring, rng, 12)
     full = []
     if ring.bezout_total:
@@ -443,7 +443,7 @@ def test_product_ring_reduction(rng):
 
 
 def test_trivial_extension_reduction(rng):
-    te = make_ring("text:z,q").ring
+    te = make_ring("text:z,q")
     for _ in range(40):
         a = RingMatrix(te, [[random_value(te, rng, 20) for _ in range(2)]
                             for _ in range(2)])
@@ -524,7 +524,7 @@ def test_verify_reduction_detects_tampering(caplog):
         (a, dataclasses.replace(res, P=eye3), "P has the wrong shape"),
         (a, dataclasses.replace(res, Q=eye3), "Q has the wrong shape"),
         (a, dataclasses.replace(res, D=zmat([[2, 0, 0], [0, 4, 0]])), "D has the wrong shape"),
-        (a, dataclasses.replace(res, Pinv=RingMatrix.identity(make_ring("zmod:7").ring, 2)),
+        (a, dataclasses.replace(res, Pinv=RingMatrix.identity(make_ring("zmod:7"), 2)),
          "ring mismatch in certificate"),
         (a, dataclasses.replace(res, Pinv=shear), "Pinv is not an inverse of P"),
         (a, dataclasses.replace(res, Qinv=shear), "Qinv is not an inverse of Q"),
@@ -546,7 +546,7 @@ _A35 = [[2, 4, 6, 8, 10], [3, 1, 4, 1, 5], [9, 2, 6, 5, 3]]
 
 
 def _rect_case(spec, shape):
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     rows = _A35 if shape == "3x5" else [list(col) for col in zip(*_A35)]
     a = RingMatrix(ring, rows)
     res = diagonal_reduce(a)
@@ -721,7 +721,7 @@ def _unimodular_2x2(ring, a, b):
 @pytest.mark.parametrize("spec", ["z", "zmod:360", "gfpoly:5", "text:z,q",
                                   "product:zmod:4,z"])
 def test_sweep_kernels_keep_the_certificate(spec, rng):
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     m, n = 4, 5
     a = RingMatrix(ring, [[random_value(ring, rng, 9) for _ in range(n)] for _ in range(m)])
     sweep = _Sweep(a)
@@ -781,7 +781,7 @@ def _text_zq_matrices(draw):
 
 
 def test_work_form_sweep_equals_the_fraction_sweep():
-    te = make_ring("text:z,q").ring
+    te = make_ring("text:z,q")
 
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
     @given(rows=_text_zq_matrices())
@@ -799,7 +799,7 @@ def test_work_form_sweep_equals_the_fraction_sweep():
 
 def test_work_ring_kernels_match_the_ring_kernels():
     from test_rings import _quotient_samples
-    te = make_ring("text:z,q").ring
+    te = make_ring("text:z,q")
     samples = _quotient_samples(te)
 
     def work_of(*values):
@@ -847,7 +847,7 @@ _RESCALES = {
 @pytest.mark.parametrize("payload", sorted(_RESCALES))
 def test_rescaling_inputs_keep_their_documents(payload, monkeypatch):
     rescales = []
-    work_class = type(make_ring("text:z,q").ring.to_work([]))
+    work_class = type(make_ring("text:z,q").to_work([]))
     nearest = work_class.nearest_quotient
 
     def counted(self, x, p):
@@ -866,7 +866,7 @@ def test_no_fraction_is_built_while_clearing_pivots(monkeypatch):
     import fractions
     import sys
     from edrkit import matrices
-    te = make_ring("text:z,q").ring
+    te = make_ring("text:z,q")
     rows = [[(3, Fraction(1, 3)), (3, Fraction(-1, 2)), (6, Fraction(0))],
             [(0, Fraction(5, 7)), (4, Fraction(2, 9)), (-2, Fraction(1, 4))],
             [(0, Fraction(1, 2)), (0, Fraction(1, 3)), (7, Fraction(-3, 11))]]

@@ -70,7 +70,7 @@ def _integer_invariant_factors(rows):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_diagonal_reduce_verifies_and_matches_the_integer_oracle(spec):
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
 
     @settings(derandomize=True, max_examples=40, deadline=None, database=None)
     @given(rows=_matrices(ring))
@@ -152,7 +152,7 @@ def test_text_zq_diagonal_matches_the_projected_oracle(spec, examples):
     checked factor by factor.  The module parts of the diagonal entries
     whose base part is zero stay unchecked: no known invariant fixes them.
     """
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
 
     @settings(derandomize=True, max_examples=examples, deadline=None, database=None)
     @given(rows=_matrices(ring, most=4))
@@ -165,7 +165,7 @@ def test_text_zq_diagonal_matches_the_projected_oracle(spec, examples):
 
 
 def test_the_projected_oracle_can_fail():
-    ring = make_ring("product:zmod:4,text:z,q").ring
+    ring = make_ring("product:zmod:4,text:z,q")
     rows = [[(2, (2, 0)), (0, (0, 0))], [(0, (0, 0)), (0, (6, 0))]]
     diag = [e.value for e in diagonal_reduce(RingMatrix(ring, rows)).D.diagonal()]
     assert _oracle_mismatch(ring, rows, diag) is None
@@ -176,7 +176,7 @@ def test_the_projected_oracle_can_fail():
 
 
 def test_the_polynomial_oracle_can_fail():
-    ring = make_ring("product:zmod:4,gfpoly:3").ring
+    ring = make_ring("product:zmod:4,gfpoly:3")
     assert _oracle_mismatch(ring, [[(2, (2,))]], [(2, (1,))]) is None
     assert "factor 1" in _oracle_mismatch(ring, [[(2, (2,))]], [(2, (2,))])
     assert "factor 1" in _oracle_mismatch(ring, [[(2, (0, 2))]], [(2, (0, 2))])
@@ -186,7 +186,7 @@ def test_the_polynomial_oracle_can_fail():
 def test_gfpoly_products_match_the_factor_oracles(spec):
     """Component by component: sympy's monic invariant factors over GF(p)[x],
     the integer invariant factors over Z, and their images over Z/n."""
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
 
     @settings(derandomize=True, max_examples=30, deadline=None, database=None)
     @given(rows=_matrices(ring, most=4))
@@ -202,7 +202,7 @@ def test_gfpoly_reduce2x2_delta_is_the_monic_determinant():
     """reduce2x2 over GF(5)[x] ends at diag(1, delta), where delta generates
     det(A)R: it is the monic associate of sympy's determinant, or zero."""
     from sympy.polys.matrices import DomainMatrix
-    ring = make_ring("gfpoly:5").ring
+    ring = make_ring("gfpoly:5")
     dom, to_sympy, monic = _sympy_polys(5)
     nonzero = st.lists(st.integers(0, 4), min_size=1, max_size=4).map(ring.normalize).filter(bool)
 

@@ -82,7 +82,7 @@ def test_make_ring_memo_keys_on_the_digit_limit():
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(4300)  # CPython's default
-        assert make_ring(spec).ring.n == 10 ** 699
+        assert make_ring(spec).n == 10 ** 699
         sys.set_int_max_str_digits(640)
         with pytest.raises(ExpressionError, match="700 digits is past"):
             make_ring(spec)
@@ -122,9 +122,9 @@ def test_fuzzed_descriptors_exit_with_a_documented_code(spec):
 
 
 def test_structural_equality_of_descriptors():
-    assert make_ring("zmod:6").ring == make_ring("zmod:6").ring
-    assert make_ring("zmod:6").ring != make_ring("zmod:7").ring
-    assert make_ring("text:z,q").ring == make_ring("text:z,q").ring
+    assert make_ring("zmod:6") == make_ring("zmod:6")
+    assert make_ring("zmod:6") != make_ring("zmod:7")
+    assert make_ring("text:z,q") == make_ring("text:z,q")
 
 
 def test_parse_examples():
@@ -144,9 +144,9 @@ def test_parse_errors_carry_position():
 
 
 def test_format_examples():
-    assert format_element(element(make_ring("zmod:6").ring, 5)) == "5"
-    assert format_element(element(make_ring("gfpoly:5").ring, ())) == "[]"
-    te = make_ring("text:z,self").ring
+    assert format_element(element(make_ring("zmod:6"), 5)) == "5"
+    assert format_element(element(make_ring("gfpoly:5"), ())) == "[]"
+    te = make_ring("text:z,self")
     assert format_element(element(te, (8, 22))) == "[8, 22]"
 
 
@@ -158,14 +158,14 @@ PARSE_FORMAT_RINGS = ["z", "zmod:12", "gfpoly:5", "product:zmod:2,zmod:3",
 def test_parse_format_roundtrip(expr, rng):
     entry = make_ring(expr)
     for _ in range(60):
-        el = random_element(entry.ring, rng, span=40)
+        el = random_element(entry, rng, span=40)
         assert parse_element(entry, format_element(el)) == el
 
 
 def test_trivial_extension_square_zero_ideal(rng):
     from fractions import Fraction
     for expr in ["text:z,q", "text:z,self", "text:zmod:6,self"]:
-        ring = make_ring(expr).ring
+        ring = make_ring(expr)
         for _ in range(40):
             e = random_element(ring, rng, span=9)
             f = random_element(ring, rng, span=9)
@@ -176,7 +176,7 @@ def test_trivial_extension_square_zero_ideal(rng):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_trivial_extension_units_exhaustive(n):
-    ring = make_ring(f"text:zmod:{n},self").ring
+    ring = make_ring(f"text:zmod:{n},self")
     base = ring.base
     for el in enumerate_elements(ring):
         assert is_unit(el) == base.is_unit(el.value[0])
@@ -184,13 +184,13 @@ def test_trivial_extension_units_exhaustive(n):
 
 def test_one_class_per_trivial_extension():
     """Z ⋉ Q and A ⋉ A are two classes of one kind, and never equal."""
-    zq = make_ring("text:z,q").ring
-    self4 = make_ring("text:zmod:4,self").ring
+    zq = make_ring("text:z,q")
+    self4 = make_ring("text:zmod:4,self")
     assert zq == TrivialExtensionRing() and type(zq) is TrivialExtensionRing
     assert self4 == SelfExtensionRing(ModularRing(4)) and type(self4) is SelfExtensionRing
     assert zq != SelfExtensionRing(IntegerRing()) and self4 != zq
     assert zq.kind == self4.kind == "trivial-extension"
-    assert make_ring("text:z,self").ring != make_ring("text:zmod:4,self").ring
+    assert make_ring("text:z,self") != make_ring("text:zmod:4,self")
     code, out = dispatch(CommandRequest(command="snf", ring="text:zmod:4,q",
                                         payload='{"rows":[[[1,0]]]}'))
     assert (code, out) == (EXIT_PARSE, "error: module-kind rationals requires the integer base ring")
@@ -212,6 +212,33 @@ def test_trivial_extension_catalog_entries():
     assert "text:zmod:4,self: finite=true bezout=false" in out.splitlines()
 
 
+
+RINGS_JSON = "[" + ",".join([
+    '{"bezoutTotal":true,"expression":"z","finite":false,"kind":"integers","stableStrategy":"smallest-nonzero-shift","unitLiftStrategy":"residue-scan"}',
+    '{"bezoutTotal":true,"expression":"zmod:6","finite":true,"kind":"modular","stableStrategy":"identity-shift","unitLiftStrategy":"exhaustive"}',
+    '{"bezoutTotal":true,"expression":"gfpoly:5","finite":false,"kind":"prime-field-poly","stableStrategy":"smallest-nonzero-shift","unitLiftStrategy":"residue-scan"}',
+    '{"bezoutTotal":true,"expression":"product:zmod:2,zmod:3","finite":true,"kind":"product","stableStrategy":"identity-shift","unitLiftStrategy":"exhaustive"}',
+    '{"bezoutTotal":true,"expression":"text:z,q","finite":false,"kind":"trivial-extension","stableStrategy":"base-component-shift","unitLiftStrategy":"residue-scan"}',
+    '{"bezoutTotal":false,"expression":"text:zmod:4,self","finite":true,"kind":"trivial-extension","stableStrategy":"identity-shift","unitLiftStrategy":"exhaustive"}',
+    '{"bezoutTotal":false,"expression":"series:8","finite":false,"kind":"truncated-series","stableStrategy":"constant-term-shift","unitLiftStrategy":"residue-scan"}',
+]) + "]"
+
+RINGS_PRETTY = """\
+z: finite=false bezout=true
+zmod:6: finite=true bezout=true
+gfpoly:5: finite=false bezout=true
+product:zmod:2,zmod:3: finite=true bezout=true
+text:z,q: finite=false bezout=true
+text:zmod:4,self: finite=true bezout=false
+series:8: finite=false bezout=false"""
+
+
+def test_rings_document_is_pinned():
+    """The whole `edr rings` document, in both output modes."""
+    assert dispatch(CommandRequest(command="rings")) == (EXIT_OK, RINGS_JSON)
+    assert dispatch(CommandRequest(command="rings", output="pretty")) == (EXIT_OK, RINGS_PRETTY)
+
+
 def test_ring_catalog_is_deterministic():
     assert ring_catalog() == ring_catalog()
     exprs = [e["expression"] for e in ring_catalog()]
@@ -220,8 +247,8 @@ def test_ring_catalog_is_deterministic():
 
 def test_nested_product_inside_text():
     entry = make_ring("product:text:z,q,zmod:6")
-    assert entry.ring.factors[0].expression() == "text:z,q"
-    assert entry.ring.factors[1].expression() == "zmod:6"
+    assert entry.factors[0].expression() == "text:z,q"
+    assert entry.factors[1].expression() == "zmod:6"
 
 
 # Encodings the parsers accept that are not written in normal form: signs and
@@ -243,7 +270,7 @@ UNNORMAL_JSON = {
 @pytest.mark.parametrize("expr", sorted(UNNORMAL_JSON))
 def test_value_from_json_returns_normal_forms(expr, rng):
     # the parsers box value_from_json output without normalizing it again
-    ring = make_ring(expr).ring
+    ring = make_ring(expr)
     encodings = UNNORMAL_JSON[expr] + [
         ring.value_to_json(random_element(ring, rng, span=40).value) for _ in range(40)]
     for obj in encodings:

@@ -54,7 +54,7 @@ ALL_RINGS = [
     SelfExtensionRing(Z),
     TrivialExtensionRing(),
     SelfExtensionRing(ModularRing(4)),
-    make_ring("series:6").ring,
+    make_ring("series:6"),
 ]
 
 
@@ -154,7 +154,7 @@ def test_bezout_certificates_on_samples(ring, rng):
 
 
 def test_series_bezout_where_supported(rng):
-    ring = make_ring("series:6").ring
+    ring = make_ring("series:6")
     seen = 0
     while seen < 80:
         a = random_element(ring, rng, span=12)
@@ -166,6 +166,29 @@ def test_series_bezout_where_supported(rng):
         assert cert.verify(), (a, b)
         assert cert.d.value == (math.gcd(a.value[0], b.value[0]), ())
 
+
+
+def _series_mul_by_double_sum(ring, x, y):
+    """Coefficient k of x*y summed as x_0 y_k + ... + x_k y_0 for every k up
+    to the order, absent coefficients read as zero."""
+    coeffs = [sum((ring._coeff(x, i) * ring._coeff(y, k - i) for i in range(k + 1)),
+                  Fraction(0))
+              for k in range(1, ring.order + 1)]
+    return ring.normalize((x[0] * y[0], tuple(coeffs)))
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_series_mul_matches_the_double_sum(order, rng):
+    ring = make_ring(f"series:{order}")
+    values = [ring.zero, ring.one, (-1, ()), (6, ()), (0, (Fraction(1),)),
+              (0, (Fraction(0),) * (order - 1) + (Fraction(-2, 3),)),
+              (2, tuple(Fraction(k, 2) for k in range(1, order + 1)))]
+    values += [random_element(ring, rng, span=12).value for _ in range(30)]
+    for x in values:
+        for y in values:
+            want = _series_mul_by_double_sum(ring, x, y)
+            got = ring.mul(x, y)
+            assert got == want and repr(got) == repr(want), (x, y)
 
 def test_divide_exact_examples():
     assert divide_exact(element(Z, 22), element(Z, 11)).value == 2
@@ -255,7 +278,7 @@ def test_enumerate_elements():
 def test_enumerate_counts_match_formula():
     for expr, count in [("zmod:9", 9), ("product:zmod:2,zmod:2,zmod:5", 20),
                         ("text:zmod:3,self", 9)]:
-        ring = make_ring(expr).ring
+        ring = make_ring(expr)
         els = list(enumerate_elements(ring))
         assert len(els) == len(set(els)) == count
 
@@ -271,10 +294,10 @@ def _self_ext(base):
 
 # the product bases are built with constructors, because ``product`` parses
 # greedily and would take ``self`` for a factor
-SELF_EXTENSIONS = [make_ring(f"text:zmod:{n},self").ring for n in range(2, 9)] + [
+SELF_EXTENSIONS = [make_ring(f"text:zmod:{n},self") for n in range(2, 9)] + [
     _self_ext(ProductRing([ModularRing(2), ModularRing(3)])),
     _self_ext(ProductRing([ModularRing(4), ModularRing(2)])),
-    make_ring("text:text:zmod:2,self,self").ring,
+    make_ring("text:text:zmod:2,self,self"),
 ]
 
 
@@ -290,7 +313,7 @@ def test_finite_enumeration_ascends(ring):
 def test_enumeration_over_a_huge_base_is_lazy(spec):
     """Division by zero scans the base's elements and stops at the first, so
     it reads only that prefix, on a nested base too."""
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     zero = json.dumps(ring.value_to_json(ring.zero))
     code, out = dispatch(CommandRequest(command="complete", ring=spec,
                                         payload=f'{{"row":[{zero},{zero}],"d":{zero}}}'))
@@ -344,7 +367,7 @@ def _scanned_quotients(ring, a, d):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_modular_self_quotients_match_the_scan(n):
-    ring = make_ring(f"text:zmod:{n},self").ring
+    ring = make_ring(f"text:zmod:{n},self")
     els = list(ring.elements())
     for a in els:
         for d in els:
@@ -366,7 +389,7 @@ def _scanned_canonical_associate(ring, a):
 
 @pytest.mark.parametrize("n", range(2, 25))
 def test_modular_self_canonical_associates_match_the_scan(n):
-    ring = make_ring(f"text:zmod:{n},self").ring
+    ring = make_ring(f"text:zmod:{n},self")
     for a in ring.elements():
         assert ring.canonical_associate(a) == _scanned_canonical_associate(ring, a), a
 
@@ -392,17 +415,33 @@ def test_division_over_a_mersenne_base_reads_no_elements(monkeypatch):
         (0, 0), (1, 0), (2, 0)]
 
 
+def _small_first(base):
+    """Z as 0, 1, -1, 2, -2, ...; GF(p)[x] as zero, then by degree, leading
+    coefficient, and the lower coefficients low-to-high."""
+    if isinstance(base, IntegerRing):
+        yield 0
+        for k in itertools.count(1):
+            yield k
+            yield -k
+        return
+    yield ()
+    for deg in itertools.count(0):
+        for lead in range(1, base.p):
+            for rest in itertools.product(range(base.p), repeat=deg):
+                yield rest + (lead,)
+
+
 def _window(base, n0, n1):
-    """Pairs of the base's first n0 and first n1 elements in its search order."""
-    firsts = list(itertools.islice(base.search_order(), max(n0, n1)))
+    """Pairs of the base's first n0 and first n1 elements, small first."""
+    firsts = list(itertools.islice(_small_first(base), max(n0, n1)))
     return [(x, y) for x in firsts[:n0] for y in firsts[:n1]]
 
 
 def test_self_extension_division_over_infinite_bases_matches_a_window():
     """On a domain base q0 = a0/d0, or a1/d1 when d0 = a0 = 0, and any q1
-    serves when d0 = 0, so the window holds every quotient; the search
-    order puts zero first, where the library takes it."""
-    ring = make_ring("text:z,self").ring
+    serves when d0 = 0, so the window holds every quotient; the window
+    puts zero first, where the library takes it."""
+    ring = make_ring("text:z,self")
     els = _window(Z, 5, 5)  # entries in [-2, 2]
     window = _window(Z, 5, 13)  # q1 in [-6, 6]
     _assert_matches_scan(ring, els, window)
@@ -411,7 +450,7 @@ def test_self_extension_division_over_infinite_bases_matches_a_window():
         assert ring.associate_unit(canon, a)
         assert all(ring.canonical_associate(ring.mul(a, u)) == canon
                    for u in window if ring.is_unit(u))
-    ring = make_ring("text:gfpoly:3,self").ring
+    ring = make_ring("text:gfpoly:3,self")
     gf3 = GFPolynomialRing(3)
     # base parts of degree <= 1 and constant module parts; quotients of degree <= 1
     _assert_matches_scan(ring, _window(gf3, 9, 3), _window(gf3, 9, 9))
@@ -475,7 +514,7 @@ def test_is_prime_refuses_at_and_past_the_limit():
 
 def test_gfpoly_over_a_huge_prime_is_polylog():
     t0 = time.perf_counter()
-    assert make_ring("gfpoly:2305843009213693951").ring.p == 2 ** 61 - 1
+    assert make_ring("gfpoly:2305843009213693951").p == 2 ** 61 - 1
     assert time.perf_counter() - t0 < 0.5
     with pytest.raises(RingError):
         make_ring("gfpoly:2305843009213693953")  # 3 * 768614336404564651
@@ -511,7 +550,7 @@ def _quotient_samples(ring):
 def test_nearest_quotients_leave_small_remainders():
     for spec in ("z", "gfpoly:5", "zmod:360", "zmod:4096", "zmod:2305843009213693951",
                  f"zmod:{_NEAR_2_63}", "text:z,q"):
-        ring = make_ring(spec).ring
+        ring = make_ring(spec)
         samples = _quotient_samples(ring)
         divisors = [b for b in samples if b != ring.zero]
         least = ring.size(ring.one)

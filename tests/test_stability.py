@@ -61,7 +61,7 @@ def test_series_comaximality_without_constant_terms():
     used to ask for a Bezout certificate that does not exist and raise."""
     from edrkit.stability import _comaximal
 
-    s = make_ring("series:4").ring
+    s = make_ring("series:4")
     x = element(s, (0, (1,)))
     x2 = x * x
     assert not is_coprime(x, x2)
@@ -92,7 +92,7 @@ def test_select_stable_examples():
     assert exhaustive.stable_range_1(exhaustive.ModStructure(3))[0]
     assert select_stable(zel(0), zel(7)).value == 1
     assert exhaustive.stable_range_1(exhaustive.ModStructure(7))[0]
-    s = make_ring("series:8").ring
+    s = make_ring("series:8")
     f = element(s, (0, (Fraction(1),)))
     g = element(s, (1, ()))
     assert select_stable(f, g).value == (1, ())
@@ -104,11 +104,11 @@ def test_select_stable_rejects_zero_pair():
 
 
 def test_select_stable_refuses_pairs_without_a_stable_shift():
-    s = make_ring("series:4").ring
+    s = make_ring("series:4")
     x = element(s, (0, (Fraction(1),)))
     with pytest.raises(PreconditionError, match="finite quotient"):
         select_stable(x, x * x)
-    t = make_ring("text:z,q").ring
+    t = make_ring("text:z,q")
     with pytest.raises(PreconditionError, match="finite quotient"):
         select_stable(element(t, (0, Fraction(1, 2))), element(t, (0, Fraction(3))))
 
@@ -185,7 +185,7 @@ def test_select_stable_shifts_a_nested_extension_to_a_finite_quotient():
     """Over (Z ⋉ Z) ⋉ (Z ⋉ Z), a = ((0,1),(0,0)) is nonzero but maps to 0 in
     Z, so R/aR is infinite and y = 0 is no stable shift; y = ((1,0),(0,0))
     makes a + b*y = ((1,1),(0,0)), a unit."""
-    ring = make_ring("text:text:z,self,self").ring
+    ring = make_ring("text:text:z,self,self")
     a, b = element(ring, ((0, 1), (0, 0))), element(ring, ((1, 0), (0, 0)))
     assert is_coprime(a, b)
     with pytest.raises(InfiniteRingError):
@@ -232,7 +232,7 @@ def test_is_stable_holds_where_the_quotient_is_finite():
     ring.  The oracle is the search of Z/|c0|.  A zero integer part leaves an
     infinite quotient, which is refused.  Over a product R/cR is the product
     of the factors' quotients, finite exactly when each one is."""
-    zq, series = make_ring("text:z,q").ring, make_ring("series:4").ring
+    zq, series = make_ring("text:z,q"), make_ring("series:4")
     for m in (-12, -5, -2, 2, 3, 4, 6, 9, 12):
         oracle = exhaustive.stable_range_1(exhaustive.ModStructure(abs(m)))[0]
         for e in (Fraction(0), Fraction(1, 3), Fraction(-7, 2)):
@@ -241,14 +241,14 @@ def test_is_stable_holds_where_the_quotient_is_finite():
     for v in ((zq, (0, Fraction(1, 2))), (series, (0, (Fraction(1),))), (series, (0, ()))):
         with pytest.raises(InfiniteRingError):
             is_stable(element(*v))
-    zz = make_ring("product:z,z").ring
+    zz = make_ring("product:z,z")
     assert is_stable(element(zz, (2, 3))).holds  # R/cR = Z/2 x Z/3
     with pytest.raises(InfiniteRingError):
         is_stable(element(zz, (0, 3)))  # R/cR = Z x Z/3
 
 
 def test_product_residues_are_the_product_of_the_factor_residues():
-    ring = make_ring("product:z,gfpoly:3,zmod:4").ring
+    ring = make_ring("product:z,gfpoly:3,zmod:4")
     f = (1, 0, 1)
     expected = list(itertools.product(range(3), ring.factors[1].residues_mod(f), range(4)))
     assert list(ring.residues_mod((3, f, 2))) == expected
@@ -274,7 +274,7 @@ def test_is_stable_on_self_extensions_against_their_quotient_tables(
     """Over A ⋉ A with A infinite, R/cR has |A/c0A|^2 elements: the pairs of
     remainders modulo c0.  Each quotient is tabulated from those remainders,
     with no call into the ring, and searched for stable range 1."""
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     for c in elements:
         base_residues = list(residues(c[0]))
         table = _quotient_table(ops, [(r0, r1) for r0 in base_residues for r1 in base_residues],
@@ -306,7 +306,7 @@ def test_check_property_unsupported_pairings():
     with pytest.raises(UnsupportedOperationError):
         check_property(Z, "clean")
     with pytest.raises(UnsupportedOperationError):
-        check_property(make_ring("text:z,q").ring, "stable-range-1")
+        check_property(make_ring("text:z,q"), "stable-range-1")
 
 
 def test_sr2_witness_examples(rng):
@@ -376,14 +376,14 @@ def test_coprime_factorization_on_residue_rings():
 
 
 def test_coprime_factorization_scans_only_small_finite_rings(monkeypatch):
-    small = make_ring("product:zmod:4,zmod:6").ring
+    small = make_ring("product:zmod:4,zmod:6")
     c, a, b = (element(small, v) for v in ((2, 4), (2, 5), (3, 1)))
     _assert_coprime_split(c, a, b, *coprime_factorization(c, a, b))
     # products split factor by factor, past the scan cap too
-    big = make_ring("product:zmod:64,zmod:97").ring  # 6,208 elements
+    big = make_ring("product:zmod:64,zmod:97")  # 6,208 elements
     c, a, b = (element(big, v) for v in ((2, 4), (1, 5), (3, 1)))
     _assert_coprime_split(c, a, b, *coprime_factorization(c, a, b))
-    mixed = make_ring("product:zmod:4,z").ring
+    mixed = make_ring("product:zmod:4,z")
     for v in (((0, 12), (2, 9), (1, 5)), ((2, 12), (3, 9), (0, 5)), ((3, -7), (0, 1), (1, 0))):
         c, a, b = (element(mixed, x) for x in v)
         r, s = coprime_factorization(c, a, b)
@@ -400,7 +400,7 @@ def test_coprime_factorization_scans_only_small_finite_rings(monkeypatch):
 
     monkeypatch.setattr(exhaustive.TableStructure, "__init__", no_table)
     for spec in ("text:zmod:32,self", "text:zmod:33,self", "text:zmod:65,self"):
-        ring = make_ring(spec).ring  # 1,024, 1,089 and 4,225 elements
+        ring = make_ring(spec)  # 1,024, 1,089 and 4,225 elements
         for v in (((6, 1), (3, 0), (2, 0)), ((5, 1), (1, 0), (0, 0)), ((0, 7), (2, 1), (3, 5))):
             c, a, b = (element(ring, x) for x in v)
             _assert_coprime_split(c, a, b, *coprime_factorization(c, a, b))
@@ -409,7 +409,7 @@ def test_coprime_factorization_scans_only_small_finite_rings(monkeypatch):
 def test_trivial_extension_refusals_answered_from_the_base():
     """Over A ⋉ A, which has no Bezout certificates, lift_unit tries the
     base's residues and clean_idempotent scales the base's certificate."""
-    ring = make_ring("text:zmod:4,self").ring
+    ring = make_ring("text:zmod:4,self")
     a, b, c = (element(ring, v) for v in ((2, 0), (1, 0), (2, 0)))
     y = lift_unit(a, b, c)
     assert y.value == (1, 0) and is_unit(a + b * y)  # (3, 0)
@@ -424,7 +424,7 @@ def test_trivial_extension_refusals_answered_from_the_base():
 def test_trivial_extension_lifts_and_idempotents_meet_their_definitions(n):
     """lift_unit and clean_idempotent on every triple of text:zmod:n,self,
     against sums of principal ideals of the whole ring."""
-    ring = make_ring(f"text:zmod:{n},self").ring
+    ring = make_ring(f"text:zmod:{n},self")
     els = list(ring.elements())
     principal = {x: frozenset(ring.mul(x, t) for t in els) for x in els}
 
@@ -450,7 +450,7 @@ def test_trivial_extension_lifts_and_idempotents_meet_their_definitions(n):
 
 
 def test_clean_idempotent_over_a_huge_modulus_is_fast():
-    ring = make_ring("zmod:2305843009213693953").ring  # 3 * 768614336404564651
+    ring = make_ring("zmod:2305843009213693953")  # 3 * 768614336404564651
     c, a, b = (element(ring, v) for v in (3, 1, 3))
     t0 = time.perf_counter()
     e = clean_idempotent(c, a, b)
@@ -504,7 +504,7 @@ def _clean_by_definition(ring, c, a, b, e) -> bool:
 def test_clean_idempotent_meets_its_definition(spec, rng):
     from conftest import random_value
 
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     checked = 0
     while checked < 40:
         c, a, b = (element(ring, random_value(ring, rng, 30)) for _ in range(3))
@@ -526,7 +526,7 @@ def test_theorem_style_implication_on_finite_rings():
     # both sides are exhaustively computed, never assumed
     for expr in ["zmod:6", "zmod:8", "zmod:9", "product:zmod:2,zmod:4",
                  "text:zmod:3,self"]:
-        ring = make_ring(expr).ring
+        ring = make_ring(expr)
         s = exhaustive.structure_for(ring)
 
         def stable(v):
@@ -540,7 +540,7 @@ def test_theorem_style_implication_on_finite_rings():
 def test_product_locally_stable_matches_components():
     for m1 in (2, 3, 4):
         for m2 in (2, 5):
-            prod = make_ring(f"product:zmod:{m1},zmod:{m2}").ring
+            prod = make_ring(f"product:zmod:{m1},zmod:{m2}")
             v = _exhaustively(prod, exhaustive.locally_stable)
             c1 = _exhaustively(ModularRing(m1), exhaustive.locally_stable)
             c2 = _exhaustively(ModularRing(m2), exhaustive.locally_stable)
@@ -549,7 +549,7 @@ def test_product_locally_stable_matches_components():
 
 def test_trivial_extension_locally_stable_matches_base():
     for n in (2, 3, 4, 6):
-        te = make_ring(f"text:zmod:{n},self").ring
+        te = make_ring(f"text:zmod:{n},self")
         assert (_exhaustively(te, exhaustive.locally_stable)
                 == _exhaustively(ModularRing(n), exhaustive.locally_stable))
 
@@ -560,7 +560,7 @@ def test_locally_stable_and_neat_range_agree_with_reduction(rng):
     from edrkit import RingMatrix, diagonal_reduce, verify_reduction
     from conftest import random_value
     for expr in ["zmod:4", "zmod:6", "zmod:9", "zmod:12", "product:zmod:2,zmod:5"]:
-        ring = make_ring(expr).ring
+        ring = make_ring(expr)
         assert check_property(ring, "locally-stable").holds
         assert check_property(ring, "neat-range-1").holds
         for _ in range(10):
@@ -587,7 +587,7 @@ def test_finite_comaximality_on_products_matches_ideal_sums(spec):
 
     from edrkit.stability import _comaximal
 
-    ring = make_ring(spec).ring
+    ring = make_ring(spec)
     assert not ring.bezout_total
     els = list(ring.elements())
     ideal = {x: {ring.mul(x, t) for t in els} for x in els}
