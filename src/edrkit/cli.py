@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .completion import complete_row, complete_unimodular
 from .matrices import (
-    ReductionResult,
     RingMatrix,
     determinant,
     diagonal_reduce,
@@ -27,7 +26,7 @@ from .matrices import (
 from .registry import (
     ElementSyntaxError,
     ExpressionError,
-    format_element,
+    format_value,
     make_ring,
     parse_element,
     parse_json,
@@ -100,54 +99,36 @@ def read_matrix(path_or_inline: str, ring_spec: str) -> RingMatrix:
     return RingMatrix._trusted(ring, rows)
 
 
-def _pretty_matrix(m: RingMatrix) -> str:
-    ring = m.ring
-    cells = [[format_element(m.entry(i, j)) for j in range(m.cols)]
-             for i in range(m.rows)]
-    widths = [max(len(cells[i][j]) for i in range(m.rows)) for j in range(m.cols)]
-    return "\n".join(" ".join(cells[i][j].rjust(widths[j]) for j in range(m.cols))
-                     for i in range(m.rows))
+def _pretty_matrix(rows) -> str:
+    cells = [[format_value(v) for v in row] for row in rows]
+    widths = [max(map(len, col)) for col in zip(*cells)]
+    return "\n".join(" ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells)
 
 
-def render(result, mode: str) -> str:
-    """Deterministic rendering of a result document."""
+def render(doc, mode: str) -> str:
+    """Deterministic rendering of a result document: canonical JSON, or text
+    formatted from the document's own entries."""
     if mode == "json":
-        if isinstance(result, (dict, list)):
-            return _json_text(result)
-        raise RingError(f"cannot render {result!r} as json")
-    if isinstance(result, dict) and "D" in result:
-        lines = ["D:", result["_pretty_D"], "P:", result["_pretty_P"],
-                 "Q:", result["_pretty_Q"]]
-        if "verified" in result:
-            lines.append(f"verified: {str(result['verified']).lower()}")
-        return "\n".join(lines)
-    if isinstance(result, dict) and "matrix" in result:
-        return "\n".join(["matrix:", result["_pretty_matrix"],
-                          f"det: {result['_pretty_d']}"])
-    if isinstance(result, dict) and "property" in result:
-        lines = [f"{result['property']}: {'holds' if result['holds'] else 'fails'}"]
-        if "witness" in result:
-            lines.append("witness: " + _json_text(result["witness"]))
-        if "searchBound" in result:
-            lines.append(f"search bound: {result['searchBound']}")
-        return "\n".join(lines)
-    if isinstance(result, list):
+        return _json_text(doc)
+    if isinstance(doc, list):
         return "\n".join(
             f"{e['expression']}: finite={str(e['finite']).lower()} "
-            f"bezout={str(e['bezoutTotal']).lower()}" for e in result)
-    return _json_text(result)
-
-
-def _reduction_doc(a: RingMatrix, res: ReductionResult, verify: bool,
-                   pretty: bool) -> tuple[dict, bool]:
-    """The JSON document; with pretty, also the _pretty_* grids that render reads."""
-    ok = verify_reduction(a, res) if verify else True
-    doc = res.to_json(verified=ok if verify else None)
-    if pretty:
-        doc["_pretty_D"] = _pretty_matrix(res.D)
-        doc["_pretty_P"] = _pretty_matrix(res.P)
-        doc["_pretty_Q"] = _pretty_matrix(res.Q)
-    return doc, ok
+            f"bezout={str(e['bezoutTotal']).lower()}" for e in doc)
+    if "D" in doc:
+        lines = ["D:", _pretty_matrix(doc["D"]), "P:", _pretty_matrix(doc["P"]),
+                 "Q:", _pretty_matrix(doc["Q"])]
+        if "verified" in doc:
+            lines.append(f"verified: {str(doc['verified']).lower()}")
+        return "\n".join(lines)
+    if "matrix" in doc:
+        return "\n".join(["matrix:", _pretty_matrix(doc["matrix"]),
+                          f"det: {format_value(doc['d'])}"])
+    lines = [f"{doc['property']}: {'holds' if doc['holds'] else 'fails'}"]
+    if "witness" in doc:
+        lines.append("witness: " + _json_text(doc["witness"]))
+    if "searchBound" in doc:
+        lines.append(f"search bound: {doc['searchBound']}")
+    return "\n".join(lines)
 
 
 def _completion_payload(req: CommandRequest, ring):
@@ -191,7 +172,8 @@ def dispatch(req: CommandRequest) -> tuple[int, str]:
                 raise CLIParseError(f"{req.command} needs --input")
             a = read_matrix(req.payload, req.ring)
             res = (diagonal_reduce if req.command == "snf" else reduce_2x2)(a)
-            doc, ok = _reduction_doc(a, res, req.verify, req.output == "pretty")
+            doc = res.to_json(verified=verify_reduction(a, res) if req.verify else None)
+            ok = doc.get("verified", True)
             return (EXIT_OK if ok else EXIT_PRECONDITION), render(doc, req.output)
         if req.command == "complete":
             row, d = _completion_payload(req, ring)
@@ -205,9 +187,6 @@ def dispatch(req: CommandRequest) -> tuple[int, str]:
                 # Berkowitz here; complete_row never computes a general determinant
                 ok = determinant(res.matrix) == res.d
                 doc["verified"] = ok
-            if req.output == "pretty":
-                doc["_pretty_matrix"] = _pretty_matrix(res.matrix)
-                doc["_pretty_d"] = format_element(res.d)
             return (EXIT_OK if ok else EXIT_PRECONDITION), render(doc, req.output)
         if req.command == "check":
             if req.property is None:

@@ -95,14 +95,10 @@ def _row_gcd_with_coefficients(ring: Ring, row: list) -> tuple[Any, list]:
             g, xs = _row_gcd_with_coefficients(
                 ring, [row[lead], *row[:lead], *row[lead + 1:]])
             return g, [*xs[1:lead + 1], xs[0], *xs[lead + 1:]]
-    zero, mul = ring.zero, ring.mul
+    mul = ring.mul
     g = row[0]
     us, vs = [], [ring.one]
     for a in row[1:]:
-        if g == zero and a == zero:  # the zero ideal so far: a_k takes no weight
-            us.append(ring.one)
-            vs.append(zero)
-            continue
         g, u, v, _, _ = ring.bezout_raw(g, a)
         us.append(u)
         vs.append(v)
@@ -209,8 +205,6 @@ def _complete_row_many(ring: Ring, row: list, d: RingElement, xs: list, qs: list
     if add(alpha, mul(z, x2t)) != w:
         raise RingError("internal error: stable modulus decomposition failed")
 
-    if alpha == zero and z == zero:  # no certificate: bezout_raw takes no zero pair
-        raise RingError("internal error: alpha and z are not comaximal")
     g, sv, tv, _, _ = ring.bezout_raw(alpha, z)
     if not ring.is_unit(g):
         raise RingError("internal error: alpha and z are not comaximal")

@@ -370,8 +370,9 @@ def _eye2(ring):
 def _cert_col_pair(ring, a, b):
     """Column transform (t, tinv) sending the row pair (a, b) to (d, 0).
 
-    The pair (a, 0) keeps the identity transform; this also covers (0, 0),
-    which has no unimodular completion, so ``bezout_raw`` never sees it.
+    The pair (a, 0) keeps a and the identity transform, where
+    ``bezout_raw`` would give a's canonical associate: the documents keep
+    their bytes.
     """
     if b == ring.zero:
         return a, _eye2(ring), _eye2(ring)
@@ -421,9 +422,7 @@ def reduce_2x2(a: RingMatrix) -> ReductionResult:
 
     # (i) a*x + b*y + c*z = u, a unit, through two certificates; the shift
     # needs only x and z, for any u, and b = c = 0 (d_bc = 0) gives z = 0
-    d_bc, z_bc = zero, zero
-    if bv != zero or cv != zero:
-        d_bc, _, z_bc, _, _ = ring.bezout_raw(bv, cv)
+    d_bc, _, z_bc, _, _ = ring.bezout_raw(bv, cv)
     _, x, s, _, _ = ring.bezout_raw(av, d_bc)
     z = mul(z_bc, s)
 
@@ -577,7 +576,6 @@ def _enforce_chain(sweep: _Sweep):
                            ((ring.one, ring.zero), (ring.neg(ring.one), ring.one)))
             # the refined certificate makes (a0, b0) comaximal, so the
             # content-1 cofactor block meets the reduce_2x2 hypothesis
-            # (a does not divide c, so the pair is never (0, 0))
             _, _, _, a0, b0 = ring.bezout_raw(a, c)
             block = RingMatrix._trusted(ring, ((a0, ring.zero), (a0, b0)))
             sub = reduce_2x2(block)

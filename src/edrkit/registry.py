@@ -208,12 +208,14 @@ def parse_element(ring: Ring, text: str) -> RingElement:
         raise ElementSyntaxError(str(exc)) from None
 
 
+def format_value(obj) -> str:
+    """The element text of a JSON-encoded value: decimal for an int, JSON otherwise."""
+    return str(obj) if isinstance(obj, int) else json.dumps(obj)
+
+
 def format_element(e: RingElement) -> str:
     """Canonical text encoding; parse_element(e.ring, format_element(e)) == e."""
-    obj = e.ring.value_to_json(e.value)
-    if isinstance(obj, int):
-        return str(obj)
-    return json.dumps(obj)
+    return format_value(e.ring.value_to_json(e.value))
 
 
 def ring_catalog() -> list[dict]:

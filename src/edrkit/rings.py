@@ -26,7 +26,8 @@ ideal ``aR + bR = dR`` with the identities
 
 The last ("refined") identity makes the 2x2 completion ``[[x, -b0], [y, a0]]``
 unimodular with determinant exactly 1, which is what column reduction needs.
-It is waived only for the degenerate pair ``(0, 0)``.
+Every pair has one: the pair ``(0, 0)`` gets ``(d, x, y, a0, b0) = (0, 1, 0, 1, 0)``,
+whose completion is the identity.
 
 All values are immutable and all operations are pure functions, so everything
 is safe to share across workers.
@@ -91,8 +92,6 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
 
 def _rational_gcd(e: Fraction, f: Fraction) -> Fraction:
     """Generator of the Z-module Z*e + Z*f inside Q (nonnegative)."""
-    if e == 0 and f == 0:
-        return Fraction(0)
     num = gcd(e.numerator * f.denominator, f.numerator * e.denominator)
     return Fraction(num, e.denominator * f.denominator)
 
@@ -415,25 +414,32 @@ class Ring(ABC):
             raise NotAssociatesError(f"{a!r} and {d!r} are not associates in {self.expression()}")
         return u
 
-    @abstractmethod
     def bezout_raw(self, a: Any, b: Any) -> tuple[Any, Any, Any, Any, Any]:
-        """(d, x, y, a0, b0) for a nonzero pair; the (0, 0) pair never reaches here."""
+        """(d, x, y, a0, b0), a refined certificate for the pair (a, b).
+
+        The (0, 0) pair gets (0, 1, 0, 1, 0), whose column transform
+        [[x, -b0], [y, a0]] is the identity; every other pair goes to
+        ``_bezout``.
+        """
+        if a == self.zero and b == self.zero:
+            return self.zero, self.one, self.zero, self.one, self.zero
+        return self._bezout(a, b)
+
+    @abstractmethod
+    def _bezout(self, a: Any, b: Any) -> tuple[Any, Any, Any, Any, Any]:
+        """(d, x, y, a0, b0) for a pair other than (0, 0)."""
 
     def gcd(self, a: Any, b: Any) -> Any:
-        """Exactly bezout_raw(a, b)[0], and zero for the (0, 0) pair.
+        """Exactly bezout_raw(a, b)[0], so zero for the (0, 0) pair.
 
         The generator of aR + bR without the cofactors: comaximality tests
         and gcd folds need only this.  A ring with a cheaper way to the same
         value overrides it.
         """
-        if a == self.zero and b == self.zero:
-            return self.zero
         return self.bezout_raw(a, b)[0]
 
     def canonical_associate(self, a: Any) -> Any:
         """The canonical generator of aR (nonnegative / monic / divisor of n)."""
-        if a == self.zero:
-            return self.zero
         return self.bezout_raw(a, self.zero)[0]
 
     # -- Euclidean size -------------------------------------------------------
@@ -618,7 +624,7 @@ class IntegerRing(Ring):
             return -1
         raise NotAssociatesError(f"{a!r} and {d!r} are not associates in z")
 
-    def bezout_raw(self, a, b):
+    def _bezout(self, a, b):
         g, x, y = _egcd(a, b)
         return g, x, y, (a // g), (b // g)
 
@@ -739,7 +745,7 @@ class ModularRing(Ring):
         m = n // g
         return self._unit_lift((a // g) * pow((d // g) % m, -1, m), m)
 
-    def bezout_raw(self, a, b):
+    def _bezout(self, a, b):
         n = self.n
         d = gcd(a, b, n)
         big_n = n // d
@@ -902,7 +908,7 @@ class GFPolynomialRing(Ring):
                 return (u,)
         raise NotAssociatesError(f"{a!r} and {d!r} are not associates in {self.expression()}")
 
-    def bezout_raw(self, a, b):
+    def _bezout(self, a, b):
         g, x, y = _pegcd(a, b, self.p)
         return g, x, y, self.divide_exact(a, g), self.divide_exact(b, g)
 
@@ -1028,23 +1034,14 @@ class ProductRing(Ring):
     def associate_unit(self, a, d):
         return tuple(f.associate_unit(ai, di) for f, ai, di in zip(self.factors, a, d))
 
-    def bezout_raw(self, a, b):
-        ds, xs, ys, a0s, b0s = [], [], [], [], []
-        for f, ai, bi in zip(self.factors, a, b):
-            if ai == f.zero and bi == f.zero:
-                # zero-pair component: d=0 still admits a refined certificate
-                di, xi, yi, a0i, b0i = f.zero, f.one, f.zero, f.one, f.zero
-            else:
-                di, xi, yi, a0i, b0i = f.bezout_raw(ai, bi)
-            ds.append(di)
-            xs.append(xi)
-            ys.append(yi)
-            a0s.append(a0i)
-            b0s.append(b0i)
-        return tuple(ds), tuple(xs), tuple(ys), tuple(a0s), tuple(b0s)
+    def _bezout(self, a, b):
+        return tuple(zip(*[f.bezout_raw(ai, bi) for f, ai, bi in zip(self.factors, a, b)]))
 
     def gcd(self, a, b):
         return tuple([f.gcd(ai, bi) for f, ai, bi in zip(self.factors, a, b)])
+
+    def canonical_associate(self, a):
+        return tuple([f.canonical_associate(ai) for f, ai in zip(self.factors, a)])
 
     def residues_mod(self, c):
         # R/cR is the product of the factors' quotients; each factor is asked
@@ -1181,7 +1178,7 @@ class TrivialExtensionRing(Ring):
             raise NonDivisibleError(f"{d!r} does not divide {a!r} in {self.expression()}")
         return (int(k), Fraction(0))
 
-    def bezout_raw(self, a, b):
+    def _bezout(self, a, b):
         (ma, qa), (mb, qb) = a, b
         g, alpha, beta = _egcd(ma, mb)
         if g != 0:
@@ -1496,7 +1493,7 @@ class SelfExtensionRing(Ring):
             raise NonDivisibleError(f"{d!r} does not divide {a!r} in {self.expression()}")
         return q
 
-    def bezout_raw(self, a, b):
+    def _bezout(self, a, b):
         raise UnsupportedOperationError(
             f"bezout certificates is not supported in {self.expression()}")
 
@@ -1566,9 +1563,9 @@ class TruncatedSeriesRing(Ring):
     This is the quotient of {a0 + a1 x + ... : a0 integer, ai rational} by the
     ideal of terms beyond x^order, so all ring axioms hold exactly.  Values are
     pairs ``(constant, coeffs)`` where ``coeffs[i]`` is the coefficient of
-    ``x^(i+1)``, trailing zeros stripped.  Bezout certificates exist here only
-    when at least one operand has a nonzero constant term (that operand is then
-    a unit multiple of its constant); other pairs are rejected.
+    ``x^(i+1)``, trailing zeros stripped.  Bezout certificates exist here for
+    (0, 0) and when at least one operand has a nonzero constant term (that
+    operand is then a unit multiple of its constant); other pairs are rejected.
     """
 
     kind = "truncated-series"
@@ -1688,13 +1685,13 @@ class TruncatedSeriesRing(Ring):
             raise NonDivisibleError(f"{d!r} does not divide {a!r} in {self.expression()}")
         return value
 
-    def bezout_raw(self, a, b):
+    def _bezout(self, a, b):
         if a[0] == 0 and b[0] == 0:
             raise UnsupportedOperationError(
                 "bezout certificates in a truncated-series ring need an operand "
                 "with nonzero constant term")
         if a[0] == 0:
-            d, y, x, b0, a0 = self.bezout_raw(b, a)
+            d, y, x, b0, a0 = self._bezout(b, a)
             return d, x, y, a0, b0
         g, alpha, beta = _egcd(a[0], b[0])
         d = (g, ())
@@ -1815,8 +1812,8 @@ def one(ring: Ring) -> RingElement:
 class BezoutCertificate:
     """Witness for aR + bR = dR, refined so that a0*x + b0*y = 1.
 
-    ``degenerate`` marks the zero-ideal pair (0, 0), where the refined
-    identity is waived and callers are expected to branch explicitly.
+    ``degenerate`` marks the zero-ideal pair (0, 0), whose certificate is
+    (d, x, y, a0, b0) = (0, 1, 0, 1, 0): all four identities still hold.
     """
 
     a: RingElement
@@ -1838,8 +1835,6 @@ class BezoutCertificate:
             return False
         if d * a0 != a or d * b0 != b:
             return False
-        if self.degenerate:
-            return a.is_zero() and b.is_zero() and d.is_zero()
         return (a0 * x + b0 * y).is_one()
 
 
@@ -1875,12 +1870,10 @@ def inverse(a: RingElement) -> RingElement:
 def bezout(a: RingElement, b: RingElement) -> BezoutCertificate:
     """Bezout certificate for the ideal aR + bR; see BezoutCertificate."""
     ring = _same_ring(a, b)
-    if a.is_zero() and b.is_zero():
-        return BezoutCertificate(a, b, zero(ring), one(ring), zero(ring),
-                                 zero(ring), zero(ring), degenerate=True)
     d, x, y, a0, b0 = ring.bezout_raw(a.value, b.value)
     return BezoutCertificate(a, b, _raw(ring, d), _raw(ring, x), _raw(ring, y),
-                             _raw(ring, a0), _raw(ring, b0))
+                             _raw(ring, a0), _raw(ring, b0),
+                             degenerate=a.is_zero() and b.is_zero())
 
 
 def divides(d: RingElement, a: RingElement) -> bool:

@@ -135,15 +135,13 @@ _PINNED = [
 
 def test_documents_pinned_and_pretty_grids_only_for_pretty_output(monkeypatch):
     import edrkit.cli as cli
-    pretty_matrix, format_element = cli._pretty_matrix, cli.format_element
+    pretty_matrix = cli._pretty_matrix
     for kwargs, json_doc, pretty_doc in _PINNED:
         def forbidden(*_args):
             raise AssertionError("pretty grid built for JSON output")
         monkeypatch.setattr(cli, "_pretty_matrix", forbidden)
-        monkeypatch.setattr(cli, "format_element", forbidden)
         assert dispatch(CommandRequest(**kwargs)) == (EXIT_OK, json_doc)
         monkeypatch.setattr(cli, "_pretty_matrix", pretty_matrix)
-        monkeypatch.setattr(cli, "format_element", format_element)
         assert dispatch(CommandRequest(output="pretty", **kwargs)) == (EXIT_OK, pretty_doc)
 
 
@@ -159,6 +157,28 @@ def test_integer_snf_document_shape_and_diagonal():
     lines = out.split("\n")
     assert lines[:4] == ["D:", "2 0  0", "0 6  0", "0 0 12"]
     assert [lines[4], lines[8], lines[12:]] == ["P:", "Q:", ["verified: true"]]
+
+
+def test_reduce2x2_over_a_product_with_a_series_factor():
+    # delta = x in the series factor has zero constant term, so the product's
+    # canonical associate has to go factor by factor
+    series = [[{"constant": 1}, {"constant": 0}],
+              [{"constant": 1}, {"constant": 0, "coeffs": [1]}]]
+    code, out = dispatch(CommandRequest("reduce2x2", ring="series:4",
+                                        payload=json.dumps({"rows": series})))
+    assert code == EXIT_OK
+    alone = json.loads(out)
+    integer = [[1, 0], [0, 1]]
+    for ring, k in (("product:series:4,z", 0), ("product:z,series:4", 1)):
+        rows = [[[s, i] if k == 0 else [i, s] for s, i in zip(srow, irow)]
+                for srow, irow in zip(series, integer)]
+        code, out = dispatch(CommandRequest("reduce2x2", ring=ring,
+                                            payload=json.dumps({"rows": rows})))
+        assert code == EXIT_OK, out
+        doc = json.loads(out)
+        assert doc["verified"] is True
+        for key in ("D", "P", "Q", "Pinv", "Qinv"):
+            assert [[v[k] for v in row] for row in doc[key]] == alone[key], (ring, key)
 
 
 def test_exit_code_1_on_precondition():

@@ -20,10 +20,11 @@ generic ``Ring`` add/mul loops:
   Euclid) and products (componentwise), each exactly ``bezout_raw(a, b)[0]``
   and zero on the zero pair; the other rings use the default, which is that
   by definition;
-* ``canonical_associate`` in closed form on Z (|a|), Z/n (gcd(a, n) mod n)
-  and GF(p)[x] (the monic associate), and ``associate_unit`` on Z (+-1) and
-  GF(p)[x] (lead(a)/lead(d), checked by one scalar multiple), each equal to
-  the generic value and raising exactly where the generic one raises.
+* ``canonical_associate`` in closed form on Z (|a|), Z/n (gcd(a, n) mod n),
+  GF(p)[x] (the monic associate) and products (factor by factor), and
+  ``associate_unit`` on Z (+-1) and GF(p)[x] (lead(a)/lead(d), checked by
+  one scalar multiple), each equal to the generic value and raising exactly
+  where the generic one raises.
 
 The generic ``axpy`` and ``col_axpy`` call ``fma`` once per nonzero entry,
 so the shears of every ring but Z run through the overrides above.
@@ -329,6 +330,18 @@ def test_associate_overrides():
         GFPolynomialRing(5).associate_unit((1, 2), (1, 3))
     with pytest.raises(rings.NotAssociatesError):
         IntegerRing().associate_unit(4, 6)
+
+
+@pytest.mark.parametrize("spec", ["product:zmod:4,z", "product:zmod:360,gfpoly:5,text:z,q"])
+def test_product_canonical_associate_is_the_generic_value(spec):
+    ring = make_ring(spec)
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(a=_values(ring))
+    def check(a):
+        assert ring.canonical_associate(a) == Ring.canonical_associate(ring, a), a
+
+    check()
 
 
 # -- the rational module against plain Fraction arithmetic ----------------------

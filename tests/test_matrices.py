@@ -216,7 +216,7 @@ def test_reduce_2x2_rejects_bad_inputs():
 
 
 def test_reduce_2x2_degenerate_pairs():
-    # zero entries route around the degenerate (0, 0) certificate
+    # zero entries meet the (0, 0) pair, whose certificate is the identity
     for rows in ([[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]],
                  [[1, 0], [0, 5]], [[-1, 0], [7, 0]]):
         a = zmat(rows)
