@@ -18,7 +18,9 @@ exact division is the remainder-0 case.  Small pivots and small remainders
 bound the growth of D and the transforms.  This clearing phase runs on the
 work ring that ``Ring.to_work`` picks, with the five matrices converted once
 each way: over Z ⋉ Q, integer pairs over one common denominator, and over
-GF(p)[x], integers holding one coefficient per k-bit slot (Kronecker).
+GF(p)[x], integers holding one coefficient per slot (Kronecker), a value
+below 2**b in a field of 2b + 1 bits, so that one multiply, shift and mask
+take every slot mod p (``rings._Slots``).
 
 Each step updates D, P, Q and the stored inverses together through one-row
 shears (``_Sweep.add_row``/``add_col``) and swaps.  The divisibility chain
@@ -34,8 +36,10 @@ commutative ring a one-sided inverse of a square matrix is two-sided.  So
 Qinv*Q = I too, and P*A*Q = D holds exactly when P*A = D*Qinv.  Once D is
 known to be diagonal, D*Qinv is a row scaling of Qinv, so the whole check
 takes three cubic matrix products (P*Pinv, Q*Qinv, P*A) instead of four.
-Each product is one ``Ring.matmul`` call, which converts each operand entry
-once per product rather than once per dot.
+Each is one ``Ring.matmul_equals`` call against its known result (I, I and
+D*Qinv), which converts each operand entry once per product; over GF(p)[x]
+and Z ⋉ Q it builds no product entry, and over a product it stops at the
+first factor that differs.
 """
 
 from __future__ import annotations
@@ -326,18 +330,23 @@ class _Sweep:
 
     # -- one-row shears and swaps ---------------------------------------------
 
-    def add_row(self, i: int, k: int, q):
-        """row i += q * row k: E = I + q*e_i*e_k^T, so P <- E P, Pinv <- Pinv E^-1."""
-        ring = self.ring
-        for arr in (self.d, self.p):
-            ring.axpy(arr[i], arr[k], q)
+    def add_row(self, i: int, k: int, q, pivot=False):
+        """row i += q * row k: E = I + q*e_i*e_k^T, so P <- E P, Pinv <- Pinv E^-1;
+        with pivot, row k of D is zero off column k, so D changes at (i, k) alone."""
+        ring, d = self.ring, self.d
+        if pivot:
+            d[i][k] = ring.fma(d[i][k], q, d[k][k])
+        else:
+            ring.axpy(d[i], d[k], q)
+        ring.axpy(self.p[i], self.p[k], q)
         ring.col_axpy(self.pinv, k, i, ring.neg(q))  # column k -= q * column i
 
-    def add_col(self, j: int, k: int, q):
-        """col j += q * col k: E = I + q*e_k*e_j^T, so Q <- Q E, Qinv <- E^-1 Qinv."""
+    def add_col(self, j: int, k: int, q, pivot=False):
+        """col j += q * col k: E = I + q*e_k*e_j^T, so Q <- Q E, Qinv <- E^-1 Qinv;
+        with pivot, column k of D is zero above row k, and those rows are skipped."""
         ring = self.ring
-        for arr in (self.d, self.q):
-            ring.col_axpy(arr, j, k, q)
+        ring.col_axpy(self.d[k:] if pivot else self.d, j, k, q)
+        ring.col_axpy(self.q, j, k, q)
         ring.axpy(self.qinv[k], self.qinv[j], ring.neg(q))  # row k -= q * row j
 
     def swap_rows(self, i, k):
@@ -521,6 +530,8 @@ def _clear_pivot(sweep: _Sweep, t: int):
     column, by shears with nearest quotients.  The column is cleared only on
     a pass that leaves the row zero off the pivot, so each of those row
     shears adds a multiple of (pivot, 0, ..., 0) and changes one entry of D.
+    Rows and columns before t are cleared, so the shears skip them
+    (``pivot=True``).
 
     Each quotient reads the pivot afresh, since a work ring may rescale
     every matrix to find one; a rescale keeps sizes, their order and ties.
@@ -549,12 +560,12 @@ def _clear_pivot(sweep: _Sweep, t: int):
             sweep.swap_cols(t, j)
         for j in range(t + 1, sweep.n):
             if d[t][j] != zero:
-                sweep.add_col(j, t, neg(nearest(d[t][j], d[t][t])))
+                sweep.add_col(j, t, neg(nearest(d[t][j], d[t][t])), pivot=True)
         if any(d[t][j] != zero for j in range(t + 1, sweep.n)):
             continue
         for i in range(t + 1, sweep.m):
             if d[i][t] != zero:
-                sweep.add_row(i, t, neg(nearest(d[i][t], d[t][t])))
+                sweep.add_row(i, t, neg(nearest(d[i][t], d[t][t])), pivot=True)
         if all(d[i][t] == zero for i in range(t + 1, sweep.m)):
             return
 
@@ -650,7 +661,9 @@ def diagonal_reduce(a: RingMatrix) -> ReductionResult:
 
 
 def verify_reduction(a: RingMatrix, result: ReductionResult) -> bool:
-    """Recheck a ReductionResult from scratch; logs the first failing condition."""
+    """Recheck a ReductionResult from A and its five matrices alone, no sweep
+    state; logs the first failing condition.  P*Pinv = I, Q*Qinv = I and
+    P*A = D*Qinv are one ``Ring.matmul_equals`` call each (module docstring)."""
     ring = a.ring
 
     def fail(reason: str) -> bool:
@@ -658,20 +671,20 @@ def verify_reduction(a: RingMatrix, result: ReductionResult) -> bool:
         return False
 
     r = result
-    if r.P.rows != r.P.cols or r.P.rows != a.rows:
-        return fail("P has the wrong shape")
-    if r.Q.rows != r.Q.cols or r.Q.rows != a.cols:
-        return fail("Q has the wrong shape")
-    if r.D.rows != a.rows or r.D.cols != a.cols:
-        return fail("D has the wrong shape")
-    if any(m.ring != ring for m in (r.P, r.D, r.Q, r.Pinv, r.Qinv)):
+    m, n = a.rows, a.cols
+    for name, shape in (("P", (m, m)), ("Pinv", (m, m)), ("Q", (n, n)), ("Qinv", (n, n)),
+                        ("D", (m, n))):
+        if (getattr(r, name).rows, getattr(r, name).cols) != shape:
+            return fail(f"{name} has the wrong shape")
+    if any(x.ring != ring for x in (r.P, r.D, r.Q, r.Pinv, r.Qinv)):
         return fail("ring mismatch in certificate")
     # One side suffices: over a commutative ring, P*Pinv = I gives
     # det(P)*det(Pinv) = 1, so det(P) is a unit and P has the two-sided
     # inverse adj(P)/det(P); then Pinv = P^-1*(P*Pinv) is that inverse.
-    if not (r.P @ r.Pinv).is_identity():
+    equals = ring.matmul_equals
+    if not equals(r.P.data, list(zip(*r.Pinv.data)), _eye(ring, m)):
         return fail("Pinv is not an inverse of P")
-    if not (r.Q @ r.Qinv).is_identity():
+    if not equals(r.Q.data, list(zip(*r.Qinv.data)), _eye(ring, n)):
         return fail("Qinv is not an inverse of Q")
     if not r.D.is_diagonal():
         return fail("D is not diagonal")
@@ -683,8 +696,8 @@ def verify_reduction(a: RingMatrix, result: ReductionResult) -> bool:
     diag = r.D.diagonal()
     d_qinv = [row if e.value == ring.one else [ring.mul(e.value, x) for x in row]
               for e, row in zip(diag, r.Qinv.data)]
-    d_qinv += [[ring.zero] * a.cols] * (a.rows - len(diag))
-    if r.P @ a != RingMatrix._trusted(ring, d_qinv):
+    d_qinv += [[ring.zero] * n] * (m - len(diag))
+    if not equals(r.P.data, list(zip(*a.data)), d_qinv):
         return fail("P*A != D*Qinv")
     for i, e in enumerate(diag):
         if ring.canonical_associate(e.value) != e.value:

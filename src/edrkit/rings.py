@@ -156,6 +156,15 @@ def _kpack(a: tuple[int, ...], k: int) -> int:
     return v
 
 
+def _slot_bound(rows, cols, p: int) -> int:
+    """The most a slot of a packed product of these rows and columns holds:
+    inner * min(longest entry of A, longest entry of B) coefficient products."""
+    inner = len(rows[0]) if rows else 0
+    longest = min(max([len(a) for r in rows for a in r], default=0),
+                  max([len(b) for c in cols for b in c], default=0))
+    return inner * longest * (p - 1) ** 2
+
+
 def _kunpack(v: int, k: int, p: int) -> tuple[int, ...]:
     """The polynomial whose coefficients mod p are the k-bit slots of v >= 0."""
     mask = (1 << k) - 1
@@ -340,7 +349,8 @@ class Ring(ABC):
     # nonzero entry, so a ring speeds up both by overriding fma alone; Z
     # overrides the shears themselves with builtin operators.  A matrix
     # product is one matmul call, so a ring can convert each operand entry
-    # once per product instead of once per dot.  diagonal_reduce clears its
+    # once per product instead of once per dot; matmul_equals checks a
+    # product against a known result the same way.  diagonal_reduce clears its
     # pivots (size, nearest_quotient, neg, the shears) on the work ring that
     # ``to_work`` returns, and converts its matrices once each way.
 
@@ -354,6 +364,13 @@ class Ring(ABC):
         columns, as a list of result rows."""
         dot = self.dot
         return [[dot(r, c) for c in cols] for r in rows]
+
+    def matmul_equals(self, rows, cols, target) -> bool:
+        """Whether matmul(rows, cols) equals target, len(rows) rows of
+        len(cols) values.  Operands and target must be in normal form, as
+        ``RingMatrix._trusted`` assumes; an override may then compare without
+        building the product, and returns exactly what this default returns."""
+        return self.matmul(rows, cols) == [list(t) for t in target]
 
     def fma(self, y: Any, q: Any, x: Any) -> Any:
         """y + q * x."""
@@ -830,6 +847,13 @@ class GFPolynomialRing(Ring):
         return _pneg(x, self.p)
 
     def mul(self, x, y):
+        # a constant factor scales each coefficient mod p; p is prime, so no
+        # coefficient vanishes and nothing needs a trim
+        if len(x) == 1:
+            x, y = y, x
+        if len(y) == 1:
+            c, p = y[0], self.p
+            return tuple([a * c % p for a in x])
         return _pmul(x, y, self.p)
 
     def dot(self, xs, ys):
@@ -851,18 +875,26 @@ class GFPolynomialRing(Ring):
 
     def matmul(self, rows, cols):
         # dot's substitution with one slot width for the whole product, so
-        # each entry is packed once: a slot of an entry holds at most
-        # inner * min(longest of A, longest of B) coefficient products
+        # each entry is packed once
         p = self.p
-        inner = len(rows[0]) if rows else 0
-        longest = min(max([len(a) for r in rows for a in r], default=0),
-                      max([len(b) for c in cols for b in c], default=0))
-        k = (inner * longest * (p - 1) ** 2).bit_length()
+        k = _slot_bound(rows, cols, p).bit_length()
         pack = functools.partial(_kpack, k=k)
         prows = [list(map(pack, r)) for r in rows]
         pcols = [list(map(pack, c)) for c in cols]
         mul = operator.mul
         return [[_kunpack(sum(map(mul, r, c)), k, p) for c in pcols] for r in prows]
+
+    def matmul_equals(self, rows, cols, target):
+        # matmul's sums with the same slot bound, in _Slots fields: each sum
+        # is reduced mod p in one step and compared with the packed target
+        # entry, so no entry is unpacked
+        slots = _Slots(self.p, _slot_bound(rows, cols, self.p).bit_length())
+        pack = functools.partial(_kpack, k=slots.k)
+        prows = [list(map(pack, r)) for r in rows]
+        pcols = [list(map(pack, c)) for c in cols]
+        reduce, mul = slots._reduce, operator.mul
+        return all(reduce(sum(map(mul, r, c))) == pack(v)
+                   for r, t in zip(prows, target) for c, v in zip(pcols, t))
 
     def fma(self, y, q, x):
         return _pfma(y, q, x, self.p)
@@ -1017,6 +1049,13 @@ class ProductRing(Ring):
                  for idx, f in enumerate(self.factors)]
         return [list(zip(*prow)) for prow in zip(*parts)]
 
+    def matmul_equals(self, rows, cols, target):
+        # factor by factor, stopping at the first factor whose product differs
+        return all(f.matmul_equals([[v[idx] for v in r] for r in rows],
+                                   [[v[idx] for v in c] for c in cols],
+                                   [[v[idx] for v in t] for t in target])
+                   for idx, f in enumerate(self.factors))
+
     def is_unit(self, x):
         return all(f.is_unit(a) for f, a in zip(self.factors, x))
 
@@ -1123,6 +1162,16 @@ class TrivialExtensionRing(Ring):
         return [[(sum(map(mul, ar, bc)),
                   _fraction(le * sum(map(mul, ar, fc)) + lf * sum(map(mul, er, bc)), den))
                  for bc, fc in zip(b, fn)] for ar, er in zip(a, en)]
+
+    def matmul_equals(self, rows, cols, target):
+        # matmul's split, with no Fraction built: the base sums compared as
+        # integers, the module numerator over lE*lF cross-multiplied with
+        # the target's numerator and denominator
+        (a, en, le), (b, fn, lf) = _split_module(rows), _split_module(cols)
+        den, mul = le * lf, operator.mul
+        return all(sum(map(mul, ar, bc)) == tb and te.numerator * den == te.denominator * (
+                       le * sum(map(mul, ar, fc)) + lf * sum(map(mul, er, bc)))
+                   for ar, er, trow in zip(a, en, target) for bc, fc, (tb, te) in zip(b, fn, trow))
 
     def fma(self, y, q, x):
         # (c, g) + (a, e)(b, f) = (c + ab, g + af + be), one Fraction built
@@ -1303,14 +1352,45 @@ class _RationalWork:
         return (c, r // b)
 
 
-class _PolyWork:
+class _Slots:
+    """GF(p)[x] values packed into integers >= 0 (Kronecker substitution):
+    coefficient i in the field of k = 2b + 1 bits at bit i*k, below 2**b.
+    ``_reduce`` takes every slot mod p at once as t - p*(((t*M) >> j) & R),
+    with j = b + bitlen(p) and M = ceil(2**j / p) (Granlund and Montgomery,
+    PLDI 1994): M*p - 2**j < p, so floor(c*M / 2**j) = floor(c/p) for every
+    slot c < 2**b.  c*M < 2**(2b+1) stays in its field, and after the shift
+    the quotient fills the low b + 1 - bitlen(p) bits of it, which R keeps."""
+
+    def __init__(self, p, b):
+        self.p = p
+        self._fit(b)
+
+    def _fit(self, b):
+        p = self.p
+        self.b = b = max(b, p.bit_length())  # R keeps at least one bit per field
+        self.k = 2 * b + 1
+        self.j = b + p.bit_length()
+        self.recip = -(-(1 << self.j) // p)
+        self.low = (1 << (b + 1 - p.bit_length())) - 1
+        self.r = self.rbits = 0
+
+    def _reduce(self, t):
+        """The packed polynomial whose slots are those of t >= 0, each mod p."""
+        if t.bit_length() > self.rbits:  # widen R to twice the fields of t
+            fields = 2 * -(-t.bit_length() // self.k)
+            self.rbits = fields * self.k
+            self.r = self.low * (((1 << self.rbits) - 1) // ((1 << self.k) - 1))
+        return t - self.p * ((t * self.recip >> self.j) & self.r)
+
+
+class _PolyWork(_Slots):
     """GF(p)[x]'s work ring for clearing pivots: each polynomial packed into
-    one integer >= 0, coefficient i in k-bit slot i (Kronecker substitution),
-    every slot below p.  A shear y + q*x is one integer product-sum whose
-    slots stay at most (p-1) + min(len q, len x)*(p-1)**2 until one pass
-    reduces them mod p.  k covers that bound for every quotient of up to
-    ``cap`` coefficients; a longer quotient first widens k and repacks every
-    matrix.  Sizes are slot counts, the lengths of the tuples."""
+    one integer in ``_Slots`` fields, every slot below p.  A shear y + q*x is
+    one integer product-sum whose slots stay at most
+    (p-1) + min(len q, len x)*(p-1)**2 until ``_reduce`` takes them mod p.
+    b covers that bound for every quotient of up to ``cap`` coefficients; a
+    longer quotient first widens the fields and repacks every matrix.  Sizes
+    are field counts, the lengths of the tuples."""
 
     zero = 0
     one = 1
@@ -1325,9 +1405,9 @@ class _PolyWork:
 
     def _set_width(self, need):
         p = self.p
-        self.k = k = (p - 1 + need * (p - 1) ** 2).bit_length()
-        self.mask = (1 << k) - 1
-        self.cap = ((1 << k) - p) // (p - 1) ** 2
+        self._fit((p - 1 + need * (p - 1) ** 2).bit_length())
+        self.cap = ((1 << self.b) - p) // (p - 1) ** 2
+        self.pivot = None  # the packed pivot last divided by, and its tuple
 
     def from_work(self, mats):
         k, p = self.k, self.p
@@ -1343,16 +1423,6 @@ class _PolyWork:
         # -c = (p-1)*c mod p; a slot holds (p-1)**2, since a nonzero quotient
         # makes cap >= 1
         return self._reduce((self.p - 1) * v)
-
-    def _reduce(self, t):
-        """The packed polynomial whose slots are those of t >= 0, each mod p."""
-        k, mask, p = self.k, self.mask, self.p
-        out = shift = 0
-        while t:
-            out |= (t & mask) % p << shift
-            t >>= k
-            shift += k
-        return out
 
     def fma(self, y, q, x):
         return self._reduce(y + q * x)
@@ -1370,10 +1440,12 @@ class _PolyWork:
             if x:
                 row[j] = reduce(row[j] + q * x)
 
-    def nearest_quotient(self, x, b):
+    def nearest_quotient(self, x, d):
         k, p = self.k, self.p
-        q = _pdivmod(_kunpack(x, k, p), _kunpack(b, k, p), p)[0]
-        if len(q) > self.cap:  # widen k, twice what q needs, and repack
+        if d != self.pivot:  # a pass unpacks its pivot once
+            self.pivot, self.pivot_poly = d, _kunpack(d, k, p)
+        q = _pdivmod(_kunpack(x, k, p), self.pivot_poly, p)[0]
+        if len(q) > self.cap:  # widen the fields, twice what q needs, and repack
             self._set_width(2 * len(q))
             for m in self.mats:
                 for row in m:

@@ -9,13 +9,15 @@ generic ``Ring`` add/mul loops:
   product, and ``fma`` (y + q*x), one reduction per entry;
 * ``GFPolynomialRing``: ``dot`` and ``matmul`` by Kronecker substitution,
   one reduction mod p per coefficient of each sum (``matmul`` packs every
-  entry once, with one slot width per product), and ``fma`` through
-  ``_pfma``, one reduction per coefficient;
+  entry once, with one slot width per product), ``matmul_equals`` on packed
+  sums reduced in one step, ``fma`` through ``_pfma``, one reduction per
+  coefficient, and ``mul`` by a constant, one reduction per coefficient;
 * ``ProductRing``: ``dot`` and ``matmul``, each factor's own kernel on its
-  components, woven back into tuples;
+  components, woven back into tuples, and ``matmul_equals`` factor by factor;
 * ``TrivialExtensionRing`` with the rational module: ``add``, ``mul``,
   ``dot``, ``fma`` and ``matmul`` on the numerators and denominators of the
-  module parts, one ``Fraction`` per result;
+  module parts, one ``Fraction`` per result, and ``matmul_equals`` with no
+  ``Fraction`` at all;
 * ``gcd`` on Z (``math.gcd``), Z/n (``gcd(a, b, n) % n``), GF(p)[x] (monic
   Euclid) and products (componentwise), each exactly ``bezout_raw(a, b)[0]``
   and zero on the zero pair; the other rings use the default, which is that
@@ -411,6 +413,17 @@ def test_rational_module_zero_and_one_are_built_once():
 
 # -- Kronecker substitution over GF(p)[x] ----------------------------------------
 
+@pytest.mark.parametrize("p", [2, 5, 1000003])
+def test_polynomial_mul_by_a_constant_against_pfma(p):
+    ring = GFPolynomialRing(p)
+    rng = random.Random(p)
+    polys = [ring.normalize([rng.randrange(p) for _ in range(rng.randint(0, 9))])
+             for _ in range(200)] + [(), (p - 1,) * 9]
+    for a in polys:
+        for c in {(1,), (p - 1,), (rng.randrange(1, p),)}:
+            assert ring.mul(a, c) == ring.mul(c, a) == _pfma((), a, c, p), (a, c)
+
+
 @pytest.mark.parametrize("p", [2, 5, 2305843009213693951])
 def test_polynomial_dot_against_a_fold_of_pmul_padd(p):
     ring = GFPolynomialRing(p)
@@ -644,20 +657,92 @@ def test_verify_reduction_makes_no_dot_call(monkeypatch, spec):
     a = RingMatrix(ring, [[ring.value_from_json(values()) for _ in range(4)] for _ in range(3)])
     result = diagonal_reduce(a)
     products = []
-    matmul = ring.matmul
+    matmul_equals = ring.matmul_equals
 
-    def counted(rows, cols):
+    def counted(rows, cols, target):
         products.append((len(rows), len(cols)))
-        return matmul(rows, cols)
+        return matmul_equals(rows, cols, target)
 
     def refuse(*args):
         raise AssertionError("dot called by verify_reduction")
     for cls in (Ring, IntegerRing, ModularRing, GFPolynomialRing, ProductRing,
                 TrivialExtensionRing):
         monkeypatch.setattr(cls, "dot", refuse)
-    monkeypatch.setattr(ring, "matmul", counted, raising=False)
+    monkeypatch.setattr(ring, "matmul_equals", counted, raising=False)
     assert verify_reduction(a, result)
     assert products == [(3, 3), (4, 4), (3, 4)]  # P*Pinv, Q*Qinv, P*A
+
+
+# -- matmul_equals: a product checked against a known result ---------------------
+
+def test_matmul_equals_overrides():
+    for cls in (GFPolynomialRing, ProductRing, TrivialExtensionRing):
+        assert cls.matmul_equals is not Ring.matmul_equals, cls
+    for cls in (IntegerRing, ModularRing, SelfExtensionRing, TruncatedSeriesRing):
+        assert cls.matmul_equals is Ring.matmul_equals, cls
+
+
+def _single_changes(ring, v):
+    """Normal values that differ from the normal value v in one part."""
+    if isinstance(ring, IntegerRing):
+        return [v + 1, v - 1]
+    if isinstance(ring, ModularRing):
+        return [(v + 1) % ring.n, (v - 1) % ring.n]
+    if isinstance(ring, GFPolynomialRing):
+        p = ring.p
+        out = [ring.normalize(v[:i] + ((c + s) % p,) + v[i + 1:])
+               for i, c in enumerate(v) for s in (1, -1)]
+        return out + [v + (1,), v + (p - 1,), v + (0, 0, 1)]  # a new top coefficient
+    if isinstance(ring, TrivialExtensionRing):
+        a, e = v
+        return ([(a + s, e) for s in (1, -1)]
+                + [(a, Fraction(e.numerator + s, e.denominator)) for s in (1, -1)])
+    assert isinstance(ring, ProductRing)
+    return [v[:idx] + (w,) + v[idx + 1:]
+            for idx, f in enumerate(ring.factors) for w in _single_changes(f, v[idx])]
+
+
+def _assert_equals_default(ring, a, cols, target):
+    got = ring.matmul_equals(a, cols, target)
+    assert got is Ring.matmul_equals(ring, a, cols, target)
+    return got
+
+
+@pytest.mark.parametrize("spec", ["z", "zmod:360", "gfpoly:2", "gfpoly:5", "gfpoly:1000003",
+                                  "text:z,q", "product:zmod:4,z"])
+def test_matmul_equals_is_the_default_and_sees_every_single_change(spec):
+    ring = make_ring(spec)
+    values = _values(ring)
+
+    def check_target(a, b, entry):
+        cols = list(zip(*b))
+        product = ring.matmul(a, cols)
+        assert _assert_equals_default(ring, a, cols, product)
+        assert _assert_equals_default(ring, a, cols, [tuple(r) for r in product])
+        i, j = entry
+        for w in _single_changes(ring, product[i][j]):
+            changed = [list(r) for r in product]
+            changed[i][j] = w
+            assert not _assert_equals_default(ring, a, cols, changed), (i, j, w)
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(data=st.data(), shape=_SHAPES)
+    def check(data, shape):
+        m, _, n = shape
+        a, b = _draw_operands(data, values, shape)
+        check_target(a, b, (data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1))))
+        other = data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                   min_size=m, max_size=m))
+        _assert_equals_default(ring, a, list(zip(*b)), other)
+
+    check()
+    if isinstance(ring, GFPolynomialRing):
+        # every coefficient p - 1: each sum's middle slot is at the slot bound
+        top = (ring.p - 1,) * 9
+        for m, inner, n in ((1, 1, 1), (3, 4, 2), (5, 6, 5)):
+            check_target([[top] * inner] * m, [[top[:inner]] * n] * inner, (m - 1, n - 1))
+            check_target([[top] * inner] * m, [[top] * n] * inner, (0, 0))
+    assert _assert_equals_default(ring, [], [], [])
 
 
 # -- whole documents: kernels against the generic methods ------------------------
@@ -667,6 +752,10 @@ _GENERIC = [(GFPolynomialRing, "dot", Ring.dot), (ProductRing, "dot", Ring.dot),
             (IntegerRing, "matmul", Ring.matmul), (ModularRing, "matmul", Ring.matmul),
             (GFPolynomialRing, "matmul", Ring.matmul), (ProductRing, "matmul", Ring.matmul),
             (TrivialExtensionRing, "matmul", Ring.matmul),
+            (GFPolynomialRing, "matmul_equals", Ring.matmul_equals),
+            (ProductRing, "matmul_equals", Ring.matmul_equals),
+            (TrivialExtensionRing, "matmul_equals", Ring.matmul_equals),
+            (GFPolynomialRing, "mul", lambda self, x, y: _pmul(x, y, self.p)),
             (IntegerRing, "fma", Ring.fma),
             (ModularRing, "fma", Ring.fma), (GFPolynomialRing, "fma", Ring.fma),
             (TrivialExtensionRing, "fma", Ring.fma),

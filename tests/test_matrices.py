@@ -979,7 +979,8 @@ def test_packed_kernels_match_the_ring_kernels():
 
 def test_packed_slots_at_the_bound():
     """Every coefficient p - 1 and quotients of exactly cap coefficients: each
-    slot of y + q*x reaches (p-1) + cap*(p-1)**2, the most k bits hold."""
+    slot of y + q*x reaches (p-1) + cap*(p-1)**2, the most that the b value
+    bits of a slot hold (its field is 2b + 1 bits wide)."""
     from edrkit.rings import _kpack
     for p in (2, 5, 1000003):
         ring = GFPolynomialRing(p)
@@ -987,9 +988,31 @@ def test_packed_slots_at_the_bound():
         work = ring.to_work([[[full]]])
         q, x = (p - 1,) * work.cap, (p - 1,) * (work.cap + 3)
         top = (p - 1) + work.cap * (p - 1) ** 2
-        assert top < 1 << work.k <= top + (p - 1) ** 2
+        assert top < 1 << work.b <= top + (p - 1) ** 2
+        assert work.k == 2 * work.b + 1
         assert work.fma(_kpack(full, work.k), _kpack(q, work.k), _kpack(x, work.k)) == \
             _kpack(ring.fma(full, q, x), work.k)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 1000003])
+def test_one_step_slot_reduction_equals_the_per_slot_reference(p):
+    """_reduce against the per-slot loop, on slots up to 2**b - 1, before
+    and after a quotient longer than cap widens the fields."""
+    from edrkit.rings import _kpack, _kunpack
+    rng = random.Random(p)
+    work = GFPolynomialRing(p).to_work([[[(p - 1,) * 3]]])
+    for widen in (False, True):
+        if widen:
+            k = work.k
+            work.nearest_quotient(_kpack((1,) * (work.cap + 1), k), 1)
+            assert work.k > k
+        b, k = work.b, work.k
+        top = (1 << b) - 1
+        samples = [[rng.choice((0, top, rng.randrange(1 << b), rng.randrange(p)))
+                    for _ in range(rng.randint(0, 60))] for _ in range(300)]
+        for slots in samples + [[top] * 80, [0, 0, top], [p] * 5, [p - 1] * 5]:
+            t = _kpack(slots, k)
+            assert work._reduce(t) == _kpack(_kunpack(t, k, p), k), (p, widen, slots)
 
 
 def test_widened_slots_keep_the_documents(monkeypatch):
