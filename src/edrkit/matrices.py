@@ -330,22 +330,25 @@ class _Sweep:
 
     # -- one-row shears and swaps ---------------------------------------------
 
-    def add_row(self, i: int, k: int, q, pivot=False):
-        """row i += q * row k: E = I + q*e_i*e_k^T, so P <- E P, Pinv <- Pinv E^-1;
-        with pivot, row k of D is zero off column k, so D changes at (i, k) alone."""
-        ring, d = self.ring, self.d
-        if pivot:
-            d[i][k] = ring.fma(d[i][k], q, d[k][k])
-        else:
-            ring.axpy(d[i], d[k], q)
+    def add_row(self, i: int, k: int, q):
+        """row i += q * row k: E = I + q*e_i*e_k^T, so P <- E P, Pinv <- Pinv E^-1."""
+        self.ring.axpy(self.d[i], self.d[k], q)
+        self.shear_p(i, k, q)
+
+    def shear_p(self, i: int, k: int, q):
+        """add_row's update of P and Pinv, for a caller that updates D itself."""
+        ring = self.ring
         ring.axpy(self.p[i], self.p[k], q)
         ring.col_axpy(self.pinv, k, i, ring.neg(q))  # column k -= q * column i
 
-    def add_col(self, j: int, k: int, q, pivot=False):
-        """col j += q * col k: E = I + q*e_k*e_j^T, so Q <- Q E, Qinv <- E^-1 Qinv;
-        with pivot, column k of D is zero above row k, and those rows are skipped."""
+    def add_col(self, j: int, k: int, q):
+        """col j += q * col k: E = I + q*e_k*e_j^T, so Q <- Q E, Qinv <- E^-1 Qinv."""
+        self.ring.col_axpy(self.d, j, k, q)
+        self.shear_q(j, k, q)
+
+    def shear_q(self, j: int, k: int, q):
+        """add_col's update of Q and Qinv, for a caller that updates D itself."""
         ring = self.ring
-        ring.col_axpy(self.d[k:] if pivot else self.d, j, k, q)
         ring.col_axpy(self.q, j, k, q)
         ring.axpy(self.qinv[k], self.qinv[j], ring.neg(q))  # row k -= q * row j
 
@@ -530,8 +533,8 @@ def _clear_pivot(sweep: _Sweep, t: int):
     column, by shears with nearest quotients.  The column is cleared only on
     a pass that leaves the row zero off the pivot, so each of those row
     shears adds a multiple of (pivot, 0, ..., 0) and changes one entry of D.
-    Rows and columns before t are cleared, so the shears skip them
-    (``pivot=True``).
+    Rows and columns before t are cleared, so D's column shears skip those
+    rows, and each row shear of D is the one entry fma at (i, t).
 
     Each quotient reads the pivot afresh, since a work ring may rescale
     every matrix to find one; a rescale keeps sizes, their order and ties.
@@ -544,6 +547,7 @@ def _clear_pivot(sweep: _Sweep, t: int):
     """
     ring = sweep.ring
     zero, neg, nearest = ring.zero, ring.neg, ring.nearest_quotient
+    fma, col_axpy = ring.fma, ring.col_axpy
     d = sweep.d
     last = None
     while True:
@@ -560,12 +564,16 @@ def _clear_pivot(sweep: _Sweep, t: int):
             sweep.swap_cols(t, j)
         for j in range(t + 1, sweep.n):
             if d[t][j] != zero:
-                sweep.add_col(j, t, neg(nearest(d[t][j], d[t][t])), pivot=True)
+                q = neg(nearest(d[t][j], d[t][t]))
+                col_axpy(d[t:], j, t, q)
+                sweep.shear_q(j, t, q)
         if any(d[t][j] != zero for j in range(t + 1, sweep.n)):
             continue
         for i in range(t + 1, sweep.m):
             if d[i][t] != zero:
-                sweep.add_row(i, t, neg(nearest(d[i][t], d[t][t])), pivot=True)
+                q = neg(nearest(d[i][t], d[t][t]))
+                d[i][t] = fma(d[i][t], q, d[t][t])
+                sweep.shear_p(i, t, q)
         if all(d[i][t] == zero for i in range(t + 1, sweep.m)):
             return
 

@@ -156,15 +156,6 @@ def _kpack(a: tuple[int, ...], k: int) -> int:
     return v
 
 
-def _slot_bound(rows, cols, p: int) -> int:
-    """The most a slot of a packed product of these rows and columns holds:
-    inner * min(longest entry of A, longest entry of B) coefficient products."""
-    inner = len(rows[0]) if rows else 0
-    longest = min(max([len(a) for r in rows for a in r], default=0),
-                  max([len(b) for c in cols for b in c], default=0))
-    return inner * longest * (p - 1) ** 2
-
-
 def _kunpack(v: int, k: int, p: int) -> tuple[int, ...]:
     """The polynomial whose coefficients mod p are the k-bit slots of v >= 0."""
     mask = (1 << k) - 1
@@ -366,10 +357,11 @@ class Ring(ABC):
         return [[dot(r, c) for c in cols] for r in rows]
 
     def matmul_equals(self, rows, cols, target) -> bool:
-        """Whether matmul(rows, cols) equals target, len(rows) rows of
-        len(cols) values.  Operands and target must be in normal form, as
-        ``RingMatrix._trusted`` assumes; an override may then compare without
-        building the product, and returns exactly what this default returns."""
+        """Whether matmul(rows, cols) equals target, a sequence of rows; a
+        target of any other shape gives False.  Operands and target must be
+        in normal form, as ``RingMatrix._trusted`` assumes; an override may
+        then compare without building the product, and returns exactly what
+        this default returns."""
         return self.matmul(rows, cols) == [list(t) for t in target]
 
     def fma(self, y: Any, q: Any, x: Any) -> Any:
@@ -548,6 +540,11 @@ def _qlsum(terms) -> Fraction:
             num = num * (d // g) + n * (den // g)
             den = den // g * d
     return _fraction(num, den)
+
+
+def _shaped(rows, cols, target) -> bool:
+    """Whether target has the shape of the product of rows and cols."""
+    return len(target) == len(rows) and all(len(t) == len(cols) for t in target)
 
 
 def _split_module(vectors):
@@ -873,28 +870,23 @@ class GFPolynomialRing(Ring):
             total += _kpack(a, k) * _kpack(b, k)
         return _kunpack(total, k, p)
 
-    def matmul(self, rows, cols):
-        # dot's substitution with one slot width for the whole product, so
-        # each entry is packed once
-        p = self.p
-        k = _slot_bound(rows, cols, p).bit_length()
-        pack = functools.partial(_kpack, k=k)
-        prows = [list(map(pack, r)) for r in rows]
-        pcols = [list(map(pack, c)) for c in cols]
-        mul = operator.mul
-        return [[_kunpack(sum(map(mul, r, c)), k, p) for c in pcols] for r in prows]
-
     def matmul_equals(self, rows, cols, target):
-        # matmul's sums with the same slot bound, in _Slots fields: each sum
-        # is reduced mod p in one step and compared with the packed target
-        # entry, so no entry is unpacked
-        slots = _Slots(self.p, _slot_bound(rows, cols, self.p).bit_length())
+        # dot's substitution with one slot bound for the whole product, so
+        # each entry is packed once: a slot of a sum holds at most
+        # inner * min(longest of A, longest of B) coefficient products.  In
+        # _Slots fields each sum is reduced mod p in one step and compared
+        # with the packed target entry, so no entry is unpacked.
+        inner = len(rows[0]) if rows else 0
+        longest = min(max([len(a) for r in rows for a in r], default=0),
+                      max([len(b) for c in cols for b in c], default=0))
+        slots = _Slots(self.p, (inner * longest * (self.p - 1) ** 2).bit_length())
         pack = functools.partial(_kpack, k=slots.k)
         prows = [list(map(pack, r)) for r in rows]
         pcols = [list(map(pack, c)) for c in cols]
         reduce, mul = slots._reduce, operator.mul
-        return all(reduce(sum(map(mul, r, c))) == pack(v)
-                   for r, t in zip(prows, target) for c, v in zip(pcols, t))
+        return _shaped(rows, cols, target) and all(
+            reduce(sum(map(mul, r, c))) == pack(v)
+            for r, t in zip(prows, target) for c, v in zip(pcols, t))
 
     def fma(self, y, q, x):
         return _pfma(y, q, x, self.p)
@@ -1041,14 +1033,6 @@ class ProductRing(Ring):
             return self.zero
         return tuple([f.dot(cx, cy) for f, cx, cy in zip(self.factors, xcols, ycols)])
 
-    def matmul(self, rows, cols):
-        # each factor's own matmul on its component matrices; entry (i, j)
-        # of the result is the tuple of entry (i, j) of every factor's product
-        parts = [f.matmul([[v[idx] for v in r] for r in rows],
-                          [[v[idx] for v in c] for c in cols])
-                 for idx, f in enumerate(self.factors)]
-        return [list(zip(*prow)) for prow in zip(*parts)]
-
     def matmul_equals(self, rows, cols, target):
         # factor by factor, stopping at the first factor whose product differs
         return all(f.matmul_equals([[v[idx] for v in r] for r in rows],
@@ -1153,25 +1137,18 @@ class TrivialExtensionRing(Ring):
             terms += ((a * fn, fd), (b * en, ed))
         return (s, _qlsum(terms))
 
-    def matmul(self, rows, cols):
+    def matmul_equals(self, rows, cols, target):
         # Each side's module parts over the lcm of that side's denominators:
         # with E = En/lE on the left and F = Fn/lF on the right, the module
         # part of the product is A*F + E*B = (lE*(A*Fn) + lF*(En*B)) / (lE*lF).
+        # The base sums are compared as integers and that numerator is
+        # cross-multiplied with the target's, so no Fraction is built.
         (a, en, le), (b, fn, lf) = _split_module(rows), _split_module(cols)
         den, mul = le * lf, operator.mul
-        return [[(sum(map(mul, ar, bc)),
-                  _fraction(le * sum(map(mul, ar, fc)) + lf * sum(map(mul, er, bc)), den))
-                 for bc, fc in zip(b, fn)] for ar, er in zip(a, en)]
-
-    def matmul_equals(self, rows, cols, target):
-        # matmul's split, with no Fraction built: the base sums compared as
-        # integers, the module numerator over lE*lF cross-multiplied with
-        # the target's numerator and denominator
-        (a, en, le), (b, fn, lf) = _split_module(rows), _split_module(cols)
-        den, mul = le * lf, operator.mul
-        return all(sum(map(mul, ar, bc)) == tb and te.numerator * den == te.denominator * (
-                       le * sum(map(mul, ar, fc)) + lf * sum(map(mul, er, bc)))
-                   for ar, er, trow in zip(a, en, target) for bc, fc, (tb, te) in zip(b, fn, trow))
+        return _shaped(rows, cols, target) and all(
+            sum(map(mul, ar, bc)) == tb and te.numerator * den == te.denominator * (
+                le * sum(map(mul, ar, fc)) + lf * sum(map(mul, er, bc)))
+            for ar, er, trow in zip(a, en, target) for bc, fc, (tb, te) in zip(b, fn, trow))
 
     def fma(self, y, q, x):
         # (c, g) + (a, e)(b, f) = (c + ab, g + af + be), one Fraction built

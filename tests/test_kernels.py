@@ -7,16 +7,16 @@ generic ``Ring`` add/mul loops:
   with builtin operators;
 * ``ModularRing``: ``matmul`` and ``dot``, one reduction per entry or dot
   product, and ``fma`` (y + q*x), one reduction per entry;
-* ``GFPolynomialRing``: ``dot`` and ``matmul`` by Kronecker substitution,
-  one reduction mod p per coefficient of each sum (``matmul`` packs every
-  entry once, with one slot width per product), ``matmul_equals`` on packed
-  sums reduced in one step, ``fma`` through ``_pfma``, one reduction per
-  coefficient, and ``mul`` by a constant, one reduction per coefficient;
-* ``ProductRing``: ``dot`` and ``matmul``, each factor's own kernel on its
-  components, woven back into tuples, and ``matmul_equals`` factor by factor;
+* ``GFPolynomialRing``: ``dot`` by Kronecker substitution, one reduction
+  mod p per coefficient of each sum, ``matmul_equals`` on packed sums (every
+  entry packed once, with one slot width per product) reduced in one step,
+  ``fma`` through ``_pfma``, one reduction per coefficient, and ``mul`` by a
+  constant, one reduction per coefficient;
+* ``ProductRing``: ``dot``, each factor's own kernel on its components,
+  woven back into tuples, and ``matmul_equals`` factor by factor;
 * ``TrivialExtensionRing`` with the rational module: ``add``, ``mul``,
-  ``dot``, ``fma`` and ``matmul`` on the numerators and denominators of the
-  module parts, one ``Fraction`` per result, and ``matmul_equals`` with no
+  ``dot`` and ``fma`` on the numerators and denominators of the module
+  parts, one ``Fraction`` per result, and ``matmul_equals`` with no
   ``Fraction`` at all;
 * ``gcd`` on Z (``math.gcd``), Z/n (``gcd(a, b, n) % n``), GF(p)[x] (monic
   Euclid) and products (componentwise), each exactly ``bezout_raw(a, b)[0]``
@@ -571,9 +571,10 @@ def _assert_matmul(ring, a, b):
 
 
 def test_matmul_overrides():
-    for cls in (IntegerRing, ModularRing, GFPolynomialRing, ProductRing, TrivialExtensionRing):
+    for cls in (IntegerRing, ModularRing):
         assert cls.matmul is not Ring.matmul, cls
-    for cls in (SelfExtensionRing, TruncatedSeriesRing):
+    for cls in (GFPolynomialRing, ProductRing, TrivialExtensionRing, SelfExtensionRing,
+                TruncatedSeriesRing):
         assert cls.matmul is Ring.matmul, cls
 
 
@@ -599,21 +600,28 @@ def test_matmul_against_an_add_mul_reference(spec):
 @pytest.mark.parametrize("p", [2, 5, 2305843009213693951])
 def test_polynomial_matmul_at_the_slot_bound(p):
     # every coefficient p - 1 at degree 40 fills the middle slot of each
-    # entry to inner * 41 * (p-1)**2, the bound its slot width is cut to
+    # entry to inner * 41 * (p-1)**2, the bound the slot widths of dot and
+    # matmul_equals are cut to
     ring = GFPolynomialRing(p)
     top = (p - 1,) * 41
+
+    def check(a, b):
+        _assert_matmul(ring, a, b)
+        assert ring.matmul_equals(a, list(zip(*b)),
+                                  _reference_matmul(ring.add, ring.mul, ring.zero, a, b))
+
     for m, inner, n in ((1, 1, 1), (3, 4, 2), (6, 5, 5)):
         a = [[top] * inner for _ in range(m)]
         b = [[top] * n for _ in range(inner)]
-        _assert_matmul(ring, a, b)
+        check(a, b)
         # one side short: the width follows the shorter side's longest entry
-        _assert_matmul(ring, a, [[top[:3]] * n for _ in range(inner)])
+        check(a, [[top[:3]] * n for _ in range(inner)])
         mixed = [[(top[:2], (), top)[(i + k) % 3] for k in range(inner)] for i in range(m)]
-        _assert_matmul(ring, mixed, b)
+        check(mixed, b)
     # zero polynomials and unequal lengths mixed in
     a = [[(), top, (1,)], [top[:7], (), top]]
     b = [[top, ()], [(p - 1, 1), (1,)], [(), top[:5]]]
-    _assert_matmul(ring, a, b)
+    check(a, b)
 
 
 def test_rational_module_matmul_against_plain_fractions():
@@ -719,6 +727,10 @@ def test_matmul_equals_is_the_default_and_sees_every_single_change(spec):
         product = ring.matmul(a, cols)
         assert _assert_equals_default(ring, a, cols, product)
         assert _assert_equals_default(ring, a, cols, [tuple(r) for r in product])
+        # a target of another shape, even one that agrees where it overlaps
+        for short in (product[:-1], [r[:-1] for r in product], product + [product[-1]],
+                      [r + [ring.zero] for r in product]):
+            assert not _assert_equals_default(ring, a, cols, short)
         i, j = entry
         for w in _single_changes(ring, product[i][j]):
             changed = [list(r) for r in product]
@@ -750,8 +762,6 @@ def test_matmul_equals_is_the_default_and_sees_every_single_change(spec):
 _GENERIC = [(GFPolynomialRing, "dot", Ring.dot), (ProductRing, "dot", Ring.dot),
             (TrivialExtensionRing, "dot", Ring.dot),
             (IntegerRing, "matmul", Ring.matmul), (ModularRing, "matmul", Ring.matmul),
-            (GFPolynomialRing, "matmul", Ring.matmul), (ProductRing, "matmul", Ring.matmul),
-            (TrivialExtensionRing, "matmul", Ring.matmul),
             (GFPolynomialRing, "matmul_equals", Ring.matmul_equals),
             (ProductRing, "matmul_equals", Ring.matmul_equals),
             (TrivialExtensionRing, "matmul_equals", Ring.matmul_equals),
