@@ -844,13 +844,6 @@ class GFPolynomialRing(Ring):
         return _pneg(x, self.p)
 
     def mul(self, x, y):
-        # a constant factor scales each coefficient mod p; p is prime, so no
-        # coefficient vanishes and nothing needs a trim
-        if len(x) == 1:
-            x, y = y, x
-        if len(y) == 1:
-            c, p = y[0], self.p
-            return tuple([a * c % p for a in x])
         return _pmul(x, y, self.p)
 
     def dot(self, xs, ys):

@@ -10,8 +10,7 @@ generic ``Ring`` add/mul loops:
 * ``GFPolynomialRing``: ``dot`` by Kronecker substitution, one reduction
   mod p per coefficient of each sum, ``matmul_equals`` on packed sums (every
   entry packed once, with one slot width per product) reduced in one step,
-  ``fma`` through ``_pfma``, one reduction per coefficient, and ``mul`` by a
-  constant, one reduction per coefficient;
+  and ``fma`` through ``_pfma``, one reduction per coefficient;
 * ``ProductRing``: ``dot``, each factor's own kernel on its components,
   woven back into tuples, and ``matmul_equals`` factor by factor;
 * ``TrivialExtensionRing`` with the rational module: ``add``, ``mul``,
@@ -413,17 +412,6 @@ def test_rational_module_zero_and_one_are_built_once():
 
 # -- Kronecker substitution over GF(p)[x] ----------------------------------------
 
-@pytest.mark.parametrize("p", [2, 5, 1000003])
-def test_polynomial_mul_by_a_constant_against_pfma(p):
-    ring = GFPolynomialRing(p)
-    rng = random.Random(p)
-    polys = [ring.normalize([rng.randrange(p) for _ in range(rng.randint(0, 9))])
-             for _ in range(200)] + [(), (p - 1,) * 9]
-    for a in polys:
-        for c in {(1,), (p - 1,), (rng.randrange(1, p),)}:
-            assert ring.mul(a, c) == ring.mul(c, a) == _pfma((), a, c, p), (a, c)
-
-
 @pytest.mark.parametrize("p", [2, 5, 2305843009213693951])
 def test_polynomial_dot_against_a_fold_of_pmul_padd(p):
     ring = GFPolynomialRing(p)
@@ -765,7 +753,6 @@ _GENERIC = [(GFPolynomialRing, "dot", Ring.dot), (ProductRing, "dot", Ring.dot),
             (GFPolynomialRing, "matmul_equals", Ring.matmul_equals),
             (ProductRing, "matmul_equals", Ring.matmul_equals),
             (TrivialExtensionRing, "matmul_equals", Ring.matmul_equals),
-            (GFPolynomialRing, "mul", lambda self, x, y: _pmul(x, y, self.p)),
             (IntegerRing, "fma", Ring.fma),
             (ModularRing, "fma", Ring.fma), (GFPolynomialRing, "fma", Ring.fma),
             (TrivialExtensionRing, "fma", Ring.fma),
