@@ -872,7 +872,7 @@ class GFPolynomialRing(Ring):
         inner = len(rows[0]) if rows else 0
         longest = min(max([len(a) for r in rows for a in r], default=0),
                       max([len(b) for c in cols for b in c], default=0))
-        slots = _Slots(self.p, (inner * longest * (self.p - 1) ** 2).bit_length())
+        slots = _slots(self.p, (inner * longest * (self.p - 1) ** 2).bit_length())
         pack = functools.partial(_kpack, k=slots.k)
         prows = [list(map(pack, r)) for r in rows]
         pcols = [list(map(pack, c)) for c in cols]
@@ -1347,10 +1347,18 @@ class _Slots:
     def _reduce(self, t):
         """The packed polynomial whose slots are those of t >= 0, each mod p."""
         if t.bit_length() > self.rbits:  # widen R to twice the fields of t
-            fields = 2 * -(-t.bit_length() // self.k)
-            self.rbits = fields * self.k
-            self.r = self.low * (((1 << self.rbits) - 1) // ((1 << self.k) - 1))
+            rbits = 2 * -(-t.bit_length() // self.k) * self.k
+            # R before rbits: a timeout between the two leaves a shared
+            # instance with an R at least as wide as rbits says
+            self.r = self.low * (((1 << rbits) - 1) // ((1 << self.k) - 1))
+            self.rbits = rbits
         return t - self.p * ((t * self.recip >> self.j) & self.r)
+
+
+@functools.lru_cache(maxsize=64)
+def _slots(p: int, b: int) -> _Slots:
+    """One shared _Slots per (p, b), so a product check builds no M or R."""
+    return _Slots(p, b)
 
 
 class _PolyWork(_Slots):
