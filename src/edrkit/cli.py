@@ -184,7 +184,9 @@ def dispatch(req: CommandRequest) -> tuple[int, str]:
             doc = res.to_json(include_trace=(req.output == "json"))
             ok = True
             if req.verify:
-                # Berkowitz here; complete_row never computes a general determinant
+                # from the matrix alone (complete_row computes none): each trailing unit
+                # pivot u is peeled, as row operations keep the determinant and expanding
+                # along the cleared last column leaves u times the rest; then Berkowitz
                 ok = determinant(res.matrix) == res.d
                 doc["verified"] = ok
             return (EXIT_OK if ok else EXIT_PRECONDITION), render(doc, req.output)

@@ -19,7 +19,8 @@ once, its Bezout coefficients built in one pass from the right.  The lift
 moduli and every comaximality test (the precondition and the residue search
 of each unit lift) are gcd-only: they fold ``Ring.gcd`` and never build the
 cofactors of a Bezout certificate.  Only the row fold and the closing pair
-(alpha, beta) need cofactors, and only they call ``bezout_raw``.
+(alpha, beta) need cofactors, and only they call ``Ring.egcd``, which skips
+the certificate's a0 and b0.
 
 :func:`complete_unimodular` is the d = 1 special case: a unimodular row is
 the first row of a matrix with determinant exactly 1.
@@ -99,7 +100,7 @@ def _row_gcd_with_coefficients(ring: Ring, row: list) -> tuple[Any, list]:
     g = row[0]
     us, vs = [], [ring.one]
     for a in row[1:]:
-        g, u, v, _, _ = ring.bezout_raw(g, a)
+        g, u, v = ring.egcd(g, a)
         us.append(u)
         vs.append(v)
     coeffs = [vs[-1]]
@@ -205,7 +206,7 @@ def _complete_row_many(ring: Ring, row: list, d: RingElement, xs: list, qs: list
     if add(alpha, mul(z, x2t)) != w:
         raise RingError("internal error: stable modulus decomposition failed")
 
-    g, sv, tv, _, _ = ring.bezout_raw(alpha, z)
+    g, sv, tv = ring.egcd(alpha, z)
     if not ring.is_unit(g):
         raise RingError("internal error: alpha and z are not comaximal")
     scale = ring.inverse(g)

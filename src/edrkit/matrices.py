@@ -176,9 +176,20 @@ class RingMatrix:
 
 
 def determinant(m: RingMatrix) -> RingElement:
-    """Exact determinant by Berkowitz's division-free algorithm (any commutative ring).
+    """Exact determinant of a square matrix over any commutative ring.
 
-    The characteristic polynomial det(x*I - A) is built over the leading
+    Trailing unit pivots are peeled first.  While n > 1 and a[n-1][n-1] is
+    a unit u, each row r above it loses a[r][n-1]*u^-1 times row n-1 (only
+    the columns where row n-1 is nonzero change, and a row is copied when
+    first written), u joins a running factor, and the last row and column
+    are dropped.  Row operations keep the determinant, and expanding along
+    the cleared last column gives u times that of the leading block.  A
+    completed row's matrix, an identity block below two rows beside two
+    columns, peels to 2x2 in O(n) ring operations (the Schur determinant
+    identity; Schur, J. reine angew. Math. 147, 1917).
+
+    Berkowitz's division-free algorithm takes the block that is left.  The
+    characteristic polynomial det(x*I - A) is built over the leading
     principal submatrices.  Going from A_r (r x r) to A_{r+1}, whose new column
     above the diagonal is S, new row left of it R and new corner a, its
     coefficient vector is multiplied by the lower-triangular Toeplitz matrix
@@ -191,18 +202,28 @@ def determinant(m: RingMatrix) -> RingElement:
     R*A_r^k*S is zero, the Toeplitz column is 1, -a, 0, ..., 0 and the step
     is the product of the polynomial with x - a: O(r) ring operations instead
     of r - 1 sparse matrix-vector products and an O(r^2) Toeplitz product.
-    Below its first two rows a completed row's matrix is an identity block
-    beside two columns of shears, which are often zero, so many of its steps
-    take this path; a triangular matrix takes it at every step.  A_r is kept
-    as the nonzero entries of each row, grown by one column and one row per
-    step.
+    A triangular matrix takes this path at every step.  A_r is kept as the
+    nonzero entries of each row, grown by one column and one row per step.
     """
     if m.rows != m.cols:
         raise RingError("determinant needs a square matrix")
-    ring, a, n = m.ring, m.data, m.rows
-    add, mul, neg, dot, zero = ring.add, ring.mul, ring.neg, ring.dot, ring.zero
-    # A_r as the (values, columns) of each row's nonzero entries: completed
-    # rows are mostly identity, and skipping their zeros saves most products
+    ring, a, n = m.ring, list(m.data), m.rows
+    add, sub, mul, neg, dot, zero = ring.add, ring.sub, ring.mul, ring.neg, ring.dot, ring.zero
+    factor = ring.one
+    while n > 1 and ring.is_unit(a[n - 1][n - 1]):
+        n -= 1
+        last, u = a[n], a[n][n]
+        factor, uinv = mul(factor, u), ring.inverse(u)
+        pivots = [(j, v) for j, v in enumerate(last[:n]) if v != zero]
+        for r in range(n):
+            if a[r][n] != zero:
+                q, row = mul(a[r][n], uinv), a[r]
+                if isinstance(row, tuple):
+                    row = a[r] = list(row)
+                for j, v in pivots:
+                    row[j] = sub(row[j], mul(q, v))
+    # A_r as the (values, columns) of each row's nonzero entries: skipping
+    # the zeros of a sparse matrix saves most products
     vals, cols = [], []
     poly = [ring.one]  # det(x*I - A_r), leading coefficient first
     for r in range(n):
@@ -234,7 +255,7 @@ def determinant(m: RingMatrix) -> RingElement:
             rcols.append(r)
         vals.append(rvals)
         cols.append(rcols)
-    return _raw(ring, neg(poly[n]) if n % 2 else poly[n])
+    return _raw(ring, mul(factor, neg(poly[n]) if n % 2 else poly[n]))
 
 
 @dataclass(frozen=True)

@@ -438,6 +438,14 @@ class Ring(ABC):
     def _bezout(self, a: Any, b: Any) -> tuple[Any, Any, Any, Any, Any]:
         """(d, x, y, a0, b0) for a pair other than (0, 0)."""
 
+    def egcd(self, a: Any, b: Any) -> tuple[Any, Any, Any]:
+        """Exactly bezout_raw(a, b)[:3]: (d, x, y) with a*x + b*y = d.
+
+        For folds that need the cofactors but not a0 and b0; a ring whose
+        certificate divides them out after its extended gcd overrides it.
+        """
+        return self.bezout_raw(a, b)[:3]
+
     def gcd(self, a: Any, b: Any) -> Any:
         """Exactly bezout_raw(a, b)[0], so zero for the (0, 0) pair.
 
@@ -641,6 +649,9 @@ class IntegerRing(Ring):
     def _bezout(self, a, b):
         g, x, y = _egcd(a, b)
         return g, x, y, (a // g), (b // g)
+
+    def egcd(self, a, b):
+        return _egcd(a, b) if a or b else (0, 1, 0)
 
     def gcd(self, a, b):
         return gcd(a, b)
@@ -928,6 +939,9 @@ class GFPolynomialRing(Ring):
     def _bezout(self, a, b):
         g, x, y = _pegcd(a, b, self.p)
         return g, x, y, self.divide_exact(a, g), self.divide_exact(b, g)
+
+    def egcd(self, a, b):
+        return _pegcd(a, b, self.p)  # ((), (1,), ()) for the zero pair
 
     def gcd(self, a, b):
         return _pgcd(a, b, self.p)

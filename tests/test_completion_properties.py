@@ -5,9 +5,10 @@ with total Bezout:
 
 * the row fold's coefficients x_i satisfy sum a_i x_i = g, and g is the
   fold of Bezout d's from the left (``bezout`` on boxed elements, another
-  code path than the fold's raw ``bezout_raw`` calls);
+  code path than the fold's raw ``Ring.egcd`` calls);
 * ``complete_row(row, d)``, with d the row's gcd times a unit, keeps the
-  row as its exact first row and has Berkowitz determinant exactly d.
+  row as its exact first row, and ``determinant``, computed from the
+  matrix alone, gives exactly d.
 
 Over ``series:4`` and ``text:zmod:4,self``, whose Bezout certificates are
 partial, the second property holds for the rows whose fold has a

@@ -21,6 +21,9 @@ generic ``Ring`` add/mul loops:
   Euclid) and products (componentwise), each exactly ``bezout_raw(a, b)[0]``
   and zero on the zero pair; the other rings use the default, which is that
   by definition;
+* ``egcd`` on Z (``_egcd``) and GF(p)[x] (``_pegcd``), each exactly
+  ``bezout_raw(a, b)[:3]``, (0, 1, 0) on the zero pair, and a Bezout
+  identity a*x + b*y = d; the other rings use the default;
 * ``canonical_associate`` in closed form on Z (|a|), Z/n (gcd(a, n) mod n),
   GF(p)[x] (the monic associate) and products (factor by factor), and
   ``associate_unit`` on Z (+-1) and GF(p)[x] (lead(a)/lead(d), checked by
@@ -269,6 +272,40 @@ def test_gcd_overrides_and_the_one_polynomial_gcd():
     ring = make_ring("product:zmod:4,z")
     assert ring.gcd((0, 0), (2, 0)) == (2, 0)
     assert ring.gcd((3, 0), (0, 0)) == (1, 0)
+
+
+EGCD_SPECS = ["z", "zmod:360", "gfpoly:5", "gfpoly:2", "text:z,q", "product:zmod:4,z"]
+
+
+@pytest.mark.parametrize("spec", EGCD_SPECS)
+def test_egcd_is_the_head_of_bezout_raw(spec):
+    ring = make_ring(spec)
+    values = _values(ring)
+
+    def assert_egcd(a, b):
+        d, x, y = got = ring.egcd(a, b)
+        assert got == ring.bezout_raw(a, b)[:3], (a, b)
+        assert ring.add(ring.mul(a, x), ring.mul(b, y)) == d, (a, b)
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(a=values, b=values)
+    def check(a, b):
+        assert_egcd(a, b)
+        assert_egcd(b, a)
+        assert_egcd(a, ring.zero)
+
+    check()
+    assert_egcd(ring.zero, ring.zero)
+
+
+def test_egcd_overrides():
+    for cls in (IntegerRing, GFPolynomialRing):
+        assert cls.egcd is not Ring.egcd, cls
+    for cls in (ModularRing, ProductRing, TrivialExtensionRing, SelfExtensionRing,
+                TruncatedSeriesRing):
+        assert cls.egcd is Ring.egcd, cls
+    assert make_ring("z").egcd(0, 0) == (0, 1, 0)
+    assert make_ring("gfpoly:5").egcd((), ()) == ((), (1,), ())
 
 
 # -- canonical associates in closed form ------------------------------------------

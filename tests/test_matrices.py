@@ -24,6 +24,7 @@ from edrkit import (
     TruncatedSeriesRing,
     UnsupportedOperationError,
     column_reduce,
+    complete_unimodular,
     determinant,
     diagonal_reduce,
     divides,
@@ -77,6 +78,18 @@ def test_determinant_matches_sympy_on_dense_integer_matrices(rng):
         assert determinant(zmat(rows)).value == int(sympy.Matrix(rows).det())
 
 
+# units other than 1, and zero divisors to stand above them, for the peel shape
+_PEEL = {
+    "z": ([-1], []),
+    "zmod:360": ([7, 11], [2, 3, 24, 45, 180]),
+    "gfpoly:5": ([(3,)], []),
+    "product:zmod:4,z": ([(3, -1), (1, -1), (3, 1)], [(2, 0), (0, 5), (1, 0), (0, -3)]),
+    "text:z,q": ([(-1, Fraction(1, 2))], [(0, Fraction(1, 2)), (0, Fraction(-3))]),
+    "text:zmod:4,self": ([(1, 1)], [(2, 1), (0, 3), (2, 0)]),
+    "series:4": ([(-1, (Fraction(1, 2),))], [(0, (Fraction(1),)), (0, (0, Fraction(3, 2)))]),
+}
+
+
 def _shaped(ring, rng, n, shape):
     """An n x n matrix of the given zero pattern with random entries elsewhere.
 
@@ -84,13 +97,21 @@ def _shaped(ring, rng, n, shape):
     permutation: one random nonzero entry per row and column; completion: a
     dense first row, a second row nonzero in its first two columns, and
     below them two columns of entries beside an identity block, as
-    ``complete_row`` builds.
+    ``complete_row`` builds; peel: from a random split on, an upper
+    triangular block whose diagonal holds units other than 1 and whose
+    entries above the diagonal are zero divisors (random values over a
+    domain), beside random columns, so that ``determinant`` peels it down
+    to the leading split x split block (1x1 at n = 2).
     """
     def value():
         return random_value(ring, rng, 9)
 
+    def above():
+        return rng.choice(divisors) if divisors else value()
+
     split = rng.randint(1, max(1, n - 1))
     perm = rng.sample(range(n), n)
+    units, divisors = _PEEL.get(ring.expression(), ([], []))
     rows = []
     for i in range(n):
         if shape == "upper":
@@ -101,6 +122,9 @@ def _shaped(ring, rng, n, shape):
             row = [value() if (i < split) == (j < split) else ring.zero for j in range(n)]
         elif shape == "permutation":
             row = [value() if j == perm[i] else ring.zero for j in range(n)]
+        elif shape == "peel":
+            row = [value() if j < split else above() if j > i or i < split else
+                   rng.choice(units) if j == i else ring.zero for j in range(n)]
         else:
             row = ([value() for _ in range(n)] if i == 0 else
                    [value(), value()] + [ring.zero] * (n - 2) if i == 1 else
@@ -110,14 +134,15 @@ def _shaped(ring, rng, n, shape):
     return RingMatrix(ring, rows)
 
 
-SHAPES = ["upper", "lower", "block", "permutation", "completion"]
+SHAPES = ["upper", "lower", "block", "permutation", "completion", "peel"]
 
 
 @pytest.mark.parametrize("spec", ["z", "zmod:360", "gfpoly:5", "product:zmod:4,z",
                                   "text:z,q", "text:zmod:4,self", "series:4"])
 def test_determinant_of_structured_matrices_matches_permutation_oracle(spec, rng):
     # these take the zero-R / zero-S shortcut at some or all steps, mixed with
-    # Krylov steps on the grown sparse block
+    # Krylov steps on the grown sparse block; the peel shape peels every
+    # trailing unit pivot first
     ring = make_ring(spec)
     for shape in SHAPES:
         for n in range(1, 6):
@@ -125,21 +150,21 @@ def test_determinant_of_structured_matrices_matches_permutation_oracle(spec, rng
             assert determinant(m) == det_oracle(m), (shape, m.data)
 
 
-def _counting_dot(monkeypatch, ring):
+def _counting(monkeypatch, ring, name):
     calls = []
-    plain = ring.dot
+    plain = getattr(ring, name)
 
-    def dot(xs, ys):
+    def counted(*args):
         calls.append(1)
-        return plain(xs, ys)
+        return plain(*args)
 
-    monkeypatch.setattr(ring, "dot", dot, raising=False)
+    monkeypatch.setattr(ring, name, counted, raising=False)
     return calls
 
 
 def test_triangular_determinant_makes_no_krylov_products(monkeypatch, rng):
     ring = IntegerRing()
-    calls = _counting_dot(monkeypatch, ring)
+    calls = _counting(monkeypatch, ring, "dot")
     for shape in ("upper", "lower"):
         m = _shaped(ring, rng, 16, shape)
         diagonal = 1
@@ -149,6 +174,25 @@ def test_triangular_determinant_makes_no_krylov_products(monkeypatch, rng):
     assert calls == []
     determinant(RingMatrix(ring, [[rng.randint(1, 9) for _ in range(16)] for _ in range(16)]))
     assert calls  # the counter sees the Krylov path
+
+
+@pytest.mark.parametrize("ring", [IntegerRing(), GFPolynomialRing(5)], ids=["z", "gfpoly:5"])
+def test_completed_row_determinant_is_linear_in_the_length(monkeypatch, ring, rng):
+    # n - 2 peels of four mul calls each leave a 2x2 block; Berkowitz makes no
+    # Krylov product on it, and at most the four dot calls of its one step
+    for n in (4, 8, 16):
+        while True:
+            row = [element(ring, random_value(ring, rng, 9)) for _ in range(n)]
+            try:
+                res = complete_unimodular(row)
+                break
+            except PreconditionError:
+                continue
+        dots, muls = _counting(monkeypatch, ring, "dot"), _counting(monkeypatch, ring, "mul")
+        assert determinant(res.matrix) == res.d
+        monkeypatch.undo()
+        assert len(dots) <= 4, n
+        assert len(muls) <= 4 * n, (n, len(muls))
 
 
 def test_determinant_rejects_non_square():
