@@ -56,8 +56,8 @@ class CommandRequest:
     output: str = "json"
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+# one encoder for the process: json.dumps with these options builds a new one per call
+_json_text = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def read_matrix(path_or_inline: str, ring_spec: str) -> RingMatrix:

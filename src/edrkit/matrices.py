@@ -26,20 +26,20 @@ Each step updates D, P, Q and the stored inverses together through one-row
 shears (``_Sweep.add_row``/``add_col``) and swaps.  The divisibility chain
 is then enforced through the explicit 2x2 elementary reduction of a
 lower-triangular matrix with comaximal entries (``reduce_2x2``).  It works
-on raw 2x2 values: each factor is a (matrix, inverse) pair of tuples, and
-the factors are composed once into P, Q, their inverses and D; the pairs
-are kept for auditing invertibility.  Only products are split, each
-component reduced on its own.
+on raw 2x2 values and writes P, Q and their inverses in closed form; each
+factor is also kept as a (matrix, inverse) pair of tuples for auditing
+invertibility.  Only products are split, each component reduced on its own.
 
 ``verify_reduction`` checks P*Pinv = I and Q*Qinv = I only: over a
 commutative ring a one-sided inverse of a square matrix is two-sided.  So
 Qinv*Q = I too, and P*A*Q = D holds exactly when P*A = D*Qinv.  Once D is
 known to be diagonal, D*Qinv is a row scaling of Qinv, so the whole check
 takes three cubic matrix products (P*Pinv, Q*Qinv, P*A) instead of four.
-Each is one ``Ring.matmul_equals`` call against its known result (I, I and
-D*Qinv), which converts each operand entry once per product; over GF(p)[x]
-and Z ⋉ Q it builds no product entry, and over a product it stops at the
-first factor that differs.
+A, P, Pinv, Q, Qinv and D's diagonal are converted once (``Ring.to_check``):
+over GF(p)[x] into ``rings._Slots`` fields of one width for all three
+products, over Z ⋉ Q into integer pairs over one common denominator.  Each
+product is one ``matmul_equals`` call against its known result, the
+identity or the rows of D*Qinv, formed in that same converted form.
 """
 
 from __future__ import annotations
@@ -158,8 +158,9 @@ class RingMatrix:
 
     def to_json(self) -> dict:
         ring = self.ring
-        return {"ring": ring.expression(),
-                "rows": [[ring.value_to_json(v) for v in row] for row in self.data]}
+        rows = self.data if ring.raw_json else [[ring.value_to_json(v) for v in row]
+                                                 for row in self.data]
+        return {"ring": ring.expression(), "rows": rows}
 
     @classmethod
     def from_json(cls, obj: dict, ring: Ring) -> "RingMatrix":
@@ -433,9 +434,25 @@ def reduce_2x2(a: RingMatrix) -> ReductionResult:
     Produces diag(1, delta) with delta the canonical associate of a
     generator of det(A)R, following the explicit pipeline: solve
     a*x + b*y + c*z = 1; shift b to a stable v = b + (a*x + c*z)*t; Hermite-
-    reduce the row (v, c) to (0, c'); lift w so b' + a'*w is a unit mod c';
-    close with the det-1 matrix [[c', -(b'+a'w)], [p, q]] and the recorded
+    reduce the row (v, c) to (0, c'); lift w so u' = b' + a'*w is a unit mod
+    c'; close with the det-1 matrix [[c', -u'], [p, q]] and the recorded
     shears.  All factors are collected with their inverses for auditing.
+
+    The transforms are closed forms.  With xt = x*t, (p, q) scaled so that
+    u'*p + c'*q = 1, pa = p*a' and T = R1*R2 (the shift [[1, 0], [z*t, 1]]
+    times the Hermite factor):
+
+        P    = [[p + q*xt, q], [c' - u'*xt, -u']]
+        Pinv = [[u', q], [c' - xt*u', -(p + xt*q)]]
+        Q    = T * [[w, 1 - w*pa], [1, -pa]]
+        Qinv = [[pa, 1 - w*pa], [1, -w]] * R2^-1 * R1^-1
+
+    P is swap * [[c', -u'], [p, q]] * [[1, 0], [xt, 1]] multiplied out and
+    Pinv their inverses in reverse order (P*Pinv = I entry by entry from
+    u'*p + c'*q = 1); [[1, w], [0, 1]] * [[1, 0], [-pa, 1]] * swap and its
+    inverse give the factors beside T and R2^-1.  D = P*A*Q comes out as
+    diag(1, a'*c').  A delta = canon*u that is not canonical takes the row
+    factor diag(1, u^-1): row 2 of P and D times u^-1, column 2 of Pinv times u.
     """
     ring = a.ring
     if a.rows != 2 or a.cols != 2:
@@ -451,12 +468,12 @@ def reduce_2x2(a: RingMatrix) -> ReductionResult:
     if a.is_identity():
         ident = RingMatrix.identity(ring, 2)
         return ReductionResult(P=ident, D=a, Q=ident, Pinv=ident, Qinv=ident)
-    add, mul, neg, inv = ring.add, ring.mul, ring.neg, ring.inverse
+    add, sub, mul, neg, fma, inv = ring.add, ring.sub, ring.mul, ring.neg, ring.fma, ring.inverse
 
     # (i) a*x + b*y + c*z = u, a unit, through two certificates; the shift
     # needs only x and z, for any u, and b = c = 0 (d_bc = 0) gives z = 0
-    d_bc, _, z_bc, _, _ = ring.bezout_raw(bv, cv)
-    _, x, s, _, _ = ring.bezout_raw(av, d_bc)
+    d_bc, _, z_bc = ring.egcd(bv, cv)
+    _, x, s = ring.egcd(av, d_bc)
     z = mul(z_bc, s)
 
     # (ii) stable shift: v = b + (a*x + c*z)*t
@@ -469,18 +486,19 @@ def reduce_2x2(a: RingMatrix) -> ReductionResult:
     left = [(((one, zero), (xt, one)), ((one, zero), (neg(xt), one)))]
     right = [(((one, zero), (zt, one)), ((one, zero), (neg(zt), one)))]
 
-    # (iii) Hermite: (v, c) -> (0, c'), giving [[a', b'], [0, c']]
-    c_p, tq, tqinv = _cert_col_pair(ring, v, cv)
-    tq = _mul2(ring, tq, swap)
-    right.append((tq, _mul2(ring, swap, tqinv)))
-    a_p, b_p = mul(av, tq[0][0]), mul(av, tq[0][1])
+    # (iii) Hermite: (v, c) -> (0, c'), giving [[a', b'], [0, c']]; R2 = transform*swap
+    c_p, (t0, t1), (s0, s1) = _cert_col_pair(ring, v, cv)
+    (r00, r01), (r10, r11) = tq = (t0[::-1], t1[::-1])
+    (i00, i01), (i10, i11) = tqinv = (s1, s0)
+    right.append((tq, tqinv))
+    a_p, b_p = mul(av, r00), mul(av, r01)
 
-    # (iv) w with b' + a'*w a unit modulo c'
+    # (iv) w with u' = b' + a'*w a unit modulo c'
     w = lift_unit(_raw(ring, b_p), _raw(ring, a_p), _raw(ring, c_p)).value
-    unit_mod_cp = add(b_p, mul(a_p, w))
+    u_p = add(b_p, mul(a_p, w))
 
-    # (v) (b' + a'*w)*p + c'*q = 1
-    d, p, q, _, _ = ring.bezout_raw(unit_mod_cp, c_p)  # d is a unit: scale it to 1
+    # (v) u'*p + c'*q = 1
+    d, p, q = ring.egcd(u_p, c_p)  # d is a unit: scale it to 1
     p, q = mul(p, inv(d)), mul(q, inv(d))
 
     # (vi) the closing factors: swap * M * (...) * W * E * swap
@@ -488,26 +506,29 @@ def reduce_2x2(a: RingMatrix) -> ReductionResult:
     right += [(((one, w), (zero, one)), ((one, neg(w)), (zero, one))),
               (((one, zero), (neg(pa), one)), ((one, zero), (pa, one))),
               (swap, swap)]
-    left += [(((c_p, neg(unit_mod_cp)), (p, q)), ((q, unit_mod_cp), (neg(p), c_p))),
+    left += [(((c_p, neg(u_p)), (p, q)), ((q, u_p), (neg(p), c_p))),
              (swap, swap)]
 
-    # compose once: P = L_k...L_1, Pinv = L_1^-1...L_k^-1, Q = R_1...R_k,
-    # Qinv = R_k^-1...R_1^-1 and D = P*A*Q
-    pm, pinv = left[0]
-    for f, finv in left[1:]:
-        pm, pinv = _mul2(ring, f, pm), _mul2(ring, pinv, finv)
-    qm, qinv = right[0]
-    for f, finv in right[1:]:
-        qm, qinv = _mul2(ring, qm, f), _mul2(ring, finv, qinv)
+    # the closed forms of the docstring, then D = P*A*Q
+    pq, cu, wpa = fma(p, q, xt), sub(c_p, mul(u_p, xt)), sub(one, mul(w, pa))
+    pm = ((pq, q), (cu, neg(u_p)))
+    pinv = ((u_p, q), (cu, neg(pq)))
+    t10, t11 = fma(r10, zt, r00), fma(r11, zt, r01)
+    qm = ((fma(r01, r00, w), sub(mul(r00, wpa), mul(r01, pa))),
+          (fma(t11, t10, w), sub(mul(t10, wpa), mul(t11, pa))))
+    k0, k1 = sub(i00, mul(i01, zt)), sub(i10, mul(i11, zt))  # column 1 of R2^-1 * R1^-1
+    qinv = ((fma(mul(pa, k0), wpa, k1), fma(mul(pa, i01), wpa, i11)),
+            (sub(k0, mul(w, k1)), sub(i01, mul(w, i11))))
     dm = _mul2(ring, _mul2(ring, pm, a.data), qm)
     # normalize delta to its canonical associate by one more row factor
     delta = dm[1][1]
     canon = ring.canonical_associate(delta)
     if canon != delta:
         u = ring.associate_unit(delta, canon)
-        f, finv = ((one, zero), (zero, inv(u))), ((one, zero), (zero, u))
-        left.append((f, finv))
-        pm, pinv, dm = _mul2(ring, f, pm), _mul2(ring, pinv, finv), _mul2(ring, f, dm)
+        uinv = inv(u)
+        left.append((((one, zero), (zero, uinv)), ((one, zero), (zero, u))))
+        pm, dm = ((m0, tuple([mul(uinv, e) for e in m1])) for m0, m1 in (pm, dm))
+        pinv = tuple((e0, mul(e1, u)) for e0, e1 in pinv)
     trusted = RingMatrix._trusted
 
     def audit(factors):
@@ -691,8 +712,9 @@ def diagonal_reduce(a: RingMatrix) -> ReductionResult:
 
 def verify_reduction(a: RingMatrix, result: ReductionResult) -> bool:
     """Recheck a ReductionResult from A and its five matrices alone, no sweep
-    state; logs the first failing condition.  P*Pinv = I, Q*Qinv = I and
-    P*A = D*Qinv are one ``Ring.matmul_equals`` call each (module docstring)."""
+    state; logs the first failing condition.  A, P, Pinv, Q, Qinv and D's
+    diagonal are converted once (``Ring.to_check``), and P*Pinv = I,
+    Q*Qinv = I and P*A = D*Qinv are checked on each part (module docstring)."""
     ring = a.ring
 
     def fail(reason: str) -> bool:
@@ -707,13 +729,16 @@ def verify_reduction(a: RingMatrix, result: ReductionResult) -> bool:
             return fail(f"{name} has the wrong shape")
     if any(x.ring != ring for x in (r.P, r.D, r.Q, r.Pinv, r.Qinv)):
         return fail("ring mismatch in certificate")
+    diag = [r.D.data[i][i] for i in range(min(m, n))]
+    parts = ring.to_check((a.data, r.P.data, r.Pinv.data, r.Q.data, r.Qinv.data, (diag,)))
     # One side suffices: over a commutative ring, P*Pinv = I gives
     # det(P)*det(Pinv) = 1, so det(P) is a unit and P has the two-sided
     # inverse adj(P)/det(P); then Pinv = P^-1*(P*Pinv) is that inverse.
-    equals = ring.matmul_equals
-    if not equals(r.P.data, list(zip(*r.Pinv.data)), _eye(ring, m)):
+    if not all(ck.matmul_equals(p, list(zip(*pinv)), _eye(ck, m))
+               for ck, (_, p, pinv, _, _, _) in parts):
         return fail("Pinv is not an inverse of P")
-    if not equals(r.Q.data, list(zip(*r.Qinv.data)), _eye(ring, n)):
+    if not all(ck.matmul_equals(q, list(zip(*qinv)), _eye(ck, n))
+               for ck, (_, _, _, q, qinv, _) in parts):
         return fail("Qinv is not an inverse of Q")
     if not r.D.is_diagonal():
         return fail("D is not diagonal")
@@ -722,16 +747,16 @@ def verify_reduction(a: RingMatrix, result: ReductionResult) -> bool:
     # ring.  With D diagonal, row i of D*Qinv is d_i times row i of Qinv
     # (zero past the diagonal), so this costs a third cubic product, P*A,
     # where P*A*Q took two.  A row with d_i = 1 is the Qinv row itself.
-    diag = r.D.diagonal()
-    d_qinv = [row if e.value == ring.one else [ring.mul(e.value, x) for x in row]
-              for e, row in zip(diag, r.Qinv.data)]
-    d_qinv += [[ring.zero] * n] * (m - len(diag))
-    if not equals(r.P.data, list(zip(*a.data)), d_qinv):
-        return fail("P*A != D*Qinv")
+    for ck, (at, p, _, _, qinv, (dg,)) in parts:
+        d_qinv = [row if d == ck.one else [ck.mul(d, x) for x in row]
+                  for d, row in zip(dg, qinv)]
+        d_qinv += [[ck.zero] * n] * (m - len(dg))
+        if not ck.matmul_equals(p, list(zip(*at)), d_qinv):
+            return fail("P*A != D*Qinv")
     for i, e in enumerate(diag):
-        if ring.canonical_associate(e.value) != e.value:
+        if ring.canonical_associate(e) != e:
             return fail(f"diagonal entry at position {i} is not its canonical associate")
     for i in range(len(diag) - 1):
-        if not ring.divides(diag[i].value, diag[i + 1].value):
+        if not ring.divides(diag[i], diag[i + 1]):
             return fail(f"divisibility chain broken at position {i}")
     return True

@@ -340,10 +340,10 @@ class Ring(ABC):
     # nonzero entry, so a ring speeds up both by overriding fma alone; Z
     # overrides the shears themselves with builtin operators.  A matrix
     # product is one matmul call, so a ring can convert each operand entry
-    # once per product instead of once per dot; matmul_equals checks a
-    # product against a known result the same way.  diagonal_reduce clears its
+    # once per product instead of once per dot.  diagonal_reduce clears its
     # pivots (size, nearest_quotient, neg, the shears) on the work ring that
-    # ``to_work`` returns, and converts its matrices once each way.
+    # ``to_work`` returns, and converts its matrices once each way, as
+    # verify_reduction does with ``to_check`` for its products.
 
     def dot(self, xs, ys) -> Any:
         """The sum of xs[k] * ys[k] over the common length; zero if empty."""
@@ -359,9 +359,7 @@ class Ring(ABC):
     def matmul_equals(self, rows, cols, target) -> bool:
         """Whether matmul(rows, cols) equals target, a sequence of rows; a
         target of any other shape gives False.  Operands and target must be
-        in normal form, as ``RingMatrix._trusted`` assumes; an override may
-        then compare without building the product, and returns exactly what
-        this default returns."""
+        in normal form, as ``RingMatrix._trusted`` assumes."""
         return self.matmul(rows, cols) == [list(t) for t in target]
 
     def fma(self, y: Any, q: Any, x: Any) -> Any:
@@ -391,6 +389,13 @@ class Ring(ABC):
     def from_work(self, mats) -> "Ring":
         """The ring of mats, with mats converted back to it in place."""
         return self
+
+    def to_check(self, mats) -> list:
+        """mats (sequences of rows) converted once, as (check ring, converted
+        mats) parts, one per factor of a product: an equation of products
+        holds exactly when it holds on every part, with the check ring's
+        ``one``, ``zero``, ``mul`` and ``matmul_equals``."""
+        return [(self, mats)]
 
     @abstractmethod
     def is_unit(self, x: Any) -> bool: ...
@@ -487,6 +492,9 @@ class Ring(ABC):
 
     # -- text / JSON encodings ------------------------------------------------
 
+    # every raw value is its own JSON encoding (json writes tuples as arrays)
+    raw_json = False
+
     @abstractmethod
     def value_to_json(self, v: Any) -> Any: ...
 
@@ -559,9 +567,9 @@ def _split_module(vectors):
     """(bases, numerators, l) for vectors of (integer, Fraction) pairs: l is
     the lcm of every denominator, and the numerators are the module parts
     times l, so every integer vector is exact."""
-    l = lcm(*[e.denominator for v in vectors for _, e in v])
-    return ([[a for a, _ in v] for v in vectors],
-            [[e.numerator * (l // e.denominator) for _, e in v] for v in vectors], l)
+    ratios = [[e.as_integer_ratio() for _, e in v] for v in vectors]
+    l = lcm(*[d for r in ratios for _, d in r])
+    return ([[a for a, _ in v] for v in vectors], [[n * (l // d) for n, d in r] for r in ratios], l)
 
 
 def _fraction_to_json(q: Fraction) -> Any:
@@ -574,6 +582,7 @@ class IntegerRing(Ring):
     """The rational integers Z."""
 
     kind = "integers"
+    raw_json = True
 
     def expression(self) -> str:
         return "z"
@@ -679,6 +688,7 @@ class ModularRing(Ring):
     """The residue ring Z/nZ with n >= 2."""
 
     kind = "modular"
+    raw_json = True
 
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 2:
@@ -825,6 +835,7 @@ class GFPolynomialRing(Ring):
     """Univariate polynomials over the prime field GF(p)."""
 
     kind = "prime-field-poly"
+    raw_json = True
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not _is_prime(p):
@@ -874,23 +885,16 @@ class GFPolynomialRing(Ring):
             total += _kpack(a, k) * _kpack(b, k)
         return _kunpack(total, k, p)
 
-    def matmul_equals(self, rows, cols, target):
-        # dot's substitution with one slot bound for the whole product, so
-        # each entry is packed once: a slot of a sum holds at most
-        # inner * min(longest of A, longest of B) coefficient products.  In
-        # _Slots fields each sum is reduced mod p in one step and compared
-        # with the packed target entry, so no entry is unpacked.
-        inner = len(rows[0]) if rows else 0
-        longest = min(max([len(a) for r in rows for a in r], default=0),
-                      max([len(b) for c in cols for b in c], default=0))
+    def to_check(self, mats):
+        # dot's substitution with one slot bound for every product of two
+        # entries, so each entry is packed once: a slot of a sum holds at
+        # most inner * longest * (p-1)**2 coefficient products, where no row
+        # is longer than inner and no entry than longest
+        inner = max([len(r) for m in mats for r in m], default=0)
+        longest = max([len(v) for m in mats for r in m for v in r], default=0)
         slots = _slots(self.p, (inner * longest * (self.p - 1) ** 2).bit_length())
         pack = functools.partial(_kpack, k=slots.k)
-        prows = [list(map(pack, r)) for r in rows]
-        pcols = [list(map(pack, c)) for c in cols]
-        reduce, mul = slots._reduce, operator.mul
-        return _shaped(rows, cols, target) and all(
-            reduce(sum(map(mul, r, c))) == pack(v)
-            for r, t in zip(prows, target) for c, v in zip(pcols, t))
+        return [(slots, [[list(map(pack, r)) for r in m] for m in mats])]
 
     def fma(self, y, q, x):
         return _pfma(y, q, x, self.p)
@@ -993,6 +997,7 @@ class ProductRing(Ring):
         self.factors = factors
         self.zero = tuple(f.zero for f in factors)
         self.one = tuple(f.one for f in factors)
+        self.raw_json = all(f.raw_json for f in factors)
 
     def _key(self):
         return (self.kind, tuple(f._key() for f in self.factors))
@@ -1040,12 +1045,10 @@ class ProductRing(Ring):
             return self.zero
         return tuple([f.dot(cx, cy) for f, cx, cy in zip(self.factors, xcols, ycols)])
 
-    def matmul_equals(self, rows, cols, target):
-        # factor by factor, stopping at the first factor whose product differs
-        return all(f.matmul_equals([[v[idx] for v in r] for r in rows],
-                                   [[v[idx] for v in c] for c in cols],
-                                   [[v[idx] for v in t] for t in target])
-                   for idx, f in enumerate(self.factors))
+    def to_check(self, mats):
+        # split once, then each factor's own parts
+        return [part for idx, f in enumerate(self.factors)
+                for part in f.to_check([[[v[idx] for v in r] for r in m] for m in mats])]
 
     def is_unit(self, x):
         return all(f.is_unit(a) for f, a in zip(self.factors, x))
@@ -1144,18 +1147,12 @@ class TrivialExtensionRing(Ring):
             terms += ((a * fn, fd), (b * en, ed))
         return (s, _qlsum(terms))
 
-    def matmul_equals(self, rows, cols, target):
-        # Each side's module parts over the lcm of that side's denominators:
-        # with E = En/lE on the left and F = Fn/lF on the right, the module
-        # part of the product is A*F + E*B = (lE*(A*Fn) + lF*(En*B)) / (lE*lF).
-        # The base sums are compared as integers and that numerator is
-        # cross-multiplied with the target's, so no Fraction is built.
-        (a, en, le), (b, fn, lf) = _split_module(rows), _split_module(cols)
-        den, mul = le * lf, operator.mul
-        return _shaped(rows, cols, target) and all(
-            sum(map(mul, ar, bc)) == tb and te.numerator * den == te.denominator * (
-                le * sum(map(mul, ar, fc)) + lf * sum(map(mul, er, bc)))
-            for ar, er, trow in zip(a, en, target) for bc, fc, (tb, te) in zip(b, fn, trow))
+    def to_check(self, mats):
+        # integer pairs (a, N) meaning (a, N/L), L the lcm of every denominator
+        bases, nums, l = _split_module([r for m in mats for r in m])
+        pairs = map(list, map(zip, bases, nums))
+        forms = [[next(pairs) for _ in m] for m in mats]
+        return [(_RationalWork(self, forms, l), forms)]
 
     def fma(self, y, q, x):
         # (c, g) + (a, e)(b, f) = (c + ab, g + af + be), one Fraction built
@@ -1165,16 +1162,11 @@ class TrivialExtensionRing(Ring):
         return (c + a * b, _qlsum((g.as_integer_ratio(), (a * fn, fd), (b * en, ed))))
 
     def to_work(self, mats):
-        # D's module parts as numerators over one common denominator; the
-        # transforms are identities, whose module parts are all 0
-        rows = [row for m in mats[:1] for row in m]
-        bases, nums, l = _split_module(rows)
-        for row, b, n in zip(rows, bases, nums):
-            row[:] = zip(b, n)
-        for m in mats[1:]:
-            for row in m:
-                row[:] = [(a, 0) for a, _ in row]
-        return _RationalWork(self, mats, l)
+        # to_check's pairs in place; the work ring rescales the same rows
+        ((work, forms),) = self.to_check(mats)
+        for m, f in zip(mats, forms):
+            m[:] = f
+        return work
 
     def is_unit(self, x):
         return x[0] in (1, -1)
@@ -1242,7 +1234,7 @@ class TrivialExtensionRing(Ring):
     def canonical_associate(self, a):
         m, q = a
         if m != 0:
-            return (abs(m), Fraction(0))
+            return (abs(m), _QZERO)
         return (0, abs(q))
 
     # Euclidean size: (0, |a|) while the base part a is nonzero, and (1, |e|)
@@ -1278,11 +1270,12 @@ class TrivialExtensionRing(Ring):
 
 
 class _RationalWork:
-    """Z ⋉ Q's work ring for clearing pivots: integer pairs (a, N) meaning
-    (a, N/L), with one L > 0 for all the matrices held.  Module parts never
-    multiply each other, so shears keep every entry over L; a quotient with
-    a new denominator first multiplies L and every module part by one k.
-    Sizes, their order and their ties are those of the Fraction pairs."""
+    """Z ⋉ Q's work ring for clearing pivots and checking products: integer
+    pairs (a, N) meaning (a, N/L), with one L > 0 for all the matrices held.
+    Module parts never multiply each other, so products and shears keep
+    every entry over L; a quotient with a new denominator first multiplies
+    L and every module part by one k.  Sizes, their order and their ties are
+    those of the Fraction pairs."""
 
     zero = (0, 0)
     one = (1, 0)
@@ -1301,6 +1294,18 @@ class _RationalWork:
     def fma(self, y, q, x):
         (c, g), (a, e), (b, f) = y, q, x
         return (c + a * b, g + a * f + b * e)
+
+    def mul(self, x, y):
+        (a, e), (b, f) = x, y
+        return (a * b, a * f + b * e)
+
+    def matmul_equals(self, rows, cols, target):
+        # every row and column split once into its bases and module parts
+        mul = operator.mul
+        rows, cols = ([list(zip(*v)) or [(), ()] for v in vs] for vs in (rows, cols))
+        return _shaped(rows, cols, target) and all(
+            sum(map(mul, ra, ca)) == tb and sum(map(mul, ra, cn)) + sum(map(mul, rn, ca)) == tn
+            for (ra, rn), trow in zip(rows, target) for (ca, cn), (tb, tn) in zip(cols, trow))
 
     def axpy(self, dst, src, q):
         a, e = q
@@ -1343,7 +1348,11 @@ class _Slots:
     with j = b + bitlen(p) and M = ceil(2**j / p) (Granlund and Montgomery,
     PLDI 1994): M*p - 2**j < p, so floor(c*M / 2**j) = floor(c/p) for every
     slot c < 2**b.  c*M < 2**(2b+1) stays in its field, and after the shift
-    the quotient fills the low b + 1 - bitlen(p) bits of it, which R keeps."""
+    the quotient fills the low b + 1 - bitlen(p) bits of it, which R keeps.
+    Reduced values are equal exactly when their polynomials are."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, p, b):
         self.p = p
@@ -1368,6 +1377,14 @@ class _Slots:
             self.rbits = rbits
         return t - self.p * ((t * self.recip >> self.j) & self.r)
 
+    def mul(self, x, y):
+        return self._reduce(x * y)
+
+    def matmul_equals(self, rows, cols, target):
+        reduce, mul = self._reduce, operator.mul
+        return _shaped(rows, cols, target) and all(
+            reduce(sum(map(mul, r, c))) == v for r, t in zip(rows, target) for c, v in zip(cols, t))
+
 
 @functools.lru_cache(maxsize=64)
 def _slots(p: int, b: int) -> _Slots:
@@ -1383,9 +1400,6 @@ class _PolyWork(_Slots):
     b covers that bound for every quotient of up to ``cap`` coefficients; a
     longer quotient first widens the fields and repacks every matrix.  Sizes
     are field counts, the lengths of the tuples."""
-
-    zero = 0
-    one = 1
 
     def __init__(self, ring, mats, need):
         self.ring, self.p, self.mats = ring, ring.p, mats

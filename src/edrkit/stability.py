@@ -338,7 +338,7 @@ def _unit_combination(ring: Ring, r, s) -> tuple:
         u0, v0 = _unit_combination(base, r[0], s[0])
         ne = base.neg(base.add(base.mul(r[1], u0), base.mul(s[1], v0)))
         return (u0, base.mul(ne, u0)), (v0, base.mul(ne, v0))
-    d, x, y, _, _ = ring.bezout_raw(r, s)
+    d, x, y = ring.egcd(r, s)
     dinv = ring.inverse(d)
     return ring.mul(x, dinv), ring.mul(y, dinv)
 

@@ -8,14 +8,14 @@ generic ``Ring`` add/mul loops:
 * ``ModularRing``: ``matmul`` and ``dot``, one reduction per entry or dot
   product, and ``fma`` (y + q*x), one reduction per entry;
 * ``GFPolynomialRing``: ``dot`` by Kronecker substitution, one reduction
-  mod p per coefficient of each sum, ``matmul_equals`` on packed sums (every
-  entry packed once, with one slot width per product) reduced in one step,
-  and ``fma`` through ``_pfma``, one reduction per coefficient;
+  mod p per coefficient of each sum, ``to_check`` (every entry packed once,
+  with one slot width for every product, and sums checked packed, reduced
+  in one step), and ``fma`` through ``_pfma``, one reduction per coefficient;
 * ``ProductRing``: ``dot``, each factor's own kernel on its components,
-  woven back into tuples, and ``matmul_equals`` factor by factor;
+  woven back into tuples, and ``to_check``, split once into factor parts;
 * ``TrivialExtensionRing`` with the rational module: ``add``, ``mul``,
   ``dot`` and ``fma`` on the numerators and denominators of the module
-  parts, one ``Fraction`` per result, and ``matmul_equals`` with no
+  parts, one ``Fraction`` per result, and ``to_check`` with no
   ``Fraction`` at all;
 * ``gcd`` on Z (``math.gcd``), Z/n (``gcd(a, b, n) % n``), GF(p)[x] (monic
   Euclid) and products (componentwise), each exactly ``bezout_raw(a, b)[0]``
@@ -43,6 +43,7 @@ are also checked against plain ``Fraction`` arithmetic, the polynomial
 ``Poly(..., modulus=p)``, which shares no code with edrkit.
 """
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -55,7 +56,7 @@ from hypothesis import strategies as st
 
 from edrkit import exhaustive, make_ring, rings
 from edrkit.cli import CommandRequest, dispatch
-from edrkit.matrices import RingMatrix, diagonal_reduce, verify_reduction
+from edrkit.matrices import RingMatrix, diagonal_reduce, reduce_2x2, verify_reduction
 from edrkit.rings import (
     GFPolynomialRing,
     IntegerRing,
@@ -626,20 +627,20 @@ def test_matmul_against_an_add_mul_reference(spec):
 def test_polynomial_matmul_at_the_slot_bound(p):
     # every coefficient p - 1 at degree 40 fills the middle slot of each
     # entry to inner * 41 * (p-1)**2, the bound the slot widths of dot and
-    # matmul_equals are cut to
+    # to_check are cut to
     ring = GFPolynomialRing(p)
     top = (p - 1,) * 41
 
     def check(a, b):
         _assert_matmul(ring, a, b)
-        assert ring.matmul_equals(a, list(zip(*b)),
-                                  _reference_matmul(ring.add, ring.mul, ring.zero, a, b))
+        assert _checked(ring, a, list(zip(*b)),
+                        _reference_matmul(ring.add, ring.mul, ring.zero, a, b))
 
     for m, inner, n in ((1, 1, 1), (3, 4, 2), (6, 5, 5)):
         a = [[top] * inner for _ in range(m)]
         b = [[top] * n for _ in range(inner)]
         check(a, b)
-        # one side short: the width follows the shorter side's longest entry
+        # one side short: dot's width follows the shorter side's longest entry
         check(a, [[top[:3]] * n for _ in range(inner)])
         mixed = [[(top[:2], (), top)[(i + k) % 3] for k in range(inner)] for i in range(m)]
         check(mixed, b)
@@ -679,40 +680,85 @@ def test_rational_module_matmul_scales_by_the_lcm():
     assert rings._split_module([[(1, Fraction(0))]])[2] == 1
 
 
-@pytest.mark.parametrize("spec", ["z", "zmod:360", "gfpoly:5", "text:z,q", "product:zmod:4,z"])
-def test_verify_reduction_makes_no_dot_call(monkeypatch, spec):
+def _reduced(spec):
+    """A 3x4 matrix over spec and its diagonal reduction."""
     ring = make_ring(spec)
     rng = random.Random(spec)
     values = {"z": lambda: rng.randint(-9, 9), "zmod:360": lambda: rng.randrange(360),
+              "gfpoly:2": lambda: [rng.randrange(2) for _ in range(rng.randint(0, 4))],
               "gfpoly:5": lambda: [rng.randrange(5) for _ in range(rng.randint(0, 3))],
+              "gfpoly:1000003": lambda: [rng.randrange(1000003) for _ in range(rng.randint(0, 3))],
               "text:z,q": lambda: [rng.randint(-9, 9), f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"],
               "product:zmod:4,z": lambda: [rng.randrange(4), rng.randint(-9, 9)]}[spec]
     a = RingMatrix(ring, [[ring.value_from_json(values()) for _ in range(4)] for _ in range(3)])
-    result = diagonal_reduce(a)
-    products = []
-    matmul_equals = ring.matmul_equals
+    return a, diagonal_reduce(a)
 
-    def counted(rows, cols, target):
-        products.append((len(rows), len(cols)))
-        return matmul_equals(rows, cols, target)
+
+@pytest.mark.parametrize("spec", ["z", "zmod:360", "gfpoly:5", "text:z,q", "product:zmod:4,z"])
+def test_verify_reduction_makes_no_dot_call(monkeypatch, spec):
+    # verify converts each matrix once: over GF(p)[x] one _kpack per entry of
+    # A, P, Pinv, Q, Qinv and D's diagonal and no polynomial product, over
+    # Z x| Q no Fraction; the three products are checked part by part
+    a, result = _reduced(spec)
+    ring = a.ring
+    packed, fractions, products = [], [], []
 
     def refuse(*args):
         raise AssertionError("dot called by verify_reduction")
     for cls in (Ring, IntegerRing, ModularRing, GFPolynomialRing, ProductRing,
                 TrivialExtensionRing):
         monkeypatch.setattr(cls, "dot", refuse)
-    monkeypatch.setattr(ring, "matmul_equals", counted, raising=False)
+    kpack = rings._kpack
+    monkeypatch.setattr(rings, "_kpack", lambda v, k: packed.append(v) or kpack(v, k))
+    monkeypatch.setattr(rings, "_pfma", refuse)
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda *args, **kw: fractions.append(args) or new(*args, **kw))
+    to_check = ring.to_check
+
+    def counted(mats):
+        parts = to_check(mats)
+        for ck, _ in parts:
+            equals = ck.matmul_equals
+            monkeypatch.setattr(ck, "matmul_equals", lambda rows, cols, target, _eq=equals:
+                                products.append((len(rows), len(cols))) or _eq(rows, cols, target),
+                                raising=False)
+        return parts
+
+    monkeypatch.setattr(ring, "to_check", counted, raising=False)
     assert verify_reduction(a, result)
-    assert products == [(3, 3), (4, 4), (3, 4)]  # P*Pinv, Q*Qinv, P*A
+    factors = len(ring.factors) if isinstance(ring, ProductRing) else 1
+    assert products == [(3, 3)] * factors + [(4, 4)] * factors + [(3, 4)] * factors
+    if isinstance(ring, GFPolynomialRing):
+        entries = [v for m in (a, result.P, result.Pinv, result.Q, result.Qinv)
+                   for row in m.data for v in row] + [result.D.data[i][i] for i in range(3)]
+        assert sorted(packed) == sorted(entries)
+    else:
+        assert packed == []
+    assert fractions == []
 
 
 # -- matmul_equals: a product checked against a known result ---------------------
 
 def test_matmul_equals_overrides():
+    # verify checks its products on the rings that to_check returns; no
+    # Ring overrides matmul_equals, and the check rings of GF(p)[x] and
+    # Z x| Q compare converted values
     for cls in (GFPolynomialRing, ProductRing, TrivialExtensionRing):
-        assert cls.matmul_equals is not Ring.matmul_equals, cls
+        assert cls.to_check is not Ring.to_check, cls
     for cls in (IntegerRing, ModularRing, SelfExtensionRing, TruncatedSeriesRing):
+        assert cls.to_check is Ring.to_check, cls
+    for cls in (IntegerRing, ModularRing, GFPolynomialRing, ProductRing,
+                TrivialExtensionRing, SelfExtensionRing, TruncatedSeriesRing):
         assert cls.matmul_equals is Ring.matmul_equals, cls
+    for cls in (rings._Slots, rings._RationalWork):
+        assert cls.matmul_equals is not Ring.matmul_equals, cls
+
+
+def _checked(ring, a, cols, target):
+    """Whether the product of a and cols equals target, as verify checks it:
+    the three converted once by to_check, then matmul_equals on each part."""
+    return all(ck.matmul_equals(fa, fc, ft) for ck, (fa, fc, ft) in ring.to_check([a, cols, target]))
 
 
 def _single_changes(ring, v):
@@ -736,7 +782,7 @@ def _single_changes(ring, v):
 
 
 def _assert_equals_default(ring, a, cols, target):
-    got = ring.matmul_equals(a, cols, target)
+    got = _checked(ring, a, cols, target)
     assert got is Ring.matmul_equals(ring, a, cols, target)
     return got
 
@@ -782,14 +828,47 @@ def test_matmul_equals_is_the_default_and_sees_every_single_change(spec):
     assert _assert_equals_default(ring, [], [], [])
 
 
+_LOWER = {  # [[a, 0], [b, c]] with aR + bR + cR = R
+    "z": [[2, 0], [3, 5]],
+    "zmod:360": [[8, 0], [3, 9]],
+    "gfpoly:p": [[[0, 1], []], [[1, 1], [1, 0, 1]]],
+    "text:z,q": [[[2, "1/2"], [0, 0]], [[3, 0], [5, "1/3"]]],
+    "product:zmod:4,z": [[[2, 2], [0, 0]], [[1, 3], [3, 5]]],
+}
+
+
+@pytest.mark.parametrize("spec", ["z", "zmod:360", "gfpoly:2", "gfpoly:5", "gfpoly:1000003",
+                                  "text:z,q", "product:zmod:4,z"])
+def test_verify_reduction_sees_every_single_change(spec):
+    # every single-entry change of P, Pinv, Q, Qinv or D breaks a product
+    # check or the shape of D: each change is a unit or, over Z x| Q, a
+    # module part that no row of an invertible matrix annihilates
+    a, snf = _reduced(spec)
+    ring = a.ring
+    lower = RingMatrix(ring, [[ring.value_from_json(v) for v in row]
+                              for row in _LOWER["gfpoly:p" if spec.startswith("gfpoly") else spec]])
+    for mat, result in ((a, snf), (lower, reduce_2x2(lower))):
+        assert verify_reduction(mat, result)
+        for name in ("P", "Pinv", "Q", "Qinv", "D"):
+            data = getattr(result, name).data
+            for i, row in enumerate(data):
+                for j, v in enumerate(row):
+                    for w in _single_changes(ring, v):
+                        rows = [list(r) for r in data]
+                        rows[i][j] = w
+                        changed = dataclasses.replace(
+                            result, **{name: RingMatrix._trusted(ring, rows)})
+                        assert not verify_reduction(mat, changed), (name, i, j, w)
+
+
 # -- whole documents: kernels against the generic methods ------------------------
 
 _GENERIC = [(GFPolynomialRing, "dot", Ring.dot), (ProductRing, "dot", Ring.dot),
             (TrivialExtensionRing, "dot", Ring.dot),
             (IntegerRing, "matmul", Ring.matmul), (ModularRing, "matmul", Ring.matmul),
-            (GFPolynomialRing, "matmul_equals", Ring.matmul_equals),
-            (ProductRing, "matmul_equals", Ring.matmul_equals),
-            (TrivialExtensionRing, "matmul_equals", Ring.matmul_equals),
+            (GFPolynomialRing, "to_check", Ring.to_check),
+            (ProductRing, "to_check", Ring.to_check),
+            (TrivialExtensionRing, "to_check", Ring.to_check),
             (IntegerRing, "fma", Ring.fma),
             (ModularRing, "fma", Ring.fma), (GFPolynomialRing, "fma", Ring.fma),
             (TrivialExtensionRing, "fma", Ring.fma),

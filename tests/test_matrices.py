@@ -36,7 +36,7 @@ from edrkit import (
 )
 from edrkit.cli import EXIT_OK, CommandRequest, dispatch
 from edrkit.matrices import _Sweep
-from edrkit.rings import _pmonic
+from edrkit.rings import Ring, _pmonic
 from conftest import det_oracle, minor_gcd_oracle, random_value
 
 Z = IntegerRing()
@@ -294,29 +294,17 @@ def test_reduce_2x2_factors_audit(rng):
             continue
         checked += 1
         mat = zmat([[a, 0], [b, c]])
-        res = reduce_2x2(mat)
-        assert verify_reduction(mat, res)
-        assert res.D.data[0][0] == 1
-        # det ideal is preserved: D[1][1] is an associate of det A
-        delta = res.D.entry(1, 1)
-        det_a = det_oracle(mat)
-        assert divides(delta, det_a) and divides(det_a, delta)
-        # every emitted factor is invertible, by explicit inverse multiplication
-        for fac, inv in res.left_factors + res.right_factors:
-            assert (fac @ inv).is_identity() and (inv @ fac).is_identity()
-        # the factors compose to P and Q exactly
-        p = RingMatrix.identity(Z, 2)
-        for fac, _ in res.left_factors:
-            p = fac @ p
-        q = RingMatrix.identity(Z, 2)
-        for fac, _ in res.right_factors:
-            q = q @ fac
-        assert p == res.P and q == res.Q
-        assert (res.P @ mat @ res.Q) == res.D
+        _audit_2x2(mat, reduce_2x2(mat))
 
 
 def _audit_2x2(mat, res):
-    """The checks of test_reduce_2x2_factors_audit, over any ring."""
+    """A reduce_2x2 result against its recorded factors, over any ring.
+
+    D = diag(1, delta) with delta an associate of det A; every factor is
+    invertible by its recorded inverse; and the closed-form P, Q, Pinv and
+    Qinv are the factors composed: P = L_k...L_1, Q = R_1...R_k,
+    Pinv = L_1^-1...L_k^-1 and Qinv = R_k^-1...R_1^-1.
+    """
     ring = mat.ring
     assert verify_reduction(mat, res)
     assert res.D.data[0][0] == ring.one
@@ -324,13 +312,13 @@ def _audit_2x2(mat, res):
     assert ring.divides(delta, det_a) and ring.divides(det_a, delta)
     for fac, inv in res.left_factors + res.right_factors:
         assert (fac @ inv).is_identity() and (inv @ fac).is_identity()
-    p = RingMatrix.identity(ring, 2)
-    for fac, _ in res.left_factors:
-        p = fac @ p
-    q = RingMatrix.identity(ring, 2)
-    for fac, _ in res.right_factors:
-        q = q @ fac
+    p = pinv = q = qinv = RingMatrix.identity(ring, 2)
+    for fac, inv in res.left_factors:
+        p, pinv = fac @ p, pinv @ inv
+    for fac, inv in res.right_factors:
+        q, qinv = q @ fac, inv @ qinv
     assert p == res.P and q == res.Q
+    assert pinv == res.Pinv and qinv == res.Qinv
     assert (res.P @ mat @ res.Q) == res.D
 
 
@@ -361,8 +349,24 @@ class _NegatedBezout(IntegerRing):
     def bezout_raw(self, a, b):
         return tuple(-v for v in super().bezout_raw(a, b))
 
+    egcd = Ring.egcd  # the head of these certificates, not Z's own extended Euclid
+
     def canonical_associate(self, a):
         return abs(a)
+
+
+@pytest.mark.parametrize("spec", ["z", "zmod:360", "gfpoly:5", "product:zmod:4,z", "text:z,q"])
+def test_reduce_2x2_multiplies_matrices_only_for_d(spec, monkeypatch, rng):
+    # P, Pinv, Q and Qinv are closed forms; only D = (P*A)*Q takes 2x2 products
+    from edrkit import matrices
+
+    calls = []
+    mul2 = matrices._mul2
+    monkeypatch.setattr(matrices, "_mul2", lambda *args: calls.append(1) or mul2(*args))
+    for mat in _comaximal_triples(make_ring(spec), rng, 20):
+        calls.clear()
+        _audit_2x2(mat, reduce_2x2(mat))
+        assert len(calls) <= 2
 
 
 def test_reduce_2x2_scales_a_unit_generator_to_one(rng):

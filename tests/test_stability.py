@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -404,6 +405,30 @@ def test_coprime_factorization_scans_only_small_finite_rings(monkeypatch):
         for v in (((6, 1), (3, 0), (2, 0)), ((5, 1), (1, 0), (0, 0)), ((0, 7), (2, 1), (3, 5))):
             c, a, b = (element(ring, x) for x in v)
             _assert_coprime_split(c, a, b, *coprime_factorization(c, a, b))
+
+
+@pytest.mark.parametrize("spec", ["z", "zmod:360", "gfpoly:5", "text:zmod:4,self",
+                                  "product:zmod:4,z"])
+def test_unit_combination_is_the_scaled_certificate(spec, monkeypatch):
+    """_unit_combination reads (d, x, y) from Ring.egcd; its (u, v) are those
+    from the head of the full certificate bezout_raw, and r*u + s*v = 1."""
+    from edrkit.rings import Ring
+    from edrkit.stability import _comaximal, _unit_combination
+    from conftest import random_value
+
+    ring = make_ring(spec)
+    rng = random.Random(spec)
+    pairs = [(ring.one, ring.zero), (ring.zero, ring.one), (ring.neg(ring.one), ring.one)]
+    while len(pairs) < 60:
+        r, s = (ring.normalize(random_value(ring, rng, 30)) for _ in range(2))
+        if _comaximal(ring, [r, s]):
+            pairs.append((r, s))
+    got = [_unit_combination(ring, r, s) for r, s in pairs]
+    for (r, s), (u, v) in zip(pairs, got):
+        assert ring.add(ring.mul(r, u), ring.mul(s, v)) == ring.one, (r, s)
+    for cls in (IntegerRing, GFPolynomialRing):
+        monkeypatch.setattr(cls, "egcd", Ring.egcd)  # bezout_raw(a, b)[:3]
+    assert [_unit_combination(ring, r, s) for r, s in pairs] == got
 
 
 def test_trivial_extension_refusals_answered_from_the_base():
