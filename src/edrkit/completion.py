@@ -15,12 +15,12 @@ replayed.
 The work is done on raw ring values; only the trace entries, the result and
 the arguments of the entry points :func:`~edrkit.stability.select_stable` and
 :func:`~edrkit.stability.lift_unit` are boxed as elements.  The row is folded
-once, its Bezout coefficients built in one pass from the right.  The lift
-moduli and every comaximality test (the precondition and the residue search
-of each unit lift) are gcd-only: they fold ``Ring.gcd`` and never build the
-cofactors of a Bezout certificate.  Only the row fold and the closing pair
-(alpha, beta) need cofactors, and only they call ``Ring.egcd``, which skips
-the certificate's a0 and b0.
+once by ``Ring.row_egcd``, its Bezout coefficients built in one pass from
+the right.  The lift moduli and every comaximality test (``Ring.comaximal``,
+in the precondition and the residue search of each unit lift) are gcd-only:
+they fold ``Ring.gcd`` and never build the cofactors of a Bezout
+certificate.  Only the row fold and the closing pair (alpha, beta) need
+cofactors, and only they call ``Ring.egcd``, which skips a0 and b0.
 
 :func:`complete_unimodular` is the d = 1 special case: a unimodular row is
 the first row of a matrix with determinant exactly 1.
@@ -29,17 +29,14 @@ the first row of a matrix with determinant exactly 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from .matrices import RingMatrix
 from .matrices import determinant  # noqa: F401  not called here; bench/tracing.py wraps this name
 from .rings import (
     PreconditionError,
-    ProductRing,
     Ring,
     RingElement,
     RingError,
-    TruncatedSeriesRing,
     _raw,
     _same_ring,
     one,
@@ -75,49 +72,12 @@ def _trace_json(ring: Ring, v):
     return v
 
 
-def _row_gcd_with_coefficients(ring: Ring, row: list) -> tuple[Any, list]:
-    """Generator g of sum(a_i R) and coefficients with sum a_i x_i = g, raw values.
-
-    The row is folded from the left, g_k being the Bezout d of (g_{k-1}, a_k)
-    with cofactors (u_k, v_k), so x_i = v_i * u_{i+1} * ... * u_n (v_1 = 1):
-    one pass from the right builds them all in O(n) multiplications.  A
-    series row leads with its first entry of nonzero constant term: then every
-    gcd of the fold has one, so each later pair has a certificate.  A product
-    row is folded factor by factor, so a series factor leads on its own.
-    """
-    if isinstance(ring, ProductRing):
-        folds = [_row_gcd_with_coefficients(f, [a[k] for a in row])
-                 for k, f in enumerate(ring.factors)]
-        gs, xss = zip(*folds)
-        return gs, list(zip(*xss))
-    if isinstance(ring, TruncatedSeriesRing):
-        lead = next((i for i, a in enumerate(row) if a[0] != 0), 0)
-        if lead:
-            g, xs = _row_gcd_with_coefficients(
-                ring, [row[lead], *row[:lead], *row[lead + 1:]])
-            return g, [*xs[1:lead + 1], xs[0], *xs[lead + 1:]]
-    mul = ring.mul
-    g = row[0]
-    us, vs = [], [ring.one]
-    for a in row[1:]:
-        g, u, v = ring.egcd(g, a)
-        us.append(u)
-        vs.append(v)
-    coeffs = [vs[-1]]
-    tail = ring.one
-    for u, v in zip(reversed(us), reversed(vs[:-1])):
-        tail = mul(tail, u)
-        coeffs.append(mul(v, tail))
-    coeffs.reverse()
-    return g, coeffs
-
-
 def complete_row(row, d: RingElement, fold=None) -> CompletionResult:
     """Complete (a_1, ..., a_n) with sum(a_i R) = dR to det exactly d; n >= 2.
 
     Preconditions are checked through certificates: the row gcd must generate
     the same ideal as d, and d must divide every entry.  ``fold`` is the
-    row's ``_row_gcd_with_coefficients`` where the caller already has it.
+    row's ``Ring.row_egcd`` where the caller already has it.
     """
     row = list(row)
     if len(row) < 2:
@@ -125,7 +85,7 @@ def complete_row(row, d: RingElement, fold=None) -> CompletionResult:
     ring = _same_ring(*row, d)
     values = [a.value for a in row]
     dv = d.value
-    g, xs = fold if fold is not None else _row_gcd_with_coefficients(ring, values)
+    g, xs = fold if fold is not None else ring.row_egcd(values)
     if not (ring.divides(g, dv) and ring.divides(dv, g)):
         raise PreconditionError(
             f"the row generates {_raw(ring, g)!r}R, which differs from {d!r}R")
@@ -162,10 +122,10 @@ def _tail_moduli(ring: Ring, w, rest: list) -> list:
 
     One fold suffices because no fold order changes a gcd here.  Where
     Bezout is total ``Ring.gcd`` is the canonical generator of the ideal.  In
-    a truncated series ring (alone or as a product factor) ``select_stable``
+    a truncated series ring (alone or as a product factor) ``Ring.stable_shift``
     gives w a nonzero constant term, so every gcd of the fold is (gcd of the
-    constant terms, ()).  Rows over ``text:A,self`` never get here: their row
-    fold refuses.
+    constant terms, ()).  Rows over ``text:A,self`` never get here: their
+    ``Ring.row_egcd`` refuses.
     """
     moduli = [w]
     for h in reversed(rest[1:]):
@@ -253,7 +213,7 @@ def complete_unimodular(row) -> CompletionResult:
             raise PreconditionError(
                 "a length-1 row completes to det 1 only for the row (1)")
         return CompletionResult(RingMatrix(ring, [[ring.one]]), one(ring), {})
-    fold = _row_gcd_with_coefficients(ring, [a.value for a in row])
+    fold = ring.row_egcd([a.value for a in row])
     if not ring.is_unit(fold[0]):
         raise PreconditionError(
             f"the row is not unimodular: it generates {_raw(ring, fold[0])!r}R")

@@ -58,7 +58,7 @@ from .rings import (
     _raw,
     _same_ring,
 )
-from .stability import _comaximal, lift_unit, select_stable
+from .stability import lift_unit, select_stable
 
 logger = logging.getLogger(__name__)
 
@@ -461,7 +461,7 @@ def reduce_2x2(a: RingMatrix) -> ReductionResult:
     (av, e01), (bv, cv) = a.data
     if e01 != zero:
         raise PreconditionError("reduce_2x2 needs the lower-triangular shape [[a,0],[b,c]]")
-    if not _comaximal(ring, [av, bv, cv]):
+    if not ring.comaximal([av, bv, cv]):
         raise PreconditionError(
             f"reduce_2x2 requires aR + bR + cR = R, got "
             f"{a.entry(0, 0)!r}, {a.entry(1, 0)!r}, {a.entry(1, 1)!r}")
@@ -705,6 +705,7 @@ def diagonal_reduce(a: RingMatrix) -> ReductionResult:
         raise UnsupportedOperationError(
             f"diagonal reduction needs total Bezout certificates; "
             f"{ring.expression()} does not provide them")
+    # a function, not a Ring method, while bench/tracing.py wraps _reduce_product by name
     if isinstance(ring, ProductRing):
         return _reduce_product(a)
     return _reduce_bezout(a)

@@ -260,6 +260,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _finite_quotient(ring: "Ring", c) -> bool:
+    """True iff ``Ring.residues_mod`` lists R/cR: every ring lists its finite
+    quotients and refuses its infinite ones."""
+    try:
+        ring.residues_mod(c)
+    except UnsupportedOperationError:
+        return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -490,6 +500,87 @@ class Ring(ABC):
         raise UnsupportedOperationError(
             f"no residue enumeration modulo {c!r} in {self.expression()}")
 
+    # -- ideal constructions, whose defaults hold where Bezout is total --------
+
+    # a certified counterexample (a, b) to stable range 1, where a ring has one
+    sr1_counterexample: tuple | None = None
+
+    def comaximal(self, values) -> bool:
+        """True iff the raw values generate R, that is sum(v R) = R: folds
+        ``gcd`` and asks whether the result is a unit, with no cofactors."""
+        return self.is_unit(functools.reduce(self.gcd, values))
+
+    def unit_combination(self, r: Any, s: Any) -> tuple[Any, Any]:
+        """(u, v) with r*u + s*v = 1, for rR + sR = R: the certificate
+        r*x + s*y = d scaled by the unit d^-1."""
+        d, x, y = self.egcd(r, s)
+        dinv = self.inverse(d)
+        return self.mul(x, dinv), self.mul(y, dinv)
+
+    def coprime_split(self, c: Any, a: Any, b: Any) -> tuple[Any, Any]:
+        """(r, s) with c = r*s and rR + sR = rR + aR = sR + bR = R, for c != 0
+        and aR + bR = R (``stability.coprime_factorization``)."""
+        raise UnsupportedOperationError(
+            f"coprime_factorization is not supported on {self.expression()}")
+
+    def reduce_mod(self, e: Any, c: Any) -> Any:
+        """e modulo cR: its least residue where the ring has one, else e."""
+        return e
+
+    def row_egcd(self, row: list) -> tuple[Any, list]:
+        """Generator g of sum(a_i R) and coefficients with sum a_i x_i = g.
+
+        The row is folded from the left, g_k being the Bezout d of (g_{k-1}, a_k)
+        with cofactors (u_k, v_k), so x_i = v_i * u_{i+1} * ... * u_n (v_1 = 1):
+        one pass from the right builds them all in O(n) multiplications.
+        """
+        mul = self.mul
+        g = row[0]
+        us, vs = [], [self.one]
+        for a in row[1:]:
+            g, u, v = self.egcd(g, a)
+            us.append(u)
+            vs.append(v)
+        coeffs = [vs[-1]]
+        tail = self.one
+        for u, v in zip(reversed(us), reversed(vs[:-1])):
+            tail = mul(tail, u)
+            coeffs.append(mul(v, tail))
+        coeffs.reverse()
+        return g, coeffs
+
+    def stable_shift(self, a: Any, b: Any) -> Any:
+        """y with R/(a + b*y)R finite (``stability.select_stable``): 0 if R/aR
+        is finite, else 1 if R/(a + b)R is; refuses every other pair."""
+        if self.finite or _finite_quotient(self, a):
+            return self.zero
+        if _finite_quotient(self, self.add(a, b)):
+            return self.one
+        raise PreconditionError(
+            f"select_stable: no shift of {(_raw(self, a), _raw(self, b))!r} has a finite quotient")
+
+    def lift_unit(self, a: Any, b: Any, c: Any) -> Any:
+        """y with (a + b*y)R + cR = R, for aR + bR + cR = R and R/cR of stable
+        range 1 (``stability.lift_unit``): the first canonical residue modulo
+        c that works, or y = 0 where R/cR lists none."""
+        if not self.comaximal([a, b, c]):
+            raise PreconditionError(
+                f"lift_unit requires aR + bR + cR = R, got "
+                f"{_raw(self, a)!r}, {_raw(self, b)!r}, {_raw(self, c)!r}")
+        try:
+            residues = self.residues_mod(c)
+        except UnsupportedOperationError:
+            if self.comaximal([a, c]):
+                return self.zero
+            raise PreconditionError(
+                f"quotient by {_raw(self, c)!r} admits no residue enumeration and y = 0 fails")
+        add, mul = self.add, self.mul
+        for y in residues:
+            if self.comaximal([add(a, mul(b, y)), c]):
+                return y
+        raise RuntimeError(
+            "internal error: unit lift search exhausted although the precondition held")
+
     # -- text / JSON encodings ------------------------------------------------
 
     # every raw value is its own JSON encoding (json writes tuples as arrays)
@@ -677,6 +768,23 @@ class IntegerRing(Ring):
             raise UnsupportedOperationError("no finite residue system modulo 0 in z")
         return iter(range(abs(c)))
 
+    # 3 + 5y is a unit of Z only for 3 + 5y in {1, -1}; neither linear
+    # equation has an integer solution, so (3, 5) is a proven witness.
+    assert (1 - 3) % 5 != 0 and (-1 - 3) % 5 != 0
+    sr1_counterexample = (3, 5)
+
+    def coprime_split(self, c, a, b):
+        # iterated gcd extraction, which GF(p)[x] shares: r collects the part of c coprime to a
+        if c == self.zero:
+            raise PreconditionError(f"coprime_factorization needs c != 0 in {self.expression()}")
+        r, s = c, self.one
+        while not self.is_unit(g := self.gcd(r, a)):
+            r, s = self.divide_exact(r, g), self.mul(s, g)
+        return (r, s)
+
+    def reduce_mod(self, e, c):
+        return e % abs(c) if c else e
+
     def value_to_json(self, v):
         return v
 
@@ -824,6 +932,11 @@ class ModularRing(Ring):
             m0 //= t
         return self.divide_exact(-g * m0 % n, b)
 
+    def coprime_split(self, c, a, b):
+        # the Z loop on representatives, where a zero component stands for n
+        r, s = IntegerRing().coprime_split(c or self.n, a, b)
+        return (r % self.n, s % self.n)
+
     def value_to_json(self, v):
         return v
 
@@ -965,6 +1078,11 @@ class GFPolynomialRing(Ring):
         deg = len(c) - 1
         return (_ptrim(list(t)) for t in itertools.product(range(self.p), repeat=deg))
 
+    coprime_split = IntegerRing.coprime_split
+
+    def reduce_mod(self, e, c):
+        return _pdivmod(e, c, self.p)[1] if c else e
+
     def value_to_json(self, v):
         return list(v)
 
@@ -1083,6 +1201,30 @@ class ProductRing(Ring):
         for stream in streams:
             stream()
         return _product_streams(streams)
+
+    # each ideal construction is the factors' answers woven together
+
+    def comaximal(self, values):
+        return all(f.comaximal([v[k] for v in values]) for k, f in enumerate(self.factors))
+
+    def unit_combination(self, r, s):
+        return tuple(zip(*[f.unit_combination(*args) for f, *args in zip(self.factors, r, s)]))
+
+    def coprime_split(self, c, a, b):
+        return tuple(zip(*[f.coprime_split(*args) for f, *args in zip(self.factors, c, a, b)]))
+
+    def reduce_mod(self, e, c):
+        return tuple([f.reduce_mod(ei, ci) for f, ei, ci in zip(self.factors, e, c)])
+
+    def row_egcd(self, row):
+        gs, xss = zip(*[f.row_egcd([a[k] for a in row]) for k, f in enumerate(self.factors)])
+        return gs, list(zip(*xss))
+
+    def stable_shift(self, a, b):
+        return tuple([f.stable_shift(ai, bi) for f, ai, bi in zip(self.factors, a, b)])
+
+    def lift_unit(self, a, b, c):
+        return tuple([f.lift_unit(*args) for f, *args in zip(self.factors, a, b, c)])
 
     def value_to_json(self, v):
         return [f.value_to_json(c) for f, c in zip(self.factors, v)]
@@ -1626,6 +1768,27 @@ class SelfExtensionRing(Ring):
         # since 0 ⋉ A squares to zero
         return ((k, self.base.zero) for k in self.base.residues_mod(c[0]))
 
+    # 0 ⋉ A squares to zero, so the ideal constructions read the base parts
+
+    def comaximal(self, values):
+        # if the base parts combine to 1, the same combination of the values
+        # is (1, e), a unit
+        return self.base.comaximal([v[0] for v in values])
+
+    def unit_combination(self, r, s):
+        # the base's combination gives r*u0 + s*v0 = (1, e), whose inverse is (1, -e)
+        base = self.base
+        u0, v0 = base.unit_combination(r[0], s[0])
+        ne = base.neg(base.add(base.mul(r[1], u0), base.mul(s[1], v0)))
+        return (u0, base.mul(ne, u0)), (v0, base.mul(ne, v0))
+
+    def coprime_split(self, c, a, b):
+        # r0*s0 = c0 with r0*u + s0*v = 1: (r0, v*c1)(s0, u*c1) = c
+        base = self.base
+        r0, s0 = base.coprime_split(c[0], a[0], b[0])
+        u, v = base.unit_combination(r0, s0)
+        return (r0, base.mul(v, c[1])), (s0, base.mul(u, c[1]))
+
     def value_to_json(self, v):
         return [self.base.value_to_json(v[0]), self.base.value_to_json(v[1])]
 
@@ -1659,9 +1822,7 @@ class TruncatedSeriesRing(Ring):
     def expression(self) -> str:
         return f"series:{self.order}"
 
-    @property
-    def bezout_total(self) -> bool:
-        return False
+    bezout_total = False
 
     def normalize(self, value):
         if isinstance(value, list):
@@ -1795,6 +1956,20 @@ class TruncatedSeriesRing(Ring):
             raise UnsupportedOperationError(
                 f"no finite residue system modulo {c!r} in {self.expression()}")
         return ((k, ()) for k in range(abs(c[0])))
+
+    # only a value of nonzero constant term lets a combination reach 1, and after
+    # one every gcd of a fold has a certificate, so the folds lead with the first
+
+    def comaximal(self, values):
+        lead = next((i for i, v in enumerate(values) if v[0] != 0), None)
+        if lead is None:
+            return False
+        return super().comaximal([values[lead], *values[:lead], *values[lead + 1:]])
+
+    def row_egcd(self, row):
+        lead = next((i for i, a in enumerate(row) if a[0] != 0), 0)
+        g, xs = super().row_egcd([row[lead], *row[:lead], *row[lead + 1:]])
+        return g, [*xs[1:lead + 1], xs[0], *xs[lead + 1:]]
 
     def value_to_json(self, v):
         return {"constant": v[0], "coeffs": [_fraction_to_json(q) for q in v[1]]}

@@ -13,9 +13,9 @@ nothing is searched.  The same theorem gives the one stability rule: an
 element a is stable whenever R/aR is finite, which ``select_stable`` and
 ``is_stable`` read off ``Ring.residues_mod``.  The exhaustive checkers of
 :mod:`edrkit.exhaustive` compute the same verdicts by search and serve the
-tests as the oracle; this module never builds their tables.  On a trivial
-extension A ⋉ A the ideal 0 ⋉ A squares to zero, so comaximality, unit
-combinations and coprime factorizations are read off the base parts.
+tests as the oracle; this module never builds their tables.  Each step on
+raw values is a ``Ring`` method, so each ring kind's rule lives in
+:mod:`edrkit.rings`: a product applies its factors', A ⋉ A reads base parts.
 Negative verdicts always carry a witness that re-checks independently; on
 infinite rings only bounded verdicts are offered and they say so explicitly.
 """
@@ -23,26 +23,18 @@ infinite rings only bounded verdicts are offered and they say so explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .rings import (
-    GFPolynomialRing,
     InfiniteRingError,
-    IntegerRing,
-    ModularRing,
     PreconditionError,
-    ProductRing,
     Ring,
     RingElement,
     RingError,
-    SelfExtensionRing,
-    TruncatedSeriesRing,
     UnsupportedOperationError,
-    _pdivmod,
+    _finite_quotient,
     _raw,
     _same_ring,
     bezout,
-    one,
     zero,
 )
 
@@ -80,51 +72,14 @@ class PropertyVerdict:
         return doc
 
 
-def _comaximal(ring: Ring, values: list) -> bool:
-    """True iff the raw values generate R, that is sum(v R) = R.
-
-    Where Bezout is total this folds ``Ring.gcd`` and asks whether the
-    result is a unit: no cofactors are built.  Truncated series lead with a
-    value of nonzero constant term, the only way a combination reaches 1,
-    which keeps every gcd of the fold supported.  Products go factor by
-    factor.  On A ⋉ A the ideal 0 ⋉ A squares to zero, so the values
-    generate R exactly when their base parts generate A: if the base parts
-    combine to 1, the same combination of the values is (1, e), a unit.
-    """
-    if ring.bezout_total:
-        return ring.is_unit(reduce(ring.gcd, values))
-    if isinstance(ring, TruncatedSeriesRing):
-        lead = next((i for i, v in enumerate(values) if v[0] != 0), None)
-        if lead is None:
-            return False
-        values = [values[lead]] + values[:lead] + values[lead + 1:]
-        return ring.is_unit(reduce(ring.gcd, values))
-    if isinstance(ring, ProductRing):
-        return all(_comaximal(f, [v[k] for v in values]) for k, f in enumerate(ring.factors))
-    if isinstance(ring, SelfExtensionRing):
-        return _comaximal(ring.base, [v[0] for v in values])
-    raise UnsupportedOperationError(
-        f"comaximality is not decidable for {ring.expression()}")
-
-
 def is_coprime(a: RingElement, b: RingElement) -> bool:
     """True iff aR + bR = R (the recurring comaximality hypothesis)."""
-    return _comaximal(_same_ring(a, b), [a.value, b.value])
+    return _same_ring(a, b).comaximal([a.value, b.value])
 
 
 def unit_mod(a: RingElement, c: RingElement) -> bool:
     """True iff the image of a is a unit of R/cR, i.e. aR + cR = R."""
     return is_coprime(a, c)
-
-
-def _finite_quotient(ring: Ring, c) -> bool:
-    """True iff ``Ring.residues_mod`` lists R/cR: every ring lists its finite
-    quotients and refuses its infinite ones."""
-    try:
-        ring.residues_mod(c)
-    except UnsupportedOperationError:
-        return False
-    return True
 
 
 def select_stable(a: RingElement, b: RingElement) -> RingElement:
@@ -144,17 +99,7 @@ def select_stable(a: RingElement, b: RingElement) -> RingElement:
     y = 1.  Pairs admitting no such shift (e.g. (0, 0) over Z) are rejected.
     """
     ring = _same_ring(a, b)
-    if ring.finite:  # every quotient is finite: the rule's y = 0, at once
-        return zero(ring)
-    if isinstance(ring, ProductRing):
-        return _raw(ring, tuple(select_stable(_raw(f, av), _raw(f, bv)).value
-                                for f, av, bv in zip(ring.factors, a.value, b.value)))
-    if _finite_quotient(ring, a.value):
-        return zero(ring)
-    if _finite_quotient(ring, ring.add(a.value, b.value)):
-        return one(ring)
-    raise PreconditionError(
-        f"select_stable: no shift of ({a!r}, {b!r}) has a finite quotient")
+    return _raw(ring, ring.stable_shift(a.value, b.value))
 
 
 def lift_unit(a: RingElement, b: RingElement, c: RingElement) -> RingElement:
@@ -163,28 +108,7 @@ def lift_unit(a: RingElement, b: RingElement, c: RingElement) -> RingElement:
     stable range 1 of the quotient guarantees a hit among them.
     """
     ring = _same_ring(a, b, c)
-    if isinstance(ring, ProductRing):
-        parts = []
-        for f, av, bv, cv in zip(ring.factors, a.value, b.value, c.value):
-            parts.append(lift_unit(_raw(f, av), _raw(f, bv), _raw(f, cv)).value)
-        return _raw(ring, tuple(parts))
-    av, bv, cv = a.value, b.value, c.value
-    if not _comaximal(ring, [av, bv, cv]):
-        raise PreconditionError(
-            f"lift_unit requires aR + bR + cR = R, got {a!r}, {b!r}, {c!r}")
-    try:
-        residues = ring.residues_mod(cv)
-    except UnsupportedOperationError:
-        if _comaximal(ring, [av, cv]):
-            return zero(ring)
-        raise PreconditionError(
-            f"quotient by {c!r} admits no residue enumeration and y = 0 fails")
-    add, mul = ring.add, ring.mul
-    for yv in residues:
-        if _comaximal(ring, [add(av, mul(bv, yv)), cv]):
-            return _raw(ring, yv)
-    raise RuntimeError(
-        "internal error: unit lift search exhausted although the precondition held")
+    return _raw(ring, ring.lift_unit(a.value, b.value, c.value))
 
 
 def is_stable(a: RingElement) -> PropertyVerdict:
@@ -198,13 +122,6 @@ def is_stable(a: RingElement) -> PropertyVerdict:
             f"stability of {a!r} needs a finite quotient; "
             f"{a.ring.expression()} offers none")
     return PropertyVerdict(STABLE_RANGE_1, True)
-
-
-def _certified_integer_sr1_counterexample(ring: Ring) -> tuple[RingElement, RingElement]:
-    # 3 + 5y is a unit of Z only for 3 + 5y in {1, -1}; neither linear
-    # equation has an integer solution, so (3, 5) is a proven witness.
-    assert (1 - 3) % 5 != 0 and (-1 - 3) % 5 != 0
-    return (_raw(ring, 3), _raw(ring, 5))
 
 
 def check_property(ring: Ring, property_name: str) -> PropertyVerdict:
@@ -240,8 +157,8 @@ def check_property(ring: Ring, property_name: str) -> PropertyVerdict:
         raise RingError(f"unknown property {property_name!r}")
     if ring.finite:
         return PropertyVerdict(property_name, True)
-    if isinstance(ring, IntegerRing) and property_name == STABLE_RANGE_1:
-        witness = _certified_integer_sr1_counterexample(ring)
+    if ring.sr1_counterexample is not None and property_name == STABLE_RANGE_1:
+        witness = tuple(_raw(ring, v) for v in ring.sr1_counterexample)
         return PropertyVerdict(STABLE_RANGE_1, False, witness, search_bound=SEARCH_BOUND)
     raise UnsupportedOperationError(
         f"property {property_name!r} is not checkable on {ring.expression()}")
@@ -259,7 +176,7 @@ def sr2_witness(a: RingElement, b: RingElement, c: RingElement) -> tuple[RingEle
     ring = _same_ring(a, b, c)
     if is_coprime(a, b):
         return (zero(ring), zero(ring))
-    if not _comaximal(ring, [a.value, b.value, c.value]):
+    if not ring.comaximal([a.value, b.value, c.value]):
         raise PreconditionError(
             f"sr2_witness requires aR + bR + cR = R, got {a!r}, {b!r}, {c!r}")
     cert1 = bezout(b, c)  # b*x1 + c*y1 = d1 generates bR + cR
@@ -285,7 +202,7 @@ def coprime_factorization(c: RingElement, a: RingElement, b: RingElement
     split as r0*s0 = c0; with r0*u + s0*v = 1, r = (r0, v*c1) and
     s = (s0, u*c1) multiply to c, and comaximality reads the base parts only.
     So every finite ring of the registry has a factorization, found with no
-    search.
+    search by ``Ring.coprime_split``.
     """
     ring = _same_ring(c, a, b)
     if c.is_zero():
@@ -293,69 +210,16 @@ def coprime_factorization(c: RingElement, a: RingElement, b: RingElement
     if not is_coprime(a, b):
         raise PreconditionError(
             f"coprime_factorization requires aR + bR = R, got {a!r}, {b!r}")
-    r, s = _coprime_split(ring, c.value, a.value, b.value)
+    r, s = ring.coprime_split(c.value, a.value, b.value)
     return (_raw(ring, r), _raw(ring, s))
-
-
-def _coprime_split(ring: Ring, c, a, b) -> tuple:
-    """coprime_factorization on raw values, with aR + bR = R already checked."""
-    if isinstance(ring, ProductRing):
-        parts = [_coprime_split(*args) for args in zip(ring.factors, c, a, b)]
-        return tuple(r for r, _ in parts), tuple(s for _, s in parts)
-    if isinstance(ring, ModularRing):
-        # the Z loop on representatives, where a zero component stands for n
-        r, s = _coprime_split(IntegerRing(), c or ring.n, a, b)
-        return (r % ring.n, s % ring.n)
-    if isinstance(ring, (IntegerRing, GFPolynomialRing)):
-        if c == ring.zero:
-            raise PreconditionError(
-                f"coprime_factorization needs c != 0 in {ring.expression()}")
-        r, s = c, ring.one
-        while not ring.is_unit(g := ring.gcd(r, a)):
-            r, s = ring.divide_exact(r, g), ring.mul(s, g)
-        return (r, s)
-    if isinstance(ring, SelfExtensionRing):
-        base = ring.base
-        r0, s0 = _coprime_split(base, c[0], a[0], b[0])
-        u, v = _unit_combination(base, r0, s0)
-        return (r0, base.mul(v, c[1])), (s0, base.mul(u, c[1]))
-    raise UnsupportedOperationError(
-        f"coprime_factorization is not supported on {ring.expression()}")
-
-
-def _unit_combination(ring: Ring, r, s) -> tuple:
-    """(u, v) with r*u + s*v = 1, for raw values with rR + sR = R.
-
-    Where Bezout is total the certificate r*x + s*y = d is scaled by the
-    unit d^-1, and products go factor by factor.  On A ⋉ A the base's
-    combination gives r*u0 + s*v0 = (1, e), whose inverse is (1, -e).
-    """
-    if isinstance(ring, ProductRing):
-        parts = [_unit_combination(*args) for args in zip(ring.factors, r, s)]
-        return tuple(u for u, _ in parts), tuple(v for _, v in parts)
-    if isinstance(ring, SelfExtensionRing):
-        base = ring.base
-        u0, v0 = _unit_combination(base, r[0], s[0])
-        ne = base.neg(base.add(base.mul(r[1], u0), base.mul(s[1], v0)))
-        return (u0, base.mul(ne, u0)), (v0, base.mul(ne, v0))
-    d, x, y = ring.egcd(r, s)
-    dinv = ring.inverse(d)
-    return ring.mul(x, dinv), ring.mul(y, dinv)
-
-
-def _reduce_mod(e: RingElement, c: RingElement) -> RingElement:
-    ring = e.ring
-    if isinstance(ring, IntegerRing):
-        return _raw(ring, e.value % abs(c.value))
-    if isinstance(ring, GFPolynomialRing) and c.value:
-        return _raw(ring, _pdivmod(e.value, c.value, ring.p)[1])
-    return e
 
 
 def clean_idempotent(c: RingElement, a: RingElement, b: RingElement) -> RingElement:
     """The idempotent of R/cR behind cleanness: with c = r*s and r*u + s*v = 1,
-    e = s*v satisfies e^2 = e (mod c), e in a*(R/cR) and 1 - e in b*(R/cR).
+    e = s*v satisfies e^2 = e (mod c), e in a*(R/cR) and 1 - e in b*(R/cR),
+    reduced by ``Ring.reduce_mod`` (a product's factor by factor).
     """
+    ring = c.ring
     r, s = coprime_factorization(c, a, b)
-    v = _unit_combination(c.ring, r.value, s.value)[1]
-    return _reduce_mod(s * _raw(c.ring, v), c)
+    v = ring.unit_combination(r.value, s.value)[1]
+    return _raw(ring, ring.reduce_mod(ring.mul(s.value, v), c.value))

@@ -146,6 +146,8 @@ def test_complete_unimodular_rejections():
         complete_unimodular(zrow(2, 4))
     with pytest.raises(PreconditionError):
         complete_unimodular([zel(5)])
+    with pytest.raises(PreconditionError, match="empty row"):
+        complete_unimodular([])
 
 
 def test_modular_exhaustive_small():

@@ -41,14 +41,14 @@ def test_complete_documents_are_unchanged(case):
                                        ("gfpoly:5", [(1, 1), (2, 0, 1)])])
 def test_complete_unimodular_folds_the_row_once(monkeypatch, spec, row):
     calls = []
-    fold = completion._row_gcd_with_coefficients
-
-    def counted(ring, values):
-        calls.append(values)
-        return fold(ring, values)
-
-    monkeypatch.setattr(completion, "_row_gcd_with_coefficients", counted)
     ring = make_ring(spec)
+    fold = type(ring).row_egcd
+
+    def counted(self, values):
+        calls.append(values)
+        return fold(self, values)
+
+    monkeypatch.setattr(type(ring), "row_egcd", counted)
     els = [element(ring, v) for v in row]
     res = complete_unimodular(els)
     assert calls == [[e.value for e in els]]

@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 from edrkit import bezout, complete_row, determinant, element, make_ring
 from edrkit.cli import EXIT_OK, CommandRequest, dispatch
-from edrkit.completion import _row_gcd_with_coefficients
 from edrkit.rings import (
     GFPolynomialRing,
     IntegerRing,
@@ -91,7 +90,7 @@ def test_fold_coefficients_combine_to_the_gcd(spec):
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
     @given(row=_rows(ring, 14))
     def check(row):
-        g, xs = _row_gcd_with_coefficients(ring, row)
+        g, xs = ring.row_egcd(row)
         assert g == _bezout_fold(ring, row)
         assert len(xs) == len(row)
         assert reduce(ring.add, map(ring.mul, row, xs), ring.zero) == g
@@ -152,7 +151,7 @@ def test_text_rationals_rows_in_the_square_zero_ideal():
     cofactors come from the rational gcd branch."""
     ring = make_ring("text:z,q")
     row = [(0, Fraction(1, 2)), (0, Fraction(-1, 3)), (0, Fraction(5, 4))]
-    g, xs = _row_gcd_with_coefficients(ring, row)
+    g, xs = ring.row_egcd(row)
     assert g == (0, Fraction(1, 12))
     assert reduce(ring.add, map(ring.mul, row, xs), ring.zero) == g
     d = element(ring, g)
@@ -174,7 +173,7 @@ def test_product_rows_fold_a_series_factor_on_its_own(spec):
     assert code == EXIT_OK and json.loads(out)["verified"] is True
     ring = make_ring(spec)
     row = [ring.value_from_json(p) for p in pairs]
-    g, xs = _row_gcd_with_coefficients(ring, row)
+    g, xs = ring.row_egcd(row)
     for k, factor in enumerate(ring.factors):
-        gk, xk = _row_gcd_with_coefficients(factor, [a[k] for a in row])
+        gk, xk = factor.row_egcd([a[k] for a in row])
         assert g[k] == gk and [x[k] for x in xs] == xk

@@ -324,14 +324,12 @@ def _audit_2x2(mat, res):
 
 def _comaximal_triples(ring, rng, count):
     """Edge triples with b = 0, c = 0 or both, then random comaximal ones."""
-    from edrkit.stability import _comaximal
-
     one, zero, m1 = ring.one, ring.zero, ring.neg(ring.one)
     triples = [(one, zero, zero), (m1, zero, zero), (zero, one, zero), (zero, m1, one),
                (one, one, zero), (m1, zero, one)]
     while len(triples) < count:
         abc = [ring.normalize(random_value(ring, rng, 20)) for _ in range(3)]
-        if _comaximal(ring, abc):
+        if ring.comaximal(abc):
             triples.append(abc)
     return [RingMatrix(ring, [[a, zero], [b, c]]) for a, b, c in triples]
 

@@ -33,6 +33,7 @@ from edrkit import (
     unit_mod,
 )
 from edrkit import exhaustive
+from edrkit.rings import RingError
 
 Z = IntegerRing()
 M12 = ModularRing(12)
@@ -60,16 +61,14 @@ def test_unit_mod_examples():
 def test_series_comaximality_without_constant_terms():
     """Two series with zero constant terms never generate R; the pair test
     used to ask for a Bezout certificate that does not exist and raise."""
-    from edrkit.stability import _comaximal
-
     s = make_ring("series:4")
     x = element(s, (0, (1,)))
     x2 = x * x
     assert not is_coprime(x, x2)
     assert not unit_mod(x, x2)
     assert not is_coprime(x2, x)
-    assert not _comaximal(s, [x.value, x2.value])
-    assert not _comaximal(s, [x.value, x2.value, (x * x2).value])
+    assert not s.comaximal([x.value, x2.value])
+    assert not s.comaximal([x.value, x2.value, (x * x2).value])
     assert not is_coprime(x, element(s, (0, ())))
     one_plus_x = element(s, (1, (1,)))
     assert is_coprime(x, one_plus_x) and is_coprime(one_plus_x, x2)
@@ -80,12 +79,12 @@ def test_series_comaximality_without_constant_terms():
     els = [x, x2, one_plus_x, two, three, element(s, (-1, ())), element(s, (0, ()))]
     for a in els:
         for b in els:
-            assert is_coprime(a, b) == unit_mod(a, b) == _comaximal(s, [a.value, b.value])
+            assert is_coprime(a, b) == unit_mod(a, b) == s.comaximal([a.value, b.value])
             assert is_coprime(a, b) == (math.gcd(a.value[0], b.value[0]) == 1)
     # a unit-free lead: the fold must start from a nonzero constant term
-    assert _comaximal(s, [x.value, x2.value, one_plus_x.value])
-    assert _comaximal(s, [x2.value, two.value, three.value])
-    assert not _comaximal(s, [x.value, x2.value, two.value])
+    assert s.comaximal([x.value, x2.value, one_plus_x.value])
+    assert s.comaximal([x2.value, two.value, three.value])
+    assert not s.comaximal([x.value, x2.value, two.value])
 
 
 def test_select_stable_examples():
@@ -308,6 +307,20 @@ def test_check_property_unsupported_pairings():
         check_property(Z, "clean")
     with pytest.raises(UnsupportedOperationError):
         check_property(make_ring("text:z,q"), "stable-range-1")
+    with pytest.raises(RingError, match="unknown property 'foo'"):
+        check_property(Z, "foo")
+
+
+@pytest.mark.parametrize("spec, c, a, b", [("text:z,q", (2, 0), (1, 0), (0, 0)),
+                                           ("series:4", (2, ()), (1, ()), (0, ()))])
+def test_coprime_factorization_refuses_rings_without_a_split(spec, c, a, b):
+    """The Ring.coprime_split default: rings with no gcd extraction refuse."""
+    ring = make_ring(spec)
+    els = [element(ring, v) for v in (c, a, b)]
+    assert is_coprime(els[1], els[2])
+    with pytest.raises(UnsupportedOperationError,
+                       match=f"coprime_factorization is not supported on {spec}"):
+        coprime_factorization(*els)
 
 
 def test_sr2_witness_examples(rng):
@@ -410,10 +423,9 @@ def test_coprime_factorization_scans_only_small_finite_rings(monkeypatch):
 @pytest.mark.parametrize("spec", ["z", "zmod:360", "gfpoly:5", "text:zmod:4,self",
                                   "product:zmod:4,z"])
 def test_unit_combination_is_the_scaled_certificate(spec, monkeypatch):
-    """_unit_combination reads (d, x, y) from Ring.egcd; its (u, v) are those
+    """Ring.unit_combination reads (d, x, y) from Ring.egcd; its (u, v) are those
     from the head of the full certificate bezout_raw, and r*u + s*v = 1."""
     from edrkit.rings import Ring
-    from edrkit.stability import _comaximal, _unit_combination
     from conftest import random_value
 
     ring = make_ring(spec)
@@ -421,14 +433,14 @@ def test_unit_combination_is_the_scaled_certificate(spec, monkeypatch):
     pairs = [(ring.one, ring.zero), (ring.zero, ring.one), (ring.neg(ring.one), ring.one)]
     while len(pairs) < 60:
         r, s = (ring.normalize(random_value(ring, rng, 30)) for _ in range(2))
-        if _comaximal(ring, [r, s]):
+        if ring.comaximal([r, s]):
             pairs.append((r, s))
-    got = [_unit_combination(ring, r, s) for r, s in pairs]
+    got = [ring.unit_combination(r, s) for r, s in pairs]
     for (r, s), (u, v) in zip(pairs, got):
         assert ring.add(ring.mul(r, u), ring.mul(s, v)) == ring.one, (r, s)
     for cls in (IntegerRing, GFPolynomialRing):
         monkeypatch.setattr(cls, "egcd", Ring.egcd)  # bezout_raw(a, b)[:3]
-    assert [_unit_combination(ring, r, s) for r, s in pairs] == got
+    assert [ring.unit_combination(r, s) for r, s in pairs] == got
 
 
 def test_trivial_extension_refusals_answered_from_the_base():
@@ -505,6 +517,87 @@ def test_clean_idempotent_matches_enumerated_idempotents(rng):
         idems = {t for t in range(c) if (t * t) % c == t}
         assert e.value % c in idems
         assert check_property(ModularRing(c), "clean").holds
+
+
+def test_clean_idempotent_over_a_product_is_reduced_in_each_factor():
+    """(6, -10, -11) over Z gives 4; over Z x Z each component does too."""
+    assert clean_idempotent(zel(6), zel(-10), zel(-11)).value == 4
+    ring = make_ring("product:z,z")
+    assert clean_idempotent(*(element(ring, (v, v)) for v in (6, -10, -11))).value == (4, 4)
+
+
+@pytest.mark.parametrize("spec", ["product:z,gfpoly:5", "product:zmod:12,gfpoly:3,z"])
+def test_clean_idempotent_over_a_product_is_its_factors_idempotents(spec, rng):
+    from conftest import random_value
+
+    ring = make_ring(spec)
+    checked = 0
+    while checked < 40:
+        c, a, b = (ring.normalize(random_value(ring, rng, 30)) for _ in range(3))
+        if not all(c) or not ring.comaximal([a, b]):
+            continue
+        checked += 1
+        e = clean_idempotent(*(element(ring, v) for v in (c, a, b))).value
+        assert e == tuple(clean_idempotent(*(element(f, v) for v in vs)).value
+                          for f, *vs in zip(ring.factors, c, a, b))
+
+
+def _answer(call):
+    """("ok", value) for a call that returns, ("raises", type, text) for one
+    that raises a RingError."""
+    try:
+        return ("ok", call())
+    except RingError as exc:
+        return ("raises", type(exc), str(exc))
+
+
+# each Ring method that a product answers factor by factor: the factors'
+# answers woven into the product's, and a draw of its arguments (a list
+# stands for a list of values)
+_PRODUCT_METHODS = {
+    "comaximal": (all, lambda draw, rng: ([draw() for _ in range(rng.randint(1, 4))],)),
+    "unit_combination": (lambda parts: (tuple(u for u, _ in parts), tuple(v for _, v in parts)),
+                         lambda draw, rng: (draw(), draw())),
+    "coprime_split": (lambda parts: (tuple(r for r, _ in parts), tuple(s for _, s in parts)),
+                      lambda draw, rng: (draw(), draw(), draw())),
+    "row_egcd": (lambda parts: (tuple(g for g, _ in parts),
+                                [tuple(xs[i] for _, xs in parts) for i in range(len(parts[0][1]))]),
+                 lambda draw, rng: ([draw() for _ in range(rng.randint(1, 5))],)),
+    "stable_shift": (tuple, lambda draw, rng: (draw(), draw())),
+    "lift_unit": (tuple, lambda draw, rng: (draw(), draw(), draw())),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_PRODUCT_METHODS))
+@pytest.mark.parametrize("spec", ["product:zmod:12,gfpoly:3,z", "product:series:4,z"])
+def test_a_product_answers_factor_by_factor(spec, method):
+    """The product's answer, or its refusal, is the factors' answers woven
+    together, or the first factor's refusal with that factor's text."""
+    from conftest import random_value
+
+    ring = make_ring(spec)
+    weave, arguments = _PRODUCT_METHODS[method]
+    rng = random.Random(f"{spec}/{method}")
+    pool = [ring.zero, ring.one, ring.neg(ring.one)]
+    pool += [ring.normalize(random_value(ring, rng, 12)) for _ in range(30)]
+    kinds = set()
+    for _ in range(60):
+        args = arguments(lambda: rng.choice(pool), rng)
+        got = _answer(lambda: getattr(ring, method)(*args))
+        parts = []
+        for k, f in enumerate(ring.factors):
+            fargs = [[v[k] for v in x] if isinstance(x, list) else x[k] for x in args]
+            part = _answer(lambda: getattr(f, method)(*fargs))
+            if part[0] == "raises":
+                expected = part
+                break
+            parts.append(part[1])
+        else:
+            expected = ("ok", weave(parts))
+        assert got == expected, (args, got, expected)
+        kinds.add(got[0])
+    # a series factor has no coprime split; every other method answers some draws
+    assert "ok" in kinds or (method == "coprime_split" and "series" in spec)
 
 
 def _clean_by_definition(ring, c, a, b, e) -> bool:
@@ -610,8 +703,6 @@ def test_finite_comaximality_on_products_matches_ideal_sums(spec):
     Bezout rings, against sums of principal ideals of the whole ring."""
     from itertools import product
 
-    from edrkit.stability import _comaximal
-
     ring = make_ring(spec)
     assert not ring.bezout_total
     els = list(ring.elements())
@@ -626,4 +717,4 @@ def test_finite_comaximality_on_products_matches_ideal_sums(spec):
     for a, b in product(els, repeat=2):
         assert is_coprime(element(ring, a), element(ring, b)) == reaches_one(a, b)
     for a, b, c in product(els, repeat=3):
-        assert _comaximal(ring, [a, b, c]) == reaches_one(a, b, c)
+        assert ring.comaximal([a, b, c]) == reaches_one(a, b, c)
