@@ -120,12 +120,9 @@ def _tail_moduli(ring: Ring, w, rest: list) -> list:
     """For each i, the gcd of w, rest[i+1], ..., rest[-1], folded once from
     the right: n - 1 gcds instead of n^2 / 2.
 
-    One fold suffices because no fold order changes a gcd here.  Where
-    Bezout is total ``Ring.gcd`` is the canonical generator of the ideal.  In
-    a truncated series ring (alone or as a product factor) ``Ring.stable_shift``
-    gives w a nonzero constant term, so every gcd of the fold is (gcd of the
-    constant terms, ()).  Rows over ``text:A,self`` never get here: their
-    ``Ring.row_egcd`` refuses.
+    One fold suffices because no fold order changes a gcd here:
+    ``Ring.gcd`` is the canonical generator of the ideal.  Rows over
+    ``text:A,self`` never get here: their ``Ring.row_egcd`` refuses.
     """
     moduli = [w]
     for h in reversed(rest[1:]):

@@ -9,10 +9,11 @@ recomputes everything from scratch).
 The engine clears one pivot row and column at a time with one remainder
 sweep, after Kannan and Bachem (SIAM J. Comput. 8, 1979).  Every ring with
 total Bezout certificates has a Euclidean size (``Ring.size``): |a| over Z,
-degree over GF(p)[x], gcd(a, n) over Z/n, and over the trivial extension
-of Z by Q first the base part, then the module part.  Each pass pivots on
-a nonzero entry of least size in the trailing submatrix and shears each
-entry of its row and column by minus the nearest quotient
+degree over GF(p)[x], gcd(a, n) over Z/n, over the trivial extension of
+Z by Q first the base part, then the module part, and over a truncated
+series the order of the lowest term, then |its coefficient|.  Each pass
+pivots on a nonzero entry of least size in the trailing submatrix and
+shears each entry of its row and column by minus the nearest quotient
 (``Ring.nearest_quotient``), which leaves a remainder of smaller size;
 exact division is the remainder-0 case.  Small pivots and small remainders
 bound the growth of D and the transforms.  This clearing phase runs on the
@@ -23,12 +24,13 @@ below 2**b in a field of 2b + 1 bits, so that one multiply, shift and mask
 take every slot mod p (``rings._Slots``).
 
 Each step updates D, P, Q and the stored inverses together through one-row
-shears (``_Sweep.add_row``/``add_col``) and swaps.  The divisibility chain
-is then enforced through the explicit 2x2 elementary reduction of a
-lower-triangular matrix with comaximal entries (``reduce_2x2``).  It works
-on raw 2x2 values and writes P, Q and their inverses in closed form; each
-factor is also kept as a (matrix, inverse) pair of tuples for auditing
-invertibility.  Only products are split, each component reduced on its own.
+shears (D in ``_clear_pivot``, the transforms in ``_Sweep.shear_p`` and
+``shear_q``) and swaps.  The divisibility chain is then enforced through
+the explicit 2x2 elementary reduction of a lower-triangular matrix with
+comaximal entries (``reduce_2x2``).  It works on raw 2x2 values and writes
+P, Q and their inverses in closed form; each factor is also kept as a raw
+(matrix, inverse) pair of 2x2 tuples for auditing invertibility.  Only
+products are split, each component reduced on its own.
 
 ``verify_reduction`` checks P*Pinv = I and Q*Qinv = I only: over a
 commutative ring a one-sided inverse of a square matrix is two-sided.  So
@@ -268,7 +270,7 @@ class ReductionResult:
     Q: RingMatrix
     Pinv: RingMatrix
     Qinv: RingMatrix
-    # (matrix, inverse) factor pairs in application order, for audits
+    # raw (matrix, inverse) pairs of 2x2 tuples in application order, for audits
     left_factors: tuple = field(default=(), compare=False)
     right_factors: tuple = field(default=(), compare=False)
 
@@ -352,24 +354,16 @@ class _Sweep:
 
     # -- one-row shears and swaps ---------------------------------------------
 
-    def add_row(self, i: int, k: int, q):
-        """row i += q * row k: E = I + q*e_i*e_k^T, so P <- E P, Pinv <- Pinv E^-1."""
-        self.ring.axpy(self.d[i], self.d[k], q)
-        self.shear_p(i, k, q)
-
     def shear_p(self, i: int, k: int, q):
-        """add_row's update of P and Pinv, for a caller that updates D itself."""
+        """P and Pinv for row i += q * row k, which the caller makes on D:
+        E = I + q*e_i*e_k^T, so P <- E P, Pinv <- Pinv E^-1."""
         ring = self.ring
         ring.axpy(self.p[i], self.p[k], q)
         ring.col_axpy(self.pinv, k, i, ring.neg(q))  # column k -= q * column i
 
-    def add_col(self, j: int, k: int, q):
-        """col j += q * col k: E = I + q*e_k*e_j^T, so Q <- Q E, Qinv <- E^-1 Qinv."""
-        self.ring.col_axpy(self.d, j, k, q)
-        self.shear_q(j, k, q)
-
     def shear_q(self, j: int, k: int, q):
-        """add_col's update of Q and Qinv, for a caller that updates D itself."""
+        """Q and Qinv for col j += q * col k, which the caller makes on D:
+        E = I + q*e_k*e_j^T, so Q <- Q E, Qinv <- E^-1 Qinv."""
         ring = self.ring
         ring.col_axpy(self.q, j, k, q)
         ring.axpy(self.qinv[k], self.qinv[j], ring.neg(q))  # row k -= q * row j
@@ -530,14 +524,10 @@ def reduce_2x2(a: RingMatrix) -> ReductionResult:
         pm, dm = ((m0, tuple([mul(uinv, e) for e in m1])) for m0, m1 in (pm, dm))
         pinv = tuple((e0, mul(e1, u)) for e0, e1 in pinv)
     trusted = RingMatrix._trusted
-
-    def audit(factors):
-        return tuple((trusted(ring, f), trusted(ring, finv)) for f, finv in factors)
-
     return ReductionResult(
         P=trusted(ring, pm), D=trusted(ring, dm), Q=trusted(ring, qm),
         Pinv=trusted(ring, pinv), Qinv=trusted(ring, qinv),
-        left_factors=audit(left), right_factors=audit(right))
+        left_factors=tuple(left), right_factors=tuple(right))
 
 
 def _mul2(ring, s, t):
@@ -698,7 +688,8 @@ def _reduce_product(a: RingMatrix) -> ReductionResult:
 def diagonal_reduce(a: RingMatrix) -> ReductionResult:
     """Full diagonal reduction with certificate; see the module docstring.
 
-    Rejects truncated-series matrices (no total Bezout certificates there).
+    Rejects a ring without total Bezout certificates (A ⋉ A, alone or as a
+    product factor).
     """
     ring = a.ring
     if not ring.bezout_total:

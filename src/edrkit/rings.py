@@ -1,7 +1,7 @@
 """Exact arithmetic over a small family of commutative rings.
 
 Every ring here is commutative with identity and is *effective*: equality,
-arithmetic, unit testing and (where the ring supports it) Bezout certificates
+arithmetic, unit testing and (on every kind but A ⋉ A) Bezout certificates
 are all computed exactly, with no floating point anywhere.
 
 Shipped ring kinds and their raw value representations:
@@ -518,8 +518,8 @@ class Ring(ABC):
         return self.mul(x, dinv), self.mul(y, dinv)
 
     def coprime_split(self, c: Any, a: Any, b: Any) -> tuple[Any, Any]:
-        """(r, s) with c = r*s and rR + sR = rR + aR = sR + bR = R, for c != 0
-        and aR + bR = R (``stability.coprime_factorization``)."""
+        """(r, s) with c = r*s and rR + sR = rR + aR = sR + bR = R, for
+        aR + bR = R (``stability.coprime_factorization``)."""
         raise UnsupportedOperationError(
             f"coprime_factorization is not supported on {self.expression()}")
 
@@ -1804,9 +1804,10 @@ class TruncatedSeriesRing(Ring):
     This is the quotient of {a0 + a1 x + ... : a0 integer, ai rational} by the
     ideal of terms beyond x^order, so all ring axioms hold exactly.  Values are
     pairs ``(constant, coeffs)`` where ``coeffs[i]`` is the coefficient of
-    ``x^(i+1)``, trailing zeros stripped.  Bezout certificates exist here for
-    (0, 0) and when at least one operand has a nonzero constant term (that
-    operand is then a unit multiple of its constant); other pairs are rejected.
+    ``x^(i+1)``, trailing zeros stripped.  A nonzero value is its lowest term
+    q*x^i times a unit, so Bezout certificates are total: of two values the
+    one of lower order divides the other, and at equal order the leading
+    coefficients generate a cyclic group gZ.
     """
 
     kind = "truncated-series"
@@ -1821,8 +1822,6 @@ class TruncatedSeriesRing(Ring):
 
     def expression(self) -> str:
         return f"series:{self.order}"
-
-    bezout_total = False
 
     def normalize(self, value):
         if isinstance(value, list):
@@ -1882,22 +1881,18 @@ class TruncatedSeriesRing(Ring):
                                  Fraction(0)))
         return self.normalize((int(b[0]), tuple(b[1:])))
 
-    def _lowest(self, x) -> int | None:
-        if x[0] != 0:
-            return 0
-        for i, q in enumerate(x[1]):
-            if q != 0:
-                return i + 1
-        return None
+    def _lead(self, x) -> tuple[int, Any]:
+        """(i, q) for the lowest term q*x^i of x; (order + 1, 0) for zero."""
+        if x[0]:
+            return 0, x[0]
+        for i, q in enumerate(x[1], 1):
+            if q:
+                return i, q
+        return self.order + 1, 0
 
     def divide_exact(self, a, d):
-        ld = self._lowest(d)
-        if ld is None:
-            if self._lowest(a) is not None:
-                raise NonDivisibleError(f"{d!r} does not divide {a!r} in {self.expression()}")
-            return self.zero
-        la = self._lowest(a)
-        if la is None:
+        la, ld = self._lead(a)[0], self._lead(d)[0]
+        if la > self.order:
             return self.zero
         if la < ld:
             raise NonDivisibleError(f"{d!r} does not divide {a!r} in {self.expression()}")
@@ -1925,51 +1920,56 @@ class TruncatedSeriesRing(Ring):
         return value
 
     def _bezout(self, a, b):
-        if a[0] == 0 and b[0] == 0:
-            raise UnsupportedOperationError(
-                "bezout certificates in a truncated-series ring need an operand "
-                "with nonzero constant term")
-        if a[0] == 0:
+        (i, q), (j, r) = self._lead(a), self._lead(b)
+        if j < i:  # the operand of lower order leads
             d, y, x, b0, a0 = self._bezout(b, a)
             return d, x, y, a0, b0
-        g, alpha, beta = _egcd(a[0], b[0])
-        d = (g, ())
-        u = self.divide_exact(a, (a[0], ()))  # unit cofactor 1 + x*(...)
-        t = self.sub(d, self.mul(b, (beta, ())))
-        x = self.mul(self.inverse(u), self.divide_exact(t, (a[0], ())))
-        y = (beta, ())
-        a0 = self.divide_exact(a, d)
-        b0 = self.divide_exact(b, d)
-        return d, x, y, a0, b0
+        if i == 0:
+            g, alpha, beta = _egcd(a[0], b[0])
+            d = (g, ())
+            u = self.divide_exact(a, (a[0], ()))  # unit cofactor 1 + x*(...)
+            t = self.sub(d, self.mul(b, (beta, ())))
+            x = self.mul(self.inverse(u), self.divide_exact(t, (a[0], ())))
+            y = (beta, ())
+            a0 = self.divide_exact(a, d)
+            b0 = self.divide_exact(b, d)
+            return d, x, y, a0, b0
+        # d = g*x^i with Zq + Zr = Zg and s*q/g + t*r/g = 1, r being b's
+        # coefficient of x^i; then w = a0*s + b0*t has constant term 1, a unit
+        r = r if j == i else 0
+        g = _rational_gcd(q, r)
+        _, s, t = _egcd(int(q / g), int(r / g))
+        d = self.normalize((0, [0] * (i - 1) + [g]))
+        a0, b0 = self.divide_exact(a, d), self.divide_exact(b, d)
+        winv = self.inverse(self.add(self.mul(a0, (s, ())), self.mul(b0, (t, ()))))
+        return d, self.mul((s, ()), winv), self.mul((t, ()), winv), a0, b0
 
     def canonical_associate(self, a):
-        low = self._lowest(a)
-        if low is None:
-            return self.zero
-        if low == 0:
-            return (abs(a[0]), ())
-        coeffs = [Fraction(0)] * (low - 1) + [abs(self._coeff(a, low))]
-        return self.normalize((0, tuple(coeffs)))
+        # |q|*x^i; zero's (order + 1, 0) is truncated away
+        i, q = self._lead(a)
+        return (abs(q), ()) if i == 0 else self.normalize((0, [0] * (i - 1) + [abs(q)]))
+
+    # Euclidean size: the lowest term's order, then |its coefficient|, the
+    # order of TrivialExtensionRing.size.  b = q*x^j*(unit) divides every a of
+    # higher order; at equal order it divides a when the ratio of the leading
+    # coefficients is an integer, else the nearest one leaves a smaller one.
+
+    def size(self, a):
+        i, q = self._lead(a)
+        return (i, abs(q))
+
+    def nearest_quotient(self, a, b):
+        try:
+            return self.divide_exact(a, b)
+        except NonDivisibleError:
+            (i, q), (j, r) = self._lead(a), self._lead(b)
+            return (_round_quotient(q, r), ()) if i == j else self.zero
 
     def residues_mod(self, c):
         if c[0] == 0:
             raise UnsupportedOperationError(
                 f"no finite residue system modulo {c!r} in {self.expression()}")
         return ((k, ()) for k in range(abs(c[0])))
-
-    # only a value of nonzero constant term lets a combination reach 1, and after
-    # one every gcd of a fold has a certificate, so the folds lead with the first
-
-    def comaximal(self, values):
-        lead = next((i for i, v in enumerate(values) if v[0] != 0), None)
-        if lead is None:
-            return False
-        return super().comaximal([values[lead], *values[:lead], *values[lead + 1:]])
-
-    def row_egcd(self, row):
-        lead = next((i for i, a in enumerate(row) if a[0] != 0), 0)
-        g, xs = super().row_egcd([row[lead], *row[:lead], *row[lead + 1:]])
-        return g, [*xs[1:lead + 1], xs[0], *xs[lead + 1:]]
 
     def value_to_json(self, v):
         return {"constant": v[0], "coeffs": [_fraction_to_json(q) for q in v[1]]}

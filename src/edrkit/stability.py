@@ -190,23 +190,21 @@ def sr2_witness(a: RingElement, b: RingElement, c: RingElement) -> tuple[RingEle
 
 def coprime_factorization(c: RingElement, a: RingElement, b: RingElement
                           ) -> tuple[RingElement, RingElement]:
-    """Split c = r*s with rR + sR = rR + aR = sR + bR = R (aR + bR = R, c != 0).
+    """Split c = r*s with rR + sR = rR + aR = sR + bR = R, given aR + bR = R.
 
     Over the integers and GF(p)[x], r collects the part of c coprime to a by
-    iterated gcd extraction (no factorization needed).  Over Z/n the same
-    loop runs on the integer representatives: c = r*s over Z holds mod n,
-    gcd(r, a) = 1 over Z gives rR + aR = R, and every prime of s divides a,
-    so gcd(a, b, n) = 1 gives sR + bR = R.  Products split factor by factor;
-    a zero component over Z/n runs the loop on its representative n, and one
-    over an infinite factor is refused as c = 0 is.  On A ⋉ A the base parts
-    split as r0*s0 = c0; with r0*u + s0*v = 1, r = (r0, v*c1) and
-    s = (s0, u*c1) multiply to c, and comaximality reads the base parts only.
+    iterated gcd extraction (no factorization needed); c = 0 is refused
+    there, since R/0R = R is infinite.  Over Z/n the same loop runs on the
+    integer representatives, c = 0 on its representative n: c = r*s over Z
+    holds mod n, gcd(r, a) = 1 over Z gives rR + aR = R, and every prime of
+    s divides a, so gcd(a, b, n) = 1 gives sR + bR = R.  Products split
+    factor by factor, each zero component as its factor decides.  On A ⋉ A
+    the base parts split as r0*s0 = c0; with r0*u + s0*v = 1, r = (r0, v*c1)
+    and s = (s0, u*c1) multiply to c, and comaximality reads the base parts.
     So every finite ring of the registry has a factorization, found with no
     search by ``Ring.coprime_split``.
     """
     ring = _same_ring(c, a, b)
-    if c.is_zero():
-        raise PreconditionError("coprime_factorization needs c != 0")
     if not is_coprime(a, b):
         raise PreconditionError(
             f"coprime_factorization requires aR + bR = R, got {a!r}, {b!r}")

@@ -87,6 +87,7 @@ def test_criterion_2_reduce_2x2():
         det_a = det_oracle(mat)
         assert divides(delta, det_a) and divides(det_a, delta)
         for fac, inv in res.left_factors + res.right_factors:
+            fac, inv = RingMatrix(Z, fac), RingMatrix(Z, inv)
             assert (fac @ inv).is_identity() and (inv @ fac).is_identity()
     g5 = GFPolynomialRing(5)
     done = 0
@@ -106,6 +107,7 @@ def test_criterion_2_reduce_2x2():
         det_a = det_oracle(mat)
         assert divides(delta, det_a) and divides(det_a, delta)
         for fac, inv in res.left_factors + res.right_factors:
+            fac, inv = RingMatrix(g5, fac), RingMatrix(g5, inv)
             assert (fac @ inv).is_identity() and (inv @ fac).is_identity()
     _report(2, "2x2 elementary reduction on 500 integer + 200 GF(5)[x] triples", t0)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import sys
 import time
 
@@ -18,6 +19,7 @@ from edrkit.cli import (
     main,
     read_matrix,
 )
+from conftest import random_value
 
 
 def test_snf_dispatch_example():
@@ -157,6 +159,25 @@ def test_integer_snf_document_shape_and_diagonal():
     lines = out.split("\n")
     assert lines[:4] == ["D:", "2 0  0", "0 6  0", "0 0 12"]
     assert [lines[4], lines[8], lines[12:]] == ["P:", "Q:", ["verified: true"]]
+
+
+@pytest.mark.parametrize("spec", ["series:1", "series:4", "series:8", "product:series:4,z"])
+def test_snf_over_series_rings_verifies(spec):
+    """Truncated series are Bezout rings, so snf answers over them; every
+    other matrix has the constant terms of its series entries cleared."""
+    ring = make_ring(spec)
+    rng = random.Random(spec)
+
+    def entry(clear):
+        v = ring.normalize(random_value(ring, rng, 6))
+        if clear:  # the series component's constant term, alone or in a product
+            v = ((0, v[0][1]), *v[1:]) if spec.startswith("product") else (0, v[1])
+        return ring.value_to_json(v)
+
+    for n in range(20):
+        rows = [[entry(n % 2) for _ in range(1 + n % 3)] for _ in range(1 + n // 7)]
+        code, out = dispatch(CommandRequest("snf", ring=spec, payload=json.dumps({"rows": rows})))
+        assert code == EXIT_OK and json.loads(out)["verified"] is True, (rows, out)
 
 
 def test_reduce2x2_over_a_product_with_a_series_factor():

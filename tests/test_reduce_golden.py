@@ -7,9 +7,11 @@ the exit code and the exact document text.  The inputs include the
 identity, a delta that needs the normalizing unit ([[2,0],[3,-5]] over Z),
 b = c = 0, a = 0, non-unit diagonals whose ``snf`` takes chain repairs
 (diag(2, 3) over Z and its analogues), and rejected inputs: not comaximal,
-not lower triangular, not 2x2, and every ``snf`` over the series ring.
-They were recorded before ``reduce_2x2`` moved to raw values, so any change
-in a factor, a transform or an error message shows up here.
+not lower triangular, not 2x2.  They were recorded before ``reduce_2x2``
+moved to raw values, so any change in a factor, a transform or an error
+message shows up here; the ``snf`` documents over the series ring were
+recorded when its Bezout certificates became total, before which every
+one was refused.
 """
 
 import json

@@ -11,9 +11,12 @@ projection onto Z (``test_text_zq_diagonal_matches_the_projected_oracle``).
 Products with a GF(p)[x] factor are checked component by component against
 sympy's invariant factors over GF(p)[x], made monic, and the delta of
 ``reduce2x2`` over GF(5)[x] against the monic associate of sympy's
-determinant.
+determinant.  Reductions over ``series:1`` are checked whole against those
+over the isomorphic ``text:z,q``.
 """
 
+from dataclasses import replace
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -173,6 +176,44 @@ def test_the_projected_oracle_can_fail():
     assert "base parts" in _oracle_mismatch(te, [[(2, 0)]], [(4, 0)])
     assert "module part" in _oracle_mismatch(te, [[(2, 0)]], [(2, 1)])
     assert "factor 0" in _oracle_mismatch(ring, rows, [(0, d[1]) for d in diag])
+
+
+def _series_iso_mismatch(series_res, text_res):
+    """The first of P, D and Q in which snf over ``series:1`` differs from
+    snf over ``text:z,q`` under (c, (q,)) -> (c, q), or None."""
+    for name in ("P", "D", "Q"):
+        mapped = [[(c, qs[0] if qs else 0) for c, qs in row]
+                  for row in getattr(series_res, name).data]
+        if mapped != [list(row) for row in getattr(text_res, name).data]:
+            return name
+    return None
+
+
+def test_series_1_reduces_as_text_zq():
+    """series:1, Z + Qx with x^2 = 0, is Z ⋉ Q under (c, (q,)) -> (c, q);
+    the sizes, quotients, certificates and canonical associates correspond,
+    so both reductions give the same P, D and Q."""
+    text, series = make_ring("text:z,q"), make_ring("series:1")
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(rows=_matrices(text, most=4))
+    def check(rows):
+        srows = [[series.normalize((c, (q,))) for c, q in row] for row in rows]
+        assert _series_iso_mismatch(diagonal_reduce(RingMatrix(series, srows)),
+                                    diagonal_reduce(RingMatrix(text, rows))) is None
+
+    check()
+
+
+def test_the_series_isomorphism_oracle_can_fail():
+    text, series = make_ring("text:z,q"), make_ring("series:1")
+    rows = [[(2, Fraction(1, 2)), (0, Fraction(3))], [(4, 0), (6, Fraction(-1, 3))]]
+    srows = [[series.normalize((c, (q,))) for c, q in row] for row in rows]
+    res, want = diagonal_reduce(RingMatrix(series, srows)), diagonal_reduce(RingMatrix(text, rows))
+    assert _series_iso_mismatch(res, want) is None
+    d = [list(row) for row in res.D.data]
+    d[1][1] = series.neg(d[1][1])
+    assert _series_iso_mismatch(replace(res, D=RingMatrix(series, d)), want) == "D"
 
 
 def test_the_polynomial_oracle_can_fail():

@@ -33,7 +33,7 @@ def test_make_ring_examples():
     entry = make_ring("text:z,q")
     assert not entry.finite and entry.bezout_total
     entry = make_ring("series:8")
-    assert not entry.finite and not entry.bezout_total
+    assert not entry.finite and entry.bezout_total
     entry = make_ring("product:zmod:2,zmod:3")
     assert entry.finite
 
@@ -220,7 +220,7 @@ RINGS_JSON = "[" + ",".join([
     '{"bezoutTotal":true,"expression":"product:zmod:2,zmod:3","finite":true,"kind":"product","stableStrategy":"identity-shift","unitLiftStrategy":"exhaustive"}',
     '{"bezoutTotal":true,"expression":"text:z,q","finite":false,"kind":"trivial-extension","stableStrategy":"base-component-shift","unitLiftStrategy":"residue-scan"}',
     '{"bezoutTotal":false,"expression":"text:zmod:4,self","finite":true,"kind":"trivial-extension","stableStrategy":"identity-shift","unitLiftStrategy":"exhaustive"}',
-    '{"bezoutTotal":false,"expression":"series:8","finite":false,"kind":"truncated-series","stableStrategy":"constant-term-shift","unitLiftStrategy":"residue-scan"}',
+    '{"bezoutTotal":true,"expression":"series:8","finite":false,"kind":"truncated-series","stableStrategy":"constant-term-shift","unitLiftStrategy":"residue-scan"}',
 ]) + "]"
 
 RINGS_PRETTY = """\
@@ -230,7 +230,7 @@ gfpoly:5: finite=false bezout=true
 product:zmod:2,zmod:3: finite=true bezout=true
 text:z,q: finite=false bezout=true
 text:zmod:4,self: finite=true bezout=false
-series:8: finite=false bezout=false"""
+series:8: finite=false bezout=true"""
 
 
 def test_rings_document_is_pinned():

@@ -8,6 +8,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edrkit import (
     InfiniteRingError,
@@ -38,7 +40,7 @@ from edrkit import (
 )
 from edrkit.cli import EXIT_PARSE, CommandRequest, dispatch
 from edrkit.rings import _MR_LIMIT, _is_prime
-from conftest import egcd_oracle, random_element
+from conftest import egcd_oracle, random_element, random_value
 
 Z = IntegerRing()
 M6 = ModularRing(6)
@@ -153,18 +155,61 @@ def test_bezout_certificates_on_samples(ring, rng):
         assert canonical_associate(cert.d) == cert.d
 
 
+def _lowest_term(v):
+    """(i, q) for the lowest nonzero term q*x^i of a series value; None for zero."""
+    return next(((i, q) for i, q in enumerate([Fraction(v[0]), *v[1]]) if q), None)
+
+
 def test_series_bezout_where_supported(rng):
+    """Every pair has a certificate, both constant terms zero included.  d is
+    g*x^i: i is the lower order of the two lowest terms, and Zg is the group
+    that the operands' coefficients of x^i span."""
     ring = make_ring("series:6")
-    seen = 0
-    while seen < 80:
-        a = random_element(ring, rng, span=12)
-        b = random_element(ring, rng, span=12)
-        if a.value[0] == 0 and b.value[0] == 0:
-            continue
-        seen += 1
+    constants_zero = 0
+    for _ in range(240):
+        a, b = (element(ring, (rng.choice([0, rng.randint(-12, 12)]), v[1]))
+                for v in (random_value(ring, rng, 12) for _ in range(2)))
         cert = bezout(a, b)
         assert cert.verify(), (a, b)
-        assert cert.d.value == (math.gcd(a.value[0], b.value[0]), ())
+        terms = [t for t in map(_lowest_term, (a.value, b.value)) if t]
+        if not terms:
+            assert cert.degenerate
+            continue
+        i = min(j for j, _ in terms)
+        qs = [q for j, q in terms if j == i]
+        den = math.lcm(*(q.denominator for q in qs))
+        g = Fraction(math.gcd(*(q.numerator * (den // q.denominator) for q in qs)), den)
+        assert cert.d.value == ((int(g), ()) if i == 0 else (0, (Fraction(0),) * (i - 1) + (g,)))
+        constants_zero += not (a.value[0] or b.value[0])
+    assert constants_zero > 40
+
+
+@pytest.mark.parametrize("order", [1, 4, 8])
+def test_series_certificates_satisfy_the_refined_identity(order):
+    """a*x + b*y = d, a = d*a0, b = d*b0 and a0*x + b0*y = 1 on every pair,
+    zero operands and pairs whose constant terms are both zero included."""
+    ring = make_ring(f"series:{order}")
+    values = st.one_of(st.just(ring.zero), st.tuples(
+        st.one_of(st.just(0), st.integers(-12, 12)),
+        st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=order),
+    ).map(ring.normalize))
+    kinds = set()
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(a=values, b=values)
+    def check(a, b):
+        add, mul = ring.add, ring.mul
+        d, x, y, a0, b0 = ring.bezout_raw(a, b)
+        assert add(mul(a, x), mul(b, y)) == d
+        assert mul(d, a0) == a and mul(d, b0) == b
+        assert add(mul(a0, x), mul(b0, y)) == ring.one
+        if ring.zero in (a, b):
+            kinds.add("zero operand")
+        elif not (a[0] or b[0]):
+            kinds.add("constants zero")
+
+    check()
+    assert kinds == {"zero operand", "constants zero"}
 
 
 

@@ -59,8 +59,8 @@ def test_unit_mod_examples():
 
 
 def test_series_comaximality_without_constant_terms():
-    """Two series with zero constant terms never generate R; the pair test
-    used to ask for a Bezout certificate that does not exist and raise."""
+    """Two series with zero constant terms never generate R: their gcd,
+    g*x^i for the lower order i, is not a unit."""
     s = make_ring("series:4")
     x = element(s, (0, (1,)))
     x2 = x * x
@@ -528,18 +528,29 @@ def test_clean_idempotent_over_a_product_is_reduced_in_each_factor():
 
 @pytest.mark.parametrize("spec", ["product:z,gfpoly:5", "product:zmod:12,gfpoly:3,z"])
 def test_clean_idempotent_over_a_product_is_its_factors_idempotents(spec, rng):
+    """Zero components of c included: Z/12 splits its zero on the
+    representative 12, Z and GF(p)[x] refuse theirs, and the product
+    answers or refuses as its factors do."""
     from conftest import random_value
 
     ring = make_ring(spec)
     checked = 0
-    while checked < 40:
+    while checked < 60:
         c, a, b = (ring.normalize(random_value(ring, rng, 30)) for _ in range(3))
-        if not all(c) or not ring.comaximal([a, b]):
+        if checked % 2:
+            k = rng.randrange(len(c))
+            c = c[:k] + (ring.factors[k].zero,) + c[k + 1:]
+        if not ring.comaximal([a, b]):
             continue
         checked += 1
-        e = clean_idempotent(*(element(ring, v) for v in (c, a, b))).value
-        assert e == tuple(clean_idempotent(*(element(f, v) for v in vs)).value
-                          for f, *vs in zip(ring.factors, c, a, b))
+        got = _answer(lambda: clean_idempotent(*(element(ring, v) for v in (c, a, b))).value)
+        want = [_answer(lambda: clean_idempotent(*(element(f, v) for v in vs)).value)
+                for f, *vs in zip(ring.factors, c, a, b)]
+        refusals = [w for w in want if w[0] == "raises"]
+        assert got == (refusals[0] if refusals else ("ok", tuple(w[1] for w in want)))
+    if spec.startswith("product:zmod:12"):
+        c, a, b = (element(ring, v) for v in ((0, (0, 1), 1), (4, (0, 1), 1), (3, (1,), 1)))
+        _assert_coprime_split(c, a, b, *coprime_factorization(c, a, b))
 
 
 def _answer(call):
