@@ -88,7 +88,8 @@ def complete_row(row, d: RingElement, fold=None) -> CompletionResult:
     g, xs = fold if fold is not None else ring.row_egcd(values)
     if not (ring.divides(g, dv) and ring.divides(dv, g)):
         raise PreconditionError(
-            f"the row generates {_raw(ring, g)!r}R, which differs from {d!r}R")
+            f"the row generates {ring.element_text(g)}R, which differs from "
+            f"{ring.element_text(dv)}R")
     if dv == ring.zero:
         # zero row, zero determinant: identity rows below keep det 0
         n = len(row)
@@ -213,5 +214,5 @@ def complete_unimodular(row) -> CompletionResult:
     fold = ring.row_egcd([a.value for a in row])
     if not ring.is_unit(fold[0]):
         raise PreconditionError(
-            f"the row is not unimodular: it generates {_raw(ring, fold[0])!r}R")
+            f"the row is not unimodular: it generates {ring.element_text(fold[0])}R")
     return complete_row(row, one(ring), fold)

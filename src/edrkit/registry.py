@@ -37,6 +37,7 @@ from .rings import (
     TrivialExtensionRing,
     TruncatedSeriesRing,
     _raw,
+    format_value,
 )
 
 
@@ -206,11 +207,6 @@ def parse_element(ring: Ring, text: str) -> RingElement:
         return _raw(ring, ring.value_from_json(obj))
     except RingError as exc:
         raise ElementSyntaxError(str(exc)) from None
-
-
-def format_value(obj) -> str:
-    """The element text of a JSON-encoded value: decimal for an int, JSON otherwise."""
-    return str(obj) if isinstance(obj, int) else json.dumps(obj)
 
 
 def format_element(e: RingElement) -> str:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -557,7 +558,8 @@ class Ring(ABC):
         if _finite_quotient(self, self.add(a, b)):
             return self.one
         raise PreconditionError(
-            f"select_stable: no shift of {(_raw(self, a), _raw(self, b))!r} has a finite quotient")
+            f"select_stable: no shift of ({self.element_text(a)}, {self.element_text(b)}) "
+            f"has a finite quotient")
 
     def lift_unit(self, a: Any, b: Any, c: Any) -> Any:
         """y with (a + b*y)R + cR = R, for aR + bR + cR = R and R/cR of stable
@@ -566,14 +568,14 @@ class Ring(ABC):
         if not self.comaximal([a, b, c]):
             raise PreconditionError(
                 f"lift_unit requires aR + bR + cR = R, got "
-                f"{_raw(self, a)!r}, {_raw(self, b)!r}, {_raw(self, c)!r}")
+                f"{', '.join(map(self.element_text, (a, b, c)))}")
         try:
             residues = self.residues_mod(c)
         except UnsupportedOperationError:
             if self.comaximal([a, c]):
                 return self.zero
             raise PreconditionError(
-                f"quotient by {_raw(self, c)!r} admits no residue enumeration and y = 0 fails")
+                f"quotient by {self.element_text(c)} admits no residue enumeration and y = 0 fails")
         add, mul = self.add, self.mul
         for y in residues:
             if self.comaximal([add(a, mul(b, y)), c]):
@@ -592,6 +594,15 @@ class Ring(ABC):
     @abstractmethod
     def value_from_json(self, obj: Any) -> Any:
         """The value that obj encodes, validated and already in normal form."""
+
+    def element_text(self, v: Any) -> str:
+        """The CLI text of the raw value v, for refusal messages."""
+        return format_value(self.value_to_json(v))
+
+
+def format_value(obj) -> str:
+    """The element text of a JSON-encoded value: decimal for an int, JSON otherwise."""
+    return str(obj) if isinstance(obj, int) else json.dumps(obj)
 
 
 def _int_from_json(obj: Any, what: str) -> int:

@@ -119,7 +119,7 @@ def is_stable(a: RingElement) -> PropertyVerdict:
     """
     if not _finite_quotient(a.ring, a.value):
         raise InfiniteRingError(
-            f"stability of {a!r} needs a finite quotient; "
+            f"stability of {a.ring.element_text(a.value)} needs a finite quotient; "
             f"{a.ring.expression()} offers none")
     return PropertyVerdict(STABLE_RANGE_1, True)
 
@@ -178,7 +178,8 @@ def sr2_witness(a: RingElement, b: RingElement, c: RingElement) -> tuple[RingEle
         return (zero(ring), zero(ring))
     if not ring.comaximal([a.value, b.value, c.value]):
         raise PreconditionError(
-            f"sr2_witness requires aR + bR + cR = R, got {a!r}, {b!r}, {c!r}")
+            f"sr2_witness requires aR + bR + cR = R, got "
+            f"{', '.join(ring.element_text(e.value) for e in (a, b, c))}")
     cert1 = bezout(b, c)  # b*x1 + c*y1 = d1 generates bR + cR
     t = select_stable(a, cert1.d)
     y0 = cert1.x * t
@@ -207,7 +208,8 @@ def coprime_factorization(c: RingElement, a: RingElement, b: RingElement
     ring = _same_ring(c, a, b)
     if not is_coprime(a, b):
         raise PreconditionError(
-            f"coprime_factorization requires aR + bR = R, got {a!r}, {b!r}")
+            f"coprime_factorization requires aR + bR = R, got "
+            f"{ring.element_text(a.value)}, {ring.element_text(b.value)}")
     r, s = ring.coprime_split(c.value, a.value, b.value)
     return (_raw(ring, r), _raw(ring, s))
 

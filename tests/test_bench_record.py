@@ -58,3 +58,30 @@ def test_medians_compare_and_the_next_free_file(tmp_path):
         (tmp_path / name).write_text(json.dumps(old))
     assert [p.name for p in bench_record.bench_files(tmp_path)] == [
         "BENCH_0.json", "BENCH_2.json", "BENCH_10.json"]
+
+
+def test_the_dense_probe_goes_through_dispatch_in_a_fresh_interpreter():
+    probe = bench_record.dense_z_probe(bench_record.ROOT, sizes=(4, 6))
+    assert [p["n"] for p in probe] == [4, 6]
+    for p in probe:
+        assert (p["exit_code"], p["verified"]) == (0, True) and p["dispatch_s"] > 0
+        assert set(p["peak_bits"]) == {"D", "P", "Q", "Pinv", "Qinv"}
+        assert p["output_bytes"] > 0 and "error" not in p
+    assert bench_record.largest_answered(probe) == 6
+
+
+def test_a_refused_probe_size_is_an_exit_code_not_a_time():
+    probe = [{"n": 80, "exit_code": 0, "dispatch_s": 4.0, "verified": True, "output_bytes": 9,
+              "peak_bits": {"D": 587}},
+             {"n": 96, "exit_code": 1, "dispatch_s": 11.0,
+              "error": "error: the result holds an integer past Python's 4300-digit int/str limit"}]
+    assert bench_record.largest_answered(probe) == 80
+    assert bench_record.largest_answered(probe[1:]) is None
+    # the compare lines read the probe fields that both records hold
+    old = {"median": {}, "dense_z": [{"n": 80, "reduce_s": 2.0, "verify_s": 1.0,
+                                      "peak_bits": {"D": 587}}, probe[1]]}
+    new = {"median": {}, "dense_z": [dict(probe[0], dispatch_s=1.0, output_bytes=3),
+                                     dict(probe[0], n=96)]}
+    lines = bench_record.compare(new, old)
+    assert [line.split()[0] for line in lines] == ["dense-z/80/bits_D", "dense-z/96/dispatch_s"]
+    assert lines[1].endswith("0.364x")

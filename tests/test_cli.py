@@ -533,3 +533,18 @@ def test_oversized_check_exits_1_before_building(built, ring):
     assert code == EXIT_OK
     assert json.loads(out) == {"property": "stable-range-1", "holds": True}
     assert built == {"ModStructure": [], "ProductStructure": [], "TableStructure": []}
+
+
+@pytest.mark.parametrize("req, text", [
+    (CommandRequest("complete", ring="z", row="2,4"),
+     "error: the row is not unimodular: it generates 2R"),
+    (CommandRequest("complete", ring="gfpoly:5", payload='{"row": [[0, 1], [0, 0, 1]], "d": [1]}'),
+     "error: the row generates [0, 1]R, which differs from [1]R"),
+    (CommandRequest("reduce2x2", ring="z", payload="2 0\n4 6"),
+     "error: reduce_2x2 requires aR + bR + cR = R, got 2, 4, 6"),
+    (CommandRequest("reduce2x2", ring="product:zmod:4,z",
+                    payload='{"rows": [[[2, 1], [0, 0]], [[2, 0], [0, 0]]]}'),
+     "error: reduce_2x2 requires aR + bR + cR = R, got [2, 1], [2, 0], [0, 0]"),
+])
+def test_refusals_name_elements_as_the_cli_writes_them(req, text):
+    assert dispatch(req) == (1, text)

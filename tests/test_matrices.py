@@ -34,7 +34,8 @@ from edrkit import (
     verify_reduction,
 )
 from edrkit.cli import EXIT_OK, CommandRequest, dispatch
-from edrkit.matrices import _Sweep
+from edrkit import matrices
+from edrkit.matrices import _Sweep, _lattice_certificate, _sweep_reduce
 from edrkit.rings import Ring, _pmonic
 from conftest import det_oracle, minor_gcd_oracle, random_value
 
@@ -749,11 +750,140 @@ def test_bench_fixed_22x22_reduces_and_verifies():
 def test_transform_growth_stays_bounded(n, bound):
     # dense, entries in [-50, 50], seed 1: the smallest-pivot remainder sweep
     # reads 1,109 and 1,929 bits here; the first-nonzero Bezout sweep reached
-    # 24,487 bits at 24x24 for a 155-bit diagonal
+    # 24,487 bits at 24x24 for a 155-bit diagonal.  diagonal_reduce gives
+    # these inputs the lattice certificate, so the sweep is called directly.
     a = zmat(_dense(random.Random(1), n, n))
-    res = diagonal_reduce(a)
+    res = _sweep_reduce(a)
     assert verify_reduction(a, res)
     assert _transform_bits(res) <= bound
+
+
+def test_lattice_certificate_stays_below_delta_at_64x64():
+    # the sweep's transforms reach 8,158 bits here for a 459-bit delta
+    a = zmat(_dense(random.Random(1), 64, 64))
+    res = diagonal_reduce(a)
+    assert verify_reduction(a, res)
+    delta = res.D.data[-1][-1]
+    assert [res.D.data[i][i] for i in range(63)] == [1] * 63
+    assert delta.bit_length() == 459
+    assert _transform_bits(res) <= delta.bit_length()
+    assert max(abs(v) for row in res.Qinv.data for v in row).bit_length() <= 8
+
+
+def test_lattice_certificate_matches_the_sweep_and_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(7)
+    answered = 0
+    for n in range(4, 17):
+        for bound in (50, 3):
+            rows = _dense(rng, n, n, bound)
+            a = zmat(rows)
+            res = _lattice_certificate(a)
+            if res is None:
+                continue
+            answered += 1
+            assert verify_reduction(a, res)
+            assert res.D == _sweep_reduce(a).D, n
+            expected = [abs(int(v)) for v in invariant_factors(sympy.Matrix(rows),
+                                                               domain=sympy.ZZ)]
+            assert [e.value for e in res.D.diagonal()] == expected, n
+            assert diagonal_reduce(a) == res
+    assert answered >= 20
+
+
+def test_lattice_certificate_closed_forms():
+    # a zero leading entry takes a row swap; the determinant is negative
+    a = zmat([[0, 1, 2, 3], [2, 5, 0, 7], [1, 0, 4, 1], [3, 1, 1, 0]])
+    res = _lattice_certificate(a)
+    delta = res.D.data[-1][-1]
+    assert delta == abs(determinant(a).value) and determinant(a).value < 0
+    assert verify_reduction(a, res)
+    x = res.P.data[-1]
+    k = x.index(1)
+    # P: the identity rows other than k, then x; Qinv: the rows of A other
+    # than k, then x*A/delta; P and Pinv at most delta/2, Q at most adj(A)
+    others = [j for j in range(4) if j != k]
+    assert res.P.data[:-1] == tuple(tuple(int(c == j) for c in range(4)) for j in others)
+    assert res.Qinv.data[:-1] == tuple(a.data[j] for j in others)
+    assert all(2 * abs(v) <= delta for m in (res.P, res.Pinv) for row in m.data for v in row)
+    minors = [abs(determinant(zmat([[v for c, v in enumerate(row) if c != j]
+                                    for r, row in enumerate(a.data) if r != i])).value)
+              for i in range(4) for j in range(4)]
+    assert max(abs(v) for row in res.Q.data for v in row) <= max(minors)
+    # a unimodular input: D = I, P = I, Qinv = A, Q = A^-1
+    u = zmat([[1, 2, 0, 1], [0, 1, 3, 0], [0, 0, -1, 2], [0, 0, 0, 1]])
+    res = _lattice_certificate(u)
+    assert res.D.is_identity() and res.P.is_identity() and res.Pinv.is_identity()
+    assert res.Qinv == u and verify_reduction(u, res)
+
+
+def _fixed_bench_matrix(m, n):
+    # the fixed inputs of the snf-z-dense benchmark, drawn in the same order
+    fixed = random.Random("snf-z-dense/fixed")
+    for shape in [(14, 14), (16, 16), (18, 18), (20, 20), (12, 20), (20, 12), (22, 22)]:
+        rows = _dense(fixed, *shape)
+        if shape == (m, n):
+            return rows
+    raise ValueError((m, n))
+
+
+def _sweep_inputs():
+    rng = random.Random(3)
+    b, c = _dense(rng, 12, 6, 7), _dense(rng, 6, 12, 7)
+    rank6 = [[sum(b[i][k] * c[k][j] for k in range(6)) for j in range(12)] for i in range(12)]
+    return {"fixed 22x22": _fixed_bench_matrix(22, 22),
+            "seed-1 48x48": _dense(random.Random(1), 48, 48),
+            "rank-6 12x12": rank6,
+            "8x16": _dense(rng, 8, 16),
+            "16x8": _dense(rng, 16, 8)}
+
+
+@pytest.mark.parametrize("name", list(_sweep_inputs()))
+def test_inputs_the_lattice_declines_keep_the_sweeps_documents(name, monkeypatch):
+    rows = _sweep_inputs()[name]
+    a = zmat(rows)
+    if a.rows == a.cols:
+        assert _lattice_certificate(a) is None  # singular or not cyclic
+    req = CommandRequest(command="snf", ring="z", payload=json.dumps({"rows": rows}))
+    doc = dispatch(req)
+    monkeypatch.setattr(matrices, "LATTICE_MIN_N", 10**9)
+    assert doc == dispatch(req)
+    assert doc[0] == EXIT_OK and json.loads(doc[1])["verified"] is True
+
+
+def test_a_changed_kernel_row_fails_verification():
+    a = zmat(_dense(random.Random(2), 8, 8))
+    res = _lattice_certificate(a)
+    assert verify_reduction(a, res)
+    x = list(res.P.data[-1])
+    j = next(j for j, v in enumerate(x) if v != 1)
+    x[j] += 1
+    p = RingMatrix._trusted(Z, res.P.data[:-1] + (tuple(x),))
+    assert not verify_reduction(a, dataclasses.replace(res, P=p))
+    # with Pinv kept its inverse, P*A = D*Qinv is what fails
+    k = res.P.data[-1].index(1)
+    col = [i for i in range(8) if i != k].index(j)
+    pinv = [list(row) for row in res.Pinv.data]
+    pinv[k][col] -= 1
+    tampered = dataclasses.replace(res, P=p, Pinv=RingMatrix._trusted(Z, pinv))
+    assert (p @ tampered.Pinv).is_identity()
+    assert not verify_reduction(a, tampered)
+
+
+def test_lattice_documents_repeat_byte_for_byte():
+    payload = json.dumps({"rows": _dense(random.Random(4), 10, 10)})
+    req = CommandRequest(command="snf", ring="z", payload=payload)
+    first = dispatch(req)
+    assert first[0] == EXIT_OK and first == dispatch(req)
+
+
+def test_dense_96x96_snf_answers():
+    # the sweep's certificate passes the 4,300-digit int/str limit here
+    payload = json.dumps({"rows": _dense(random.Random(1), 96, 96)})
+    code, out = dispatch(CommandRequest(command="snf", ring="z", payload=payload))
+    assert code == EXIT_OK, out[:200]
+    assert json.loads(out)["verified"] is True
 
 
 def test_nearest_remainder_worst_case_past_ten_thousand_passes():

@@ -729,3 +729,26 @@ def test_finite_comaximality_on_products_matches_ideal_sums(spec):
         assert is_coprime(element(ring, a), element(ring, b)) == reaches_one(a, b)
     for a, b, c in product(els, repeat=3):
         assert ring.comaximal([a, b, c]) == reaches_one(a, b, c)
+
+
+def test_refusals_name_elements_as_the_cli_writes_them():
+    z = lambda v: element(Z, v)  # noqa: E731
+    cases = [
+        (lambda: select_stable(z(0), z(0)),
+         "select_stable: no shift of (0, 0) has a finite quotient"),
+        (lambda: lift_unit(z(2), z(4), z(6)), "lift_unit requires aR + bR + cR = R, got 2, 4, 6"),
+        (lambda: lift_unit(z(2), z(1), z(0)),
+         "quotient by 0 admits no residue enumeration and y = 0 fails"),
+        (lambda: sr2_witness(z(2), z(4), z(6)),
+         "sr2_witness requires aR + bR + cR = R, got 2, 4, 6"),
+        (lambda: coprime_factorization(z(5), z(2), z(4)),
+         "coprime_factorization requires aR + bR = R, got 2, 4"),
+        (lambda: sr2_witness(element(G5, (0, 1)), element(G5, (0, 1)), element(G5, (0, 0, 1))),
+         "sr2_witness requires aR + bR + cR = R, got [0, 1], [0, 1], [0, 0, 1]"),
+    ]
+    for call, text in cases:
+        with pytest.raises(PreconditionError) as info:
+            call()
+        assert str(info.value) == text
+    with pytest.raises(InfiniteRingError, match=r"^stability of 0 needs a finite quotient; z "):
+        is_stable(z(0))

@@ -2,17 +2,26 @@
 
 Runs ``python3 bench/run.py --workload <w> --seed <s> --seconds <t>`` in a
 subprocess for each workload and seed, parses each run's ``#`` header,
-calibration line and last JSON line, times a dense-Z probe in-process, and
-writes the next free ``BENCH_<n>.json`` with every run and the median of
-each metric over the seeds:
+calibration line and last JSON line, runs a dense-Z probe, and writes the
+next free ``BENCH_<n>.json`` with every run and the median of each metric
+over the seeds:
 
     python3 tools/bench_record.py                        # all workloads, seeds 1-3, 8 s
     python3 tools/bench_record.py --workloads snf-ring-mix --seeds 4 5 --seconds 8
     python3 tools/bench_record.py --compare              # ratios to the previous file
+    python3 tools/bench_record.py --parent ../parent     # paired runs against a checkout
 
-The dense-Z probe reduces and verifies n x n matrices over Z (n = 24, 48,
-64, entries in [-50, 50], ``random.Random(1)`` per size) and stores both
-times and the peak entry bits of D, P, Q, Pinv and Qinv.
+With ``--parent``, each run has a twin in the other checkout, taken right
+before or after it in turns, and the file holds both sides (the other one
+under ``"parent"``) with their ratios printed.
+
+The dense-Z probe sends ``snf --ring z`` requests for n x n matrices (n =
+24, 48, 64, 80, 96, entries in [-50, 50], ``random.Random(1)`` per size)
+through ``edrkit.cli.dispatch`` in a fresh interpreter, so ``snf``
+verifies each result.  It stores the exit code and dispatch time of each
+size, then the output bytes and the peak entry bits of D, P, Q, Pinv and
+Qinv where the request answers, or the error line where it is refused
+(past the int/str digit limit, say), and the largest size answered.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("snf-z-dense", "snf-ring-mix", "complete-rows", "check-finite")
-PROBE_SIZES = (24, 48, 64)
+PROBE_SIZES = (24, 48, 64, 80, 96)
 
 
 def parse_run(text: str) -> dict:
@@ -51,13 +60,13 @@ def parse_run(text: str) -> dict:
     return run
 
 
-def bench_run(workload: str, seed: int, seconds: float) -> dict:
+def bench_run(workload: str, seed: int, seconds: float, root: Path = ROOT) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)], cwd=ROOT, capture_output=True, text=True, timeout=900)
+         "--seconds", str(seconds)], cwd=root, capture_output=True, text=True, timeout=900)
     if proc.returncode != 0:
-        sys.exit(f"error: bench/run.py --workload {workload} --seed {seed} exited with "
-                 f"code {proc.returncode}\n{proc.stderr}")
+        sys.exit(f"error: bench/run.py --workload {workload} --seed {seed} in {root} exited "
+                 f"with code {proc.returncode}\n{proc.stderr}")
     return parse_run(proc.stdout)
 
 
@@ -70,25 +79,46 @@ def medians(runs: list[dict]) -> dict:
     return out
 
 
-def dense_z_probe(sizes=PROBE_SIZES) -> list[dict]:
-    sys.path.insert(0, str(ROOT / "src"))
-    from edrkit import IntegerRing, RingMatrix, diagonal_reduce, verify_reduction
+def probe_requests(root: str, sizes) -> list[dict]:
+    """The dense-Z probe on the edrkit of root/src, in this process."""
+    sys.path.insert(0, str(Path(root) / "src"))
+    from edrkit.cli import CommandRequest, dispatch
 
     out = []
     for n in sizes:
         rng = random.Random(1)
-        a = RingMatrix(IntegerRing(), [[rng.randint(-50, 50) for _ in range(n)]
-                                       for _ in range(n)])
+        rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        req = CommandRequest("snf", ring="z", payload=json.dumps({"rows": rows}))
         t0 = perf_counter()
-        res = diagonal_reduce(a)
-        t1 = perf_counter()
-        ok = verify_reduction(a, res)
-        t2 = perf_counter()
-        bits = {name: max(abs(v).bit_length() for row in getattr(res, name).data for v in row)
-                for name in ("D", "P", "Q", "Pinv", "Qinv")}
-        out.append({"n": n, "reduce_s": t1 - t0, "verify_s": t2 - t1, "verified": ok,
-                    "peak_bits": bits})
+        code, text = dispatch(req)
+        entry = {"n": n, "exit_code": code, "dispatch_s": perf_counter() - t0}
+        if code == 0:
+            doc = json.loads(text)
+            entry.update(verified=doc["verified"], output_bytes=len(text), peak_bits={
+                name: max(abs(v).bit_length() for row in doc[name] for v in row)
+                for name in ("D", "P", "Q", "Pinv", "Qinv")})
+        else:
+            entry["error"] = text.splitlines()[0]
+        out.append(entry)
     return out
+
+
+def dense_z_probe(root: Path = ROOT, sizes=PROBE_SIZES) -> list[dict]:
+    """The dense-Z probe run in a fresh interpreter, which imports only root's edrkit."""
+    code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+            f"from bench_record import probe_requests; "
+            f"print(json.dumps(probe_requests({str(root)!r}, {list(sizes)!r})))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=900)
+    if proc.returncode != 0:
+        sys.exit(f"error: the dense-Z probe in {root} exited with code {proc.returncode}\n"
+                 f"{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def largest_answered(probe: list[dict]) -> int | None:
+    """The largest probe size whose request exits 0 with a verified certificate."""
+    return max((p["n"] for p in probe if p["exit_code"] == 0 and p["verified"]), default=None)
 
 
 def bench_files(root: Path = ROOT) -> list[Path]:
@@ -105,9 +135,10 @@ def compare(new: dict, old: dict) -> list[str]:
     old_probe = {p["n"]: p for p in old.get("dense_z", [])}
     for p in new.get("dense_z", []):
         q = old_probe.get(p["n"], {})
-        pairs += [(f"dense-z/{p['n']}/{k}", q.get(k), p[k]) for k in ("reduce_s", "verify_s")]
+        pairs += [(f"dense-z/{p['n']}/{k}", q.get(k), p[k])
+                  for k in ("dispatch_s", "output_bytes") if k in p]
         pairs += [(f"dense-z/{p['n']}/bits_{k}", q.get("peak_bits", {}).get(k), v)
-                  for k, v in p["peak_bits"].items()]
+                  for k, v in p.get("peak_bits", {}).items()]
     for name, before, after in pairs:
         if before:
             lines.append(f"{name:48s} {before:>14.6g} {after:>14.6g} {after / before:8.3f}x")
@@ -121,13 +152,19 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--compare", action="store_true",
                         help="print each metric's ratio to the previous BENCH file")
+    parser.add_argument("--parent", type=Path,
+                        help="a second checkout to pair every run and the probe with")
     args = parser.parse_args(argv)
 
-    runs = []
+    runs, parent_runs = [], []
     for w in args.workloads:
-        for s in args.seeds:
-            runs.append(bench_run(w, s, args.seconds))
-            print(f"{w} seed {s}: {runs[-1]['metrics']}", file=sys.stderr, flush=True)
+        for i, s in enumerate(args.seeds):
+            # a pair's two runs go in turns, so that drift does not favour one side
+            sides = [(runs, ROOT)] + ([(parent_runs, args.parent)] if args.parent else [])
+            for out, root in sides[::-1] if i % 2 else sides:
+                out.append(bench_run(w, s, args.seconds, root))
+                print(f"{root.name} {w} seed {s}: {out[-1]['metrics']}", file=sys.stderr,
+                      flush=True)
     first = runs[0]
     shared = ("python", "commit", "source_lines", "source_lines_total", "seconds")
     tests_lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "tests").glob("*.py"))
@@ -146,18 +183,30 @@ def main(argv=None) -> int:
         "median": medians(runs),
         "dense_z": dense_z_probe(),
     }
+    record["dense_z_largest_n"] = largest_answered(record["dense_z"])
+    if args.parent:
+        probe = dense_z_probe(args.parent)
+        record["parent"] = {
+            "commit": parent_runs[0]["commit"], "source_lines_total":
+            parent_runs[0]["source_lines_total"],
+            "runs": [{k: v for k, v in r.items() if k not in shared} for r in parent_runs],
+            "median": medians(parent_runs), "dense_z": probe,
+            "dense_z_largest_n": largest_answered(probe)}
     previous = bench_files()
     index = int(previous[-1].stem.split("_")[1]) + 1 if previous else 0
     path = ROOT / f"BENCH_{index}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path.name}")
+    if args.parent:
+        print(f"against {args.parent}: metric, parent, change, change/parent")
+        print("\n".join(compare(record, record["parent"])))
     if args.compare:
         if not previous:
             print("no earlier BENCH file to compare with")
         else:
             print(f"against {previous[-1].name}: metric, old, new, new/old")
             print("\n".join(compare(record, json.loads(previous[-1].read_text()))))
-    return 0 if all(r["correct"] and not r["failed"] for r in runs) else 1
+    return 0 if all(r["correct"] and not r["failed"] for r in runs + parent_runs) else 1
 
 
 if __name__ == "__main__":
