@@ -26,13 +26,18 @@ from .matrices import (
 from .registry import (
     ElementSyntaxError,
     ExpressionError,
-    format_value,
     make_ring,
     parse_element,
     parse_json,
     ring_catalog,
 )
-from .rings import PreconditionError, RingError, UnsupportedOperationError, _raw
+from .rings import (
+    PreconditionError,
+    RingError,
+    UnsupportedOperationError,
+    _raw,
+    format_value,
+)
 from .stability import PROPERTIES, check_property
 
 EXIT_OK = 0

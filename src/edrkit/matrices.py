@@ -828,9 +828,7 @@ def _lattice_certificate(a: RingMatrix) -> ReductionResult | None:
     xk = [row[inv[k]] for row in x]
     q_cols = [[(row[inv[j]] - xs[j] * e) // det for row, e in zip(x, xk)] for j in order]
     q_cols.append(xk if det > 0 else [-e for e in xk])
-    d = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        d[i][i] = 1
+    d = _eye(a.ring, n)
     d[-1][-1] = delta
     ring, trusted = a.ring, RingMatrix._trusted
     return ReductionResult(

@@ -37,7 +37,6 @@ from .rings import (
     TrivialExtensionRing,
     TruncatedSeriesRing,
     _raw,
-    format_value,
 )
 
 
@@ -211,7 +210,7 @@ def parse_element(ring: Ring, text: str) -> RingElement:
 
 def format_element(e: RingElement) -> str:
     """Canonical text encoding; parse_element(e.ring, format_element(e)) == e."""
-    return format_value(e.ring.value_to_json(e.value))
+    return e.ring.element_text(e.value)
 
 
 def ring_catalog() -> list[dict]:

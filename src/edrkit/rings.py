@@ -575,7 +575,8 @@ class Ring(ABC):
             if self.comaximal([a, c]):
                 return self.zero
             raise PreconditionError(
-                f"quotient by {self.element_text(c)} admits no residue enumeration and y = 0 fails")
+                f"quotient by {self.element_text(c)} admits no residue enumeration "
+                f"and y = 0 fails")
         add, mul = self.add, self.mul
         for y in residues:
             if self.comaximal([add(a, mul(b, y)), c]):

@@ -74,7 +74,8 @@ def test_a_refused_probe_size_is_an_exit_code_not_a_time():
     probe = [{"n": 80, "exit_code": 0, "dispatch_s": 4.0, "verified": True, "output_bytes": 9,
               "peak_bits": {"D": 587}},
              {"n": 96, "exit_code": 1, "dispatch_s": 11.0,
-              "error": "error: the result holds an integer past Python's 4300-digit int/str limit"}]
+              "error": "error: the result holds an integer past Python's "
+                       "4300-digit int/str limit"}]
     assert bench_record.largest_answered(probe) == 80
     assert bench_record.largest_answered(probe[1:]) is None
     # the compare lines read the probe fields that both records hold
