@@ -579,7 +579,9 @@ def _clear_pivot(sweep: _Sweep, t: int):
     rows, and each row shear of D is the one entry fma at (i, t).
 
     Each quotient reads the pivot afresh, since a work ring may rescale
-    every matrix to find one; a rescale keeps sizes, their order and ties.
+    every matrix to find one.  A rescale keeps the order of sizes and their
+    ties, not the sizes themselves, so each pass compares its pivot with
+    the last one's size read again: d[t][t] holds that pivot until the swaps.
 
     Every remainder left is smaller than its pivot, so pivot sizes fall
     strictly from pass to pass and the loop ends.  The number of passes
@@ -591,15 +593,15 @@ def _clear_pivot(sweep: _Sweep, t: int):
     zero, neg, nearest = ring.zero, ring.neg, ring.nearest_quotient
     fma, col_axpy = ring.fma, ring.col_axpy
     d = sweep.d
-    last = None
+    first = True
     while True:
         found = _smallest_entry(sweep, t)
         if found is None:
             return
         s, i, j = found
-        if last is not None and not s < last:
+        if not first and not s < ring.size(d[t][t]):
             raise RuntimeError("internal error: pivot size did not fall")
-        last = s
+        first = False
         if i != t:
             sweep.swap_rows(t, i)
         if j != t:

@@ -666,15 +666,6 @@ def _shaped(rows, cols, target) -> bool:
     return len(target) == len(rows) and all(len(t) == len(cols) for t in target)
 
 
-def _split_module(vectors):
-    """(bases, numerators, l) for vectors of (integer, Fraction) pairs: l is
-    the lcm of every denominator, and the numerators are the module parts
-    times l, so every integer vector is exact."""
-    ratios = [[e.as_integer_ratio() for _, e in v] for v in vectors]
-    l = lcm(*[d for r in ratios for _, d in r])
-    return ([[a for a, _ in v] for v in vectors], [[n * (l // d) for n, d in r] for r in ratios], l)
-
-
 def _fraction_to_json(q: Fraction) -> Any:
     if q.denominator == 1:
         return int(q)
@@ -1247,254 +1238,6 @@ class ProductRing(Ring):
         return tuple(f.value_from_json(c) for f, c in zip(self.factors, obj))
 
 
-class TrivialExtensionRing(Ring):
-    """Z ⋉ Q: pairs ``(a, e)`` of an integer and a rational multiplying as
-    ``(a, e)(b, f) = (ab, af + be)``.  The pairs ``(0, e)`` form an ideal that
-    squares to zero; Bezout certificates are total."""
-
-    kind = "trivial-extension"
-    base = IntegerRing()
-    zero = (0, _QZERO)
-    one = (1, _QZERO)
-
-    def expression(self) -> str:
-        return "text:z,q"
-
-    def normalize(self, value):
-        if isinstance(value, list):
-            value = tuple(value)
-        if not isinstance(value, tuple) or len(value) != 2:
-            raise RingError(f"pair (a, e) expected, got {value!r}")
-        a, e = self.base.normalize(value[0]), value[1]
-        if isinstance(e, int) and not isinstance(e, bool):
-            e = Fraction(e)
-        if not isinstance(e, Fraction):
-            raise RingError(f"rational module component expected, got {e!r}")
-        return (a, e)
-
-    # The kernels work on the numerators and denominators of the module
-    # parts and build one Fraction per result.
-
-    def add(self, x, y):
-        (a, e), (b, f) = x, y
-        en, ed = e.as_integer_ratio()
-        fn, fd = f.as_integer_ratio()
-        return (a + b, _qsum(en, ed, fn, fd))
-
-    def neg(self, x):
-        return (-x[0], -x[1])
-
-    def mul(self, x, y):
-        (a, e), (b, f) = x, y
-        en, ed = e.as_integer_ratio()
-        fn, fd = f.as_integer_ratio()
-        return (a * b, _qsum(a * fn, fd, b * en, ed))
-
-    def dot(self, xs, ys):
-        # the module part sum(a*f + b*e) over the lcm of the denominators
-        s = 0
-        terms = []
-        for (a, e), (b, f) in zip(xs, ys):
-            s += a * b
-            en, ed = e.as_integer_ratio()
-            fn, fd = f.as_integer_ratio()
-            terms += ((a * fn, fd), (b * en, ed))
-        return (s, _qlsum(terms))
-
-    def to_check(self, mats):
-        # integer pairs (a, N) meaning (a, N/L), L the lcm of every denominator
-        bases, nums, l = _split_module([r for m in mats for r in m])
-        pairs = map(list, map(zip, bases, nums))
-        forms = [[next(pairs) for _ in m] for m in mats]
-        return [(_RationalWork(self, forms, l), forms)]
-
-    def fma(self, y, q, x):
-        # (c, g) + (a, e)(b, f) = (c + ab, g + af + be), one Fraction built
-        (c, g), (a, e), (b, f) = y, q, x
-        en, ed = e.as_integer_ratio()
-        fn, fd = f.as_integer_ratio()
-        return (c + a * b, _qlsum((g.as_integer_ratio(), (a * fn, fd), (b * en, ed))))
-
-    def to_work(self, mats):
-        # to_check's pairs in place; the work ring rescales the same rows
-        ((work, forms),) = self.to_check(mats)
-        for m, f in zip(mats, forms):
-            m[:] = f
-        return work
-
-    def is_unit(self, x):
-        return x[0] in (1, -1)
-
-    def inverse(self, x):
-        # (a, e)(a, -e) = (1, 0) for a = +-1
-        if not self.is_unit(x):
-            raise NotAUnitError(f"{x!r} is not a unit of {self.expression()}")
-        return (x[0], -x[1])
-
-    def divides(self, d, a):
-        (md, qd), (ma, qa) = d, a
-        if md != 0:
-            return ma % md == 0
-        if ma != 0:
-            return False
-        if qd == 0:
-            return qa == 0
-        return (qa / qd).denominator == 1
-
-    def divide_exact(self, a, d):
-        (ma, qa), (md, qd) = a, d
-        if md != 0:
-            if ma % md != 0:
-                raise NonDivisibleError(f"{d!r} does not divide {a!r} in {self.expression()}")
-            k = ma // md
-            return (k, (qa - qd * k) / md)
-        if ma != 0 or (qd == 0 and qa != 0):
-            raise NonDivisibleError(f"{d!r} does not divide {a!r} in {self.expression()}")
-        if qd == 0:
-            return self.zero
-        k = qa / qd
-        if k.denominator != 1:
-            raise NonDivisibleError(f"{d!r} does not divide {a!r} in {self.expression()}")
-        return (int(k), Fraction(0))
-
-    def _bezout(self, a, b):
-        (ma, qa), (mb, qb) = a, b
-        g, alpha, beta = _egcd(ma, mb)
-        if g != 0:
-            d = (g, Fraction(0))
-            # the divisible module absorbs the stray second coordinate
-            h = qa * alpha + qb * beta
-            if ma != 0:
-                x = (alpha, -h / ma)
-                y = (beta, Fraction(0))
-            else:
-                x = (alpha, Fraction(0))
-                y = (beta, -h / mb)
-            a0 = self.divide_exact(a, d)
-            b0 = self.divide_exact(b, d)
-            return d, x, y, a0, b0
-        # both base components vanish: the pair lives in the square-zero ideal
-        c = _rational_gcd(qa, qb)
-        d = (0, c)
-        ea = qa / c
-        eb = qb / c
-        _, m1, m2 = _egcd(int(ea), int(eb))
-        x = (m1, Fraction(0))
-        y = (m2, Fraction(0))
-        a0 = (int(ea), Fraction(0))
-        b0 = (int(eb), Fraction(0))
-        return d, x, y, a0, b0
-
-    def canonical_associate(self, a):
-        m, q = a
-        if m != 0:
-            return (abs(m), _QZERO)
-        return (0, abs(q))
-
-    # Euclidean size: (0, |a|) while the base part a is nonzero, and (1, |e|)
-    # in the square-zero ideal, which every nonzero base part outranks.
-
-    def size(self, a):
-        m, e = a
-        return (0, abs(m)) if m else (1, abs(e))
-
-    def nearest_quotient(self, a, b):
-        (m, e), (bm, s) = a, b
-        if bm:
-            c = _round_quotient(m, bm)
-            # the module part clears e only where the base parts cancel;
-            # elsewhere it stays zero and keeps bm out of the denominators
-            return (c, (e - c * s) / bm if m == c * bm else _QZERO)
-        if m:
-            return self.zero
-        return (_round_quotient(e, s), _QZERO)
-
-    def residues_mod(self, c):
-        # the base's residues modulo c0: all of R/cR
-        return ((k, _QZERO) for k in self.base.residues_mod(c[0]))
-
-    def value_to_json(self, v):
-        return [v[0], _fraction_to_json(v[1])]
-
-    def value_from_json(self, obj):
-        if not isinstance(obj, list) or len(obj) != 2:
-            raise RingError(f"two-element array expected, got {obj!r}")
-        return (_int_from_json(obj[0], "base component"),
-                _fraction_from_json(obj[1], "module component"))
-
-
-class _RationalWork:
-    """Z ⋉ Q's work ring for clearing pivots and checking products: integer
-    pairs (a, N) meaning (a, N/L), with one L > 0 for all the matrices held.
-    Module parts never multiply each other, so products and shears keep
-    every entry over L; a quotient with a new denominator first multiplies
-    L and every module part by one k.  Sizes, their order and their ties are
-    those of the Fraction pairs."""
-
-    zero = (0, 0)
-    one = (1, 0)
-    neg = TrivialExtensionRing.neg
-    size = TrivialExtensionRing.size
-
-    def __init__(self, ring, mats, l):
-        self.ring, self.mats, self.l = ring, mats, l
-
-    def from_work(self, mats):
-        for m in mats:
-            for row in m:
-                row[:] = [(a, _fraction(n, self.l)) for a, n in row]
-        return self.ring
-
-    def fma(self, y, q, x):
-        (c, g), (a, e), (b, f) = y, q, x
-        return (c + a * b, g + a * f + b * e)
-
-    def mul(self, x, y):
-        (a, e), (b, f) = x, y
-        return (a * b, a * f + b * e)
-
-    def matmul_equals(self, rows, cols, target):
-        # every row and column split once into its bases and module parts
-        mul = operator.mul
-        rows, cols = ([list(zip(*v)) or [(), ()] for v in vs] for vs in (rows, cols))
-        return _shaped(rows, cols, target) and all(
-            sum(map(mul, ra, ca)) == tb and sum(map(mul, ra, cn)) + sum(map(mul, rn, ca)) == tn
-            for (ra, rn), trow in zip(rows, target) for (ca, cn), (tb, tn) in zip(cols, trow))
-
-    def axpy(self, dst, src, q):
-        a, e = q
-        for c, (b, f) in enumerate(src):
-            if b or f:
-                y, g = dst[c]
-                dst[c] = (y + a * b, g + a * f + b * e)
-
-    def col_axpy(self, rows, j, k, q):
-        a, e = q
-        for row in rows:
-            b, f = row[k]
-            if b or f:
-                y, g = row[j]
-                row[j] = (y + a * b, g + a * f + b * e)
-
-    def nearest_quotient(self, x, p):
-        # TrivialExtensionRing.nearest_quotient, the module part over L
-        (m, n), (b, s) = x, p
-        if not b:
-            return self.zero if m else (_round_quotient(n, s), 0)
-        c = _round_quotient(m, b)
-        if m != c * b:
-            return (c, 0)
-        r = n - c * s
-        if r % b:
-            k = abs(b) // gcd(r, b)
-            self.l *= k
-            for mat in self.mats:
-                for row in mat:
-                    row[:] = [(y, g * k) for y, g in row]
-            r *= k
-        return (c, r // b)
-
-
 class _Slots:
     """GF(p)[x] values packed into integers >= 0 (Kronecker substitution):
     coefficient i in the field of k = 2b + 1 bits at bit i*k, below 2**b.
@@ -1815,19 +1558,23 @@ class TruncatedSeriesRing(Ring):
 
     This is the quotient of {a0 + a1 x + ... : a0 integer, ai rational} by the
     ideal of terms beyond x^order, so all ring axioms hold exactly.  Values are
-    pairs ``(constant, coeffs)`` where ``coeffs[i]`` is the coefficient of
-    ``x^(i+1)``, trailing zeros stripped.  A nonzero value is its lowest term
-    q*x^i times a unit, so Bezout certificates are total: of two values the
-    one of lower order divides the other, and at equal order the leading
-    coefficients generate a cyclic group gZ.
+    flat tuples ``(a0, a1, ..., a_order)`` of an ``int`` and ``order``
+    ``Fraction`` coefficients.  A nonzero value is its lowest term q*x^i
+    times a unit, so Bezout certificates are total: of two values the one
+    of lower order divides the other, and at equal order the leading
+    coefficients generate a cyclic group gZ.  Quotients, the sweep and
+    product checks run on the integer images of ``_SeriesWork``.  Order 1
+    is Z ⋉ Q, and its pairs take an unrolled branch in the hottest kernels.
     """
 
     kind = "truncated-series"
 
     def __init__(self, order: int = 8):
-        if not isinstance(order, int) or order < 1:
+        if isinstance(order, bool) or not isinstance(order, int) or order < 1:
             raise RingError(f"truncation order must be >= 1, got {order!r}")
         self.order = order
+        self.zero = (0,) + (_QZERO,) * order
+        self.one = (1,) + (_QZERO,) * order
 
     def _key(self):
         return (self.kind, self.order)
@@ -1838,48 +1585,61 @@ class TruncatedSeriesRing(Ring):
     def normalize(self, value):
         if isinstance(value, list):
             value = tuple(value)
-        if not isinstance(value, tuple) or len(value) != 2:
-            raise RingError(f"(constant, coeffs) pair expected, got {value!r}")
-        c, coeffs = value
+        if not isinstance(value, tuple) or len(value) != self.order + 1:
+            raise RingError(
+                f"tuple of a constant and {self.order} coefficients expected, got {value!r}")
+        c, *qs = value
         if isinstance(c, bool) or not isinstance(c, int):
             raise RingError(f"integer constant term expected, got {c!r}")
-        coeffs = list(coeffs)[: self.order]
-        out = []
-        for q in coeffs:
-            if isinstance(q, int) and not isinstance(q, bool):
-                q = Fraction(q)
-            if not isinstance(q, Fraction):
-                raise RingError(f"rational coefficient expected, got {q!r}")
-            out.append(q)
-        while out and out[-1] == 0:
-            out.pop()
-        return (c, tuple(out))
+        qs = [Fraction(q) if isinstance(q, int) and not isinstance(q, bool) else q for q in qs]
+        if not all(isinstance(q, Fraction) for q in qs):
+            raise RingError(f"rational coefficients expected, got {value!r}")
+        return (c, *qs)
 
-    zero = (0, ())
-    one = (1, ())
+    def _term(self, q, i: int):
+        """The value q*x^i (q an int for i = 0)."""
+        return self.zero[:i] + (q,) + self.zero[i + 1:]
 
-    def _coeff(self, v, k: int) -> Fraction:
-        if k == 0:
-            return Fraction(v[0])
-        return v[1][k - 1] if k - 1 < len(v[1]) else Fraction(0)
+    # Sums and products work on the numerators and denominators of the
+    # coefficients and build one Fraction per result coefficient.
 
     def add(self, x, y):
-        n = max(len(x[1]), len(y[1]))
-        coeffs = tuple(self._coeff(x, k) + self._coeff(y, k) for k in range(1, n + 1))
-        return self.normalize((x[0] + y[0], coeffs))
+        return (x[0] + y[0], *[_qsum(*p.as_integer_ratio(), *q.as_integer_ratio())
+                               for p, q in zip(x[1:], y[1:])])
 
     def neg(self, x):
-        return (-x[0], tuple(-q for q in x[1]))
+        return tuple([-c for c in x])
 
     def mul(self, x, y):
-        # convolve the coefficients present, x^0 to x^order
-        a, b = (x[0], *x[1]), (y[0], *y[1])
-        coeffs = [0] * min(len(a) + len(b) - 2, self.order)
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(max(1 - i, 0), min(len(b), self.order + 1 - i)):
-                    coeffs[i + j - 1] += ai * b[j]
-        return self.normalize((x[0] * y[0], coeffs))
+        if len(x) == 2:  # order 1, unrolled
+            (a, e), (b, f) = x, y
+            (en, ed), (fn, fd) = e.as_integer_ratio(), f.as_integer_ratio()
+            return (a * b, _qsum(a * fn, fd, b * en, ed))
+        xs, ys = [c.as_integer_ratio() for c in x], [c.as_integer_ratio() for c in y]
+        return (x[0] * y[0], *[_qlsum([(an * bn, ad * bd) for (an, ad), (bn, bd)
+                                       in zip(xs, ys[t::-1])]) for t in range(1, len(x))])
+
+    def fma(self, y, q, x):
+        if len(y) == 2:  # order 1, unrolled
+            (c, g), (a, e), (b, f) = y, q, x
+            (en, ed), (fn, fd) = e.as_integer_ratio(), f.as_integer_ratio()
+            return (c + a * b, _qlsum((g.as_integer_ratio(), (a * fn, fd), (b * en, ed))))
+        return self.add(y, self.mul(q, x))
+
+    def to_work(self, mats):
+        # D's images in place and the transforms, which start as identities,
+        # as the work ring's; the work ring rescales these same rows
+        work = _SeriesWork(self, mats[:1])
+        for m, image in zip(mats, work.mats):
+            m[:] = image
+        for m in mats[1:]:
+            m[:] = [[work.one if i == j else work.zero for j in range(len(m))] for i in range(len(m))]
+        work.mats = mats
+        return work
+
+    def to_check(self, mats):
+        work = _SeriesWork(self, mats)
+        return [(work, work.mats)]
 
     def is_unit(self, x):
         return x[0] in (1, -1)
@@ -1887,49 +1647,25 @@ class TruncatedSeriesRing(Ring):
     def inverse(self, x):
         if not self.is_unit(x):
             raise NotAUnitError(f"{x!r} is not a unit of {self.expression()}")
-        b = [Fraction(x[0])]  # constant +-1 is its own inverse
-        for k in range(1, self.order + 1):
-            b.append(-b[0] * sum((self._coeff(x, i) * b[k - i] for i in range(1, k + 1)),
-                                 Fraction(0)))
-        return self.normalize((int(b[0]), tuple(b[1:])))
+        return (x[0], -x[1]) if len(x) == 2 else self.divide_exact(self.one, x)
 
     def _lead(self, x) -> tuple[int, Any]:
         """(i, q) for the lowest term q*x^i of x; (order + 1, 0) for zero."""
-        if x[0]:
-            return 0, x[0]
-        for i, q in enumerate(x[1], 1):
+        for i, q in enumerate(x):
             if q:
                 return i, q
-        return self.order + 1, 0
+        return len(x), 0
+
+    def divides(self, d, a):
+        # d = q*x^j*(unit) divides every a of higher order, and one of equal
+        # order when the ratio of the lowest coefficients is an integer
+        (i, q), (j, r) = self._lead(a), self._lead(d)
+        return i > j or i == j and (i == len(a) or q % r == 0)
 
     def divide_exact(self, a, d):
-        la, ld = self._lead(a)[0], self._lead(d)[0]
-        if la > self.order:
-            return self.zero
-        if la < ld:
+        if not self.divides(d, a):
             raise NonDivisibleError(f"{d!r} does not divide {a!r} in {self.expression()}")
-        # long division of the shifted series; the quotient's constant term
-        # must land back in Z for the division to be exact in this ring
-        da = [self._coeff(a, k) for k in range(la, self.order + 1)]
-        dd = [self._coeff(d, k) for k in range(ld, self.order + 1)]
-        qlen = self.order + 1 - la
-        q = []
-        rem = list(da)
-        for i in range(qlen):
-            qi = rem[i] / dd[0]
-            q.append(qi)
-            for j in range(len(dd)):
-                if i + j < len(rem):
-                    rem[i + j] -= qi * dd[j]
-        shift = la - ld
-        full = [Fraction(0)] * shift + q
-        full = full[: self.order + 1]
-        if full[0].denominator != 1:
-            raise NonDivisibleError(f"{d!r} does not divide {a!r} in {self.expression()}")
-        value = self.normalize((int(full[0]), tuple(full[1:])))
-        if self.mul(d, value) != self.normalize(a):
-            raise NonDivisibleError(f"{d!r} does not divide {a!r} in {self.expression()}")
-        return value
+        return self.nearest_quotient(a, d)
 
     def _bezout(self, a, b):
         (i, q), (j, r) = self._lead(a), self._lead(b)
@@ -1937,54 +1673,56 @@ class TruncatedSeriesRing(Ring):
             d, y, x, b0, a0 = self._bezout(b, a)
             return d, x, y, a0, b0
         if i == 0:
+            # d = g = alpha*a[0] + beta*b[0]; d - beta*b has the constant
+            # term alpha*a[0], so a divides it, and x is that quotient
             g, alpha, beta = _egcd(a[0], b[0])
-            d = (g, ())
-            u = self.divide_exact(a, (a[0], ()))  # unit cofactor 1 + x*(...)
-            t = self.sub(d, self.mul(b, (beta, ())))
-            x = self.mul(self.inverse(u), self.divide_exact(t, (a[0], ())))
-            y = (beta, ())
-            a0 = self.divide_exact(a, d)
-            b0 = self.divide_exact(b, d)
-            return d, x, y, a0, b0
+            d = self._term(g, 0)
+            x = self.divide_exact(self.sub(d, _scaled(b, beta)), a)
+            return d, x, self._term(beta, 0), _divided(a, g), _divided(b, g)
         # d = g*x^i with Zq + Zr = Zg and s*q/g + t*r/g = 1, r being b's
         # coefficient of x^i; then w = a0*s + b0*t has constant term 1, a unit
         r = r if j == i else 0
         g = _rational_gcd(q, r)
         _, s, t = _egcd(int(q / g), int(r / g))
-        d = self.normalize((0, [0] * (i - 1) + [g]))
+        d = self._term(g, i)
         a0, b0 = self.divide_exact(a, d), self.divide_exact(b, d)
-        winv = self.inverse(self.add(self.mul(a0, (s, ())), self.mul(b0, (t, ()))))
-        return d, self.mul((s, ()), winv), self.mul((t, ()), winv), a0, b0
+        winv = self.inverse(self.add(_scaled(a0, s), _scaled(b0, t)))
+        return d, _scaled(winv, s), _scaled(winv, t), a0, b0
 
     def canonical_associate(self, a):
-        # |q|*x^i; zero's (order + 1, 0) is truncated away
+        # |q|*x^i
         i, q = self._lead(a)
-        return (abs(q), ()) if i == 0 else self.normalize((0, [0] * (i - 1) + [abs(q)]))
+        return self.zero if i == len(a) else self._term(abs(q), i)
 
-    # Euclidean size: the lowest term's order, then |its coefficient|, the
-    # order of TrivialExtensionRing.size.  b = q*x^j*(unit) divides every a of
-    # higher order; at equal order it divides a when the ratio of the leading
-    # coefficients is an integer, else the nearest one leaves a smaller one.
+    # Euclidean size: the lowest term's order, then |its coefficient|.  b = q*x^j*(unit) divides every a of higher order; at
+    # equal order it divides a when the ratio of the leading coefficients is
+    # an integer, else the nearest one leaves a smaller one.
 
     def size(self, a):
-        i, q = self._lead(a)
-        return (i, abs(q))
+        for i, q in enumerate(a):
+            if q:
+                return (i, abs(q))
+        return (len(a), 0)
 
     def nearest_quotient(self, a, b):
-        try:
-            return self.divide_exact(a, b)
-        except NonDivisibleError:
-            (i, q), (j, r) = self._lead(a), self._lead(b)
-            return (_round_quotient(q, r), ()) if i == j else self.zero
+        if b[0] and not any(b[1:]):  # an integer b divides each coefficient
+            q, r = divmod(a[0], b[0])
+            return (_round_quotient(a[0], b[0]),) + self.zero[1:] if r else (
+                q, *[c / b[0] for c in a[1:]])
+        work = _SeriesWork(self, [[(a, b)]])
+        return work.value(work.nearest_quotient(*work.mats[0][0]))
 
     def residues_mod(self, c):
         if c[0] == 0:
             raise UnsupportedOperationError(
                 f"no finite residue system modulo {c!r} in {self.expression()}")
-        return ((k, ()) for k in range(abs(c[0])))
+        return (self._term(k, 0) for k in range(abs(c[0])))
 
     def value_to_json(self, v):
-        return {"constant": v[0], "coeffs": [_fraction_to_json(q) for q in v[1]]}
+        coeffs = list(v[1:])
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return {"constant": v[0], "coeffs": [_fraction_to_json(q) for q in coeffs]}
 
     def value_from_json(self, obj):
         if not isinstance(obj, dict) or set(obj) - {"constant", "coeffs"}:
@@ -1993,8 +1731,210 @@ class TruncatedSeriesRing(Ring):
         coeffs = obj.get("coeffs", [])
         if not isinstance(coeffs, list):
             raise RingError(f"series coeffs array expected, got {coeffs!r}")
-        return self.normalize(
-            (const, tuple(_fraction_from_json(q, "series coefficient") for q in coeffs)))
+        qs = [_fraction_from_json(q, "series coefficient") for q in coeffs][:self.order]
+        return (const, *qs, *self.zero[len(qs) + 1:])
+
+
+def _scaled(v, s: int):
+    """The series value v times the integer s."""
+    return tuple([s * c for c in v])
+
+
+def _divided(v, g: int):
+    """The series value v over the integer g > 0, which divides its constant."""
+    return v if g == 1 else (v[0] // g, *[c / g for c in v[1:]])
+
+
+class TrivialExtensionRing(TruncatedSeriesRing):
+    """Z ⋉ Q: pairs ``(a, e)`` of an integer and a rational multiplying as
+    ``(a, e)(b, f) = (ab, af + be)``.  This is series:1, x being (0, 1), so
+    the series ring does all the arithmetic; the kind, the expression and
+    the value formats are its own."""
+
+    kind = "trivial-extension"
+    base = IntegerRing()
+
+    def __init__(self):
+        super().__init__(1)
+
+    def expression(self) -> str:
+        return "text:z,q"
+
+    def normalize(self, value):
+        if isinstance(value, list):
+            value = tuple(value)
+        if not isinstance(value, tuple) or len(value) != 2:
+            raise RingError(f"pair (a, e) expected, got {value!r}")
+        a, e = self.base.normalize(value[0]), value[1]
+        if isinstance(e, int) and not isinstance(e, bool):
+            e = Fraction(e)
+        if not isinstance(e, Fraction):
+            raise RingError(f"rational module component expected, got {e!r}")
+        return (a, e)
+
+    def value_to_json(self, v):
+        return [v[0], _fraction_to_json(v[1])]
+
+    def value_from_json(self, obj):
+        if not isinstance(obj, list) or len(obj) != 2:
+            raise RingError(f"two-element array expected, got {obj!r}")
+        return (_int_from_json(obj[0], "base component"),
+                _fraction_from_json(obj[1], "module component"))
+
+
+class _SeriesWork:
+    """A truncated series ring's work ring for clearing pivots, checking
+    products and dividing.  With L a common denominator of every rational
+    coefficient held, the ring map x -> L*y takes each value injectively into
+    Z[y]/(y^(k+1)): the coefficient q_i of x^i becomes the integer q_i*L^i.
+    The values are those integer tuples, so products and shears are
+    truncated integer convolutions.  A quotient with a new denominator m
+    first multiplies L by m, and coefficient i of every held entry by m^i.
+    Sizes, their order and their ties are those of the rational values.  At
+    k = 1 a value is Z ⋉ Q's (a, N), meaning (a, N/L)."""
+
+    size = TruncatedSeriesRing.size
+    neg = TruncatedSeriesRing.neg
+
+    def __init__(self, ring, mats):
+        """The work ring of mats, sequences of rows of series values, whose
+        images over their least common denominator are ``self.mats``."""
+        self.ring = ring
+        self.zero = (0,) * (ring.order + 1)
+        self.one = (1, *self.zero[1:])
+        rows = [r for m in mats for r in m]
+        # each row's rational coefficient vectors as (numerator, denominator)
+        tails = [[[v[i].as_integer_ratio() for v in r] for i in range(1, len(self.zero))]
+                 for r in rows]
+        self.l = lcm(*{d for t in tails for c in t for _, d in c})
+        powers = self._powers(self.l)[1:]
+        images = iter([list(zip([v[0] for v in r],
+                                *[[n * (p // d) for n, d in c] for c, p in zip(t, powers)]))
+                       for r, t in zip(rows, tails)])
+        self.mats = [[next(images) for _ in m] for m in mats]
+
+    def _powers(self, m):
+        return [m ** i for i in range(len(self.zero))]
+
+    def value(self, v):
+        """The series value whose image over L is v."""
+        return (v[0], *map(_fraction, v[1:], self._powers(self.l)[1:]))
+
+    def from_work(self, mats):
+        for m in mats:
+            for row in m:
+                if len(self.zero) == 2:  # order 1, unrolled
+                    row[:] = [(a, _fraction(n, self.l)) for a, n in row]
+                else:
+                    row[:] = map(self.value, row)
+        return self.ring
+
+    def _rescale(self, m):
+        """L times m: coefficient i of every held entry times m^i."""
+        self.l *= m
+        powers = self._powers(m)
+        for mat in self.mats:
+            for row in mat:
+                if len(powers) == 2:  # order 1, unrolled
+                    row[:] = [(c, n * m) for c, n in row]
+                else:
+                    row[:] = [tuple(map(operator.mul, v, powers)) for v in row]
+
+    def fma(self, y, q, x):
+        if len(y) == 2:  # order 1, unrolled
+            (c, g), (a, e), (b, f) = y, q, x
+            return (c + a * b, g + a * f + e * b)
+        out = list(y)
+        for i, a in enumerate(q):
+            if a:
+                out[i:] = map(operator.add, out[i:], [a * b for b in x])
+        return tuple(out)
+
+    def mul(self, x, y):
+        return self.fma(self.zero, x, y)
+
+    def axpy(self, dst, src, q):
+        if len(q) != 2:
+            return Ring.axpy(self, dst, src, q)
+        a, e = q  # order 1, unrolled
+        for c, (b, f) in enumerate(src):
+            if b or f:
+                y, g = dst[c]
+                dst[c] = (y + a * b, g + a * f + b * e)
+
+    def col_axpy(self, rows, j, k, q):
+        if len(q) != 2:
+            return Ring.col_axpy(self, rows, j, k, q)
+        a, e = q  # order 1, unrolled
+        for row in rows:
+            b, f = row[k]
+            if b or f:
+                y, g = row[j]
+                row[j] = (y + a * b, g + a * f + b * e)
+
+    def matmul_equals(self, rows, cols, target):
+        # each row and column split once into its coefficient vectors; entry
+        # coefficient t is the sum of the dot products of vectors i and t - i
+        k1, mul = len(self.zero), operator.mul
+        terms = [[(i, t - i) for i in range(t + 1)] for t in range(k1)]
+        rows, cols = ([list(zip(*v)) or [()] * k1 for v in vs] for vs in (rows, cols))
+        if k1 == 2:  # order 1, unrolled
+            return _shaped(rows, cols, target) and all(
+                sum(map(mul, ra, ca)) == tb and sum(map(mul, ra, cn)) + sum(map(mul, rn, ca)) == tn
+                for (ra, rn), trow in zip(rows, target) for (ca, cn), (tb, tn) in zip(cols, trow))
+        return _shaped(rows, cols, target) and all(
+            sum([sum(map(mul, r[i], c[j])) for i, j in ij]) == v
+            for r, trow in zip(rows, target) for c, tv in zip(cols, trow)
+            for ij, v in zip(terms, tv))
+
+    def nearest_quotient(self, a, b):
+        """TruncatedSeriesRing.nearest_quotient on the images: the exact
+        quotient where b divides a, else the rounded ratio of the lowest
+        coefficients at equal order, else zero.
+
+        Long division of a/y^j by b/y^j, b's lowest coefficient lead = b_j:
+        quotient coefficient t cancels coefficient t + j of a, and those
+        above y^(k - j) meet no term of b and stay zero.  A coefficient
+        t >= 1 whose ratio to lead has a denominator w is an integer after
+        y -> y/w, which multiplies it by w^t, so a, b, the quotient so far
+        and, once it is found, every held entry are rescaled so.
+        """
+        k1, m = len(a), 1
+        if k1 == 2 and b[0]:  # order 1, unrolled
+            (c, n), (lead, s) = a, b
+            q0 = _round_quotient(c, lead)
+            if c != q0 * lead:
+                return (q0, 0)
+            r = n - q0 * s
+            if r % lead:
+                m = abs(lead) // gcd(r, lead)
+                self._rescale(m)
+            return (q0, r * m // lead)
+        i = j = 0
+        while not b[j]:
+            j += 1
+        while i < k1 and not a[i]:
+            i += 1
+        if i < j or i == k1:
+            return self.zero
+        lead = b[j]
+        q0, r = divmod(a[i], lead) if i == j else (0, 0)
+        if r:
+            return (_round_quotient(a[i], lead),) + self.zero[1:]
+        out = [q0] + [0] * (k1 - 1)
+        for t in range(max(i - j, 1), k1 - j):
+            r = a[t + j] - sum([b[j + v] * out[t - v] for v in range(1, t + 1) if out[t - v]])
+            if r % lead:
+                w = abs(lead) // gcd(r, lead)
+                m *= w
+                powers = self._powers(w)
+                a, b, out = ([x * p for x, p in zip(v, powers)] for v in (a, b, out))
+                r *= powers[t + j]
+                lead = b[j]
+            out[t] = r // lead
+        if m > 1:
+            self._rescale(m)
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -96,9 +96,9 @@ def random_value(ring: Ring, rng: random.Random, span: int = 50):
     if isinstance(ring, SelfExtensionRing):
         return (random_value(ring.base, rng, span), random_value(ring.base, rng, span))
     if isinstance(ring, TruncatedSeriesRing):
-        coeffs = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                       for _ in range(rng.randint(0, ring.order)))
-        return (rng.randint(-span, span), coeffs)
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                  for _ in range(rng.randint(0, ring.order))]
+        return (rng.randint(-span, span), *coeffs, *[Fraction(0)] * (ring.order - len(coeffs)))
     raise AssertionError(f"no generator for {ring!r}")
 
 

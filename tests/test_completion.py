@@ -191,8 +191,7 @@ def test_completion_beyond_the_integers(rng):
     series = make_ring("series:5")
     done = 0
     while done < 40:
-        row = [element(series, (rng.randint(-9, 9),
-                                (Fraction(rng.randint(-4, 4), 3),)))
+        row = [element(series, (rng.randint(-9, 9), Fraction(rng.randint(-4, 4), 3), 0, 0, 0, 0))
                for _ in range(rng.randint(2, 4))]
         if all(r.value[0] == 0 for r in row):
             continue

@@ -63,7 +63,8 @@ def _values(ring: Ring):
                           max_size=ring.order)
         # a zero constant term half the time
         constant = st.one_of(st.just(0), st.integers(-12, 12))
-        raw = st.tuples(constant, coeffs).map(ring.normalize)
+        raw = st.tuples(constant, coeffs).map(
+            lambda t: ring.normalize((t[0], *t[1], *[0] * (ring.order - len(t[1])))))
     else:  # pragma: no cover
         raise AssertionError(f"no strategy for {ring!r}")
     return st.one_of(st.just(ring.zero), raw)

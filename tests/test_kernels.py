@@ -95,8 +95,8 @@ def _values(ring: Ring):
     elif isinstance(ring, TrivialExtensionRing):
         raw = st.tuples(_INTS, _FRACTIONS)
     elif isinstance(ring, TruncatedSeriesRing):
-        raw = st.tuples(st.integers(-99, 99),
-                        st.lists(_FRACTIONS, max_size=ring.order)).map(ring.normalize)
+        raw = st.tuples(st.integers(-99, 99), st.lists(_FRACTIONS, max_size=ring.order)).map(
+            lambda t: ring.normalize((t[0], *t[1], *[0] * (ring.order - len(t[1])))))
     else:  # pragma: no cover
         raise AssertionError(f"no strategy for {ring!r}")
     return st.one_of(st.just(ring.zero), raw)
@@ -244,9 +244,9 @@ def test_gcd_is_the_generator_of_bezout_raw(spec):
                   ((0, Fraction(1, 2)), (0, Fraction(-1, 3))),
                   ((-4, Fraction(1, 2)), (6, Fraction(0))),
                   ((0, Fraction(5)), (-3, Fraction(7, 2)))]),
-    ("series:4", [((0, ()), (0, ())), ((2, ()), (0, (Fraction(1),))),
-                  ((0, (Fraction(1),)), (0, (Fraction(0), Fraction(1)))),
-                  ((-6, (Fraction(1, 3),)), (4, ()))]),
+    ("series:4", [((0, 0, 0, 0, 0), (0, 0, 0, 0, 0)), ((2, 0, 0, 0, 0), (0, 1, 0, 0, 0)),
+                  ((0, 1, 0, 0, 0), (0, 0, 1, 0, 0)),
+                  ((-6, Fraction(1, 3), 0, 0, 0), (4, 0, 0, 0, 0))]),
 ])
 def test_gcd_on_zero_pairs_signs_and_zero_components(spec, pairs):
     ring = make_ring(spec)
@@ -667,11 +667,15 @@ def test_rational_module_matmul_against_plain_fractions():
 
 def test_rational_module_matmul_scales_by_the_lcm():
     # the common denominator of a side is the lcm, not a larger multiple,
-    # so the integer products stay as small as the values allow
-    bases, nums, l = rings._split_module([[(1, Fraction(1, 4)), (2, Fraction(0))],
-                                          [(3, Fraction(5, 6)), (0, Fraction(-7))]])
-    assert (bases, nums, l) == ([[1, 2], [3, 0]], [[3, 0], [10, -84]], 12)
-    assert rings._split_module([[(1, Fraction(0))]])[2] == 1
+    # so the integer products stay as small as the values allow; over Z x| Q
+    # the images are the pairs (a, N) meaning (a, N/L), and coefficient i of
+    # a longer series is taken over L^i
+    work = rings._SeriesWork(TEXT_Q, [[[(1, Fraction(1, 4)), (2, Fraction(0))],
+                                       [(3, Fraction(5, 6)), (0, Fraction(-7))]]])
+    assert (work.mats, work.l) == ([[[(1, 3), (2, 0)], [(3, 10), (0, -84)]]], 12)
+    assert rings._SeriesWork(TEXT_Q, [[[(1, Fraction(0))]]]).l == 1
+    work = rings._SeriesWork(make_ring("series:2"), [[[(1, Fraction(1, 2), Fraction(1, 3))]]])
+    assert (work.mats, work.l) == ([[[(1, 3, 12)]]], 6)
 
 
 def _reduced(spec):
@@ -736,16 +740,17 @@ def test_verify_reduction_makes_no_dot_call(monkeypatch, spec):
 
 def test_matmul_equals_overrides():
     # verify checks its products on the rings that to_check returns; no
-    # Ring overrides matmul_equals, and the check rings of GF(p)[x] and
-    # Z x| Q compare converted values
-    for cls in (GFPolynomialRing, ProductRing, TrivialExtensionRing):
+    # Ring overrides matmul_equals, and the check rings of GF(p)[x] and of
+    # the series rings, Z x| Q among them, compare converted values
+    for cls in (GFPolynomialRing, ProductRing, TruncatedSeriesRing):
         assert cls.to_check is not Ring.to_check, cls
-    for cls in (IntegerRing, ModularRing, SelfExtensionRing, TruncatedSeriesRing):
+    assert TrivialExtensionRing.to_check is TruncatedSeriesRing.to_check
+    for cls in (IntegerRing, ModularRing, SelfExtensionRing):
         assert cls.to_check is Ring.to_check, cls
     for cls in (IntegerRing, ModularRing, GFPolynomialRing, ProductRing,
                 TrivialExtensionRing, SelfExtensionRing, TruncatedSeriesRing):
         assert cls.matmul_equals is Ring.matmul_equals, cls
-    for cls in (rings._Slots, rings._RationalWork):
+    for cls in (rings._Slots, rings._SeriesWork):
         assert cls.matmul_equals is not Ring.matmul_equals, cls
 
 

@@ -86,7 +86,7 @@ _PEEL = {
     "product:zmod:4,z": ([(3, -1), (1, -1), (3, 1)], [(2, 0), (0, 5), (1, 0), (0, -3)]),
     "text:z,q": ([(-1, Fraction(1, 2))], [(0, Fraction(1, 2)), (0, Fraction(-3))]),
     "text:zmod:4,self": ([(1, 1)], [(2, 1), (0, 3), (2, 0)]),
-    "series:4": ([(-1, (Fraction(1, 2),))], [(0, (Fraction(1),)), (0, (0, Fraction(3, 2)))]),
+    "series:4": ([(-1, Fraction(1, 2), 0, 0, 0)], [(0, 1, 0, 0, 0), (0, 0, Fraction(3, 2), 0, 0)]),
 }
 
 
@@ -381,7 +381,7 @@ _CHAIN_REPAIRS = {  # diag(a, c) with a not dividing c: diagonal_reduce calls re
     "gfpoly:5": [[(0, 1), ()], [(), (1, 1)]],
     "product:zmod:4,z": [[(2, 2), (0, 0)], [(0, 0), (3, 3)]],
     "text:z,q": [[(2, 0), (0, 0)], [(0, 0), (3, 0)]],
-    "series:4": [[(0, (2,)), (0, ())], [(0, ()), (0, (3,))]],
+    "series:4": [[(0, 2, 0, 0, 0), (0, 0, 0, 0, 0)], [(0, 0, 0, 0, 0), (0, 3, 0, 0, 0)]],
 }
 
 
@@ -550,10 +550,11 @@ def test_series_matrices_reduce():
     [2x, 3x^2]] has the gcd x and the determinant x^3; the row (2, 3 + x)
     generates R."""
     s = TruncatedSeriesRing(4)
-    for rows, diag in [([[(0, (2,)), (0, ())], [(0, ()), (0, (3,))]], [(0, (1,)), (0, (6,))]),
-                       ([[(0, (1,)), (0, (0, 1))], [(0, (2,)), (0, (0, 3))]],
-                        [(0, (1,)), (0, (0, 1))]),
-                       ([[(2, ()), (3, (1,))]], [(1, ())])]:
+    x, x2 = (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)
+    for rows, diag in [([[(0, 2, 0, 0, 0), s.zero], [s.zero, (0, 3, 0, 0, 0)]],
+                        [x, (0, 6, 0, 0, 0)]),
+                       ([[x, x2], [(0, 2, 0, 0, 0), (0, 0, 3, 0, 0)]], [x, x2]),
+                       ([[(2, 0, 0, 0, 0), (3, 1, 0, 0, 0)]], [s.one])]:
         a = RingMatrix(s, rows)
         res = diagonal_reduce(a)
         assert verify_reduction(a, res)
@@ -949,45 +950,56 @@ def test_sweep_kernels_keep_the_certificate(spec, rng):
     assert sweep.result() == before
 
 
-# -- the Z ⋉ Q work form: the pivots cleared on integer pairs over one L --------
+# -- the series work form: the pivots cleared on integer images over one L ------
 
 def _fraction_sweep(monkeypatch):
-    """Send Z ⋉ Q through the Ring defaults: the sweep on Fraction pairs."""
-    from edrkit.rings import Ring, TrivialExtensionRing
-    monkeypatch.setattr(TrivialExtensionRing, "to_work", Ring.to_work)
-    monkeypatch.setattr(TrivialExtensionRing, "from_work", Ring.from_work, raising=False)
+    """Send Z ⋉ Q and every series ring through the Ring defaults: the sweep
+    on Fraction coefficients."""
+    from edrkit.rings import Ring
+    monkeypatch.setattr(TruncatedSeriesRing, "to_work", Ring.to_work)
 
 
 @st.composite
-def _text_zq_matrices(draw):
-    """Matrices up to 5x5 over Z ⋉ Q with denominators 1-12, many module-only
-    entries and zero rows."""
+def _series_matrices(draw, order, most=5):
+    """Matrices up to most x most over series:order (Z ⋉ Q at order 1) with
+    denominators 1-12, many entries of zero constant term and zero rows."""
     rational = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
-    value = st.one_of(st.just((0, Fraction(0))), st.tuples(st.just(0), rational),
-                      st.tuples(st.integers(-30, 30), rational),
-                      st.tuples(st.integers(-30, 30), st.just(Fraction(0))))
-    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    coeffs = st.one_of(st.just([Fraction(0)] * order),
+                       st.lists(rational, min_size=order, max_size=order))
+    value = st.builds(lambda c, qs: (c, *qs),
+                      st.one_of(st.just(0), st.integers(-30, 30)), coeffs)
+    m, n = draw(st.integers(1, most)), draw(st.integers(1, most))
     rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=m, max_size=m))
     for i in draw(st.sets(st.integers(0, m - 1), max_size=m - 1)):
-        rows[i] = [(0, Fraction(0))] * n
+        rows[i] = [(0,) + (Fraction(0),) * order] * n
     return rows
 
 
-def test_work_form_sweep_equals_the_fraction_sweep():
-    te = make_ring("text:z,q")
+def test_work_form_sweep_equals_the_fraction_sweep(monkeypatch):
+    """The integer work form gives the five matrices of the sweep on Fraction
+    coefficients, for orders 1 (Z ⋉ Q and series:1), 2, 4 and 8; on each,
+    some quotients rescale the coefficients of x^i by m^i."""
+    from edrkit import rings
+    rescale = rings._SeriesWork._rescale
+    for spec, examples, most in (("text:z,q", 150, 5), ("series:1", 40, 5),
+                                 ("series:2", 100, 4), ("series:4", 60, 4), ("series:8", 30, 3)):
+        ring, rescales = make_ring(spec), []
+        monkeypatch.setattr(rings._SeriesWork, "_rescale",
+                            lambda self, m: rescales.append(m) or rescale(self, m))
 
-    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
-    @given(rows=_text_zq_matrices())
-    def check(rows):
-        a = RingMatrix(te, rows)
-        res = diagonal_reduce(a)
-        with pytest.MonkeyPatch.context() as mp:
-            _fraction_sweep(mp)
-            expected = diagonal_reduce(a)
-        assert res == expected
-        assert verify_reduction(a, res)
+        @settings(derandomize=True, max_examples=examples, deadline=None, database=None)
+        @given(rows=_series_matrices(ring.order, most))
+        def check(rows):
+            a = RingMatrix(ring, rows)
+            res = diagonal_reduce(a)
+            with pytest.MonkeyPatch.context() as mp:
+                _fraction_sweep(mp)
+                expected = diagonal_reduce(a)
+            assert res == expected
+            assert verify_reduction(a, res)
 
-    check()
+        check()
+        assert rescales, spec
 
 
 def test_work_ring_kernels_match_the_ring_kernels():
@@ -1055,14 +1067,34 @@ def test_rescaling_inputs_keep_their_documents(payload, monkeypatch):
     assert any(k > 1 for k in rescales), rescales
 
 
+_PIVOT_ROWS = {
+    "text:z,q": [[(3, Fraction(1, 3)), (3, Fraction(-1, 2)), (6, Fraction(0))],
+                 [(0, Fraction(5, 7)), (4, Fraction(2, 9)), (-2, Fraction(1, 4))],
+                 [(0, Fraction(1, 2)), (0, Fraction(1, 3)), (7, Fraction(-3, 11))]],
+    # x^2 and x^3 terms, and entries of zero constant term, under rescales
+    "series:4": [[(2, Fraction(1, 3), Fraction(-1, 2), 0, Fraction(2, 5)), (4, 0, 1, 0, 0),
+                  (0, Fraction(3, 7), 0, Fraction(1, 2), 0)],
+                 [(0, 0, Fraction(5, 6), Fraction(1, 9), 0), (6, Fraction(-1, 4), 0, 0, 1),
+                  (-2, 1, Fraction(1, 3), 0, Fraction(-3, 11))],
+                 [(0, Fraction(1, 2), Fraction(2, 3), 0, 0), (0, 0, 0, Fraction(7, 4), 0),
+                  (3, 0, Fraction(-1, 6), Fraction(1, 5), 0)]],
+}
+
+
 def test_no_fraction_is_built_while_clearing_pivots(monkeypatch):
+    for spec, rows in _PIVOT_ROWS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            _assert_no_fraction_while_clearing(mp, make_ring(spec), rows)
+
+
+def _assert_no_fraction_while_clearing(monkeypatch, te, rows):
     import fractions
     import sys
-    from edrkit import matrices
-    te = make_ring("text:z,q")
-    rows = [[(3, Fraction(1, 3)), (3, Fraction(-1, 2)), (6, Fraction(0))],
-            [(0, Fraction(5, 7)), (4, Fraction(2, 9)), (-2, Fraction(1, 4))],
-            [(0, Fraction(1, 2)), (0, Fraction(1, 3)), (7, Fraction(-3, 11))]]
+    from edrkit import matrices, rings
+    rescales = []
+    rescale = rings._SeriesWork._rescale
+    monkeypatch.setattr(rings._SeriesWork, "_rescale",
+                        lambda self, m: rescales.append(m) or rescale(self, m))
     seen = []
     clear = matrices._clear_pivot
 
@@ -1079,7 +1111,7 @@ def test_no_fraction_is_built_while_clearing_pivots(monkeypatch):
 
     monkeypatch.setattr(matrices, "_clear_pivot", watched)
     diagonal_reduce(RingMatrix(te, rows))
-    assert seen == []
+    assert seen == [] and rescales
     # the watch can fail: the Fraction sweep builds Fractions in the same phase
     _fraction_sweep(monkeypatch)
     diagonal_reduce(RingMatrix(te, rows))

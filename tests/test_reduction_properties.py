@@ -11,8 +11,12 @@ projection onto Z (``test_text_zq_diagonal_matches_the_projected_oracle``).
 Products with a GF(p)[x] factor are checked component by component against
 sympy's invariant factors over GF(p)[x], made monic, and the delta of
 ``reduce2x2`` over GF(5)[x] against the monic associate of sympy's
-determinant.  Reductions over ``series:1`` are checked whole against those
-over the isomorphic ``text:z,q``.
+determinant.  Over ``text:z,q``, ``series:1`` and ``series:4`` the diagonal
+is checked against that of an equivalent matrix U*A*V, U and V random
+products of shears and unit scalings built with the test's own arithmetic
+(``test_equivalent_matrices_share_the_diagonal``).  ``series:1`` and
+``text:z,q`` are one class with two value formats, so the check that their
+reductions agree covers the formats only.
 """
 
 from dataclasses import replace
@@ -180,25 +184,27 @@ def test_the_projected_oracle_can_fail():
 
 def _series_iso_mismatch(series_res, text_res):
     """The first of P, D and Q in which snf over ``series:1`` differs from
-    snf over ``text:z,q`` under (c, (q,)) -> (c, q), or None."""
+    snf over ``text:z,q`` under (c, q) -> (c, q), or None."""
     for name in ("P", "D", "Q"):
-        mapped = [[(c, qs[0] if qs else 0) for c, qs in row]
-                  for row in getattr(series_res, name).data]
-        if mapped != [list(row) for row in getattr(text_res, name).data]:
+        if getattr(series_res, name).data != getattr(text_res, name).data:
             return name
     return None
 
 
 def test_series_1_reduces_as_text_zq():
-    """series:1, Z + Qx with x^2 = 0, is Z ⋉ Q under (c, (q,)) -> (c, q);
-    the sizes, quotients, certificates and canonical associates correspond,
-    so both reductions give the same P, D and Q."""
+    """series:1, Z + Qx with x^2 = 0, is Z ⋉ Q, and the two share one class,
+    whose flat values (c, q) are the pairs themselves.  So both reductions
+    run the same code, and this checks the value map and the formats only:
+    the text ring reads and writes pairs, the series ring objects, and the
+    values in between are equal.  ``test_equivalent_matrices_share_the_
+    diagonal`` is the check that shares no code with the library."""
     text, series = make_ring("text:z,q"), make_ring("series:1")
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(rows=_matrices(text, most=4))
     def check(rows):
-        srows = [[series.normalize((c, (q,))) for c, q in row] for row in rows]
+        srows = [[series.value_from_json(series.value_to_json(v)) for v in row] for row in rows]
+        assert srows == rows
         assert _series_iso_mismatch(diagonal_reduce(RingMatrix(series, srows)),
                                     diagonal_reduce(RingMatrix(text, rows))) is None
 
@@ -208,7 +214,7 @@ def test_series_1_reduces_as_text_zq():
 def test_the_series_isomorphism_oracle_can_fail():
     text, series = make_ring("text:z,q"), make_ring("series:1")
     rows = [[(2, Fraction(1, 2)), (0, Fraction(3))], [(4, 0), (6, Fraction(-1, 3))]]
-    srows = [[series.normalize((c, (q,))) for c, q in row] for row in rows]
+    srows = [[series.normalize(v) for v in row] for row in rows]
     res, want = diagonal_reduce(RingMatrix(series, srows)), diagonal_reduce(RingMatrix(text, rows))
     assert _series_iso_mismatch(res, want) is None
     d = [list(row) for row in res.D.data]
@@ -260,3 +266,88 @@ def test_gfpoly_reduce2x2_delta_is_the_monic_determinant():
         assert [e.value for e in res.D.diagonal()] == [(1,), monic(det)]
 
     check()
+
+
+# -- equivalence: D(U*A*V) = D(A) for unimodular U and V ------------------------
+
+def _smul(x, y):
+    """The product of two flat series tuples (Z ⋉ Q pairs at order 1) as the
+    truncated double sum over Fractions, written here, not taken from edrkit."""
+    k1 = len(x)
+    return tuple(sum((Fraction(x[i]) * y[t - i] for i in range(t + 1)), Fraction(0))
+                 for t in range(k1))
+
+
+def _sadd(x, y):
+    return tuple(Fraction(a) + b for a, b in zip(x, y))
+
+
+def _equivalent(rng, rows, steps=6):
+    """U*rows*V for U and V products of random shears (a row plus c times
+    another, c any value) and unit scalings (a row times +-1 + c*x), as
+    elementary operations on plain Fraction tuples."""
+    k1 = len(rows[0][0])
+
+    def value(unit=False):
+        c = rng.choice([1, -1]) if unit else rng.randint(-4, 4)
+        return (c, *[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(k1 - 1)])
+
+    rows = [[tuple(map(Fraction, v)) for v in row] for row in rows]
+    for _ in range(steps):
+        m, n = len(rows), len(rows[0])
+        i, j = rng.randrange(m), rng.randrange(m)
+        if i != j:
+            c = value()
+            rows[i] = [_sadd(a, _smul(c, b)) for a, b in zip(rows[i], rows[j])]
+        u = value(unit=True)
+        rows[i] = [_smul(u, a) for a in rows[i]]
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            c = value()
+            for row in rows:
+                row[i] = _sadd(row[i], _smul(row[j], c))
+        u = value(unit=True)
+        for row in rows:
+            row[i] = _smul(row[i], u)
+    return [[(int(v[0]), *v[1:]) for v in row] for row in rows]
+
+
+def _equivalence_mismatch(ring, rows, diag, rng):
+    """Why diag is not the diagonal of a random matrix equivalent to rows, or None."""
+    other = [e.value for e in
+             diagonal_reduce(RingMatrix(ring, _equivalent(rng, rows))).D.diagonal()]
+    return None if other == diag else f"{diag} != {other}"
+
+
+@pytest.mark.parametrize("spec", ["text:z,q", "series:1", "series:4"])
+def test_equivalent_matrices_share_the_diagonal(spec):
+    """U*A*V has the diagonal of A for U and V products of shears and unit
+    scalings, built with the test's own series arithmetic: the canonical
+    diagonal is an invariant of equivalence, and the check shares no code
+    with the reduction.  Over Z ⋉ Q it also checks the module parts of the
+    entries with a zero base part, which the projection oracle leaves open."""
+    import random
+    ring = make_ring(spec)
+    rng = random.Random(f"equivalence/{spec}")
+    k1 = ring.order + 1
+
+    def value():
+        c = rng.choice([0, 0, rng.randint(-6, 6)])
+        return (c, *[Fraction(rng.randint(-6, 6), rng.randint(1, 6)) * rng.randint(0, 1)
+                     for _ in range(k1 - 1)])
+
+    for _ in range(100):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[value() for _ in range(n)] for _ in range(m)]
+        diag = [e.value for e in diagonal_reduce(RingMatrix(ring, rows)).D.diagonal()]
+        assert _equivalence_mismatch(ring, rows, diag, rng) is None, rows
+
+
+def test_the_equivalence_oracle_can_fail():
+    import random
+    ring = make_ring("series:4")
+    rows = [[(2, Fraction(1, 2), 0, 0, 0), (0, 1, 0, 0, 0)], [(4, 0, 0, 1, 0), (0, 0, 3, 0, 0)]]
+    diag = [e.value for e in diagonal_reduce(RingMatrix(ring, rows)).D.diagonal()]
+    assert _equivalence_mismatch(ring, rows, diag, random.Random(1)) is None
+    tampered = [diag[0], ring.add(diag[1], diag[1])]
+    assert "!=" in _equivalence_mismatch(ring, rows, tampered, random.Random(1))

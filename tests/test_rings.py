@@ -24,6 +24,7 @@ from edrkit import (
     RingMismatchError,
     SelfExtensionRing,
     TrivialExtensionRing,
+    TruncatedSeriesRing,
     UnsupportedOperationError,
     arithmetic,
     associate_unit,
@@ -157,7 +158,7 @@ def test_bezout_certificates_on_samples(ring, rng):
 
 def _lowest_term(v):
     """(i, q) for the lowest nonzero term q*x^i of a series value; None for zero."""
-    return next(((i, q) for i, q in enumerate([Fraction(v[0]), *v[1]]) if q), None)
+    return next(((i, q) for i, q in enumerate(v) if q), None)
 
 
 def test_series_bezout_where_supported(rng):
@@ -167,7 +168,7 @@ def test_series_bezout_where_supported(rng):
     ring = make_ring("series:6")
     constants_zero = 0
     for _ in range(240):
-        a, b = (element(ring, (rng.choice([0, rng.randint(-12, 12)]), v[1]))
+        a, b = (element(ring, (rng.choice([0, rng.randint(-12, 12)]), *v[1:]))
                 for v in (random_value(ring, rng, 12) for _ in range(2)))
         cert = bezout(a, b)
         assert cert.verify(), (a, b)
@@ -179,55 +180,82 @@ def test_series_bezout_where_supported(rng):
         qs = [q for j, q in terms if j == i]
         den = math.lcm(*(q.denominator for q in qs))
         g = Fraction(math.gcd(*(q.numerator * (den // q.denominator) for q in qs)), den)
-        assert cert.d.value == ((int(g), ()) if i == 0 else (0, (Fraction(0),) * (i - 1) + (g,)))
+        want = [0] * (ring.order + 1)
+        want[i] = int(g) if i == 0 else g
+        assert cert.d.value == tuple(want)
         constants_zero += not (a.value[0] or b.value[0])
     assert constants_zero > 40
 
 
-@pytest.mark.parametrize("order", [1, 4, 8])
-def test_series_certificates_satisfy_the_refined_identity(order):
-    """a*x + b*y = d, a = d*a0, b = d*b0 and a0*x + b0*y = 1 on every pair,
-    zero operands and pairs whose constant terms are both zero included."""
-    ring = make_ring(f"series:{order}")
-    values = st.one_of(st.just(ring.zero), st.tuples(
-        st.one_of(st.just(0), st.integers(-12, 12)),
-        st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=order),
-    ).map(ring.normalize))
+_BEZOUT_SPECS = ["z", "zmod:360", "gfpoly:5", "text:z,q", "series:1", "series:2", "series:4",
+                 "series:8", "product:zmod:4,z"]
+
+
+def _bezout_values(spec):
+    """Normal raw values of the ring spec names, zero drawn often; over a
+    series ring the constant term is zero half the time."""
+    ring = make_ring(spec)
+    small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    if spec == "z":
+        raw = st.integers(-10**6, 10**6)
+    elif spec.startswith("zmod:"):
+        raw = st.integers(0, ring.n - 1)
+    elif spec.startswith("gfpoly:"):
+        raw = st.lists(st.integers(0, ring.p - 1), max_size=5).map(ring.normalize)
+    elif spec.startswith("product:"):
+        raw = st.tuples(*(_bezout_values(f.expression()) for f in ring.factors))
+    elif spec == "text:z,q":
+        raw = st.tuples(st.integers(-12, 12), small)
+    else:
+        raw = st.tuples(st.one_of(st.just(0), st.integers(-12, 12)),
+                        st.lists(small, max_size=ring.order)).map(
+            lambda t: ring.normalize((t[0], *t[1], *[0] * (ring.order - len(t[1])))))
+    return st.one_of(st.just(ring.zero), raw)
+
+
+@pytest.mark.parametrize("spec", _BEZOUT_SPECS)
+def test_refined_bezout_identity(spec):
+    """a = d*a0, b = d*b0, a*x + b*y = d and a0*x + b0*y = 1 for the
+    certificate (d, x, y, a0, b0) of every pair, zero operands included,
+    and over a series ring pairs whose constant terms are both zero."""
+    ring = make_ring(spec)
+    values = _bezout_values(spec)
     kinds = set()
 
-    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @settings(derandomize=True, max_examples=120, deadline=None, database=None)
     @given(a=values, b=values)
     def check(a, b):
         add, mul = ring.add, ring.mul
         d, x, y, a0, b0 = ring.bezout_raw(a, b)
-        assert add(mul(a, x), mul(b, y)) == d
         assert mul(d, a0) == a and mul(d, b0) == b
+        assert add(mul(a, x), mul(b, y)) == d
         assert add(mul(a0, x), mul(b0, y)) == ring.one
         if ring.zero in (a, b):
             kinds.add("zero operand")
-        elif not (a[0] or b[0]):
+        elif spec.startswith("series") and not (a[0] or b[0]):
             kinds.add("constants zero")
 
     check()
-    assert kinds == {"zero operand", "constants zero"}
-
+    assert kinds == {"zero operand"} | ({"constants zero"} if spec.startswith("series") else set())
 
 
 def _series_mul_by_double_sum(ring, x, y):
     """Coefficient k of x*y summed as x_0 y_k + ... + x_k y_0 for every k up
-    to the order, absent coefficients read as zero."""
-    coeffs = [sum((ring._coeff(x, i) * ring._coeff(y, k - i) for i in range(k + 1)),
-                  Fraction(0))
+    to the order."""
+    coeffs = [sum((Fraction(x[i]) * Fraction(y[k - i]) for i in range(k + 1)), Fraction(0))
               for k in range(1, ring.order + 1)]
-    return ring.normalize((x[0] * y[0], tuple(coeffs)))
+    return ring.normalize((x[0] * y[0], *coeffs))
 
 
 @pytest.mark.parametrize("order", range(1, 9))
 def test_series_mul_matches_the_double_sum(order, rng):
     ring = make_ring(f"series:{order}")
-    values = [ring.zero, ring.one, (-1, ()), (6, ()), (0, (Fraction(1),)),
-              (0, (Fraction(0),) * (order - 1) + (Fraction(-2, 3),)),
-              (2, tuple(Fraction(k, 2) for k in range(1, order + 1)))]
+    def flat(c, *qs):
+        return ring.normalize((c, *qs, *[0] * (order - len(qs))))
+
+    values = [ring.zero, ring.one, flat(-1), flat(6), flat(0, 1),
+              flat(0, *[0] * (order - 1), Fraction(-2, 3)),
+              flat(2, *[Fraction(k, 2) for k in range(1, order + 1)])]
     values += [random_element(ring, rng, span=12).value for _ in range(30)]
     for x in values:
         for y in values:
@@ -610,3 +638,12 @@ def test_nearest_quotients_leave_small_remainders():
                     assert 2 * abs(r) <= abs(b), (a, b)
                 if ring.divides(b, a):
                     assert r == ring.zero, (spec, a, b, q)
+
+
+def test_series_order_is_an_int_and_not_a_bool():
+    # True is an int, but series:True names no ring that make_ring can parse
+    for order in (True, False, 0, -1, 1.0, "1", None):
+        with pytest.raises(RingError, match="truncation order must be >= 1"):
+            TruncatedSeriesRing(order)
+    assert TruncatedSeriesRing(1) == make_ring("series:1")
+    assert TruncatedSeriesRing(1).expression() == "series:1"

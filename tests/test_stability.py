@@ -58,25 +58,30 @@ def test_unit_mod_examples():
     assert not unit_mod(element(prod, (3, 2)), element(prod, (10, 4)))
 
 
+def _series(ring, c, *qs):
+    """The element c + qs[0]*x + qs[1]*x^2 + ... of a series ring."""
+    return element(ring, (c, *qs, *[0] * (ring.order - len(qs))))
+
+
 def test_series_comaximality_without_constant_terms():
     """Two series with zero constant terms never generate R: their gcd,
     g*x^i for the lower order i, is not a unit."""
     s = make_ring("series:4")
-    x = element(s, (0, (1,)))
+    x = _series(s, 0, 1)
     x2 = x * x
     assert not is_coprime(x, x2)
     assert not unit_mod(x, x2)
     assert not is_coprime(x2, x)
     assert not s.comaximal([x.value, x2.value])
     assert not s.comaximal([x.value, x2.value, (x * x2).value])
-    assert not is_coprime(x, element(s, (0, ())))
-    one_plus_x = element(s, (1, (1,)))
+    assert not is_coprime(x, _series(s, 0))
+    one_plus_x = _series(s, 1, 1)
     assert is_coprime(x, one_plus_x) and is_coprime(one_plus_x, x2)
     assert unit_mod(one_plus_x, x2)
-    two, three = element(s, (2, (Fraction(1, 2),))), element(s, (3, ()))
+    two, three = _series(s, 2, Fraction(1, 2)), _series(s, 3)
     assert not is_coprime(two, x) and is_coprime(two, three)
     # pairs agree with the joint test, in both orders
-    els = [x, x2, one_plus_x, two, three, element(s, (-1, ())), element(s, (0, ()))]
+    els = [x, x2, one_plus_x, two, three, _series(s, -1), _series(s, 0)]
     for a in els:
         for b in els:
             assert is_coprime(a, b) == unit_mod(a, b) == s.comaximal([a.value, b.value])
@@ -93,9 +98,9 @@ def test_select_stable_examples():
     assert select_stable(zel(0), zel(7)).value == 1
     assert exhaustive.stable_range_1(exhaustive.ModStructure(7))[0]
     s = make_ring("series:8")
-    f = element(s, (0, (Fraction(1),)))
-    g = element(s, (1, ()))
-    assert select_stable(f, g).value == (1, ())
+    f = _series(s, 0, 1)
+    g = _series(s, 1)
+    assert select_stable(f, g).value == s.one
 
 
 def test_select_stable_rejects_zero_pair():
@@ -105,7 +110,7 @@ def test_select_stable_rejects_zero_pair():
 
 def test_select_stable_refuses_pairs_without_a_stable_shift():
     s = make_ring("series:4")
-    x = element(s, (0, (Fraction(1),)))
+    x = _series(s, 0, 1)
     with pytest.raises(PreconditionError, match="finite quotient"):
         select_stable(x, x * x)
     t = make_ring("text:z,q")
@@ -237,10 +242,10 @@ def test_is_stable_holds_where_the_quotient_is_finite():
         oracle = exhaustive.stable_range_1(exhaustive.ModStructure(abs(m)))[0]
         for e in (Fraction(0), Fraction(1, 3), Fraction(-7, 2)):
             assert is_stable(element(zq, (m, e))).holds == oracle
-            assert is_stable(element(series, (m, (e, Fraction(2))))).holds == oracle
-    for v in ((zq, (0, Fraction(1, 2))), (series, (0, (Fraction(1),))), (series, (0, ()))):
+            assert is_stable(_series(series, m, e, Fraction(2))).holds == oracle
+    for v in (element(zq, (0, Fraction(1, 2))), _series(series, 0, 1), _series(series, 0)):
         with pytest.raises(InfiniteRingError):
-            is_stable(element(*v))
+            is_stable(v)
     zz = make_ring("product:z,z")
     assert is_stable(element(zz, (2, 3))).holds  # R/cR = Z/2 x Z/3
     with pytest.raises(InfiniteRingError):
@@ -312,7 +317,8 @@ def test_check_property_unsupported_pairings():
 
 
 @pytest.mark.parametrize("spec, c, a, b", [("text:z,q", (2, 0), (1, 0), (0, 0)),
-                                           ("series:4", (2, ()), (1, ()), (0, ()))])
+                                           ("series:4", (2, 0, 0, 0, 0), (1, 0, 0, 0, 0),
+                                            (0, 0, 0, 0, 0))])
 def test_coprime_factorization_refuses_rings_without_a_split(spec, c, a, b):
     """The Ring.coprime_split default: rings with no gcd extraction refuse."""
     ring = make_ring(spec)
