@@ -16,19 +16,22 @@ ring, takes the sweep below.
 The engine clears one pivot row and column at a time with one remainder
 sweep, after Kannan and Bachem (SIAM J. Comput. 8, 1979).  Every ring with
 total Bezout certificates has a Euclidean size (``Ring.size``): |a| over Z,
-degree over GF(p)[x], gcd(a, n) over Z/n, over the trivial extension of
-Z by Q first the base part, then the module part, and over a truncated
-series the order of the lowest term, then |its coefficient|.  Each pass
-pivots on a nonzero entry of least size in the trailing submatrix and
-shears each entry of its row and column by minus the nearest quotient
+degree over GF(p)[x], gcd(a, n) over Z/n, and over a truncated series, Z ⋉ Q
+(order 1) among them, the order of the lowest term, then |its coefficient|.
+Each pass pivots on a nonzero entry of least size in the trailing submatrix
+and shears each entry of its row and column by minus the nearest quotient
 (``Ring.nearest_quotient``), which leaves a remainder of smaller size;
 exact division is the remainder-0 case.  Small pivots and small remainders
 bound the growth of D and the transforms.  This clearing phase runs on the
 work ring that ``Ring.to_work`` picks, with the five matrices converted once
-each way: over Z ⋉ Q, integer pairs over one common denominator, and over
-GF(p)[x], integers holding one coefficient per slot (Kronecker), a value
-below 2**b in a field of 2b + 1 bits, so that one multiply, shift and mask
-take every slot mod p (``rings._Slots``).
+each way.  Over a truncated series of order k (``rings._SeriesWork``), with
+L a common denominator, x -> L*y maps each value into Z[y]/(y^(k+1)), the
+coefficient of x^i becoming the integer q_i*L^i; a quotient with a new
+denominator m multiplies L by m and coefficient i of every entry by m^i.  At
+k = 1 these are Z ⋉ Q's integer pairs over one common denominator.  Over
+GF(p)[x] the work ring holds integers with one coefficient per slot
+(Kronecker), a value below 2**b in a field of 2b + 1 bits, so that one
+multiply, shift and mask take every slot mod p (``rings._Slots``).
 
 Each step updates D, P, Q and the stored inverses together through one-row
 shears (D in ``_clear_pivot``, the transforms in ``_Sweep.shear_p`` and
@@ -46,7 +49,8 @@ known to be diagonal, D*Qinv is a row scaling of Qinv, so the whole check
 takes three cubic matrix products (P*Pinv, Q*Qinv, P*A) instead of four.
 A, P, Pinv, Q, Qinv and D's diagonal are converted once (``Ring.to_check``):
 over GF(p)[x] into ``rings._Slots`` fields of one width for all three
-products, over Z ⋉ Q into integer pairs over one common denominator.  Each
+products, over a truncated series into the same integer images as the
+sweep's, over one common denominator.  Each
 product is one ``matmul_equals`` call against its known result, the
 identity or the rows of D*Qinv, formed in that same converted form.
 """
@@ -304,7 +308,7 @@ class _Sweep:
     Shears go through the ring's row kernels (``Ring.axpy`` for a row,
     ``Ring.col_axpy`` for a column): native loops on Z, one ``Ring.fma``
     (y + q*x) per nonzero entry elsewhere, which Z/n, GF(p)[x] and the
-    trivial extension of Z by Q compute without a separate product and sum.
+    series work ring compute without a separate product and sum.
     A 2x2 block makes each new entry as ``fma(mul(s, x), t, y)``, one
     product and one fused product-sum; scalings keep one ``mul`` per entry.
     """

@@ -12,12 +12,17 @@ Shipped ring kinds and their raw value representations:
   ``GF(p)``, stored as coefficient tuples low-to-high with no trailing
   zeros; the zero polynomial is the empty tuple.
 * ``ProductRing(factors)`` -- tuples of component values, componentwise ops.
-* ``TrivialExtensionRing()`` -- Z ⋉ Q: pairs ``(a, e)``, ``e`` a ``Fraction``,
-  with the square-zero multiplication ``(a, e)(b, f) = (ab, af + be)``.
-* ``SelfExtensionRing(base)`` -- A ⋉ A: pairs of base values, multiplied alike.
+* ``SelfExtensionRing(base)`` -- A ⋉ A: pairs of base values, multiplied as
+  ``(a, e)(b, f) = (ab, af + be)``.
 * ``TruncatedSeriesRing(order)`` -- elements ``a0 + a1*x + ... + ak*x^k``
   with integer constant term and rational higher coefficients, truncated at
-  exponent ``order`` (an honest quotient, so the ring axioms hold exactly).
+  exponent k = ``order`` (an honest quotient, so the ring axioms hold
+  exactly): flat tuples ``(a0, a1, ..., ak)`` of an ``int`` and k
+  ``Fraction`` values.
+* ``TrivialExtensionRing()`` -- Z ⋉ Q, which is the series ring of order 1:
+  pairs ``(a, e)``, ``e`` a ``Fraction``, with the square-zero multiplication
+  ``(a, e)(b, f) = (ab, af + be)``; only its kind, expression and value
+  formats differ from ``series:1``.
 
 A :class:`BezoutCertificate` for a pair ``(a, b)`` witnesses the principal
 ideal ``aR + bR = dR`` with the identities
@@ -1381,7 +1386,8 @@ def _modular_self_q0s(base, a, d):
 
 
 class SelfExtensionRing(Ring):
-    """A ⋉ A: pairs of base values, multiplied as in ``TrivialExtensionRing``.
+    """A ⋉ A: pairs of base values, multiplied as ``(a, e)(b, f) = (ab, af + be)``.
+    Z ⋉ Q, whose module is not the base, is ``TrivialExtensionRing``.
 
     Two-generated ideals need not be principal (e.g. the pair ((2,0),(0,1))
     over a Z/4 base), so there are no Bezout certificates.
@@ -1615,16 +1621,19 @@ class TruncatedSeriesRing(Ring):
             (a, e), (b, f) = x, y
             (en, ed), (fn, fd) = e.as_integer_ratio(), f.as_integer_ratio()
             return (a * b, _qsum(a * fn, fd, b * en, ed))
-        xs, ys = [c.as_integer_ratio() for c in x], [c.as_integer_ratio() for c in y]
-        return (x[0] * y[0], *[_qlsum([(an * bn, ad * bd) for (an, ad), (bn, bd)
-                                       in zip(xs, ys[t::-1])]) for t in range(1, len(x))])
+        return self.fma(self.zero, x, y)
 
     def fma(self, y, q, x):
+        # y + q*x, each coefficient of the sum over one denominator
         if len(y) == 2:  # order 1, unrolled
             (c, g), (a, e), (b, f) = y, q, x
             (en, ed), (fn, fd) = e.as_integer_ratio(), f.as_integer_ratio()
             return (c + a * b, _qlsum((g.as_integer_ratio(), (a * fn, fd), (b * en, ed))))
-        return self.add(y, self.mul(q, x))
+        qs, xs = [c.as_integer_ratio() for c in q], [c.as_integer_ratio() for c in x]
+        return (y[0] + q[0] * x[0], *[
+            _qlsum([y[t].as_integer_ratio(),
+                    *[(an * bn, ad * bd) for (an, ad), (bn, bd) in zip(qs, xs[t::-1])]])
+            for t in range(1, len(y))])
 
     def to_work(self, mats):
         # D's images in place and the transforms, which start as identities,
@@ -1651,6 +1660,8 @@ class TruncatedSeriesRing(Ring):
 
     def _lead(self, x) -> tuple[int, Any]:
         """(i, q) for the lowest term q*x^i of x; (order + 1, 0) for zero."""
+        if x[0]:
+            return 0, x[0]
         for i, q in enumerate(x):
             if q:
                 return i, q
@@ -1663,9 +1674,29 @@ class TruncatedSeriesRing(Ring):
         return i > j or i == j and (i == len(a) or q % r == 0)
 
     def divide_exact(self, a, d):
-        if not self.divides(d, a):
+        # _SeriesWork.nearest_quotient's long division, on the rationals
+        (i, q), (j, lead) = self._lead(a), self._lead(d)
+        if i == len(a):
+            return self.zero
+        out = list(self.zero)
+        if i == j:
+            out[0], r = divmod(q, lead)
+        if i < j or i == j and r:
             raise NonDivisibleError(f"{d!r} does not divide {a!r} in {self.expression()}")
-        return self.nearest_quotient(a, d)
+        if j == 0 and not any(d[1:]):  # an integer divisor divides each coefficient
+            return (out[0], *[c / lead for c in a[1:]])
+        for t in range(max(i - j, 1), len(a) - j):
+            r = a[t + j] - sum([d[j + v] * out[t - v] for v in range(1, t + 1) if out[t - v]])
+            out[t] = r / lead
+        return tuple(out)
+
+    def associate_unit(self, a, d):
+        # a = d*u for a unit u exactly where the lowest terms have one order
+        # and coefficients equal up to sign; u is then the quotient
+        (i, q), (j, r) = self._lead(a), self._lead(d)
+        if a != d and (i != j or abs(q) != abs(r)):
+            raise NotAssociatesError(f"{a!r} and {d!r} are not associates in {self.expression()}")
+        return self.divide_exact(a, d) if a != d else self.one
 
     def _bezout(self, a, b):
         (i, q), (j, r) = self._lead(a), self._lead(b)
@@ -1678,7 +1709,8 @@ class TruncatedSeriesRing(Ring):
             g, alpha, beta = _egcd(a[0], b[0])
             d = self._term(g, 0)
             x = self.divide_exact(self.sub(d, _scaled(b, beta)), a)
-            return d, x, self._term(beta, 0), _divided(a, g), _divided(b, g)
+            a0, b0 = (a, b) if g == 1 else (self.divide_exact(a, d), self.divide_exact(b, d))
+            return d, x, self._term(beta, 0), a0, b0
         # d = g*x^i with Zq + Zr = Zg and s*q/g + t*r/g = 1, r being b's
         # coefficient of x^i; then w = a0*s + b0*t has constant term 1, a unit
         r = r if j == i else 0
@@ -1694,23 +1726,25 @@ class TruncatedSeriesRing(Ring):
         i, q = self._lead(a)
         return self.zero if i == len(a) else self._term(abs(q), i)
 
-    # Euclidean size: the lowest term's order, then |its coefficient|.  b = q*x^j*(unit) divides every a of higher order; at
-    # equal order it divides a when the ratio of the leading coefficients is
-    # an integer, else the nearest one leaves a smaller one.
+    # Euclidean size: the lowest term's order, then |its coefficient|.
+    # b = q*x^j*(unit) divides every a of higher order; at equal order it
+    # divides a when the ratio of the leading coefficients is an integer,
+    # else the nearest one leaves a smaller one.
 
     def size(self, a):
+        if a[0]:
+            return (0, abs(a[0]))
         for i, q in enumerate(a):
             if q:
                 return (i, abs(q))
         return (len(a), 0)
 
     def nearest_quotient(self, a, b):
-        if b[0] and not any(b[1:]):  # an integer b divides each coefficient
-            q, r = divmod(a[0], b[0])
-            return (_round_quotient(a[0], b[0]),) + self.zero[1:] if r else (
-                q, *[c / b[0] for c in a[1:]])
-        work = _SeriesWork(self, [[(a, b)]])
-        return work.value(work.nearest_quotient(*work.mats[0][0]))
+        try:
+            return self.divide_exact(a, b)
+        except NonDivisibleError:
+            (i, q), (j, r) = self._lead(a), self._lead(b)
+            return self._term(_round_quotient(q, r), 0) if i == j else self.zero
 
     def residues_mod(self, c):
         if c[0] == 0:
@@ -1738,11 +1772,6 @@ class TruncatedSeriesRing(Ring):
 def _scaled(v, s: int):
     """The series value v times the integer s."""
     return tuple([s * c for c in v])
-
-
-def _divided(v, g: int):
-    """The series value v over the integer g > 0, which divides its constant."""
-    return v if g == 1 else (v[0] // g, *[c / g for c in v[1:]])
 
 
 class TrivialExtensionRing(TruncatedSeriesRing):
@@ -1806,11 +1835,15 @@ class _SeriesWork:
         # each row's rational coefficient vectors as (numerator, denominator)
         tails = [[[v[i].as_integer_ratio() for v in r] for i in range(1, len(self.zero))]
                  for r in rows]
-        self.l = lcm(*{d for t in tails for c in t for _, d in c})
-        powers = self._powers(self.l)[1:]
-        images = iter([list(zip([v[0] for v in r],
-                                *[[n * (p // d) for n, d in c] for c, p in zip(t, powers)]))
-                       for r, t in zip(rows, tails)])
+        self.l = l = lcm(*{d for t in tails for c in t for _, d in c})
+        if len(self.zero) == 2:  # order 1, unrolled
+            images = iter([[(v[0], n * (l // d)) for v, (n, d) in zip(r, c)]
+                           for r, (c,) in zip(rows, tails)])
+        else:
+            powers = self._powers(l)[1:]
+            images = iter([list(zip([v[0] for v in r],
+                                    *[[n * (p // d) for n, d in c] for c, p in zip(t, powers)]))
+                           for r, t in zip(rows, tails)])
         self.mats = [[next(images) for _ in m] for m in mats]
 
     def _powers(self, m):
@@ -1911,10 +1944,10 @@ class _SeriesWork:
                 self._rescale(m)
             return (q0, r * m // lead)
         i = j = 0
-        while not b[j]:
-            j += 1
         while i < k1 and not a[i]:
             i += 1
+        while j < k1 and not b[j]:
+            j += 1
         if i < j or i == k1:
             return self.zero
         lead = b[j]
