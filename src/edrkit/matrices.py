@@ -584,8 +584,8 @@ def _clear_pivot(sweep: _Sweep, t: int):
 
     Each quotient reads the pivot afresh, since a work ring may rescale
     every matrix to find one.  A rescale keeps the order of sizes and their
-    ties, not the sizes themselves, so each pass compares its pivot with
-    the last one's size read again: d[t][t] holds that pivot until the swaps.
+    ties but may enlarge the sizes themselves, so where a pivot's size is
+    not below the last one's, the last pivot, still at d[t][t], is read again.
 
     Every remainder left is smaller than its pivot, so pivot sizes fall
     strictly from pass to pass and the loop ends.  The number of passes
@@ -597,15 +597,15 @@ def _clear_pivot(sweep: _Sweep, t: int):
     zero, neg, nearest = ring.zero, ring.neg, ring.nearest_quotient
     fma, col_axpy = ring.fma, ring.col_axpy
     d = sweep.d
-    first = True
+    last = None
     while True:
         found = _smallest_entry(sweep, t)
         if found is None:
             return
         s, i, j = found
-        if not first and not s < ring.size(d[t][t]):
+        if last is not None and not s < last and not s < ring.size(d[t][t]):
             raise RuntimeError("internal error: pivot size did not fall")
-        first = False
+        last = s
         if i != t:
             sweep.swap_rows(t, i)
         if j != t:

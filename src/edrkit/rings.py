@@ -1849,17 +1849,14 @@ class _SeriesWork:
     def _powers(self, m):
         return [m ** i for i in range(len(self.zero))]
 
-    def value(self, v):
-        """The series value whose image over L is v."""
-        return (v[0], *map(_fraction, v[1:], self._powers(self.l)[1:]))
-
     def from_work(self, mats):
+        powers = self._powers(self.l)[1:]
         for m in mats:
             for row in m:
                 if len(self.zero) == 2:  # order 1, unrolled
                     row[:] = [(a, _fraction(n, self.l)) for a, n in row]
                 else:
-                    row[:] = map(self.value, row)
+                    row[:] = [(v[0], *map(_fraction, v[1:], powers)) for v in row]
         return self.ring
 
     def _rescale(self, m):
