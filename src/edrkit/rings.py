@@ -1614,7 +1614,7 @@ class TruncatedSeriesRing(Ring):
                                for p, q in zip(x[1:], y[1:])])
 
     def neg(self, x):
-        return tuple([-c for c in x])
+        return (-x[0], -x[1]) if len(x) == 2 else tuple([-c for c in x])  # order 1 unrolled
 
     def mul(self, x, y):
         if len(x) == 2:  # order 1, unrolled
@@ -1906,12 +1906,12 @@ class _SeriesWork:
         # each row and column split once into its coefficient vectors; entry
         # coefficient t is the sum of the dot products of vectors i and t - i
         k1, mul = len(self.zero), operator.mul
-        terms = [[(i, t - i) for i in range(t + 1)] for t in range(k1)]
         rows, cols = ([list(zip(*v)) or [()] * k1 for v in vs] for vs in (rows, cols))
         if k1 == 2:  # order 1, unrolled
             return _shaped(rows, cols, target) and all(
                 sum(map(mul, ra, ca)) == tb and sum(map(mul, ra, cn)) + sum(map(mul, rn, ca)) == tn
                 for (ra, rn), trow in zip(rows, target) for (ca, cn), (tb, tn) in zip(cols, trow))
+        terms = [[(i, t - i) for i in range(t + 1)] for t in range(k1)]
         return _shaped(rows, cols, target) and all(
             sum([sum(map(mul, r[i], c[j])) for i, j in ij]) == v
             for r, trow in zip(rows, target) for c, tv in zip(cols, trow)
