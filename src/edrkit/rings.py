@@ -1568,9 +1568,9 @@ class TruncatedSeriesRing(Ring):
     ``Fraction`` coefficients.  A nonzero value is its lowest term q*x^i
     times a unit, so Bezout certificates are total: of two values the one
     of lower order divides the other, and at equal order the leading
-    coefficients generate a cyclic group gZ.  Quotients, the sweep and
-    product checks run on the integer images of ``_SeriesWork``.  Order 1
-    is Z ⋉ Q, and its pairs take an unrolled branch in the hottest kernels.
+    coefficients generate a cyclic group gZ.  The sweep and the product
+    checks run on the integer images of ``_SeriesWork``.  Order 1 is Z ⋉ Q,
+    and its pairs take an unrolled branch in the hottest kernels.
     """
 
     kind = "truncated-series"
@@ -1812,8 +1812,8 @@ class TrivialExtensionRing(TruncatedSeriesRing):
 
 
 class _SeriesWork:
-    """A truncated series ring's work ring for clearing pivots, checking
-    products and dividing.  With L a common denominator of every rational
+    """A truncated series ring's work ring for clearing pivots and checking
+    products.  With L a common denominator of every rational
     coefficient held, the ring map x -> L*y takes each value injectively into
     Z[y]/(y^(k+1)): the coefficient q_i of x^i becomes the integer q_i*L^i.
     The values are those integer tuples, so products and shears are

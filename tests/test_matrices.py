@@ -1081,7 +1081,7 @@ _PIVOT_ROWS = {
 }
 
 
-def test_no_fraction_is_built_while_clearing_pivots(monkeypatch):
+def test_no_fraction_is_built_while_clearing_pivots():
     for spec, rows in _PIVOT_ROWS.items():
         with pytest.MonkeyPatch.context() as mp:
             _assert_no_fraction_while_clearing(mp, make_ring(spec), rows)

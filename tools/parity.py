@@ -306,9 +306,10 @@ def main(argv: list[str] | None = None) -> int:
     differ = [i for i in ours if ours[i] != theirs[i]]
     for i in differ:
         old, new = theirs[i], ours[i]
-        what = (f"exit {old[0]} -> {new[0]}" if isinstance(old, list) and isinstance(new, list)
-                and old[0] != new[0] else f"{old} -> {new}" if not (
-                    isinstance(old, list) and isinstance(new, list)) else "document differs")
+        if isinstance(old, list) and isinstance(new, list):  # two [exit code, hash] pairs
+            what = f"exit {old[0]} -> {new[0]}" if old[0] != new[0] else "document differs"
+        else:
+            what = f"{old} -> {new}"
         print(f"{i} ({labels[i]}): {what}")
     print(f"{len(ours)} requests against {args.against}: {len(differ)} differ")
     return 1 if differ else 0
