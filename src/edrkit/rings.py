@@ -1614,7 +1614,7 @@ class TruncatedSeriesRing(Ring):
                                for p, q in zip(x[1:], y[1:])])
 
     def neg(self, x):
-        return (-x[0], -x[1]) if len(x) == 2 else tuple([-c for c in x])  # order 1 unrolled
+        return tuple([-c for c in x])
 
     def mul(self, x, y):
         if len(x) == 2:  # order 1, unrolled
@@ -1636,13 +1636,10 @@ class TruncatedSeriesRing(Ring):
             for t in range(1, len(y))])
 
     def to_work(self, mats):
-        # D's images in place and the transforms, which start as identities,
-        # as the work ring's; the work ring rescales these same rows
-        work = _SeriesWork(self, mats[:1])
+        # the images in place, so the work ring rescales these same rows
+        work = _SeriesWork(self, mats)
         for m, image in zip(mats, work.mats):
             m[:] = image
-        for m in mats[1:]:
-            m[:] = [[work.one if i == j else work.zero for j in range(len(m))] for i in range(len(m))]
         work.mats = mats
         return work
 
@@ -1930,16 +1927,6 @@ class _SeriesWork:
         and, once it is found, every held entry are rescaled so.
         """
         k1, m = len(a), 1
-        if k1 == 2 and b[0]:  # order 1, unrolled
-            (c, n), (lead, s) = a, b
-            q0 = _round_quotient(c, lead)
-            if c != q0 * lead:
-                return (q0, 0)
-            r = n - q0 * s
-            if r % lead:
-                m = abs(lead) // gcd(r, lead)
-                self._rescale(m)
-            return (q0, r * m // lead)
         i = j = 0
         while i < k1 and not a[i]:
             i += 1

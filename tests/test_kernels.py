@@ -25,10 +25,12 @@ generic ``Ring`` add/mul loops:
   ``bezout_raw(a, b)[:3]``, (0, 1, 0) on the zero pair, and a Bezout
   identity a*x + b*y = d; the other rings use the default;
 * ``canonical_associate`` in closed form on Z (|a|), Z/n (gcd(a, n) mod n),
-  GF(p)[x] (the monic associate) and products (factor by factor), and
-  ``associate_unit`` on Z (+-1) and GF(p)[x] (lead(a)/lead(d), checked by
-  one scalar multiple), each equal to the generic value and raising exactly
-  where the generic one raises.
+  GF(p)[x] (the monic associate), products (factor by factor) and
+  truncated series (|q|*x^i for the lowest term q*x^i), ``associate_unit``
+  on Z (+-1), GF(p)[x] (lead(a)/lead(d), checked by one scalar multiple)
+  and truncated series (equal lowest terms up to sign), and ``divides`` on
+  truncated series (from the lowest terms), each equal to the generic value
+  and raising exactly where the generic one raises.
 
 The generic ``axpy`` and ``col_axpy`` call ``fma`` once per nonzero entry,
 so the shears of every ring but Z run through the overrides above.
@@ -72,6 +74,8 @@ from edrkit.rings import (
     _pfma,
     _pmul,
 )
+
+from conftest import random_value
 
 SPECS = ["z", "zmod:360", "zmod:2305843009213693951", "gfpoly:5", "product:zmod:4,z",
          "text:z,q", "series:4"]
@@ -355,8 +359,26 @@ def test_polynomial_associates_in_closed_form(p):
             _assert_associates(ring, d, a)
 
 
+def test_series_associates_in_closed_form():
+    ring = TruncatedSeriesRing(4)
+    rng = random.Random("series associates")
+    x = ring.normalize((0, 1, 0, 0, 0))
+    values = [ring.zero, ring.one] + [random_value(ring, rng, span=6) for _ in range(30)]
+    values += [ring.mul(x, v) for v in values[2:12]] + [ring.mul(ring.mul(x, x), v) for v in values[12:18]]
+    # units whose tails differ, so a*u changes every coefficient above a's lowest term
+    units = [ring.normalize((rng.choice((1, -1)), *[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                                    for _ in range(4)])) for _ in range(4)]
+    for a in values:
+        others = [ring.mul(a, u) for u in units] + [ring.add(a, a), ring.mul(x, a)] + values[::9]
+        for d in others:
+            assert ring.divides(d, a) == Ring.divides(ring, d, a), (d, a)
+            assert ring.divides(a, d) == Ring.divides(ring, a, d), (a, d)
+            _assert_associates(ring, a, d)
+            _assert_associates(ring, d, a)
+
+
 def test_associate_overrides():
-    for cls in (IntegerRing, ModularRing, GFPolynomialRing):
+    for cls in (IntegerRing, ModularRing, GFPolynomialRing, TruncatedSeriesRing):
         assert cls.canonical_associate is not Ring.canonical_associate, cls
         assert cls.associate_unit is not Ring.associate_unit, cls
     with pytest.raises(rings.NotAssociatesError):
@@ -678,6 +700,22 @@ def test_rational_module_matmul_scales_by_the_lcm():
     assert (work.mats, work.l) == ([[[(1, 3, 12)]]], 6)
 
 
+@pytest.mark.parametrize("spec", ["text:z,q", "series:4"])
+def test_series_to_work_converts_every_matrix(spec):
+    # to_work takes all five matrices to their images, transforms that are
+    # not identities included; after a rescale of L, from_work gives back
+    # the same values
+    ring = make_ring(spec)
+    rng = random.Random(spec)
+    mats = [[[random_value(ring, rng, span=9) for _ in range(3)] for _ in range(3)]
+            for _ in range(5)]
+    before = [[list(r) for r in m] for m in mats]
+    work = ring.to_work(mats)
+    assert all(isinstance(c, int) for m in mats for r in m for v in r for c in v)
+    work._rescale(6)
+    assert work.from_work(mats) is ring and mats == before
+
+
 def _reduced(spec):
     """A 3x4 matrix over spec and its diagonal reduction."""
     ring = make_ring(spec)
@@ -876,12 +914,26 @@ _GENERIC = [(GFPolynomialRing, "dot", Ring.dot), (ProductRing, "dot", Ring.dot),
 
 # the work rings of the sweep and the closed-form associates
 _GENERIC_WORK = [(GFPolynomialRing, "to_work", Ring.to_work),
-                 (TrivialExtensionRing, "to_work", Ring.to_work),
+                 (TruncatedSeriesRing, "to_work", Ring.to_work),
                  (IntegerRing, "canonical_associate", Ring.canonical_associate),
                  (ModularRing, "canonical_associate", Ring.canonical_associate),
                  (GFPolynomialRing, "canonical_associate", Ring.canonical_associate),
                  (IntegerRing, "associate_unit", Ring.associate_unit),
-                 (GFPolynomialRing, "associate_unit", Ring.associate_unit)]
+                 (GFPolynomialRing, "associate_unit", Ring.associate_unit),
+                 (TruncatedSeriesRing, "divides", Ring.divides),
+                 (TruncatedSeriesRing, "associate_unit", Ring.associate_unit),
+                 (TruncatedSeriesRing, "canonical_associate", Ring.canonical_associate)]
+
+# series:4 documents whose entries have zero and nonzero constant terms
+_SERIES_REQUESTS = [
+    ("snf", "series:4", [[{"constant": 0, "coeffs": [2, "1/3"]}, {"constant": 6, "coeffs": ["-1/2"]}],
+                         [{"constant": 4, "coeffs": [0, 0, 5]}, {"constant": 0, "coeffs": [0, "3/4", 1]}]]),
+    ("snf", "series:4", [[{"constant": 0, "coeffs": [0, 3]}, {"constant": 0, "coeffs": ["2/5", 1]},
+                          {"constant": -9, "coeffs": [1]}],
+                         [{"constant": 0, "coeffs": [6, 0, "-1/7"]}, {"constant": 12, "coeffs": []},
+                          {"constant": 0, "coeffs": [0, 0, 0, 2]}]]),
+    ("reduce2x2", "series:4", [[{"constant": 2, "coeffs": [1]}, {"constant": 0}],
+                               [{"constant": 3, "coeffs": ["1/2"]}, {"constant": 0, "coeffs": [1]}]])]
 
 
 def _kernel_requests():
@@ -931,7 +983,7 @@ def test_work_rings_and_closed_forms_leave_every_document_unchanged(monkeypatch)
                                payload=json.dumps({"rows": rows}))
                 for command, spec, rows in _kernel_requests() + [
                     ("snf", "z", [[4, -6, 9], [0, 15, -3], [-8, 2, 7]]),
-                    ("reduce2x2", "z", [[-3, 0], [4, 5]])]
+                    ("reduce2x2", "z", [[-3, 0], [4, 5]])] + _SERIES_REQUESTS
                 for output in ("json", "pretty")]
     with_overrides = [dispatch(req) for req in requests]
     assert all(code == 0 for code, _ in with_overrides)

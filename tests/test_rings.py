@@ -222,7 +222,7 @@ def test_refined_bezout_identity(spec):
     values = _bezout_values(spec)
     kinds = set()
 
-    @settings(derandomize=True, max_examples=120, deadline=None, database=None)
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
     @given(a=values, b=values)
     def check(a, b):
         add, mul = ring.add, ring.mul
