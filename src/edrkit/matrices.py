@@ -6,12 +6,26 @@ and zeros last.  Every transform carries an explicitly stored inverse, so a
 :class:`ReductionResult` is a checkable certificate (:func:`verify_reduction`
 recomputes everything from scratch).
 
-A square integer matrix of size ``LATTICE_MIN_N`` and up first tries a
-smaller certificate (``_lattice_certificate``).  Where A is nonsingular
-and its Smith form is diag(1, ..., 1, delta), P is the identity with one
-row replaced by a row of adj(A) reduced mod delta, and the entries of P,
-Pinv and Q stay near delta in size.  Every other input, and every other
-ring, takes the sweep below.
+An integer matrix whose smaller side is ``LATTICE_MIN_N`` or more first
+tries a smaller certificate.  A square one (``_lattice_certificate``):
+where A is nonsingular and its Smith form is diag(1, ..., 1, delta), P is
+the identity with one row replaced by a row of adj(A) reduced mod delta,
+and the entries of P, Pinv and Q stay near delta in size.  A wide m x n one,
+m < n (``_completion_certificate``), tall ones through their transpose:
+where the maximal minors of A generate Z, A extends to a unimodular Qinv =
+[A; z; unit rows], so P = Pinv = I, D = [I | 0] and Q = Qinv^-1.  That is
+the strong completability of Z, which every locally stable ring has.  The
+proof is constructive: one fraction-free elimination picks m pivot
+columns J with delta = |det A_J| > 0, and for a column c_k past them
+gives the minors of A with one pivot column swapped for c_k.  Where those
+minors and delta have no common prime, a row z with z*(minors, det A_J) =
++-1 makes [[A_J, c_k], [z_J, z_k]] unimodular by the Schur complement, and
+the unit rows of the other columns complete it.  Q has a closed form, and
+every entry stays near delta.  Every other input, and every other ring,
+takes the sweep below: rectangular integer matrices of rank below their
+smaller side, those whose Smith form has a non-unit (2A, say), those with
+a side below ``LATTICE_MIN_N``, and the few where two pivot choices find
+no such column.
 
 The engine clears one pivot row and column at a time with one remainder
 sweep, after Kannan and Bachem (SIAM J. Comput. 8, 1979).  Every ring with
@@ -52,7 +66,10 @@ over GF(p)[x] into ``rings._Slots`` fields of one width for all three
 products, over a truncated series into the same integer images as the
 sweep's, over one common denominator.  Each
 product is one ``matmul_equals`` call against its known result, the
-identity or the rows of D*Qinv, formed in that same converted form.
+identity or the rows of D*Qinv, formed in that same converted form.  Over
+Z, a product 8 or more columns wide packs each row of its right operand
+into one integer of signed slots, wide enough that packed equality is
+entrywise equality (``IntegerRing.matmul_equals``).
 """
 
 from __future__ import annotations
@@ -71,6 +88,7 @@ from .rings import (
     RingError,
     RingMismatchError,
     UnsupportedOperationError,
+    _egcd,
     _raw,
     _same_ring,
 )
@@ -666,9 +684,10 @@ def _normalize_diagonal(sweep: _Sweep):
             sweep.scale_row(i, ui, u)
 
 
-# Square integer matrices from this size up try the lattice certificate
-# before the sweep: on random dense inputs a 3x3 takes 1.05x the sweep's
-# time and a 4x4 breaks even, and the smaller documents keep their bytes.
+# Integer matrices whose smaller side is this size or more try the lattice
+# or the completion certificate before the sweep: on random dense inputs a
+# 3x3 takes 1.05x the sweep's time and a 4x4 breaks even, and the smaller
+# documents keep their bytes.
 LATTICE_MIN_N = 4
 # adjugate rows combined in the search for the lattice row: a cyclic input
 # with an even delta misses when all six are even, at odds near 2^-6, and
@@ -677,50 +696,79 @@ LATTICE_ROWS = 6
 
 
 def _bareiss(rows):
-    """Fraction-free forward elimination of [A | I] for a square integer A
-    (Bareiss, Math. Comp. 22, 1968), or None if A is singular.
+    """Fraction-free forward elimination of [A | I] for an integer A with at
+    least as many rows as columns (Bareiss, Math. Comp. 22, 1968), or None
+    if A has rank below its column count c.
 
-    Returns (u, m, perm).  u holds the rows of the upper-triangular part, in
-    pivot order; u[t][t] is a leading minor of the row-permuted A, and the
-    last pivot is +-det(A).  m holds the identity part in pivot order too:
-    entry s of row t sits in the identity column of the row that became
-    pivot s, column perm[s].  A row that is not yet a pivot is zero there
-    except in the columns of the pivots above it and in its own column,
-    which holds the last pivot; so m stores the former and appends the
-    latter when the row becomes pivot t, which leaves it t + 1 entries.
-    Rows swap only past a zero pivot, and a pivot column that is zero in
-    every row left means A is singular, so the pass stops there, at pivot
-    rank + 1 at the latest.
+    Returns (e, perm): the rows of [A | I] after elimination, in pivot order,
+    row t of A being row perm[t] of the input.  Column t < c of e[t] holds
+    the pivot t, a leading minor of the row-permuted A; the last pivot,
+    e[c-1][c-1], is the determinant of the c pivot rows (+-det A for a
+    square A).  Past column c, e holds the identity part in pivot order too:
+    entry s sits in the identity column of the row that became pivot s,
+    column perm[s].  A row that is not yet a pivot is zero there except in
+    the columns of the pivots above it and in its own column, which holds
+    the last pivot; so e stores the former and appends the latter when the
+    row becomes pivot t, which leaves it t + 1 entries past column c.  Each
+    row past the c pivots ends with c entries there and an A part of zeros:
+    with the last pivot in its own column, it is a combination of rows that
+    vanishes on A.  The A and identity parts of a row are updated in one
+    pass.  Rows swap only past a zero pivot, and a pivot column that is
+    zero in every row left means the rank is below c, so the pass stops
+    there, at pivot rank + 1 at the latest.
     """
     n = len(rows)
     a = [list(r) for r in rows]
-    m = [[] for _ in range(n)]
     perm = list(range(n))
     prev = 1
-    for k in range(n):
+    for k in range(len(a[0])):
         r = next((i for i in range(k, n) if a[i][k]), None)
         if r is None:
             return None
         if r != k:
             a[k], a[r] = a[r], a[k]
-            m[k], m[r] = m[r], m[k]
             perm[k], perm[r] = perm[r], perm[k]
         ak, p = a[k], a[k][k]
-        mk = m[k] = m[k] + [prev]
-        tail = ak[k + 1:]
+        ak.append(prev)
+        tail = ak[k + 1:]  # zip drops its last entry, prev, beside a row below
         for i in range(k + 1, n):
-            ai, mi = a[i], m[i]
+            ai = a[i]
             c = ai[k]
             if c:
                 ai[k + 1:] = [(p * x - c * y) // prev for x, y in zip(ai[k + 1:], tail)]
-                m[i] = [(p * x - c * y) // prev for x, y in zip(mi, mk)] + [-c]
+                ai.append(-c)
             elif p == prev:
-                mi.append(0)
+                ai.append(0)
             else:
                 ai[k + 1:] = [p * x // prev for x in ai[k + 1:]]
-                m[i] = [p * x // prev for x in mi] + [0]
+                ai.append(0)
         prev = p
-    return a, m, perm
+    return a, perm
+
+
+def _back_substitution(e, n: int):
+    """(x, solve) for the n pivot rows of a ``_bareiss`` elimination e of an
+    A with n columns, whose last pivot is det' = e[n-1][n-1].  solve(t)
+    computes x[t], row t of X = det'*B^-1, B the n pivot rows of A in pivot
+    order (the A of a square elimination), with its entries in pivot order
+    too; rows t + 1 and up must be solved first.  X is integral:
+    det'*B^-1 = +-adj(B)."""
+    det = e[n - 1][n - 1]
+    x = [None] * n
+
+    def solve(t):
+        # U X = det * M: X_t = (det * M_t - sum over s > t of U_ts X_s) / U_tt
+        et = e[t]
+        acc = [det * v for v in et[n:]] + [0] * (n - 1 - t)
+        for s in range(t + 1, n):
+            c = et[s]
+            if c:
+                acc = [v - c * w for v, w in zip(acc, x[s])]
+        p = et[t]
+        row = x[t] = [v // p for v in acc]
+        return row
+
+    return x, solve
 
 
 def _lattice_row(solve, n: int, delta: int):
@@ -786,23 +834,10 @@ def _lattice_certificate(a: RingMatrix) -> ReductionResult | None:
     elim = _bareiss(a.data)
     if elim is None:
         return None
-    u, m, perm = elim
-    det = u[-1][-1]
+    e, perm = elim
+    det = e[n - 1][n - 1]
     delta = abs(det)
-    x = [None] * n  # rows of X, in pivot columns
-
-    def solve(t):
-        # u X = det * m: X_t = (det * m_t - sum over s > t of u_ts X_s) / u_tt
-        ut = u[t]
-        acc = [det * v for v in m[t]] + [0] * (n - 1 - t)
-        for s in range(t + 1, n):
-            c = ut[s]
-            if c:
-                acc = [v - c * w for v, w in zip(acc, x[s])]
-        p = ut[t]
-        row = x[t] = [v // p for v in acc]
-        return row
-
+    x, solve = _back_substitution(e, n)
     found = _lattice_row(solve, n, delta)
     if found is None:
         return None
@@ -842,9 +877,159 @@ def _lattice_certificate(a: RingMatrix) -> ReductionResult | None:
         Pinv=trusted(ring, pinv), Qinv=trusted(ring, qinv))
 
 
+def _symmetric(v: int, delta: int) -> int:
+    """v mod delta in (-delta/2, delta/2]."""
+    v %= delta
+    return v - delta if 2 * v > delta else v
+
+
+def _unit_combination(y, delta: int):
+    """c with c*y = 1 mod delta, reduced symmetrically, or None where the
+    entries of y and delta have a common prime.  Where an entry is a unit
+    mod delta, c is its inverse there and zero elsewhere; otherwise an
+    iterated extended gcd keeps h = gcd(delta, y_0, ..., y_t) = c*y mod
+    delta after entry t."""
+    c = [0] * len(y)
+    for t, v in enumerate(y):
+        if gcd(v, delta) == 1:
+            c[t] = _symmetric(pow(v, -1, delta), delta)
+            return c
+    h = delta
+    for t, v in enumerate(y):
+        if h == 1:
+            break
+        g, p, q = _egcd(h, v)
+        if g != h:
+            c = [p * e % delta for e in c]
+            c[t], h = q % delta, g
+    return [_symmetric(e, delta) for e in c] if h == 1 else None
+
+
+def _completion_certificate(a: RingMatrix) -> ReductionResult | None:
+    """P*A*Q = [I | 0] with P = Pinv = I for an m x n integer A, m < n, and
+    the transpose of its transpose's certificate for a tall A (Q = Qinv =
+    I); None always where A has rank below m or its Smith form is not
+    [I | 0], and where two pivot choices find no completion row.
+
+    The maximal minors of such an A generate Z, so A is the first m rows of
+    a unimodular Qinv (strong completability of Z, as of every locally
+    stable ring); then A*Q = [I | 0] with Q = Qinv^-1.  ``_completion``
+    builds one, with every entry near delta = |det A_J| for m pivot
+    columns J, where the sweep's transforms grow as about 2m^2 bits.
+    """
+    if a.rows > a.cols:
+        t = _completion_certificate(RingMatrix._trusted(a.ring, zip(*a.data)))
+        return t and ReductionResult(
+            P=_transpose(t.Q), D=_transpose(t.D), Q=_transpose(t.P),
+            Pinv=_transpose(t.Qinv), Qinv=_transpose(t.Pinv))
+    n = a.cols
+    # pivot columns first scanned from the first, then from the last
+    for order in (range(n), range(n - 1, -1, -1)):
+        cols = [[row[j] for row in a.data] for j in order]
+        elim = _bareiss(cols)
+        if elim is None:
+            return None  # rank below m
+        res = _completion(a, list(order), elim)
+        if res is not None:
+            return res
+    return None
+
+
+def _completion(a: RingMatrix, order, elim) -> ReductionResult | None:
+    """The completion of a wide A from ``_bareiss`` on its columns in order.
+
+    The elimination stops at the m pivot columns J (the first nonzero
+    column for each pivot), with det' = +-det A_J the last pivot, delta =
+    |det'| and X = det'*A_J^-1.  For a column c_j past the pivots it leaves
+    y_j = -X*c_j: by Cramer's rule, y_j holds the m x m minors of A with one
+    pivot column swapped for c_j.  Where delta and y_k have no common prime
+    (``_unit_combination``), z_J with z_J*y_k = 1 mod delta and z_k = (1 -
+    z_J*y_k)/det' make det'*z_k + z_J*y_k = 1.  Qinv is A, then the row z,
+    then the unit rows e_j of the other columns past the pivots.  Expanding
+    along the unit rows leaves [[A_J, c_k], [z_J, z_k]], whose determinant is
+    det A_J*(z_k - z_J*A_J^-1*c_k) = +-(det'*z_k + z_J*y_k) = +-1 by the
+    Schur complement.  So Qinv is unimodular, whatever z holds on the other
+    columns, and it stays so if a combination a of A's rows is taken off z.
+
+    Q = Qinv^-1 in closed form, checked by Qinv*Q = I row by row.  Column
+    m, for the row z: v = y_k on J and det' at k, so A*v = 0 and z*v = 1.
+    Column i < m, for row i of A: (X e_i - rho_i*y_k)/det' on J and -rho_i
+    at k, so A times it is e_i; z times it is zero, since rho = z_J*X (mod
+    det') is what the row a*A takes off z's pivot part.  The column for
+    e_j: (y_j + tau_j*y_k)/det' on J, tau_j at k and 1 at j, so A times it
+    is zero; z times it is zero for tau_j = z_J*(-y_j) - det'*z_j, which
+    fixes z_j.  With rho and tau reduced symmetrically mod delta, every
+    entry of Q is at most about max |y| and z's pivot part at most delta/2.
+    """
+    e, perm = elim
+    m, n = a.rows, a.cols
+    det = e[m - 1][m - 1]
+    delta = abs(det)
+    for s in range(m, n):
+        zj = _unit_combination(e[s][m:], delta)
+        if zj is not None:
+            break
+    else:
+        return None
+    y = e[s][m:]
+    piv = [order[perm[t]] for t in range(m)]
+    k = order[perm[s]]
+    rest = sorted((order[perm[r]], e[r][m:]) for r in range(m, n) if r != s)
+    dot = _dot
+    z = [0] * n  # the row of Qinv below A
+    for t, j in enumerate(piv):
+        z[j] = zj[t]
+    z[k] = (1 - dot(zj, y)) // det
+    q_cols = []
+    for j, yj in rest:
+        tau = _symmetric(-dot(zj, yj), delta)
+        z[j] = (-dot(zj, yj) - tau) // det
+        col = [0] * n
+        for t, pj in enumerate(piv):
+            col[pj] = (yj[t] + tau * y[t]) // det
+        col[k], col[j] = tau, 1
+        q_cols.append(col)
+    _, solve = _back_substitution(e, m)
+    r_cols = []
+    for i in range(m - 1, -1, -1):
+        xi = solve(i)
+        u_i = dot(xi, zj)
+        rho = _symmetric(u_i, delta)
+        ai = (u_i - rho) // det
+        if ai:
+            z = [zv - ai * v for zv, v in zip(z, a.data[i])]
+        col = [0] * n
+        for t, pj in enumerate(piv):
+            col[pj] = (xi[t] - rho * y[t]) // det
+        col[k] = -rho
+        r_cols.append(col)
+    v = [0] * n
+    for t, pj in enumerate(piv):
+        v[pj] = y[t]
+    v[k] = det
+    q_cols = r_cols[::-1] + [v] + q_cols
+    ring, trusted = a.ring, RingMatrix._trusted
+    eye = _eye(ring, n)
+    qinv = list(a.data) + [z] + [eye[j] for j, _ in rest]
+    pm = RingMatrix.identity(ring, m)
+    return ReductionResult(P=pm, D=trusted(ring, eye[:m]), Q=trusted(ring, zip(*q_cols)),
+                           Pinv=pm, Qinv=trusted(ring, qinv))
+
+
+def _dot(xs, ys):
+    return sum(map(operator.mul, xs, ys))
+
+
+def _transpose(mat: RingMatrix) -> RingMatrix:
+    return RingMatrix._trusted(mat.ring, zip(*mat.data))
+
+
 def _reduce_bezout(a: RingMatrix) -> ReductionResult:
-    if isinstance(a.ring, IntegerRing) and a.rows == a.cols >= LATTICE_MIN_N:
-        res = _lattice_certificate(a)
+    if isinstance(a.ring, IntegerRing) and min(a.rows, a.cols) >= LATTICE_MIN_N:
+        if a.rows == a.cols:
+            res = _lattice_certificate(a)
+        else:
+            res = _completion_certificate(a)
         if res is not None:
             return res
     return _sweep_reduce(a)

@@ -86,3 +86,33 @@ def test_a_refused_probe_size_is_an_exit_code_not_a_time():
     lines = bench_record.compare(new, old)
     assert [line.split()[0] for line in lines] == ["dense-z/80/bits_D", "dense-z/96/dispatch_s"]
     assert lines[1].endswith("0.364x")
+
+
+def test_paired_runs_count_wins_and_the_parents_spread():
+    def run(workload, seed, rate, p50):
+        return {"workload": workload, "seed": seed,
+                "metrics": {"requests_per_s": rate, "request_p50_ms": p50}}
+    parent = [run("snf-z-dense", s, rate, 2.0) for s, rate in enumerate((100, 104, 98, 102), 1)]
+    change = [run("snf-z-dense", s, rate, p50)
+              for s, rate, p50 in zip(range(1, 5), (110, 103, 111, 112), (1.9, 2.0, 2.1, 1.8))]
+    better = bench_record.directions()
+    assert better["requests_per_s"] == "higher" and better["request_p50_ms"] == "lower"
+    stats = bench_record.paired(change, parent, better)["snf-z-dense"]
+    rate = stats["requests_per_s"]
+    # inclusive quartiles of 98, 100, 102, 104: 99.5 and 102.5
+    assert (rate["wins"], rate["pairs"]) == (3, 4)
+    assert (rate["parent_q1"], rate["parent_q3"]) == (99.5, 102.5)
+    assert (rate["median"], rate["parent_median"]) == (110.5, 101)
+    assert rate["beyond_parent_iqr"] is True
+    p50 = stats["request_p50_ms"]
+    # a tie is no win, and a zero IQR makes any median change count as beyond it
+    assert (p50["wins"], p50["parent_q3"] - p50["parent_q1"]) == (2, 0)
+    assert (p50["median"], p50["beyond_parent_iqr"]) == (1.95, True)
+    lines = bench_record.paired_lines({"snf-z-dense": stats})
+    assert len(lines) == 2 and "wins  3/4" in lines[0] and lines[0].endswith("beyond")
+    # a run with no twin is left out, and a workload with none is skipped
+    assert bench_record.paired(change + [run("check-finite", 1, 5.0, 1.0)], parent,
+                               better).keys() == {"snf-z-dense"}
+    # pairs go by position, so a seed may repeat
+    again = bench_record.paired(change[:2] * 2, parent[:2] * 2, better)["snf-z-dense"]
+    assert again["requests_per_s"]["wins"] == 2 and again["requests_per_s"]["pairs"] == 4

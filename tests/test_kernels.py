@@ -785,10 +785,11 @@ def test_matmul_equals_overrides():
     assert TrivialExtensionRing.to_check is TruncatedSeriesRing.to_check
     for cls in (IntegerRing, ModularRing, SelfExtensionRing):
         assert cls.to_check is Ring.to_check, cls
-    for cls in (IntegerRing, ModularRing, GFPolynomialRing, ProductRing,
+    for cls in (ModularRing, GFPolynomialRing, ProductRing,
                 TrivialExtensionRing, SelfExtensionRing, TruncatedSeriesRing):
         assert cls.matmul_equals is Ring.matmul_equals, cls
-    for cls in (rings._Slots, rings._SeriesWork):
+    # Z checks its own products, packed (test_packed_integer_check_is_exact)
+    for cls in (IntegerRing, rings._Slots, rings._SeriesWork):
         assert cls.matmul_equals is not Ring.matmul_equals, cls
 
 
@@ -863,6 +864,85 @@ def test_matmul_equals_is_the_default_and_sees_every_single_change(spec):
             check_target([[top] * inner] * m, [[top[:inner]] * n] * inner, (m - 1, n - 1))
             check_target([[top] * inner] * m, [[top] * n] * inner, (0, 0))
     assert _assert_equals_default(ring, [], [], [])
+
+
+def _packs(monkeypatch):
+    """Counts the packed Z checks: each computes one slot width."""
+    calls = []
+    width = rings._packed_width
+    monkeypatch.setattr(rings, "_packed_width", lambda *args: calls.append(args) or width(*args))
+    return calls
+
+
+def test_packed_integer_check_is_exact(monkeypatch):
+    ring, rng, width = IntegerRing(), random.Random(8), rings._packed_width
+    packs = _packs(monkeypatch)
+    for m, inner, n, bits in ((5, 9, 12, 100), (8, 8, 8, 3), (3, 1, 9, 256), (9, 16, 10, 40)):
+        a = [[rng.randint(-2**bits, 2**bits) for _ in range(inner)] for _ in range(m)]
+        cols = [[rng.randint(-2**bits, 2**bits) for _ in range(inner)] for _ in range(n)]
+        product = ring.matmul(a, cols)
+        assert _assert_equals_default(ring, a, cols, product)
+        w = width(rings._int_bits(a), list(zip(*cols)), product)
+        for i, j in ((0, 0), (m - 1, n - 1), (m // 2, n // 2)):
+            # one, half a slot and a whole slot: the last carries into slot j + 1
+            for step in (1, -1, 2 ** (w - 1), -2 ** (w - 1), 2 ** w, -2 ** w):
+                changed = [list(r) for r in product]
+                changed[i][j] += step
+                assert not _assert_equals_default(ring, a, cols, changed), (i, j, step)
+        # a target of another shape, even one that agrees where it overlaps
+        for short in (product[:-1], [r[:-1] for r in product], product + [product[-1]],
+                      [r + [0] for r in product]):
+            assert not _assert_equals_default(ring, a, cols, short)
+    assert len(packs) == 4 * (1 + 3 * 6)
+
+
+def test_packed_integer_check_at_the_width_bound(monkeypatch):
+    # inner = 2**k - 1 products of (2**b - 1)-sized entries with alternating
+    # signs reach (2**k - 1)(2**b - 1)**2 in each entry, just below the
+    # bound 2**(2b + k) that the width allows, and adjacent slots borrow
+    ring = IntegerRing()
+    packs = _packs(monkeypatch)
+    for b, k in ((1, 1), (7, 3), (64, 4), (256, 5)):
+        top, inner = 2 ** b - 1, 2 ** k - 1
+        a = [[top * (-1) ** i] * inner for i in range(3)]
+        cols = [[top * (-1) ** j] * inner for j in range(9)]
+        product = ring.matmul(a, cols)
+        assert max(abs(v) for r in product for v in r) == inner * top * top
+        assert _assert_equals_default(ring, a, cols, product)
+        for step in (1, -1):
+            changed = [list(r) for r in product]
+            changed[1][4] += step
+            assert not _assert_equals_default(ring, a, cols, changed)
+    # sixteen products of 1 and 2**9 sum to 2**13, four bits past the
+    # entries' own: without bitlen(inner) in w it would fill slot 0 exactly
+    # and, with the -1 beside it, pack to the zero row
+    cols = [[2 ** 9] * 16, [-1] + [0] * 15] + [[0] * 16] * 6
+    assert not _assert_equals_default(ring, [[1] * 16], cols, [[0] * 8])
+    assert len(packs) == 4 * 3 + 1
+
+
+def test_packed_integer_check_on_zero_and_small_products(monkeypatch):
+    ring = IntegerRing()
+    packs = _packs(monkeypatch)
+    zero = [[0] * 8 for _ in range(8)]
+    assert _assert_equals_default(ring, zero, zero, zero)
+    one = [r[:] for r in zero]
+    one[7][7] = 1
+    assert not _assert_equals_default(ring, zero, zero, one)
+    assert not _assert_equals_default(ring, zero, zero, zero[:-1])
+    assert len(packs) == 2
+    # under 8 columns, or left entries past 256 bits: the plain products
+    rng = random.Random(9)
+    for m, n, bits in ((6, 7, 40), (8, 8, 257)):
+        a = [[rng.randint(-2**bits, 2**bits) for _ in range(m)] for _ in range(m)]
+        a[0][0] = 2 ** bits
+        cols = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
+        assert _assert_equals_default(ring, a, cols, ring.matmul(a, cols))
+    assert len(packs) == 2
+    # an empty inner dimension packs nothing: every product row is zero
+    assert _assert_equals_default(ring, [[]] * 3, [[]] * 9, [[0] * 9] * 3)
+    assert not _assert_equals_default(ring, [[]] * 3, [[]] * 9, [[0] * 8 + [1]] * 3)
+    assert len(packs) == 4
 
 
 _LOWER = {  # [[a, 0], [b, c]] with aR + bR + cR = R

@@ -35,7 +35,12 @@ from edrkit import (
 )
 from edrkit.cli import EXIT_OK, CommandRequest, dispatch
 from edrkit import matrices
-from edrkit.matrices import _Sweep, _lattice_certificate, _sweep_reduce
+from edrkit.matrices import (
+    _Sweep,
+    _completion_certificate,
+    _lattice_certificate,
+    _sweep_reduce,
+)
 from edrkit.rings import Ring, _pmonic
 from conftest import det_oracle, minor_gcd_oracle, random_value
 
@@ -829,15 +834,15 @@ def _fixed_bench_matrix(m, n):
     raise ValueError((m, n))
 
 
+def _low_rank(rng, m, r, n):
+    b, c = _dense(rng, m, r, 7), _dense(rng, r, n, 7)
+    return [[sum(b[i][k] * c[k][j] for k in range(r)) for j in range(n)] for i in range(m)]
+
+
 def _sweep_inputs():
-    rng = random.Random(3)
-    b, c = _dense(rng, 12, 6, 7), _dense(rng, 6, 12, 7)
-    rank6 = [[sum(b[i][k] * c[k][j] for k in range(6)) for j in range(12)] for i in range(12)]
     return {"fixed 22x22": _fixed_bench_matrix(22, 22),
             "seed-1 48x48": _dense(random.Random(1), 48, 48),
-            "rank-6 12x12": rank6,
-            "8x16": _dense(rng, 8, 16),
-            "16x8": _dense(rng, 16, 8)}
+            "rank-6 12x12": _low_rank(random.Random(3), 12, 6, 12)}
 
 
 @pytest.mark.parametrize("name", list(_sweep_inputs()))
@@ -846,6 +851,104 @@ def test_inputs_the_lattice_declines_keep_the_sweeps_documents(name, monkeypatch
     a = zmat(rows)
     if a.rows == a.cols:
         assert _lattice_certificate(a) is None  # singular or not cyclic
+    req = CommandRequest(command="snf", ring="z", payload=json.dumps({"rows": rows}))
+    doc = dispatch(req)
+    monkeypatch.setattr(matrices, "LATTICE_MIN_N", 10**9)
+    assert doc == dispatch(req)
+    assert doc[0] == EXIT_OK and json.loads(doc[1])["verified"] is True
+
+
+def _rectangular_inputs():
+    # drawn after the rank-6 12x12 of _sweep_inputs, from the same generator
+    rng = random.Random(3)
+    _low_rank(rng, 12, 6, 12)
+    return {"8x16": _dense(rng, 8, 16), "16x8": _dense(rng, 16, 8)}
+
+
+@pytest.mark.parametrize("name", list(_rectangular_inputs()))
+def test_completion_keeps_the_sweeps_diagonal(name):
+    # until the completion certificate, these took the sweep
+    a = zmat(_rectangular_inputs()[name])
+    res = diagonal_reduce(a)
+    assert res == _completion_certificate(a)
+    sweep = _sweep_reduce(a)
+    assert res.D == sweep.D and verify_reduction(a, res)
+    assert _transform_bits(res) < _transform_bits(sweep)
+    req = CommandRequest(command="snf", ring="z", payload=json.dumps({"rows": a.data}))
+    code, out = dispatch(req)
+    assert code == EXIT_OK and json.loads(out)["verified"] is True
+
+
+def _completion_structure(a, res):
+    """P = Pinv = I and A the first rows of Qinv for a wide A; the
+    transpose (Q = Qinv = I, A the first columns of Pinv) for a tall one."""
+    p, pinv, qinv, d, rows = res.P, res.Pinv, res.Qinv, res.D.data, a.data
+    if a.rows > a.cols:
+        p, pinv, qinv = res.Q, res.Qinv, RingMatrix._trusted(Z, zip(*res.Pinv.data))
+        d, rows = tuple(zip(*d)), tuple(zip(*rows))
+    m, n = len(rows), len(rows[0])
+    return (p.is_identity() and pinv.is_identity() and qinv.data[:m] == rows
+            and d == tuple(tuple(int(i == j) for j in range(n)) for i in range(m)))
+
+
+def test_completion_certificate_matches_the_sweep_and_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(11)
+    answered = tried = 0
+    for k in range(4, 13):
+        for bound in (50, 3):
+            for m, n in ((k, k + rng.randint(1, 8)), (k + rng.randint(1, 8), k)):
+                rows = _dense(rng, m, n, bound)
+                a = zmat(rows)
+                tried += 1
+                res = _completion_certificate(a)
+                if res is None:
+                    continue
+                answered += 1
+                assert verify_reduction(a, res), (m, n)
+                assert res.D == _sweep_reduce(a).D, (m, n)
+                expected = [abs(int(v)) for v in invariant_factors(sympy.Matrix(rows),
+                                                                   domain=sympy.ZZ)]
+                assert [e.value for e in res.D.diagonal()] == expected, (m, n)
+                assert _completion_structure(a, res), (m, n)
+                assert diagonal_reduce(a) == res
+    assert answered >= 20 and tried == 36
+
+
+def test_a_changed_completion_row_fails_verification():
+    a = zmat(_dense(random.Random(5), 6, 10))
+    res = _completion_certificate(a)
+    assert verify_reduction(a, res)
+    qinv = [list(row) for row in res.Qinv.data]
+    for j in range(10):
+        for s in (1, -1):
+            row = qinv[6][:]
+            row[j] += s
+            changed = RingMatrix._trusted(Z, qinv[:6] + [row] + qinv[7:])
+            assert not verify_reduction(a, dataclasses.replace(res, Qinv=changed)), (j, s)
+
+
+def _completion_declines():
+    rng = random.Random(6)
+    return {"2A 8x16": [[2 * v for v in row] for row in _dense(rng, 8, 16)],
+            "rank-6 12x20": _low_rank(rng, 12, 6, 20),
+            "3x8": _dense(rng, 3, 8)}
+
+
+@pytest.mark.parametrize("name", list(_completion_declines()))
+def test_inputs_the_completion_declines_keep_the_sweeps_documents(name, monkeypatch):
+    rows = _completion_declines()[name]
+    a = zmat(rows)
+    if min(a.rows, a.cols) >= matrices.LATTICE_MIN_N:
+        eliminations = []
+        bareiss = matrices._bareiss
+        monkeypatch.setattr(matrices, "_bareiss", lambda b: eliminations.append(b) or bareiss(b))
+        assert _completion_certificate(a) is None
+        # a rank below m ends the first elimination; a Smith form other
+        # than [I | 0] leaves both pivot choices without a column
+        assert len(eliminations) == (1 if name.startswith("rank") else 2)
+        monkeypatch.undo()
     req = CommandRequest(command="snf", ring="z", payload=json.dumps({"rows": rows}))
     doc = dispatch(req)
     monkeypatch.setattr(matrices, "LATTICE_MIN_N", 10**9)
@@ -885,6 +988,17 @@ def test_dense_96x96_snf_answers():
     code, out = dispatch(CommandRequest(command="snf", ring="z", payload=payload))
     assert code == EXIT_OK, out[:200]
     assert json.loads(out)["verified"] is True
+
+
+def test_dense_96x97_snf_answers():
+    # the sweep runs 11.6 s here and then passes the int/str digit limit;
+    # the completion certificate stays near delta
+    payload = json.dumps({"rows": _dense(random.Random(1), 96, 97)})
+    code, out = dispatch(CommandRequest(command="snf", ring="z", payload=payload))
+    assert code == EXIT_OK, out[:200]
+    doc = json.loads(out)
+    assert doc["verified"] is True
+    assert max(abs(v) for row in doc["Q"] for v in row).bit_length() <= 1_000
 
 
 def test_nearest_remainder_worst_case_past_ten_thousand_passes():

@@ -13,7 +13,12 @@ over the seeds:
 
 With ``--parent``, each run has a twin in the other checkout, taken right
 before or after it in turns, and the file holds both sides (the other one
-under ``"parent"``) with their ratios printed.
+under ``"parent"``) with their ratios printed.  For each workload and
+metric it also prints, and stores under ``"paired"``, how many of the pairs
+the change wins (in the direction ``BENCHMARK.json`` gives the metric), the
+parent's interquartile range and whether the medians differ by more than
+it: a gain counts when the change wins at least 9 of 10 pairs and its
+median lies beyond that range.
 
 The dense-Z probe sends ``snf --ring z`` requests for n x n matrices (n =
 24, 48, 64, 80, 96, entries in [-50, 50], ``random.Random(1)`` per size)
@@ -77,6 +82,49 @@ def medians(runs: list[dict]) -> dict:
         mine = [r["metrics"] for r in runs if r["workload"] == w]
         out[w] = {k: statistics.median(m[k] for m in mine) for k in mine[0]}
     return out
+
+
+def directions(root: Path = ROOT) -> dict:
+    """metric -> "higher" or "lower", the better direction in BENCHMARK.json."""
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def paired(runs: list[dict], parent_runs: list[dict], better: dict) -> dict:
+    """workload -> metric -> the pair statistics of runs against their twins,
+    the parent runs at the same positions (same workload and seed): wins of
+    the change, the parent's quartiles and medians, and whether the medians
+    differ by more than the parent's interquartile range."""
+    out = {}
+    for w in dict.fromkeys(r["workload"] for r in runs):
+        pairs = [(r["metrics"], p["metrics"]) for r, p in zip(runs, parent_runs)
+                 if r["workload"] == p["workload"] == w and r["seed"] == p["seed"]]
+        if not pairs:
+            continue
+        out[w] = {}
+        for k in pairs[0][0]:
+            mine, theirs = [c[k] for c, _ in pairs], [p[k] for _, p in pairs]
+            sign = 1 if better.get(k, "lower") == "higher" else -1
+            q1, _, q3 = (statistics.quantiles(theirs, n=4, method="inclusive")
+                         if len(theirs) > 1 else theirs * 3)
+            med, parent_med = statistics.median(mine), statistics.median(theirs)
+            out[w][k] = {
+                "pairs": len(pairs), "wins": sum(sign * (c - p) > 0 for c, p in zip(mine, theirs)),
+                "median": med, "parent_median": parent_med, "parent_q1": q1, "parent_q3": q3,
+                "beyond_parent_iqr": abs(med - parent_med) > q3 - q1}
+    return out
+
+
+def paired_lines(stats: dict) -> list[str]:
+    """One line per workload and metric: medians, wins and the parent's IQR."""
+    lines = []
+    for w, metrics in stats.items():
+        for k, s in metrics.items():
+            lines.append(
+                f"{w}/{k:24s} {s['parent_median']:>12.6g} {s['median']:>12.6g} "
+                f"wins {s['wins']:>2}/{s['pairs']:<2} parent IQR {s['parent_q1']:.6g}"
+                f"-{s['parent_q3']:.6g} {'beyond' if s['beyond_parent_iqr'] else 'within'}")
+    return lines
 
 
 def probe_requests(root: str, sizes) -> list[dict]:
@@ -192,6 +240,7 @@ def main(argv=None) -> int:
             "runs": [{k: v for k, v in r.items() if k not in shared} for r in parent_runs],
             "median": medians(parent_runs), "dense_z": probe,
             "dense_z_largest_n": largest_answered(probe)}
+        record["paired"] = paired(runs, parent_runs, directions())
     previous = bench_files()
     index = int(previous[-1].stem.split("_")[1]) + 1 if previous else 0
     path = ROOT / f"BENCH_{index}.json"
@@ -200,6 +249,9 @@ def main(argv=None) -> int:
     if args.parent:
         print(f"against {args.parent}: metric, parent, change, change/parent")
         print("\n".join(compare(record, record["parent"])))
+        print("pairs: metric, parent median, change median, change wins, parent IQR, "
+              "medians beyond it")
+        print("\n".join(paired_lines(record["paired"])))
     if args.compare:
         if not previous:
             print("no earlier BENCH file to compare with")
