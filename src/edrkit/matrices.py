@@ -17,10 +17,10 @@ where the maximal minors of A generate Z, A extends to a unimodular Qinv =
 the strong completability of Z, which every locally stable ring has.  The
 proof is constructive: one fraction-free elimination picks m pivot
 columns J with delta = |det A_J| > 0, and for a column c_k past them
-gives the minors of A with one pivot column swapped for c_k.  Where those
-minors and delta have no common prime, a row z with z*(minors, det A_J) =
-+-1 makes [[A_J, c_k], [z_J, z_k]] unimodular by the Schur complement, and
-the unit rows of the other columns complete it.  Q has a closed form, and
+gives w, the minors of A with one pivot column swapped for c_k.  Where w
+and delta have no common prime, a row z with det'*z_k - z_J*w = 1 (det' =
++-det A_J) makes [[A_J, c_k], [z_J, z_k]] unimodular by the Schur
+complement, and the unit rows of the other columns complete it.  Q has a closed form, and
 every entry stays near delta.  Every other input, and every other ring,
 takes the sweep below: rectangular integer matrices of rank below their
 smaller side, those whose Smith form has a non-unit (2A, say), those with
@@ -771,6 +771,12 @@ def _back_substitution(e, n: int):
     return x, solve
 
 
+def _symmetric(v: int, delta: int) -> int:
+    """v mod delta in (-delta/2, delta/2]."""
+    v %= delta
+    return v - delta if 2 * v > delta else v
+
+
 def _lattice_row(solve, n: int, delta: int):
     """(y, t) with y an integer combination of the adjugate rows
     n-1, n-2, ..., t reduced mod delta whose content is prime to delta, or
@@ -853,10 +859,7 @@ def _lattice_certificate(a: RingMatrix) -> ReductionResult | None:
     if k is None:
         return None
     w = pow(y[k], -1, delta)
-    xs = []
-    for v in y:
-        v = v * w % delta
-        xs.append(v - delta if 2 * v > delta else v)
+    xs = [_symmetric(v * w, delta) for v in y]
     xs[k] = 1  # already 1 unless delta = 1
     order = [j for j in range(n) if j != k]
     eye = _eye(a.ring, n)
@@ -875,12 +878,6 @@ def _lattice_certificate(a: RingMatrix) -> ReductionResult | None:
     return ReductionResult(
         P=trusted(ring, p_rows), D=trusted(ring, d), Q=trusted(ring, zip(*q_cols)),
         Pinv=trusted(ring, pinv), Qinv=trusted(ring, qinv))
-
-
-def _symmetric(v: int, delta: int) -> int:
-    """v mod delta in (-delta/2, delta/2]."""
-    v %= delta
-    return v - delta if 2 * v > delta else v
 
 
 def _unit_combination(y, delta: int):
@@ -975,7 +972,7 @@ def _completion(a: RingMatrix, order, elim) -> ReductionResult | None:
     piv = [order[perm[t]] for t in range(m)]
     k = order[perm[s]]
     rest = sorted((order[perm[r]], e[r][m:]) for r in range(m, n) if r != s)
-    dot = _dot
+    dot = a.ring.dot
     z = [0] * n  # the row of Qinv below A
     for t, j in enumerate(piv):
         z[j] = zj[t]
@@ -1014,10 +1011,6 @@ def _completion(a: RingMatrix, order, elim) -> ReductionResult | None:
     pm = RingMatrix.identity(ring, m)
     return ReductionResult(P=pm, D=trusted(ring, eye[:m]), Q=trusted(ring, zip(*q_cols)),
                            Pinv=pm, Qinv=trusted(ring, qinv))
-
-
-def _dot(xs, ys):
-    return sum(map(operator.mul, xs, ys))
 
 
 def _transpose(mat: RingMatrix) -> RingMatrix:
