@@ -979,8 +979,9 @@ def _completion(a: RingMatrix, order, elim) -> ReductionResult | None:
     z[k] = (1 - dot(zj, y)) // det
     q_cols = []
     for j, yj in rest:
-        tau = _symmetric(-dot(zj, yj), delta)
-        z[j] = (-dot(zj, yj) - tau) // det
+        zw = -dot(zj, yj)  # z_J * w_j
+        tau = _symmetric(zw, delta)
+        z[j] = (zw - tau) // det
         col = [0] * n
         for t, pj in enumerate(piv):
             col[pj] = (yj[t] + tau * y[t]) // det
