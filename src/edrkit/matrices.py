@@ -21,11 +21,16 @@ gives w, the minors of A with one pivot column swapped for c_k.  Where w
 and delta have no common prime, a row z with det'*z_k - z_J*w = 1 (det' =
 +-det A_J) makes [[A_J, c_k], [z_J, z_k]] unimodular by the Schur
 complement, and the unit rows of the other columns complete it.  Q has a closed form, and
-every entry stays near delta.  Every other input, and every other ring,
-takes the sweep below: rectangular integer matrices of rank below their
-smaller side, those whose Smith form has a non-unit (2A, say), those with
-a side below ``LATTICE_MIN_N``, and the few where two pivot choices find
-no such column.
+every entry stays near delta.  A rank-deficient one, of rank r
+(``_kernel_certificate``): where its Smith form is diag(I_r, 0), a basis K
+of the integer kernel on its smaller side, read off the same elimination,
+completes to a unimodular V = [z; unit rows; K], so V*A = [F; 0] (a wide
+A), and F's completion certificate finishes P*A*Q = diag(I_r, 0).  One
+elimination of A's rows (a wide A's columns) serves all three: it gives
+the rank and routes A (``_integer_certificate``).  Every other input, and
+every other ring, takes the sweep below: integer matrices whose Smith form
+has a non-unit (2A, say), those with a side below ``LATTICE_MIN_N``, and
+the few where no kernel basis or completion row is found.
 
 The engine clears one pivot row and column at a time with one remainder
 sweep, after Kannan and Bachem (SIAM J. Comput. 8, 1979).  Every ring with
@@ -697,41 +702,45 @@ LATTICE_ROWS = 6
 
 def _bareiss(rows):
     """Fraction-free forward elimination of [A | I] for an integer A with at
-    least as many rows as columns (Bareiss, Math. Comp. 22, 1968), or None
-    if A has rank below its column count c.
+    least as many rows as columns (Bareiss, Math. Comp. 22, 1968).
 
-    Returns (e, perm): the rows of [A | I] after elimination, in pivot order,
-    row t of A being row perm[t] of the input.  Column t < c of e[t] holds
-    the pivot t, a leading minor of the row-permuted A; the last pivot,
-    e[c-1][c-1], is the determinant of the c pivot rows (+-det A for a
-    square A).  Past column c, e holds the identity part in pivot order too:
-    entry s sits in the identity column of the row that became pivot s,
-    column perm[s].  A row that is not yet a pivot is zero there except in
-    the columns of the pivots above it and in its own column, which holds
-    the last pivot; so e stores the former and appends the latter when the
-    row becomes pivot t, which leaves it t + 1 entries past column c.  Each
-    row past the c pivots ends with c entries there and an A part of zeros:
-    with the last pivot in its own column, it is a combination of rows that
-    vanishes on A.  The A and identity parts of a row are updated in one
-    pass.  Rows swap only past a zero pivot, and a pivot column that is
-    zero in every row left means the rank is below c, so the pass stops
-    there, at pivot rank + 1 at the latest.
+    Returns (e, perm, piv): the rows of [A | I] after elimination, in pivot
+    order, row t of A being row perm[t] of the input, and the pivot columns
+    piv, one per pivot, so the rank r is len(piv).  A column that is zero
+    in every row left takes no pivot and the pass goes on to the next one.
+    Column piv[t] of e[t] holds the pivot t, an r x r minor of A's rows and
+    columns; the last pivot, det' = e[r-1][piv[-1]], is a minor of the r
+    pivot rows (+-det A for a nonsingular square A, where piv[t] = t).
+    Before its pivot column, e[t] holds stale values in the pivot columns
+    above it and zeros in the skipped ones.  Past column c, e holds the
+    identity part in pivot order too: entry s sits in the identity column
+    of the row that became pivot s, column perm[s].  A row that is not yet
+    a pivot is zero there except in the columns of the pivots above it and
+    in its own column, which holds the last pivot; so e stores the former
+    and appends the latter when the row becomes pivot t, which leaves it
+    t + 1 entries past column c.  Each row past the r pivots ends with r
+    entries there and an A part of zeros: with the last pivot in its own
+    column, it is a combination of rows that vanishes on A.  The A and
+    identity parts of a row are updated in one pass, and rows swap only
+    past a zero pivot.
     """
     n = len(rows)
     a = [list(r) for r in rows]
     perm = list(range(n))
+    piv = []
     prev = 1
     for k in range(len(a[0])):
-        r = next((i for i in range(k, n) if a[i][k]), None)
+        t = len(piv)
+        r = next((i for i in range(t, n) if a[i][k]), None)
         if r is None:
-            return None
-        if r != k:
-            a[k], a[r] = a[r], a[k]
-            perm[k], perm[r] = perm[r], perm[k]
-        ak, p = a[k], a[k][k]
-        ak.append(prev)
-        tail = ak[k + 1:]  # zip drops its last entry, prev, beside a row below
-        for i in range(k + 1, n):
+            continue
+        if r != t:
+            a[t], a[r] = a[r], a[t]
+            perm[t], perm[r] = perm[r], perm[t]
+        at, p = a[t], a[t][k]
+        at.append(prev)
+        tail = at[k + 1:]  # zip drops its last entry, prev, beside a row below
+        for i in range(t + 1, n):
             ai = a[i]
             c = ai[k]
             if c:
@@ -743,7 +752,8 @@ def _bareiss(rows):
                 ai[k + 1:] = [p * x // prev for x in ai[k + 1:]]
                 ai.append(0)
         prev = p
-    return a, perm
+        piv.append(k)
+    return a, perm, piv
 
 
 def _back_substitution(e, n: int):
@@ -807,9 +817,9 @@ def _lattice_row(solve, n: int, delta: int):
         y = [(u + c * v) % delta for u, v in zip(y, solve(t))]
 
 
-def _lattice_certificate(a: RingMatrix) -> ReductionResult | None:
-    """P*A*Q = diag(1, ..., 1, delta) for a square integer A, delta = |det A|,
-    or None.  None always where A is singular or its Smith form has a second
+def _lattice_certificate(a: RingMatrix, elim=None) -> ReductionResult | None:
+    """P*A*Q = diag(1, ..., 1, delta) for a nonsingular square integer A,
+    delta = |det A|, or None.  None always where its Smith form has a second
     non-unit invariant factor, and on a few cyclic inputs: where no entry of
     the lattice row is a unit mod delta, or LATTICE_ROWS rows give no row.
 
@@ -834,13 +844,10 @@ def _lattice_certificate(a: RingMatrix) -> ReductionResult | None:
     rows, so the search for x (``_lattice_row``) reads the last few before
     the rest are computed.  Column j of Q is then (X e_j - x_j X e_k)/det'
     for j != k, at most (1/delta + 1/2)*max|adj(A)|, and the last one
-    sign(det')*X e_k.
+    sign(det')*X e_k.  elim, where given, is ``_bareiss`` on A's rows.
     """
     n = a.rows
-    elim = _bareiss(a.data)
-    if elim is None:
-        return None
-    e, perm = elim
+    e, perm, _ = elim or _bareiss(a.data)
     det = e[n - 1][n - 1]
     delta = abs(det)
     x, solve = _back_substitution(e, n)
@@ -902,33 +909,30 @@ def _unit_combination(y, delta: int):
     return [_symmetric(e, delta) for e in c] if h == 1 else None
 
 
-def _completion_certificate(a: RingMatrix) -> ReductionResult | None:
-    """P*A*Q = [I | 0] with P = Pinv = I for an m x n integer A, m < n, and
-    the transpose of its transpose's certificate for a tall A (Q = Qinv =
-    I); None always where A has rank below m or its Smith form is not
-    [I | 0], and where two pivot choices find no completion row.
+def _completion_certificate(a: RingMatrix, elim=None) -> ReductionResult | None:
+    """P*A*Q = [I | 0] with P = Pinv = I for an m x n integer A of rank m,
+    m < n, and the transpose of its transpose's certificate for a tall A
+    (Q = Qinv = I); None always where its Smith form is not [I | 0], and
+    where two pivot choices find no completion row.
 
     The maximal minors of such an A generate Z, so A is the first m rows of
     a unimodular Qinv (strong completability of Z, as of every locally
     stable ring); then A*Q = [I | 0] with Q = Qinv^-1.  ``_completion``
     builds one, with every entry near delta = |det A_J| for m pivot
     columns J, where the sweep's transforms grow as about 2m^2 bits.
+    elim, where given, is ``_bareiss`` on the columns of a wide A in order,
+    the rows of a tall one.
     """
     if a.rows > a.cols:
-        t = _completion_certificate(RingMatrix._trusted(a.ring, zip(*a.data)))
-        return t and ReductionResult(
-            P=_transpose(t.Q), D=_transpose(t.D), Q=_transpose(t.P),
-            Pinv=_transpose(t.Qinv), Qinv=_transpose(t.Pinv))
+        return _transposed(_completion_certificate(_transpose(a), elim))
     n = a.cols
     # pivot columns first scanned from the first, then from the last
     for order in (range(n), range(n - 1, -1, -1)):
-        cols = [[row[j] for row in a.data] for j in order]
-        elim = _bareiss(cols)
-        if elim is None:
-            return None  # rank below m
+        elim = elim or _bareiss([[row[j] for row in a.data] for j in order])
         res = _completion(a, list(order), elim)
         if res is not None:
             return res
+        elim = None
     return None
 
 
@@ -958,7 +962,7 @@ def _completion(a: RingMatrix, order, elim) -> ReductionResult | None:
     fixes z_j.  With rho and tau reduced symmetrically mod delta, every
     entry of Q is at most about max |y| and z's pivot part at most delta/2.
     """
-    e, perm = elim
+    e, perm, _ = elim
     m, n = a.rows, a.cols
     det = e[m - 1][m - 1]
     delta = abs(det)
@@ -1014,16 +1018,130 @@ def _completion(a: RingMatrix, order, elim) -> ReductionResult | None:
                            Pinv=pm, Qinv=trusted(ring, qinv))
 
 
+def _kernel_certificate(a: RingMatrix, elim) -> ReductionResult | None:
+    """P*A*Q = diag(I_r, 0) for an N x c integer A, N >= c, of rank
+    0 < r < c, from ``_bareiss`` on its rows; or None.  None always where
+    A's Smith form is not diag(I_r, 0), and where the kernel basis below or
+    a completion is not found.
+
+    Column relations first.  For a column k that took no pivot, the pivot
+    rows U of the elimination, upper triangular on the pivot columns J,
+    give mu_k = det'*U_J^-1*U e_k by back-substitution: integral by
+    Cramer's rule, det' the last pivot, an r x r minor of A, delta =
+    |det'|.  So w_k = det'*e_k - sum_t mu_k[t]*e_J[t] has A*w_k = 0, and
+    the integer x with A*x = 0 are the sums of t_k*w_k/det' over integer t
+    with sum_k t_k*mu_k = 0 mod det'.  With g the gcd of delta and every
+    mu entry, delta' = delta/g and nu_k = mu_k/g mod delta', where one
+    nu_h has a unit combination mod delta' (``_unit_combination``) and
+    every nu_k is c_k*nu_h, that condition is sum_k t_k*c_k = 0 mod delta',
+    so the rows (w_k - c_k*w_h)/det', k != h, and w_h/g are a basis K of
+    the saturated kernel.  Otherwise the kernel path declines.
+
+    Two completions.  K's maximal minors generate Z, so
+    ``_completion_certificate`` completes K to a unimodular [K; z; unit
+    rows]; with its rows rotated, V = [z; unit rows; K] and V^-1 is its Q
+    with the columns rotated alike.  Then A*V^T = [G | 0], G = A times the
+    first r rows of V, N x r of rank r with A's nonzero invariant factors.
+    Where those are all 1, the completion of F = G^T gives F*Q_F = [I | 0],
+    so Q_F^T*A*V^T = diag(I_r, 0): P = Q_F^T and Q = V^T, their inverses
+    the transposes of Qinv_F and V^-1.  Every entry stays near delta, as in
+    the completion certificate.  The two completions eliminate K (c - r
+    rows) and F (r rows), never A again.
+    """
+    e, _, piv = elim
+    r, c = len(piv), a.cols
+    if not r:
+        return None
+    det = e[r - 1][piv[-1]]
+    delta = abs(det)
+    pivots = set(piv)
+    free = [k for k in range(c) if k not in pivots]
+    mu = [[0] * r for _ in free]
+    for t in range(r - 1, -1, -1):
+        et = e[t]
+        p = et[piv[t]]
+        later = [(et[piv[s]], s) for s in range(t + 1, r) if et[piv[s]]]
+        for k, mk in zip(free, mu):
+            acc = det * et[k]
+            for u, s in later:
+                acc -= u * mk[s]
+            mk[t] = acc // p
+    g = gcd(delta, *(v for mk in mu for v in mk))
+    dp = delta // g
+    nu = [[v // g % dp for v in mk] for mk in mu]
+    for h, nh in enumerate(nu):
+        comb = _unit_combination(nh, dp)
+        if comb is not None:
+            break
+    else:
+        return None
+    cs = []
+    for nk in nu:
+        ck = _symmetric(sum(map(operator.mul, comb, nk)), dp)
+        if any((x - ck * y) % dp for x, y in zip(nk, nh)):
+            return None  # the pivot block has a second invariant factor
+        cs.append(ck)
+    sign, mh = (1 if det > 0 else -1), mu[h]
+    kern = []
+    for k, (mk, ck) in enumerate(zip(mu, cs)):
+        row = [0] * c
+        if k == h:
+            row[free[h]] = dp
+            for t, j in enumerate(piv):
+                row[j] = -sign * mh[t] // g
+        else:
+            row[free[k]], row[free[h]] = 1, -ck
+            for t, j in enumerate(piv):
+                row[j] = (ck * mh[t] - mk[t]) // det
+        kern.append(row)
+    ring, trusted = a.ring, RingMatrix._trusted
+    kres = _completion_certificate(trusted(ring, kern))
+    if kres is None:
+        return None
+    s = c - r
+    v = kres.Qinv.data[s:] + kres.Qinv.data[:s]
+    vinv = [row[s:] + row[:s] for row in kres.Q.data]
+    dot = ring.dot
+    f = [[dot(row, vt) for row in a.data] for vt in v[:r]]
+    fres = _completion_certificate(trusted(ring, f))
+    if fres is None:
+        return None
+    d = [[int(i == j and i < r) for j in range(c)] for i in range(a.rows)]
+    return ReductionResult(P=_transpose(fres.Q), D=trusted(ring, d), Q=trusted(ring, zip(*v)),
+                           Pinv=_transpose(fres.Qinv), Qinv=trusted(ring, zip(*vinv)))
+
+
 def _transpose(mat: RingMatrix) -> RingMatrix:
     return RingMatrix._trusted(mat.ring, zip(*mat.data))
 
 
+def _transposed(t: ReductionResult | None) -> ReductionResult | None:
+    """The certificate of A^T from t, A's: Q^T*A^T*P^T = D^T."""
+    return t and ReductionResult(
+        P=_transpose(t.Q), D=_transpose(t.D), Q=_transpose(t.P),
+        Pinv=_transpose(t.Qinv), Qinv=_transpose(t.Pinv))
+
+
+def _integer_certificate(a: RingMatrix) -> ReductionResult | None:
+    """The lattice, completion or kernel certificate of an integer A, or
+    None, from one elimination of A's rows (a wide A's columns).  A
+    nonsingular square A takes the lattice certificate, a full-rank
+    rectangular one the completion certificate (whose second pivot order
+    eliminates again), and every other A the kernel certificate."""
+    m, n = a.rows, a.cols
+    e = _transpose(a) if m < n else a
+    elim = _bareiss(e.data)
+    if len(elim[2]) < e.cols:
+        res = _kernel_certificate(e, elim)
+        return res if e is a else _transposed(res)
+    if m == n:
+        return _lattice_certificate(a, elim)
+    return _completion_certificate(a, elim)
+
+
 def _reduce_bezout(a: RingMatrix) -> ReductionResult:
     if isinstance(a.ring, IntegerRing) and min(a.rows, a.cols) >= LATTICE_MIN_N:
-        if a.rows == a.cols:
-            res = _lattice_certificate(a)
-        else:
-            res = _completion_certificate(a)
+        res = _integer_certificate(a)
         if res is not None:
             return res
     return _sweep_reduce(a)
@@ -1105,10 +1223,10 @@ def verify_reduction(a: RingMatrix, result: ReductionResult) -> bool:
     # One side suffices: over a commutative ring, P*Pinv = I gives
     # det(P)*det(Pinv) = 1, so det(P) is a unit and P has the two-sided
     # inverse adj(P)/det(P); then Pinv = P^-1*(P*Pinv) is that inverse.
-    if not all(ck.matmul_equals(p, list(zip(*pinv)), _eye(ck, m))
+    if not all(ck.matmul_equals(p, pinv, _eye(ck, m))
                for ck, (_, p, pinv, _, _, _) in parts):
         return fail("Pinv is not an inverse of P")
-    if not all(ck.matmul_equals(q, list(zip(*qinv)), _eye(ck, n))
+    if not all(ck.matmul_equals(q, qinv, _eye(ck, n))
                for ck, (_, _, _, q, qinv, _) in parts):
         return fail("Qinv is not an inverse of Q")
     if not r.D.is_diagonal():
@@ -1122,7 +1240,7 @@ def verify_reduction(a: RingMatrix, result: ReductionResult) -> bool:
         d_qinv = [row if d == ck.one else [ck.mul(d, x) for x in row]
                   for d, row in zip(dg, qinv)]
         d_qinv += [[ck.zero] * n] * (m - len(dg))
-        if not ck.matmul_equals(p, list(zip(*at)), d_qinv):
+        if not ck.matmul_equals(p, at, d_qinv):
             return fail("P*A != D*Qinv")
     for i, e in enumerate(diag):
         if ring.canonical_associate(e) != e:

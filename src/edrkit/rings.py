@@ -372,11 +372,12 @@ class Ring(ABC):
         dot = self.dot
         return [[dot(r, c) for c in cols] for r in rows]
 
-    def matmul_equals(self, rows, cols, target) -> bool:
-        """Whether matmul(rows, cols) equals target, a sequence of rows; a
-        target of any other shape gives False.  Operands and target must be
-        in normal form, as ``RingMatrix._trusted`` assumes."""
-        return self.matmul(rows, cols) == [list(t) for t in target]
+    def matmul_equals(self, rows, right, target) -> bool:
+        """Whether the product of the matrices with these rows and with the
+        rows right equals target, a sequence of rows; a target of any other
+        shape gives False.  Operands and target must be in normal form, as
+        ``RingMatrix._trusted`` assumes."""
+        return self.matmul(rows, _columns(right, target)) == [list(t) for t in target]
 
     def fma(self, y: Any, q: Any, x: Any) -> Any:
         """y + q * x."""
@@ -666,9 +667,23 @@ def _qlsum(terms) -> Fraction:
     return _fraction(num, den)
 
 
-def _shaped(rows, cols, target) -> bool:
-    """Whether target has the shape of the product of rows and cols."""
-    return len(target) == len(rows) and all(len(t) == len(cols) for t in target)
+def _width(right, target) -> int:
+    """The width of a product whose right operand has the rows right: theirs,
+    or target's where right has none (an empty inner dimension, so that the
+    product is zero whatever its width)."""
+    return len((right or target or [()])[0])
+
+
+def _columns(right, target) -> list:
+    """The columns of the right operand with the rows right, as many as
+    ``_width`` gives."""
+    return list(zip(*right)) if right else [()] * _width(right, target)
+
+
+def _shaped(rows, width: int, target) -> bool:
+    """Whether target has len(rows) rows of width entries, the shape of the
+    product of rows and a right operand of that width."""
+    return len(target) == len(rows) and all(len(t) == width for t in target)
 
 
 def _int_bits(mat) -> int:
@@ -723,7 +738,7 @@ class IntegerRing(Ring):
         mul = operator.mul
         return [[sum(map(mul, r, c)) for c in cols] for r in rows]
 
-    def matmul_equals(self, rows, cols, target):
+    def matmul_equals(self, rows, right, target):
         # Each row of the right operand is packed into one integer, entry j
         # in a signed slot of w bits at bit w*j, so that a product row is one
         # sum of products, compared with the packed target row.  Every slot
@@ -732,13 +747,13 @@ class IntegerRing(Ring):
         # call per entry but multiplies each left entry by a whole packed
         # row: measured on verify's products, it pays from 8 columns up
         # while the left entries stay within 256 bits.
-        if len(cols) < 8 or (left := _int_bits(rows)) > 256:
-            return super().matmul_equals(rows, cols, target)
-        if not _shaped(rows, cols, target):
+        n = _width(right, target)
+        if n < 8 or (left := _int_bits(rows)) > 256:
+            return super().matmul_equals(rows, right, target)
+        if not _shaped(rows, n, target):
             return False
-        right = list(zip(*cols))
         w = _packed_width(left, right, target)
-        shifts = range(0, w * len(cols), w)
+        shifts = range(0, w * n, w)
         lshift, mul = operator.lshift, operator.mul
         packed = [sum(map(lshift, r, shifts)) for r in right]
         return all(sum(map(mul, r, packed)) == sum(map(lshift, t, shifts))
@@ -1316,9 +1331,10 @@ class _Slots:
     def mul(self, x, y):
         return self._reduce(x * y)
 
-    def matmul_equals(self, rows, cols, target):
+    def matmul_equals(self, rows, right, target):
         reduce, mul = self._reduce, operator.mul
-        return _shaped(rows, cols, target) and all(
+        cols = _columns(right, target)
+        return _shaped(rows, len(cols), target) and all(
             reduce(sum(map(mul, r, c))) == v for r, t in zip(rows, target) for c, v in zip(cols, t))
 
 
@@ -1933,17 +1949,18 @@ class _SeriesWork:
                 y, g = row[j]
                 row[j] = (y + a * b, g + a * f + b * e)
 
-    def matmul_equals(self, rows, cols, target):
+    def matmul_equals(self, rows, right, target):
         # each row and column split once into its coefficient vectors; entry
         # coefficient t is the sum of the dot products of vectors i and t - i
         k1, mul = len(self.zero), operator.mul
-        rows, cols = ([list(zip(*v)) or [()] * k1 for v in vs] for vs in (rows, cols))
+        rows, cols = ([list(zip(*v)) or [()] * k1 for v in vs]
+                      for vs in (rows, _columns(right, target)))
         if k1 == 2:  # order 1, unrolled
-            return _shaped(rows, cols, target) and all(
+            return _shaped(rows, len(cols), target) and all(
                 sum(map(mul, ra, ca)) == tb and sum(map(mul, ra, cn)) + sum(map(mul, rn, ca)) == tn
                 for (ra, rn), trow in zip(rows, target) for (ca, cn), (tb, tn) in zip(cols, trow))
         terms = [[(i, t - i) for i in range(t + 1)] for t in range(k1)]
-        return _shaped(rows, cols, target) and all(
+        return _shaped(rows, len(cols), target) and all(
             sum([sum(map(mul, r[i], c[j])) for i, j in ij]) == v
             for r, trow in zip(rows, target) for c, tv in zip(cols, trow)
             for ij, v in zip(terms, tv))

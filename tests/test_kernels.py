@@ -649,7 +649,7 @@ def test_polynomial_matmul_at_the_slot_bound(p):
 
     def check(a, b):
         _assert_matmul(ring, a, b)
-        assert _checked(ring, a, list(zip(*b)),
+        assert _checked(ring, a, b,
                         _reference_matmul(ring.add, ring.mul, ring.zero, a, b))
 
     for m, inner, n in ((1, 1, 1), (3, 4, 2), (6, 5, 5)):
@@ -756,9 +756,9 @@ def test_verify_reduction_makes_no_dot_call(monkeypatch, spec):
         parts = to_check(mats)
         for ck, _ in parts:
             equals = ck.matmul_equals
-            monkeypatch.setattr(ck, "matmul_equals", lambda rows, cols, target, _eq=equals:
-                                products.append((len(rows), len(cols))) or _eq(rows, cols, target),
-                                raising=False)
+            monkeypatch.setattr(ck, "matmul_equals", lambda rows, right, target, _eq=equals:
+                                products.append((len(rows), len(right[0])))
+                                or _eq(rows, right, target), raising=False)
         return parts
 
     monkeypatch.setattr(ring, "to_check", counted, raising=False)
@@ -793,10 +793,12 @@ def test_matmul_equals_overrides():
         assert cls.matmul_equals is not Ring.matmul_equals, cls
 
 
-def _checked(ring, a, cols, target):
-    """Whether the product of a and cols equals target, as verify checks it:
-    the three converted once by to_check, then matmul_equals on each part."""
-    return all(ck.matmul_equals(fa, fc, ft) for ck, (fa, fc, ft) in ring.to_check([a, cols, target]))
+def _checked(ring, a, right, target):
+    """Whether the product of a and right (rows) equals target, as verify
+    checks it: the three converted once by to_check, then matmul_equals on
+    each part."""
+    return all(ck.matmul_equals(fa, fr, ft)
+               for ck, (fa, fr, ft) in ring.to_check([a, right, target]))
 
 
 def _single_changes(ring, v):
@@ -820,8 +822,10 @@ def _single_changes(ring, v):
 
 
 def _assert_equals_default(ring, a, cols, target):
-    got = _checked(ring, a, cols, target)
-    assert got is Ring.matmul_equals(ring, a, cols, target)
+    # the operand is drawn as columns; matmul_equals takes its rows
+    right = list(zip(*cols))
+    got = _checked(ring, a, right, target)
+    assert got is Ring.matmul_equals(ring, a, right, target)
     return got
 
 

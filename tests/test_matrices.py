@@ -38,6 +38,7 @@ from edrkit import matrices
 from edrkit.matrices import (
     _Sweep,
     _completion_certificate,
+    _integer_certificate,
     _lattice_certificate,
     _sweep_reduce,
 )
@@ -834,15 +835,14 @@ def _fixed_bench_matrix(m, n):
     raise ValueError((m, n))
 
 
-def _low_rank(rng, m, r, n):
-    b, c = _dense(rng, m, r, 7), _dense(rng, r, n, 7)
+def _low_rank(rng, m, r, n, bound=7):
+    b, c = _dense(rng, m, r, bound), _dense(rng, r, n, bound)
     return [[sum(b[i][k] * c[k][j] for k in range(r)) for j in range(n)] for i in range(m)]
 
 
 def _sweep_inputs():
     return {"fixed 22x22": _fixed_bench_matrix(22, 22),
-            "seed-1 48x48": _dense(random.Random(1), 48, 48),
-            "rank-6 12x12": _low_rank(random.Random(3), 12, 6, 12)}
+            "seed-1 48x48": _dense(random.Random(1), 48, 48)}
 
 
 @pytest.mark.parametrize("name", list(_sweep_inputs()))
@@ -929,31 +929,141 @@ def test_a_changed_completion_row_fails_verification():
             assert not verify_reduction(a, dataclasses.replace(res, Qinv=changed)), (j, s)
 
 
-def _completion_declines():
+def _completion_inputs():
     rng = random.Random(6)
     return {"2A 8x16": [[2 * v for v in row] for row in _dense(rng, 8, 16)],
             "rank-6 12x20": _low_rank(rng, 12, 6, 20),
             "3x8": _dense(rng, 3, 8)}
 
 
-@pytest.mark.parametrize("name", list(_completion_declines()))
+@pytest.mark.parametrize("name", ["2A 8x16", "3x8"])
 def test_inputs_the_completion_declines_keep_the_sweeps_documents(name, monkeypatch):
-    rows = _completion_declines()[name]
+    rows = _completion_inputs()[name]
     a = zmat(rows)
     if min(a.rows, a.cols) >= matrices.LATTICE_MIN_N:
         eliminations = []
         bareiss = matrices._bareiss
         monkeypatch.setattr(matrices, "_bareiss", lambda b: eliminations.append(b) or bareiss(b))
         assert _completion_certificate(a) is None
-        # a rank below m ends the first elimination; a Smith form other
-        # than [I | 0] leaves both pivot choices without a column
-        assert len(eliminations) == (1 if name.startswith("rank") else 2)
+        # a Smith form other than [I | 0] leaves both pivot choices
+        # without a column
+        assert len(eliminations) == 2
         monkeypatch.undo()
     req = CommandRequest(command="snf", ring="z", payload=json.dumps({"rows": rows}))
     doc = dispatch(req)
     monkeypatch.setattr(matrices, "LATTICE_MIN_N", 10**9)
     assert doc == dispatch(req)
     assert doc[0] == EXIT_OK and json.loads(doc[1])["verified"] is True
+
+
+def _kernel_inputs():
+    return {"rank-6 12x12": _low_rank(random.Random(3), 12, 6, 12),
+            "rank-6 12x20": _completion_inputs()["rank-6 12x20"]}
+
+
+@pytest.mark.parametrize("name", list(_kernel_inputs()))
+def test_kernel_certificate_keeps_the_sweeps_diagonal(name, monkeypatch):
+    # until the kernel certificate, these took the sweep
+    rows = _kernel_inputs()[name]
+    a = zmat(rows)
+    res = diagonal_reduce(a)
+    assert res == _integer_certificate(a) and verify_reduction(a, res)
+    assert [e.value for e in res.D.diagonal()] == [1] * 6 + [0] * 6
+    req = CommandRequest(command="snf", ring="z", payload=json.dumps({"rows": rows}))
+    code, out = dispatch(req)
+    assert code == EXIT_OK and json.loads(out)["verified"] is True
+    monkeypatch.setattr(matrices, "LATTICE_MIN_N", 10**9)
+    sweep = diagonal_reduce(a)
+    assert res.D == sweep.D and json.loads(out)["D"] == json.loads(dispatch(req)[1])["D"]
+    # the sweep's transforms reach 56 and 45 bits here, the certificate's 19 and 18
+    assert _transform_bits(res) <= 24 < _transform_bits(sweep)
+
+
+def _kernel_fuzz():
+    """(shape, rows) of low-rank integer inputs, a fixed draw: a product of
+    an m x r and an r x n factor, entries within 1, 2, 7 or 30, sides 4 to
+    14, rank 1 to min(m, n) - 1, tall, wide and square."""
+    rng = random.Random(34)
+    for bound in (1, 2, 7, 30):
+        for shape in ("tall", "wide", "square"):
+            for _ in range(5):
+                k = rng.randint(4, 14 if shape == "square" else 13)
+                m, n = k, k if shape == "square" else rng.randint(k + 1, 14)
+                if shape == "tall":
+                    m, n = n, m
+                yield shape, _low_rank(rng, m, rng.randint(1, k - 1), n, bound)
+
+
+def test_kernel_certificate_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    answered = dict.fromkeys(("tall", "wide", "square"), 0)
+    tampered = set()
+    for shape, rows in _kernel_fuzz():
+        a = zmat(rows)
+        res = _integer_certificate(a)
+        if res is None:
+            continue
+        answered[shape] += 1
+        assert verify_reduction(a, res), shape
+        expected = [abs(int(v)) for v in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
+        assert [e.value for e in res.D.diagonal()] == expected, shape
+        assert diagonal_reduce(a) == res
+        if shape not in tampered:
+            # one changed entry of P, then of Q, fails the check
+            tampered.add(shape)
+            for name in ("P", "Q"):
+                data = [list(row) for row in getattr(res, name).data]
+                data[-1][0] += 1
+                changed = dataclasses.replace(res, **{name: RingMatrix._trusted(Z, data)})
+                assert not verify_reduction(a, changed), (shape, name)
+    assert all(count >= 10 for count in answered.values()), answered
+
+
+def _kernel_misses():
+    # 6x6 inputs of rank 3 (factors within 2, seeded), one per way the
+    # kernel certificate declines, and the zero matrix
+    draws = {"no unit combination": 0, "not multiples of one row": 6,
+             "Smith form diag(1, 1, 2, 0, 0, 0)": 9, "no completion of K": 35,
+             "no completion of F": 153}
+    misses = {name: _low_rank(random.Random(seed), 6, 3, 6, 2) for name, seed in draws.items()}
+    misses["zero 5x5"] = [[0] * 5 for _ in range(5)]
+    return misses
+
+
+@pytest.mark.parametrize("name", list(_kernel_misses()))
+def test_inputs_the_kernel_certificate_declines_keep_the_sweeps_documents(name, monkeypatch):
+    rows = _kernel_misses()[name]
+    assert _integer_certificate(zmat(rows)) is None
+    req = CommandRequest(command="snf", ring="z", payload=json.dumps({"rows": rows}))
+    doc = dispatch(req)
+    monkeypatch.setattr(matrices, "LATTICE_MIN_N", 10**9)
+    assert doc == dispatch(req)
+    assert doc[0] == EXIT_OK and json.loads(doc[1])["verified"] is True
+
+
+def test_one_elimination_of_the_input_per_request(monkeypatch):
+    calls = []
+    bareiss = matrices._bareiss
+    monkeypatch.setattr(matrices, "_bareiss",
+                        lambda rows: calls.append((len(rows), len(rows[0]))) or bareiss(rows))
+
+    def snf(rows):
+        calls.clear()
+        req = CommandRequest(command="snf", ring="z", payload=json.dumps({"rows": rows}))
+        code, out = dispatch(req)
+        assert code == EXIT_OK and json.loads(out)["verified"] is True
+        return list(calls)
+
+    # non-cyclic: the lattice certificate declines and the sweep runs
+    assert snf(_fixed_bench_matrix(22, 22)) == [(22, 22)]
+    # answered: A's columns once, then K's (6 rows) and F's (6 rows), each
+    # of those completions in one pivot order here
+    assert snf(_kernel_inputs()["rank-6 12x20"]) == [(20, 12), (12, 6), (20, 6)]
+    # declined at the kernel basis: the sweep runs after A's one elimination
+    rows = _low_rank(random.Random(9), 12, 6, 20)
+    assert _integer_certificate(zmat(rows)) is None
+    assert snf(rows) == [(20, 12)]
 
 
 def test_a_changed_kernel_row_fails_verification():
