@@ -850,7 +850,7 @@ def test_inputs_the_lattice_declines_keep_the_sweeps_documents(name, monkeypatch
     rows = _sweep_inputs()[name]
     a = zmat(rows)
     if a.rows == a.cols:
-        assert _lattice_certificate(a) is None  # singular or not cyclic
+        assert _lattice_certificate(a) is None  # not cyclic
     req = CommandRequest(command="snf", ring="z", payload=json.dumps({"rows": rows}))
     doc = dispatch(req)
     monkeypatch.setattr(matrices, "LATTICE_MIN_N", 10**9)
